@@ -9,6 +9,7 @@ over all seen classes.
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -73,6 +74,12 @@ class RunConfig:
                               "(csv rows do not align with image test samples)")
         if self.projection_dim < 1:
             raise ConfigError("projection_dim must be >= 1")
+        grid = self.lambda_grid
+        if grid is not None and not (
+                isinstance(grid, (list, tuple)) and grid
+                and all(type(g) in (int, float) and 0 < g < math.inf for g in grid)):
+            raise ConfigError(
+                f"lambda_grid must be a nonempty list of finite positive numbers, got {grid!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

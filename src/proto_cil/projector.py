@@ -5,11 +5,10 @@ Gram matrix G and per-class accumulator C are updated streamingly, and the
 prototypes P solve (G + lambda*I) P = C via a Cholesky factorization.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .features import FeatureMatrix
 from .seeding import derive_rng
@@ -90,9 +89,8 @@ def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
 
 def _one_hot_sums(H, labels, registry):
     """Per-class column sums of H rows; extends registry in first-sight order."""
-    cols = {}
     for c in labels:
-        if c not in cols and c not in registry:
+        if c not in registry:
             registry.append(c)
     sums = np.zeros((H.shape[1], len(registry)))
     index = {c: j for j, c in enumerate(registry)}
@@ -125,9 +123,10 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     """P = (G + lam I)^{-1} C via SPD factorization (no explicit inverse)."""
     if lam <= 0:
         raise ProjectorError("lambda must be positive")
-    A = state.G + lam * np.eye(state.M)
+    A = state.G.copy()
+    A.flat[::state.M + 1] += lam
     try:
-        factor = cho_factor(A, lower=True)
+        factor = cho_factor(A, lower=True, overwrite_a=True)
         P = cho_solve(factor, state.C)
     except np.linalg.LinAlgError as exc:
         raise ProjectorError(f"prototype solve failed: {exc}") from exc
@@ -151,10 +150,18 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
                   seed: int = 0) -> float:
     """Pick lambda by an 80:20 split of the current task's samples: build
     prototypes from (prior state + 80% portion) and minimize one-hot MSE on
-    the held-out 20%. Ties go to the smaller lambda."""
+    the held-out 20%. Ties go to the smaller lambda.
+
+    The trial Gram is eigendecomposed once, G = V diag(w) V^T, so every grid
+    point is a diagonal rescale: P(lam) = V diag(1 / (w + lam)) V^T C. Grid
+    points with lam + w_min at or below the Gram's numerical-rank tolerance
+    M * eps * w_max are skipped, since G + lam I is not reliably positive
+    definite there. The pick is then factored once by `solve_prototypes`."""
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ProjectorError("lambda grid must be nonempty")
+    if not all(0.0 < lam < np.inf for lam in grid):
+        raise ProjectorError(f"lambda grid must be finite and positive, got {grid}")
     n = task_H.rows.shape[0]
     if n < 5:
         raise ProjectorError(f"lambda selection needs >= 5 task samples, got {n}")
@@ -175,12 +182,21 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     for i, vi in enumerate(val_idx):
         targets[i, index[task_H.labels[vi]]] = 1.0
 
+    w, V = eigh(trial.G, check_finite=False)
+    A, B = H_val @ V, V.T @ trial.C
+    del V
+    tol = trial.M * np.finfo(float).eps * max(w[-1], 0.0)
     best_lam, best_mse = None, np.inf
     for lam in grid:
-        P = solve_prototypes(trial, lam)
-        mse = float(np.mean((H_val @ P - targets) ** 2))
+        if lam + w[0] <= tol:
+            continue
+        mse = float(np.mean((A @ (B / (w + lam)[:, None]) - targets) ** 2))
         if mse < best_mse:
             best_lam, best_mse = lam, mse
+    if best_lam is None:
+        raise ProjectorError(
+            f"every lambda in the grid is at or below the Gram's rank tolerance {tol:.3g}")
+    solve_prototypes(trial, best_lam)
     return best_lam
 
 

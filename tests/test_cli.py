@@ -170,6 +170,17 @@ def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_run_bad_lambda_grid_is_usage_error(tmp_path, capsys):
+    cfg = json.loads(CONFIG_PATH.read_text())
+    cfg["lambda_grid"] = [0, 1]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    rc = main(["run", "--config", str(p), "--out", str(tmp_path / "report")])
+    assert rc == 1
+    assert "lambda_grid" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_run_seed_override_changes_fingerprint(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run", "--config", str(CONFIG_PATH), "--out", str(out1)]) == 0

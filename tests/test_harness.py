@@ -81,6 +81,18 @@ def test_config_branch_rules():
         RunConfig.from_dict({**base, "fusion": "mean"})
 
 
+@pytest.mark.parametrize("grid", [[], [0, 1], [-1.0], [1, float("nan")], [float("inf")],
+                                  ["1"], [True], "1e-3"])
+def test_config_rejects_bad_lambda_grid(grid):
+    with pytest.raises(ConfigError, match="lambda_grid"):
+        RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "lambda_grid": grid})
+
+
+def test_config_accepts_positive_lambda_grid():
+    assert RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2],
+                                "lambda_grid": [1, 0.5, 1e8]}).lambda_grid == [1, 0.5, 1e8]
+
+
 def test_fingerprint_ignores_output_dir_and_threads():
     a = blob_config(output_dir="/tmp/a", threads=1)
     b = blob_config(output_dir="/tmp/b", threads=4)

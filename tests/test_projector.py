@@ -1,12 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from proto_cil import projector
 from proto_cil.features import FeatureMatrix
+from proto_cil.harness import RunConfig, run_scenario
 from proto_cil.projector import (DEFAULT_LAMBDA_GRID, ProjectorError, PrototypeState,
                                  StalePrototypes, accumulate, init_projection, load_state,
                                  project, save_state, score, select_lambda,
                                  solve_prototypes)
 from proto_cil.seeding import derive_rng
+
+CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
 
 
 def random_fm(n, d, seed, classes=("a", "b", "c")):
@@ -14,6 +22,15 @@ def random_fm(n, d, seed, classes=("a", "b", "c")):
     return FeatureMatrix(rows=rng.normal(size=(n, d)),
                          labels=[classes[i % len(classes)] for i in range(n)],
                          source="ingested")
+
+
+def blob_fm(n, d, seed, classes, scale):
+    """Rows around one random mean per class, all multiplied by `scale`."""
+    rng = np.random.default_rng(seed)
+    means = {c: rng.normal(size=d) for c in classes}
+    labels = [classes[i % len(classes)] for i in range(n)]
+    rows = np.array([means[c] + 0.3 * rng.normal(size=d) for c in labels])
+    return FeatureMatrix(rows=scale * rows, labels=labels, source="ingested")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +160,19 @@ def test_hand_worked_prototype():
     assert np.allclose(P, [[0.5], [0.0]])
 
 
+def test_solve_bitwise_equals_dense_shift():
+    """The in-place diagonal shift factors exactly what G + lam * I did."""
+    rng = np.random.default_rng(11)
+    H = np.maximum(rng.normal(size=(150, 40)) @ rng.normal(size=(40, 300)), 0.0)
+    st = accumulate(PrototypeState(M=300),
+                    FeatureMatrix(rows=H, labels=[i % 4 for i in range(150)], source="x"))
+    G0 = st.G.copy()
+    for lam in (1e-2, 10.0, 1e4):
+        old = cho_solve(cho_factor(st.G + lam * np.eye(st.M), lower=True), st.C)
+        assert solve_prototypes(st, lam).tobytes() == old.tobytes()
+    assert np.array_equal(st.G, G0)
+
+
 def test_solve_requires_positive_lambda():
     st = accumulate(PrototypeState(M=3), random_fm(5, 3, seed=0))
     with pytest.raises(ProjectorError):
@@ -225,6 +255,55 @@ def test_select_lambda_needs_enough_samples():
         select_lambda(PrototypeState(M=4), random_fm(4, 4, seed=0))
     with pytest.raises(ProjectorError, match="nonempty"):
         select_lambda(PrototypeState(M=4), random_fm(10, 4, seed=0), grid=[])
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0], [-1.0], [1.0, float("nan")], [float("inf")]])
+def test_select_lambda_rejects_bad_grid_before_decomposing(grid, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on an invalid grid")
+
+    monkeypatch.setattr(projector, "eigh", no_eigh)
+    with pytest.raises(ProjectorError, match="positive"):
+        select_lambda(PrototypeState(M=4), random_fm(10, 4, seed=0), grid=grid)
+
+
+def rank_deficient_case():
+    """N < M rows scaled so that ||G|| is a few 1e8: Cholesky of G + 1e-8 I fails."""
+    M = 100
+    prior = accumulate(PrototypeState(M=M), blob_fm(12, M, 0, ("a", "b"), 500.0))
+    task = blob_fm(20, M, 50, ("c", "d"), 500.0)
+    return prior, task
+
+
+def test_select_lambda_skips_grid_below_rank_tolerance():
+    prior, task = rank_deficient_case()
+    full = accumulate(prior.snapshot(), task)
+    w_max = np.linalg.eigvalsh(full.G)[-1]
+    assert 1e8 < w_max < 1e9
+    with pytest.raises(ProjectorError, match="not positive definite"):
+        solve_prototypes(full.snapshot(), 1e-8)
+    lam = select_lambda(prior, task, seed=0)
+    assert lam in DEFAULT_LAMBDA_GRID
+    assert lam > full.M * np.finfo(float).eps * w_max
+    solve_prototypes(full, lam)
+
+
+def test_select_lambda_grid_wholly_below_rank_tolerance_raises():
+    prior, task = rank_deficient_case()
+    with pytest.raises(ProjectorError, match="rank tolerance"):
+        select_lambda(prior, task, grid=[1e-8, 1e-7, 1e-6], seed=0)
+
+
+@pytest.mark.parametrize("seed,picks", [
+    (1, [10.0, 100.0, 10.0, 100.0, 10.0]),
+    (2, [10.0, 100.0, 10.0, 100.0, 10.0]),
+    (3, [100.0, 100.0, 100.0, 10.0, 100.0]),
+])
+def test_bundled_config_lambda_picks(seed, picks):
+    """Picks of the bundled config as the per-lambda Cholesky sweep made them."""
+    cfg = json.loads(CONFIG_PATH.read_text())
+    cfg["seed"] = seed
+    assert run_scenario(RunConfig.from_dict(cfg)).lambdas == {"ingested": picks}
 
 
 # ---------------------------------------------------------------------------
