@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .datahub import (Dataset, LabeledImage, ScenarioSpec, TaskSequence, augment,
-                      load_dataset, make_scenario, synth_dataset)
+from .datahub import (Dataset, LabeledImage, ScenarioSpec, TaskSequence, load_dataset,
+                      make_scenario, synth_dataset)
 from .features import FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict, softmax
 from .harness import MetricsReport, RunConfig, accuracy, avg_acc, perf_drop, run_scenario
@@ -12,8 +12,8 @@ from .projector import (PrototypeState, accumulate, init_projection, project,
 from .rpca import DecomposedImage, RpcaModel, pcp_oracle, rpca_apply, rpca_train
 
 __all__ = [
-    "Dataset", "LabeledImage", "ScenarioSpec", "TaskSequence", "augment",
-    "load_dataset", "make_scenario", "synth_dataset",
+    "Dataset", "LabeledImage", "ScenarioSpec", "TaskSequence", "load_dataset",
+    "make_scenario", "synth_dataset",
     "FeatureMatrix", "ingest_features",
     "late_fuse", "single_predict", "softmax",
     "MetricsReport", "RunConfig", "accuracy", "avg_acc", "perf_drop", "run_scenario",

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 import argparse
 import glob
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -15,9 +14,10 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
-from .datahub import DataError, augment_array, load_dataset, save_dataset, synth_dataset
+from .datahub import DataError, load_dataset, save_dataset, synth_dataset
 from .features import write_features
-from .harness import ConfigError, RunConfig, load_report, run_scenario
+from .harness import (ConfigError, RunConfig, StageFailure, load_report, prepare_images,
+                      run_scenario)
 from .pgm import read_pgm
 
 USAGE_EXIT = 1
@@ -35,10 +35,6 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="proto-cil",
                 description="Class-incremental learning engine and benchmark harness "
                             "for radar-style imagery.")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("PROTO_CIL_THREADS", "1")),
-                   help="intra-task feature-extraction fan-out "
-                        "(env PROTO_CIL_THREADS as fallback; default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset on disk")
@@ -92,16 +88,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _augmented_train_set(manifest):
-    from .seeding import derive_seed
-
-    ds = load_dataset(manifest)
-    train = [im for im in ds.samples if im.split == "train"]
-    imgs = np.stack([augment_array(im.pixels, "cnn_train", derive_seed(0, "augment", i))
-                     for i, im in enumerate(train)])
-    return ds, train, imgs
-
-
 def cmd_synth(args) -> int:
     if args.classes < 2:
         _usage_fail("--classes must be >= 2")
@@ -142,7 +128,9 @@ def cmd_denoise(args) -> int:
 def cmd_train_backbone(args) -> int:
     if not 0 <= args.dropout < 1:
         _usage_fail("--dropout must be in [0,1)")
-    ds, train, imgs = _augmented_train_set(args.manifest)
+    ds = load_dataset(args.manifest)
+    train = [im for im in ds.samples if im.split == "train"]
+    imgs = prepare_images(train, "cnn_train", args.seed)
     model = cnn_mod.cnn_init(args.d_cnn, args.dropout, args.seed,
                              num_classes=len(ds.classes))
     model = cnn_mod.cnn_train(model, imgs, [im.label for im in train],
@@ -155,13 +143,10 @@ def cmd_train_backbone(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .seeding import derive_seed
-
     ds = load_dataset(args.manifest)
     model = cnn_mod.load_cnn(args.model)
     samples = [im for im in ds.samples if im.split == args.split]
-    imgs = np.stack([augment_array(im.pixels, "cnn_eval", derive_seed(0, "augment", i))
-                     for i, im in enumerate(samples)])
+    imgs = prepare_images(samples, "cnn_eval", seed=0)  # eval mode never flips
     fm = cnn_mod.cnn_extract(model, imgs, [im.label for im in samples])
     write_features(fm, args.out)
     print(f"wrote {fm.rows.shape[0]}x{fm.dim} features to {args.out}")
@@ -184,12 +169,16 @@ def cmd_run(args) -> int:
         raw["fusion"] = args.fusion
     if args.portion is not None:
         raw["portion"] = args.portion
-    raw.setdefault("threads", args.threads)
     try:
         config = RunConfig.from_dict(raw)
     except (ConfigError, TypeError) as exc:
         _usage_fail(str(exc))
-    metrics = run_scenario(config)
+    try:
+        metrics = run_scenario(config)
+    except StageFailure as exc:
+        if exc.stage == "setup" and isinstance(exc.cause, (ConfigError, DataError)):
+            _usage_fail(str(exc))  # rejected before any training
+        raise
     print(f"tasks: {len(metrics.task_accuracies)}  "
           f"avg accuracy: {metrics.avg_accuracy:.2f}  perf drop: {metrics.perf_drop:.2f}")
     if config.output_dir:

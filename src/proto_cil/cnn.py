@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import FeatureMatrix
+from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
 
 KERNELS = (7, 5, 3, 3)
@@ -169,23 +169,13 @@ def cnn_forward(model: CnnModel, image, train_mode: bool = False, seed: int = 0)
     return feats[0], logits[0]
 
 
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
     """Mean softmax cross-entropy and gradients for every parameter."""
     _, logits, cache = _forward_batch(model, images, train_mode, rng)
     n = logits.shape[0]
-    probs = _softmax(logits)
-    loss = float(-np.log(probs[np.arange(n), label_idx] + 1e-300).mean())
+    loss, _, dlogits = softmax_cross_entropy(logits, label_idx)
 
     grads = {}
-    dlogits = probs.copy()
-    dlogits[np.arange(n), label_idx] -= 1.0
-    dlogits /= n
     grads["head_w"] = cache["feats"].T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
     dfeats = dlogits @ model.params["head_w"].T
@@ -240,8 +230,7 @@ def cnn_train(model: CnnModel, images, labels, epochs: int = 30, lr: float = 0.0
                 vel[k] = momentum * vel[k] - lr * g
                 model.params[k] += vel[k]
         _, logits, _ = _forward_batch(model, x, False, None)
-        probs = _softmax(logits)
-        ep_loss = float(-np.log(probs[np.arange(len(x)), y] + 1e-300).mean())
+        ep_loss = softmax_cross_entropy(logits, y)[0]
         acc = float((logits.argmax(axis=1) == y).mean())
         if not np.isfinite(ep_loss):
             raise CnnDivergence(epoch)

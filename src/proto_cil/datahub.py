@@ -3,7 +3,7 @@
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -314,7 +314,3 @@ def augment_array(px: np.ndarray, mode: str, seed: int) -> np.ndarray:
         px = px[:, ::-1]
     return np.ascontiguousarray(px)
 
-
-def augment(image: LabeledImage, mode: str, seed: int) -> LabeledImage:
-    px = np.clip(augment_array(image.pixels, mode, seed), 0.0, 1.0)
-    return LabeledImage(pixels=px, label=image.label, split=image.split)

@@ -1,4 +1,5 @@
-"""Feature matrices and CSV ingestion of externally computed features."""
+"""Feature matrices, CSV ingestion of externally computed features, and the
+softmax/cross-entropy kernel shared by every classifier head."""
 
 from dataclasses import dataclass
 
@@ -28,6 +29,25 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax along the last axis; the input is not checked."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_cross_entropy(logits: np.ndarray, y_idx):
+    """Mean cross-entropy of integer targets. Returns (loss, probs, dlogits),
+    where dlogits is the loss gradient with respect to the logits."""
+    n = logits.shape[0]
+    probs = softmax(logits)
+    loss = float(-np.log(probs[np.arange(n), y_idx] + 1e-300).mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y_idx] -= 1.0
+    dlogits /= n
+    return loss, probs, dlogits
 
 
 def ingest_features(path) -> FeatureMatrix:

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import features
 from .projector import ScoreMatrix
 
 
@@ -22,9 +23,7 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     z = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(z).all():
         raise FusionError("softmax input must be finite")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return features.softmax(z)
 
 
 def late_fuse(l1: ScoreMatrix, l2: ScoreMatrix) -> list:

@@ -6,14 +6,13 @@ re-select the ridge parameter (unless frozen), solve prototypes, and evaluate
 over all seen classes.
 """
 
-import csv
 import hashlib
 import json
 import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,8 @@ from . import rpca as rpca_mod
 from .datahub import Dataset, ScenarioSpec, augment_array, load_dataset, make_scenario, synth_dataset
 from .features import FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict
-from .projector import (DEFAULT_LAMBDA_GRID, PrototypeState, accumulate, init_projection,
-                        project, score, select_lambda, solve_prototypes)
+from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, PrototypeState, accumulate,
+                        init_projection, project, score, select_lambda, solve_prototypes)
 from .seeding import derive_seed
 from .ssf import ssf_apply, ssf_train
 
@@ -58,7 +57,7 @@ class RunConfig:
     cnn_train: dict = field(default_factory=dict)
     output_dir: str = None
     seed: int = 0
-    threads: int = 1  # intra-task feature-extraction fan-out only
+    threads: int = 1  # ignored; kept so configs that set it still load
 
     def __post_init__(self):
         if not (self.cnn_branch or self.ingested_branch):
@@ -72,6 +71,13 @@ class RunConfig:
         if self.fusion == "late" and self.ingested_source.get("kind") == "csv":
             raise ConfigError("fusion=late requires ingested_source raw_pixels "
                               "(csv rows do not align with image test samples)")
+        schedule = self.schedule
+        if not (isinstance(schedule, (list, tuple)) and schedule
+                and all(type(k) is int and k >= 1 for k in schedule)):
+            raise ConfigError(
+                f"schedule must be a nonempty list of integers >= 1, got {schedule!r}")
+        if not (type(self.portion) in (int, float) and 0 < self.portion <= 1):
+            raise ConfigError(f"portion must be a number in (0, 1], got {self.portion!r}")
         if self.projection_dim < 1:
             raise ConfigError("projection_dim must be >= 1")
         grid = self.lambda_grid
@@ -90,21 +96,12 @@ class RunConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset, "schedule": self.schedule,
-            "class_order": self.class_order, "portion": self.portion,
-            "cnn_branch": self.cnn_branch, "ingested_branch": self.ingested_branch,
-            "ingested_source": self.ingested_source, "rpca": self.rpca,
-            "ssf": self.ssf, "fusion": self.fusion,
-            "projection_dim": self.projection_dim, "lambda_grid": self.lambda_grid,
-            "freeze_lambda": self.freeze_lambda, "cnn_train": self.cnn_train,
-            "output_dir": self.output_dir, "seed": self.seed, "threads": self.threads,
-        }
+        return asdict(self)
 
     def fingerprint(self) -> str:
         d = self.to_dict()
         d.pop("output_dir")
-        d.pop("threads")  # fan-out never changes results
+        d.pop("threads")
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -204,13 +201,29 @@ def perf_drop(a0: float, a_t: float) -> float:
 
 # ---------------------------------------------------------------------------
 # branch feature pipelines
+#
+# A branch has a feature width `dim` and one method,
+# `features(samples, classes, split) -> FeatureMatrix`, which turns the
+# samples of `classes` in `split` ("train" or "test") into feature rows.
+
+def prepare_images(samples, mode, seed, rpca_model=None) -> np.ndarray:
+    """Network inputs for `samples`: the RPCA sparse part when a model is given,
+    then `augment_array` in `mode`. Sample i draws its flip from
+    derive_seed(seed, "augment", i)."""
+    out = []
+    for i, im in enumerate(samples):
+        px = im.pixels
+        if rpca_model is not None:
+            px = rpca_mod.rpca_apply(rpca_model, px.ravel()).sparse.reshape(px.shape)
+        out.append(augment_array(px, mode, derive_seed(seed, "augment", i)))
+    return np.stack(out)
+
 
 class _CnnBranch:
     name = "cnn"
 
     def __init__(self, config: RunConfig, base_task):
         self.seed = config.seed
-        self.threads = max(1, int(config.threads))
         self.rpca_model = None
         hp = dict(config.cnn_train)
         if config.rpca.get("enabled"):
@@ -220,7 +233,7 @@ class _CnnBranch:
                 epochs=int(config.rpca.get("epochs", 100)),
                 lr=float(config.rpca.get("lr", 0.01)),
                 seed=derive_seed(config.seed, "rpca"))
-        train_imgs = self._prepare(base_task.train, "cnn_train")
+        train_imgs = prepare_images(base_task.train, "cnn_train", self.seed, self.rpca_model)
         labels = [im.label for im in base_task.train]
         model = cnn_mod.cnn_init(d_cnn=int(hp.get("d_cnn", 256)),
                                  dropout=float(hp.get("dropout", 0.5)),
@@ -232,83 +245,36 @@ class _CnnBranch:
             momentum=float(hp.get("momentum", 0.9)),
             weight_decay=float(hp.get("weight_decay", 0.0005)),
             seed=derive_seed(config.seed, "cnn", 1))
+        self.dim = self.model.d_cnn
 
-    def _prepare(self, samples, mode):
-        out = []
-        for i, im in enumerate(samples):
-            px = im.pixels
-            if self.rpca_model is not None:
-                px = rpca_mod.rpca_apply(self.rpca_model, px.ravel()).sparse.reshape(px.shape)
-            out.append(augment_array(px, mode, derive_seed(self.seed, "augment", i)))
-        return np.stack(out)
-
-    def features(self, samples) -> FeatureMatrix:
-        labels = [im.label for im in samples]
-        if self.threads == 1 or len(samples) < 2 * self.threads:
-            imgs = self._prepare(samples, "cnn_eval")
-            return cnn_mod.cnn_extract(self.model, imgs, labels)
-        # chunk fan-out; chunks are independent and re-concatenated in order,
-        # so the result is identical to the sequential path
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = (len(samples) + self.threads - 1) // self.threads
-        offsets = list(range(0, len(samples), chunk))
-
-        def work(off):
-            sub = samples[off : off + chunk]
-            imgs = np.stack([
-                augment_array(
-                    rpca_mod.rpca_apply(self.rpca_model, im.pixels.ravel()).sparse
-                    .reshape(im.pixels.shape) if self.rpca_model is not None else im.pixels,
-                    "cnn_eval", derive_seed(self.seed, "augment", off + j))
-                for j, im in enumerate(sub)])
-            return cnn_mod.cnn_extract(self.model, imgs, [im.label for im in sub]).rows
-
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            parts = list(pool.map(work, offsets))
-        return FeatureMatrix(rows=np.concatenate(parts, axis=0), labels=labels, source="cnn")
+    def features(self, samples, classes, split) -> FeatureMatrix:
+        imgs = prepare_images(samples, "cnn_eval", self.seed, self.rpca_model)
+        return cnn_mod.cnn_extract(self.model, imgs, [im.label for im in samples])
 
 
 class _IngestedBranch:
     name = "ingested"
 
-    def __init__(self, config: RunConfig, base_task):
-        self.kind = config.ingested_source.get("kind", "raw_pixels")
-        if self.kind == "csv":
-            self.train_fm = ingest_features(config.ingested_source["train"])
-            self.test_fm = ingest_features(config.ingested_source["test"])
-        elif self.kind != "raw_pixels":
-            raise ConfigError(f"unknown ingested_source kind {self.kind!r}")
+    def __init__(self, config: RunConfig, base_task, csv):
+        self.csv = csv  # {"train": FeatureMatrix, "test": FeatureMatrix}; None: raw pixels
+        self.dim = base_task.train[0].pixels.size if csv is None else csv["train"].dim
         self.adapter = None
         if config.ssf.get("enabled"):
-            base = self.train_features(base_task.classes, base_task.train)
+            base = self.features(base_task.train, base_task.classes, "train")
             self.adapter = ssf_train(base, epochs=int(config.ssf.get("epochs", 50)),
                                      lr=float(config.ssf.get("lr", 0.1)),
                                      seed=derive_seed(config.seed, "ssf"))
 
-    def _adapt(self, fm: FeatureMatrix) -> FeatureMatrix:
+    def features(self, samples, classes, split) -> FeatureMatrix:
+        if self.csv is None:
+            fm = FeatureMatrix(rows=np.stack([im.pixels.ravel() for im in samples]),
+                               labels=[im.label for im in samples], source="ingested")
+        else:
+            src, wanted = self.csv[split], set(classes)
+            keep = [i for i, c in enumerate(src.labels) if c in wanted]
+            fm = FeatureMatrix(rows=src.rows[keep], labels=[src.labels[i] for i in keep],
+                               source=src.source)
         return fm if self.adapter is None else ssf_apply(self.adapter, fm)
-
-    def _rows_for(self, fm: FeatureMatrix, classes) -> FeatureMatrix:
-        keep = [i for i, c in enumerate(fm.labels) if c in set(classes)]
-        return FeatureMatrix(rows=fm.rows[keep], labels=[fm.labels[i] for i in keep],
-                             source=fm.source)
-
-    def train_features(self, classes, samples) -> FeatureMatrix:
-        if self.kind == "raw_pixels":
-            fm = FeatureMatrix(rows=np.stack([im.pixels.ravel() for im in samples]),
-                               labels=[im.label for im in samples], source="ingested")
-        else:
-            fm = self._rows_for(self.train_fm, classes)
-        return self._adapt(fm)
-
-    def test_features(self, classes, samples) -> FeatureMatrix:
-        if self.kind == "raw_pixels":
-            fm = FeatureMatrix(rows=np.stack([im.pixels.ravel() for im in samples]),
-                               labels=[im.label for im in samples], source="ingested")
-        else:
-            fm = self._rows_for(self.test_fm, classes)
-        return self._adapt(fm)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +289,31 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
     if "manifest" in spec:
         return load_dataset(spec["manifest"])
     raise ConfigError("dataset must specify 'synth' or 'manifest'")
+
+
+def _ingest_csv(config: RunConfig):
+    """Train and test feature matrices of a CSV ingested source; None otherwise."""
+    source = config.ingested_source
+    kind = source.get("kind", "raw_pixels")
+    if not config.ingested_branch or kind == "raw_pixels":
+        return None
+    if kind != "csv":
+        raise ConfigError(f"unknown ingested_source kind {kind!r}")
+    return {split: ingest_features(source[split]) for split in ("train", "test")}
+
+
+def _check_sweep_rows(config: RunConfig, seq, csv) -> None:
+    """Every task that selects lambda needs enough rows for its 80:20 split."""
+    for t, task in enumerate(seq.tasks):
+        if t > 0 and config.freeze_lambda:
+            break
+        if csv is None:
+            rows = len(task.train)
+        else:
+            rows = sum(c in task.classes for c in csv["train"].labels)
+        if rows < MIN_SWEEP_ROWS:
+            raise ConfigError(f"task {t} has {rows} training rows; lambda selection "
+                              f"needs >= {MIN_SWEEP_ROWS}")
 
 
 def run_scenario(config: RunConfig) -> MetricsReport:
@@ -341,6 +332,8 @@ def run_scenario(config: RunConfig) -> MetricsReport:
         base = seq.tasks[0]
         if len(base.classes) < 2:
             raise ConfigError("base task needs >= 2 classes for backbone/probe training")
+        csv = _ingest_csv(config)
+        _check_sweep_rows(config, seq, csv)
 
         branches = []
         if config.cnn_branch:
@@ -348,18 +341,14 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             branches.append(_CnnBranch(config, base))
         if config.ingested_branch:
             stage = "base-training(ingested)"
-            branches.append(_IngestedBranch(config, base))
+            branches.append(_IngestedBranch(config, base, csv))
 
         stage = "projection-init"
         grid = config.lambda_grid or list(DEFAULT_LAMBDA_GRID)
         layers, states = {}, {}
         for bi, br in enumerate(branches):
-            if isinstance(br, _CnnBranch):
-                probe = br.features(base.train[:1])
-            else:
-                probe = br.train_features(base.classes, base.train[:1])
             layers[br.name] = init_projection(
-                probe.dim, config.projection_dim,
+                br.dim, config.projection_dim,
                 seed=derive_seed(config.seed, "projection_a", bi))
             states[br.name] = PrototypeState(M=config.projection_dim)
             lambdas[br.name] = []
@@ -368,11 +357,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             t0 = time.perf_counter()
             stage = f"task{t}-train"
             for br in branches:
-                if isinstance(br, _CnnBranch):
-                    fm = br.features(task.train)
-                else:
-                    fm = br.train_features(task.classes, task.train)
-                H = project(layers[br.name], fm)
+                H = project(layers[br.name], br.features(task.train, task.classes, "train"))
                 st = states[br.name]
                 if config.freeze_lambda and t > 0:
                     lam = lambdas[br.name][0]
@@ -389,10 +374,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             scores = []
             true_labels = None
             for br in branches:
-                if isinstance(br, _CnnBranch):
-                    fm = br.features(eval_samples)
-                else:
-                    fm = br.test_features(seen, eval_samples)
+                fm = br.features(eval_samples, seen, "test")
                 true_labels = fm.labels
                 He = project(layers[br.name], fm)
                 scores.append(score(states[br.name], He))

@@ -14,6 +14,7 @@ from .features import FeatureMatrix
 from .seeding import derive_rng
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** k for k in range(-8, 9))
+MIN_SWEEP_ROWS = 5  # fewest task rows an 80:20 lambda-selection split accepts
 
 
 class ProjectorError(ValueError):
@@ -163,8 +164,9 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     if not all(0.0 < lam < np.inf for lam in grid):
         raise ProjectorError(f"lambda grid must be finite and positive, got {grid}")
     n = task_H.rows.shape[0]
-    if n < 5:
-        raise ProjectorError(f"lambda selection needs >= 5 task samples, got {n}")
+    if n < MIN_SWEEP_ROWS:
+        raise ProjectorError(
+            f"lambda selection needs >= {MIN_SWEEP_ROWS} task samples, got {n}")
     perm = derive_rng(seed, "lambda_split").permutation(n)
     n_fit = int(round(0.8 * n))
     fit_idx, val_idx = perm[:n_fit], perm[n_fit:]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix
+from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
 
 
@@ -42,22 +42,11 @@ def ssf_apply(adapter: SsfAdapter, features: FeatureMatrix) -> FeatureMatrix:
                          labels=list(features.labels), source="adapted")
 
 
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
     """Cross-entropy of the probe on adapted features; grads for all four params."""
     Z = X * gamma + delta
     logits = Z @ w + b
-    n = X.shape[0]
-    probs = _softmax(logits)
-    loss = float(-np.log(probs[np.arange(n), y_idx] + 1e-300).mean())
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y_idx] -= 1.0
-    dlogits /= n
+    loss, _, dlogits = softmax_cross_entropy(logits, y_idx)
     gw = Z.T @ dlogits
     gb = dlogits.sum(axis=0)
     dZ = dlogits @ w.T
@@ -92,25 +81,3 @@ def ssf_train(base_features: FeatureMatrix, epochs: int = 50, lr: float = 0.1,
             b -= lr * gb
     return SsfAdapter(gamma=gamma, delta=delta, frozen=True)
 
-
-def probe_accuracy(adapter: SsfAdapter, features: FeatureMatrix, epochs: int = 50,
-                   lr: float = 0.1, seed: int = 0) -> float:
-    """Train-set accuracy of a fresh probe on adapted features; used to compare
-    adapter settings on equal footing."""
-    adapted = ssf_apply(SsfAdapter(adapter.gamma, adapter.delta), features)
-    classes = sorted(set(features.labels))
-    X = adapted.rows
-    y = np.array([classes.index(c) for c in features.labels])
-    d, k = X.shape[1], len(classes)
-    rng = derive_rng(seed, "ssf", 1)
-    w = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, k))
-    b = np.zeros(k)
-    ones, zeros = np.ones(d), np.zeros(d)
-    for _ in range(epochs):
-        order = rng.permutation(len(X))
-        for start in range(0, len(X), 32):
-            sel = order[start : start + 32]
-            _, _, _, gw, gb = probe_loss_and_grad(ones, zeros, w, b, X[sel], y[sel])
-            w -= lr * gw
-            b -= lr * gb
-    return float(((X @ w + b).argmax(axis=1) == y).mean())

@@ -8,9 +8,9 @@ denoiser loss.
 
 import numpy as np
 
-from . import cnn as cnn_mod
-from . import rpca as rpca_mod
-from . import ssf as ssf_mod
+from proto_cil import cnn as cnn_mod
+from proto_cil import rpca as rpca_mod
+from proto_cil import ssf as ssf_mod
 
 
 class GradCheckError(ValueError):

@@ -16,11 +16,12 @@ from proto_cil.cnn import INPUT_SIZE, cnn_init
 from proto_cil.datahub import ScenarioSpec, make_scenario, synth_dataset
 from proto_cil.features import FeatureMatrix
 from proto_cil.fusion import late_fuse, softmax
-from proto_cil.gradcheck import grad_check
 from proto_cil.harness import RunConfig, avg_acc, perf_drop, run_scenario
 from proto_cil.projector import PrototypeState, ScoreMatrix, accumulate, solve_prototypes
 from proto_cil.rpca import RpcaModel, pcp_oracle, rpca_apply, rpca_train
 from proto_cil.ssf import SsfAdapter
+
+from gradcheck import grad_check
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
 

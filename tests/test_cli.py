@@ -7,6 +7,7 @@ import pytest
 from proto_cil.cli import main
 from proto_cil.features import ingest_features
 from proto_cil.pgm import read_pgm, write_pgm
+from proto_cil.seeding import derive_seed
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
 
@@ -124,6 +125,26 @@ def test_backbone_and_extract_roundtrip(tmp_path):
     assert sorted(set(fm.labels)) == ["c00", "c01"]
 
 
+def test_train_backbone_seeds_flips_from_seed(tmp_path, monkeypatch):
+    import proto_cil.harness as harness
+
+    ds = tmp_path / "ds"
+    assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "3",
+                 "--test", "1", "--size", "32", "--out", str(ds)]) == 0
+    real, calls = harness.augment_array, []
+
+    def recording(px, mode, seed):
+        calls.append((mode, seed))
+        return real(px, mode, seed)
+
+    monkeypatch.setattr(harness, "augment_array", recording)
+    rc = main(["train-backbone", "--manifest", str(ds / "manifest.csv"),
+               "--out", str(tmp_path / "cnn.bin"), "--epochs", "0", "--d-cnn", "4",
+               "--seed", "5"])
+    assert rc == 0
+    assert calls == [("cnn_train", derive_seed(5, "augment", i)) for i in range(6)]
+
+
 def test_extract_missing_model_is_runtime_error(tmp_path):
     ds = tmp_path / "ds"
     assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "1",
@@ -179,6 +200,41 @@ def test_run_bad_lambda_grid_is_usage_error(tmp_path, capsys):
     assert rc == 1
     assert "lambda_grid" in capsys.readouterr().err
     assert not (tmp_path / "report").exists()
+
+
+def run_with(tmp_path, **overrides):
+    cfg = json.loads(CONFIG_PATH.read_text())
+    cfg.update(overrides)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return main(["run", "--config", str(p), "--out", str(tmp_path / "report")])
+
+
+def test_run_bad_schedule_is_usage_error(tmp_path, capsys):
+    assert run_with(tmp_path, schedule=["2", 2, 2, 2, 2]) == 1
+    assert "schedule" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_run_too_few_sweep_rows_is_usage_error(tmp_path, capsys):
+    rc = main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path / "report"),
+               "--portion", "0.1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'setup'" in err and "task 0 has 4 training rows" in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_run_scenario_data_error_in_setup_is_usage_error(tmp_path, capsys):
+    assert run_with(tmp_path, schedule=[2, 2]) == 1  # 10 classes, schedule sums to 4
+    assert "schedule sums to 4" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "run", "--config", str(CONFIG_PATH)])
+    assert exc.value.code == 1
 
 
 def test_run_seed_override_changes_fingerprint(tmp_path):

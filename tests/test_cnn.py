@@ -5,8 +5,9 @@ from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS, CnnError,
                            apply_dropout, cnn_extract, cnn_forward, cnn_init,
                            cnn_loss_and_grad, cnn_train, load_cnn, save_cnn)
 from proto_cil.datahub import augment_array, synth_dataset
-from proto_cil.gradcheck import grad_check
 from proto_cil.seeding import derive_rng
+
+from gradcheck import grad_check
 
 
 def augmented_blobs(num_classes=2, per_class=8, seed=0):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -93,6 +94,18 @@ def test_config_accepts_positive_lambda_grid():
                                 "lambda_grid": [1, 0.5, 1e8]}).lambda_grid == [1, 0.5, 1e8]
 
 
+@pytest.mark.parametrize("schedule", [[], ["2", 2], [True, 1], [0, 2], [2.0], "22", None])
+def test_config_rejects_bad_schedule(schedule):
+    with pytest.raises(ConfigError, match="schedule"):
+        RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": schedule})
+
+
+@pytest.mark.parametrize("portion", [0, 0.0, -0.5, 1.5, float("nan"), "0.5", True, None])
+def test_config_rejects_bad_portion(portion):
+    with pytest.raises(ConfigError, match="portion"):
+        RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "portion": portion})
+
+
 def test_fingerprint_ignores_output_dir_and_threads():
     a = blob_config(output_dir="/tmp/a", threads=1)
     b = blob_config(output_dir="/tmp/b", threads=4)
@@ -153,23 +166,24 @@ def test_single_class_base_task_fails_in_setup():
     assert isinstance(exc.value.cause, ConfigError)
 
 
-def test_csv_branch_run(tmp_path):
-    # externally computed features: one informative coordinate per class
+def csv_config(tmp_path, train_per_class, **overrides):
+    """Four classes of externally computed features, one informative
+    coordinate per class; `train_per_class[j]` train rows for class j."""
     rng = np.random.default_rng(0)
     classes = [f"c{i:02d}" for i in range(4)]
 
-    def write(path, per_class):
+    def write(path, counts):
         lines = ["label," + ",".join(f"f{i}" for i in range(4))]
         for j, c in enumerate(classes):
-            for _ in range(per_class):
+            for _ in range(counts[j]):
                 v = rng.normal(0, 0.05, size=4)
                 v[j] += 1.0
                 lines.append(c + "," + ",".join(repr(float(x)) for x in v))
         path.write_text("\n".join(lines) + "\n")
 
-    write(tmp_path / "train.csv", 10)
-    write(tmp_path / "test.csv", 5)
-    cfg = RunConfig.from_dict({
+    write(tmp_path / "train.csv", train_per_class)
+    write(tmp_path / "test.csv", [5] * 4)
+    return RunConfig.from_dict({
         "dataset": {"synth": {"kind": "blobs", "num_classes": 4, "per_class_train": 10,
                               "per_class_test": 5, "image_size": 8}},
         "schedule": [2, 2],
@@ -177,10 +191,50 @@ def test_csv_branch_run(tmp_path):
                             "test": str(tmp_path / "test.csv")},
         "projection_dim": 200,
         "seed": 0,
+        **overrides,
     })
-    m = run_scenario(cfg)
+
+
+def test_csv_branch_run(tmp_path):
+    m = run_scenario(csv_config(tmp_path, [10] * 4))
     assert len(m.task_accuracies) == 2
     assert m.final_accuracy >= 95.0
+
+
+def test_too_few_sweep_rows_fails_in_setup(tmp_path, monkeypatch):
+    import proto_cil.harness as harness
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a branch trained before the config was rejected")
+
+    monkeypatch.setattr(harness, "ssf_train", no_training)
+    # portion 0.1 leaves 2 images per class: 4 rows per task
+    cfg = blob_config(portion=0.1, ssf={"enabled": True}, output_dir=str(tmp_path / "r"))
+    with pytest.raises(StageFailure) as exc:
+        run_scenario(cfg)
+    assert exc.value.stage == "setup"
+    assert isinstance(exc.value.cause, ConfigError)
+    assert "task 0 has 4 training rows" in str(exc.value.cause)
+    assert not (tmp_path / "r").exists()
+
+
+def test_too_few_sweep_rows_counts_only_sweeping_tasks():
+    small = {"per_class_train": 3, "per_class_test": 2}
+    with pytest.raises(StageFailure, match="task 1 has 3 training rows") as exc:
+        run_scenario(blob_config(schedule=[2, 1, 7], synth=small))
+    assert exc.value.stage == "setup"
+    # with lambda frozen after task 0 only the base task sweeps
+    m = run_scenario(blob_config(schedule=[2, 1, 7], synth=small, freeze_lambda=True))
+    assert len(m.task_accuracies) == 3
+
+
+def test_too_few_sweep_rows_counts_csv_rows(tmp_path):
+    # the images are plentiful, but task 1 has only 4 feature rows
+    with pytest.raises(StageFailure, match="task 1 has 4 training rows") as exc:
+        run_scenario(csv_config(tmp_path, [10, 10, 2, 2], output_dir=str(tmp_path / "report")))
+    assert exc.value.stage == "setup"
+    assert isinstance(exc.value.cause, ConfigError)
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.skipif(not os.environ.get("PROTO_CIL_ABLATION"),
@@ -263,3 +317,36 @@ def test_partial_report_flushed_on_late_failure(tmp_path, monkeypatch):
     body = json.loads((tmp_path / "metrics.json").read_text())
     assert body["partial_after_stage"].startswith("task2")
     assert len(body["task_accuracies"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+SMALL_FUSION = {
+    "dataset": {"synth": {"kind": "lowrank_speckle", "num_classes": 4, "per_class_train": 10,
+                          "per_class_test": 5, "image_size": 32}},
+    "schedule": [2, 1, 1],
+    "cnn_branch": True,
+    "ingested_branch": True,
+    "fusion": "late",
+    "rpca": {"enabled": True, "rank": 2, "epochs": 20, "lr": 0.5},
+    "ssf": {"enabled": True},
+    "cnn_train": {"d_cnn": 16, "epochs": 1},
+    "projection_dim": 200,
+    "lambda_grid": [1.0],  # one grid point: the pick cannot follow float rounding
+    "seed": 0,
+}
+
+
+BUNDLED = json.loads(CONFIG_PATH.read_text())
+
+
+@pytest.mark.parametrize("config, sha256", [
+    ({**BUNDLED, "seed": 1}, "0bb1d56624c46a32ee4d8d47c9e3cb8f0584410d97fbc5fe9739b3be19361366"),
+    ({**BUNDLED, "seed": 3}, "02c82b6826ead401ef01127b2a9dbadd23f73b5e9e9b63c76b5f3933970f4c74"),
+    (SMALL_FUSION, "efd75330605b908f8aa7804774bced47c596c90289352c22d2d2f214ab5319b5"),
+], ids=["bundled-seed1", "bundled-seed3", "cnn-rpca-ssf-late-fusion"])
+def test_metrics_json_golden_sha256(tmp_path, config, sha256):
+    """metrics.json bytes are pinned: any change to them is a change of results."""
+    run_scenario(RunConfig.from_dict({**config, "output_dir": str(tmp_path)}))
+    assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == sha256

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from proto_cil.gradcheck import grad_check
 from proto_cil.rpca import (RpcaDivergence, RpcaError, RpcaModel, SMOOTH_EPS,
                             bilinear_loss_and_grad, export_sparse_pgm, pcp_oracle,
                             rpca_apply, rpca_train)
+
+from gradcheck import grad_check
 
 
 def rank1_images(n=60, m=36, seed=0):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from proto_cil.features import FeatureError, FeatureMatrix, ingest_features, write_features
-from proto_cil.gradcheck import grad_check
-from proto_cil.ssf import (SsfAdapter, SsfError, probe_accuracy, probe_loss_and_grad,
-                           ssf_apply, ssf_train)
+from proto_cil.seeding import derive_rng
+from proto_cil.ssf import SsfAdapter, SsfError, probe_loss_and_grad, ssf_apply, ssf_train
+
+from gradcheck import grad_check
 
 
 def make_fm(n=20, d=6, seed=0, classes=("a", "b")):
@@ -121,6 +122,29 @@ def test_ssf_train_requires_two_classes():
     fm = FeatureMatrix(rows=np.zeros((4, 3)), labels=["a"] * 4, source="x")
     with pytest.raises(SsfError):
         ssf_train(fm)
+
+
+def probe_accuracy(adapter: SsfAdapter, features: FeatureMatrix, epochs: int = 50,
+                   lr: float = 0.1, seed: int = 0) -> float:
+    """Train-set accuracy of a fresh probe on adapted features; used to compare
+    adapter settings on equal footing."""
+    adapted = ssf_apply(SsfAdapter(adapter.gamma, adapter.delta), features)
+    classes = sorted(set(features.labels))
+    X = adapted.rows
+    y = np.array([classes.index(c) for c in features.labels])
+    d, k = X.shape[1], len(classes)
+    rng = derive_rng(seed, "ssf", 1)
+    w = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, k))
+    b = np.zeros(k)
+    ones, zeros = np.ones(d), np.zeros(d)
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), 32):
+            sel = order[start : start + 32]
+            _, _, _, gw, gb = probe_loss_and_grad(ones, zeros, w, b, X[sel], y[sel])
+            w -= lr * gw
+            b -= lr * gb
+    return float(((X @ w + b).argmax(axis=1) == y).mean())
 
 
 def test_ssf_train_keeps_separable_features_separable():
