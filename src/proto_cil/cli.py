@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--config", required=True, help="JSON run configuration")
     s.add_argument("--seed", type=int, help="override config seed")
     s.add_argument("--out", help="override output directory")
-    s.add_argument("--fusion", choices=["late", "single"], help="override fusion mode")
     s.add_argument("--portion", type=float, help="override training-data portion")
 
     s = sub.add_parser("eval",
@@ -165,8 +164,6 @@ def cmd_run(args) -> int:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["output_dir"] = args.out
-    if args.fusion is not None:
-        raw["fusion"] = args.fusion
     if args.portion is not None:
         raw["portion"] = args.portion
     try:

@@ -127,8 +127,6 @@ def _maxpool_back(dout, idx, shape):
 def _forward_batch(model, images, train_mode, rng):
     """images: (N, 70, 70). Returns (features, logits, cache)."""
     x = np.asarray(images, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
         raise CnnError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
     a = x[:, None, :, :]
@@ -160,13 +158,6 @@ def _forward_batch(model, images, train_mode, rng):
     logits = feats @ model.params["head_w"] + model.params["head_b"]
     cache["feats"] = feats
     return feats, logits, cache
-
-
-def cnn_forward(model: CnnModel, image, train_mode: bool = False, seed: int = 0):
-    """Single-image forward pass; eval mode is deterministic (dropout off)."""
-    rng = derive_rng(seed, "cnn", 1) if train_mode else None
-    feats, logits, _ = _forward_batch(model, np.asarray(image)[None], train_mode, rng)
-    return feats[0], logits[0]
 
 
 def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
@@ -206,13 +197,9 @@ def cnn_train(model: CnnModel, images, labels, epochs: int = 30, lr: float = 0.0
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise CnnError("base task must contain at least 2 classes")
-    model = model.copy()
     if model.num_classes != len(classes):
-        head_rng = derive_rng(seed, "cnn", 2)
-        model.params["head_w"] = head_rng.normal(
-            0.0, np.sqrt(2.0 / model.d_cnn), size=(model.d_cnn, len(classes)))
-        model.params["head_b"] = np.zeros(len(classes))
-        model.num_classes = len(classes)
+        raise CnnError(f"model head has {model.num_classes} classes, labels have {len(classes)}")
+    model = model.copy()
     x = np.asarray(images, dtype=np.float64)
     y = np.array([classes.index(c) for c in labels])
     rng = derive_rng(seed, "cnn", 3)
@@ -248,7 +235,7 @@ def cnn_extract(model: CnnModel, images, labels, batch_size: int = 64) -> Featur
     for start in range(0, len(x), batch_size):
         feats, _, _ = _forward_batch(model, x[start : start + batch_size], False, None)
         rows.append(feats)
-    return FeatureMatrix(rows=np.concatenate(rows, axis=0), labels=list(labels), source="cnn")
+    return FeatureMatrix(rows=np.concatenate(rows, axis=0), labels=list(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,6 @@ class LabeledImage:
         if self.split not in ("train", "test"):
             raise DataError(f"split must be train|test, got {self.split!r}")
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass
 class Dataset:
@@ -100,10 +92,6 @@ class Task:
 @dataclass(frozen=True)
 class TaskSequence:
     tasks: tuple  # of Task
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
 
     def seen_classes(self, t: int) -> list:
         out = []
@@ -241,22 +229,13 @@ def synth_dataset(kind: str, num_classes: int, per_class_train: int,
 # ---------------------------------------------------------------------------
 # scenario construction
 
-def make_scenario(datasets, spec: ScenarioSpec) -> TaskSequence:
+def make_scenario(dataset: Dataset, spec: ScenarioSpec) -> TaskSequence:
     """Partition classes into tasks per the schedule, subsampling train data
     per class to `spec.portion` (ceil, min 1). Test sets are never subsampled."""
-    if isinstance(datasets, Dataset):
-        datasets = [datasets]
-    train_pool, test_pool = {}, {}
-    for ds in datasets:
-        for c in ds.classes:
-            if c in train_pool:
-                raise DataError(f"class {c!r} appears in more than one dataset")
-        tr, te = ds.by_class("train"), ds.by_class("test")
-        train_pool.update(tr)
-        test_pool.update(te)
+    train_pool, test_pool = dataset.by_class("train"), dataset.by_class("test")
     unknown = [c for c in spec.class_order if c not in train_pool]
     if unknown:
-        raise DataError(f"classes in class_order not found in datasets: {unknown}")
+        raise DataError(f"classes in class_order not found in the dataset: {unknown}")
 
     tasks = []
     cursor = 0

@@ -14,7 +14,6 @@ class FeatureError(ValueError):
 class FeatureMatrix:
     rows: np.ndarray  # (N, d) float64
     labels: list      # N class identifiers
-    source: str       # cnn | ingested | adapted
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
@@ -72,7 +71,7 @@ def ingest_features(path) -> FeatureMatrix:
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise FeatureError(f"{path}:{lineno}: non-numeric cell") from exc
-    return FeatureMatrix(rows=np.array(rows), labels=labels, source="ingested")
+    return FeatureMatrix(rows=np.array(rows), labels=labels)
 
 
 def write_features(fm: FeatureMatrix, path) -> None:

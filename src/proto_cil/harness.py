@@ -19,8 +19,9 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
-from .datahub import Dataset, ScenarioSpec, augment_array, load_dataset, make_scenario, synth_dataset
-from .features import FeatureMatrix, ingest_features
+from .datahub import (CROP_SIZE, DataError, Dataset, ScenarioSpec, augment_array, load_dataset,
+                      make_scenario, synth_dataset)
+from .features import FeatureError, FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict
 from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, PrototypeState, accumulate,
                         init_projection, project, score, select_lambda, solve_prototypes)
@@ -30,6 +31,23 @@ from .ssf import ssf_apply, ssf_train
 
 class ConfigError(ValueError):
     pass
+
+
+SYNTH_KEYS = {"kind", "num_classes", "per_class_train", "per_class_test", "image_size", "seed"}
+SECTION_KEYS = {
+    "rpca": {"enabled", "rank", "epochs", "lr"},
+    "ssf": {"enabled", "epochs", "lr"},
+    "cnn_train": {"d_cnn", "dropout", "epochs", "lr", "momentum", "weight_decay"},
+    "ingested_source": {"kind", "train", "test"},
+}
+
+
+def _check_keys(name, section, allowed) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
 
 
 class StageFailure(RuntimeError):
@@ -50,7 +68,7 @@ class RunConfig:
     ingested_source: dict = field(default_factory=lambda: {"kind": "raw_pixels"})
     rpca: dict = field(default_factory=lambda: {"enabled": False})
     ssf: dict = field(default_factory=lambda: {"enabled": False})
-    fusion: str = "single"        # "late" | "single"
+    fusion: str = None            # derived: "late" with both branches, else "single"
     projection_dim: int = 1000
     lambda_grid: list = None
     freeze_lambda: bool = False
@@ -62,12 +80,19 @@ class RunConfig:
     def __post_init__(self):
         if not (self.cnn_branch or self.ingested_branch):
             raise ConfigError("at least one branch must be enabled")
-        if self.fusion not in ("late", "single"):
-            raise ConfigError(f"fusion must be late|single, got {self.fusion!r}")
-        if self.fusion == "late" and not (self.cnn_branch and self.ingested_branch):
-            raise ConfigError("fusion=late requires both branches enabled")
-        if self.fusion == "single" and self.cnn_branch and self.ingested_branch:
-            raise ConfigError("fusion=single requires exactly one branch enabled")
+        derived = "late" if self.cnn_branch and self.ingested_branch else "single"
+        if self.fusion not in (None, derived):
+            raise ConfigError(f"fusion is {derived!r} for these branches (it may be omitted), "
+                              f"got {self.fusion!r}")
+        self.fusion = derived
+        for name, allowed in SECTION_KEYS.items():
+            _check_keys(name, getattr(self, name), allowed)
+        if not (isinstance(self.dataset, dict) and len(self.dataset) == 1
+                and set(self.dataset) <= {"synth", "manifest"}):
+            raise ConfigError(f"dataset must have exactly one of 'synth' and 'manifest', "
+                              f"got {self.dataset!r}")
+        if "synth" in self.dataset:
+            _check_keys("dataset.synth", self.dataset["synth"], SYNTH_KEYS)
         if self.fusion == "late" and self.ingested_source.get("kind") == "csv":
             raise ConfigError("fusion=late requires ingested_source raw_pixels "
                               "(csv rows do not align with image test samples)")
@@ -95,11 +120,8 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def fingerprint(self) -> str:
-        d = self.to_dict()
+        d = asdict(self)
         d.pop("output_dir")
         d.pop("threads")
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
@@ -268,12 +290,11 @@ class _IngestedBranch:
     def features(self, samples, classes, split) -> FeatureMatrix:
         if self.csv is None:
             fm = FeatureMatrix(rows=np.stack([im.pixels.ravel() for im in samples]),
-                               labels=[im.label for im in samples], source="ingested")
+                               labels=[im.label for im in samples])
         else:
             src, wanted = self.csv[split], set(classes)
             keep = [i for i, c in enumerate(src.labels) if c in wanted]
-            fm = FeatureMatrix(rows=src.rows[keep], labels=[src.labels[i] for i in keep],
-                               source=src.source)
+            fm = FeatureMatrix(rows=src.rows[keep], labels=[src.labels[i] for i in keep])
         return fm if self.adapter is None else ssf_apply(self.adapter, fm)
 
 
@@ -281,14 +302,13 @@ class _IngestedBranch:
 # scenario run
 
 def _resolve_dataset(config: RunConfig) -> Dataset:
-    spec = config.dataset
-    if "synth" in spec:
-        s = dict(spec["synth"])
-        s.setdefault("seed", config.seed)
-        return synth_dataset(**s)
-    if "manifest" in spec:
-        return load_dataset(spec["manifest"])
-    raise ConfigError("dataset must specify 'synth' or 'manifest'")
+    if "manifest" in config.dataset:
+        return load_dataset(config.dataset["manifest"])
+    synth = {"seed": config.seed, **config.dataset["synth"]}
+    missing = SYNTH_KEYS - set(synth)
+    if missing:
+        raise ConfigError(f"dataset.synth is missing {sorted(missing)}")
+    return synth_dataset(**synth)
 
 
 def _ingest_csv(config: RunConfig):
@@ -299,7 +319,22 @@ def _ingest_csv(config: RunConfig):
         return None
     if kind != "csv":
         raise ConfigError(f"unknown ingested_source kind {kind!r}")
-    return {split: ingest_features(source[split]) for split in ("train", "test")}
+    missing = {"train", "test"} - set(source)
+    if missing:
+        raise ConfigError(f"ingested_source csv is missing {sorted(missing)}")
+    try:
+        return {split: ingest_features(source[split]) for split in ("train", "test")}
+    except (OSError, FeatureError) as exc:
+        raise DataError(f"ingested_source csv: {exc}") from exc
+
+
+def _check_cnn_inputs(seq) -> None:
+    """The CNN branch center-crops every image to CROP_SIZE."""
+    shapes = {im.pixels.shape for task in seq.tasks for im in task.train + task.test}
+    small = sorted(s for s in shapes if min(s) < CROP_SIZE)
+    if small:
+        raise ConfigError(f"cnn_branch needs images of at least {CROP_SIZE}x{CROP_SIZE} px, "
+                          f"got {small[0][0]}x{small[0][1]}")
 
 
 def _check_sweep_rows(config: RunConfig, seq, csv) -> None:
@@ -332,6 +367,8 @@ def run_scenario(config: RunConfig) -> MetricsReport:
         base = seq.tasks[0]
         if len(base.classes) < 2:
             raise ConfigError("base task needs >= 2 classes for backbone/probe training")
+        if config.cnn_branch:
+            _check_cnn_inputs(seq)
         csv = _ingest_csv(config)
         _check_sweep_rows(config, seq, csv)
 
@@ -378,10 +415,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
                 true_labels = fm.labels
                 He = project(layers[br.name], fm)
                 scores.append(score(states[br.name], He))
-            if config.fusion == "late":
-                preds = late_fuse(scores[0], scores[1])
-            else:
-                preds = single_predict(scores[0])
+            preds = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
             pred_labels = [p.label for p in preds]
             accs.append(accuracy(pred_labels, true_labels))
             baccs.append(balanced_accuracy(pred_labels, true_labels))
@@ -397,8 +431,6 @@ def run_scenario(config: RunConfig) -> MetricsReport:
                 report(partial, config.output_dir, config, partial_after_stage=stage)
             except OSError:
                 pass
-        if isinstance(exc, StageFailure):
-            raise
         raise StageFailure(stage, exc) from exc
 
     metrics = MetricsReport(task_accuracies=accs, balanced_accuracies=baccs,
@@ -425,7 +457,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def report(metrics: MetricsReport, out_dir, config: RunConfig = None,
-           partial_after_stage: str = None) -> dict:
+           partial_after_stage: str = None) -> None:
     """Write metrics.json, accuracy_curve.csv, config.json (and timings.json).
 
     metrics.json is fully deterministic for a fixed config+seed; wall-clock
@@ -445,14 +477,12 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig = None,
         _atomic_write(out_dir / "accuracy_curve.csv", "\n".join(rows) + "\n")
         if config is not None:
             _atomic_write(out_dir / "config.json",
-                          json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+                          json.dumps(asdict(config), sort_keys=True, indent=2) + "\n")
         if metrics.wall_clock is not None:
             _atomic_write(out_dir / "timings.json",
                           json.dumps({"per_task_seconds": metrics.wall_clock}, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
-    return {"metrics": out_dir / "metrics.json",
-            "curve": out_dir / "accuracy_curve.csv"}
 
 
 def load_report(out_dir) -> MetricsReport:

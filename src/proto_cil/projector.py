@@ -1,6 +1,6 @@
 """Random-projection expansion and the exemplar-free class-prototype engine.
 
-Features are mapped through a frozen Gaussian matrix and a nonlinearity, the
+Features are mapped through a frozen Gaussian matrix and a ReLU, the
 Gram matrix G and per-class accumulator C are updated streamingly, and the
 prototypes P solve (G + lambda*I) P = C via a Cholesky factorization.
 """
@@ -28,7 +28,6 @@ class StalePrototypes(RuntimeError):
 @dataclass(frozen=True)
 class ProjectionLayer:
     W: np.ndarray  # (d, M), frozen
-    phi: str = "relu"
 
     @property
     def M(self) -> int:
@@ -68,24 +67,20 @@ class PrototypeState:
                               stale=self.stale)
 
 
-def init_projection(d: int, M: int, seed: int, phi: str = "relu") -> ProjectionLayer:
+def init_projection(d: int, M: int, seed: int) -> ProjectionLayer:
     if d < 1 or M < 1:
         raise ProjectorError("d and M must be >= 1")
-    if phi not in ("relu", "identity"):
-        raise ProjectorError(f"unknown nonlinearity {phi!r}")
     W = derive_rng(seed, "projection_a").standard_normal((d, M))
     W.flags.writeable = False
-    return ProjectionLayer(W=W, phi=phi)
+    return ProjectionLayer(W=W)
 
 
 def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
     if features.dim != layer.W.shape[0]:
         raise ProjectorError(
             f"feature dimension {features.dim} != projection input {layer.W.shape[0]}")
-    H = features.rows @ layer.W
-    if layer.phi == "relu":
-        H = np.maximum(H, 0.0)
-    return FeatureMatrix(rows=H, labels=list(features.labels), source=features.source)
+    H = np.maximum(features.rows @ layer.W, 0.0)
+    return FeatureMatrix(rows=H, labels=list(features.labels))
 
 
 def _one_hot_sums(H, labels, registry):
@@ -173,8 +168,7 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     if len(val_idx) == 0 or len(fit_idx) == 0:
         raise ProjectorError("degenerate 80:20 split")
 
-    fit = FeatureMatrix(rows=task_H.rows[fit_idx],
-                        labels=[task_H.labels[i] for i in fit_idx], source=task_H.source)
+    fit = FeatureMatrix(rows=task_H.rows[fit_idx], labels=[task_H.labels[i] for i in fit_idx])
     trial = state.snapshot()
     accumulate(trial, fit)
     registry = list(trial.registry)

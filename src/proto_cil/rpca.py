@@ -1,8 +1,8 @@
 """Low-rank + sparse decomposition for speckle filtering.
 
-Two routes: a trainable bilinear map (the production denoiser) and a
-classical principal-component-pursuit solver kept as an independent
-verification oracle. The sparse residual is the filtered image.
+A trainable bilinear map L = A B x is the denoiser; the sparse residual
+x - L is the filtered image. The classical principal-component-pursuit
+solver that verifies it lives in tests/pcp_oracle.py.
 """
 
 import json
@@ -143,40 +143,3 @@ def export_sparse_pgm(decomp: DecomposedImage, side: int, path) -> dict:
     sidecar = {"offset": lo, "scale": scale}
     Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
     return sidecar
-
-
-def pcp_oracle(X, mu: float | None = None, tol: float = 1e-7, max_iter: int = 500):
-    """Principal component pursuit by augmented-Lagrangian alternation:
-    singular-value thresholding on L, elementwise soft-thresholding on S.
-
-    Returns (L, S). Sparsity weight is 1/sqrt(max(dim)). Raises on
-    non-convergence, reporting the residual achieved.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise RpcaError("X must be finite")
-    if tol <= 0:
-        raise RpcaError("tol must be positive")
-    norm_x = np.linalg.norm(X)
-    if norm_x == 0:
-        return np.zeros_like(X), np.zeros_like(X)
-    lam = 1.0 / np.sqrt(max(X.shape))
-    if mu is None:
-        mu = X.size / (4.0 * np.abs(X).sum())
-    Y = X / max(norm_x, np.abs(X).max() / lam)
-    L = np.zeros_like(X)
-    S = np.zeros_like(X)
-    for _ in range(max_iter):
-        U, sv, Vt = np.linalg.svd(X - S + Y / mu, full_matrices=False)
-        sv = np.maximum(sv - 1.0 / mu, 0.0)
-        L = (U * sv) @ Vt
-        G = X - L + Y / mu
-        S = np.sign(G) * np.maximum(np.abs(G) - lam / mu, 0.0)
-        R = X - L - S
-        Y = Y + mu * R
-        if np.linalg.norm(R) / norm_x <= tol:
-            return L, S
-    raise RpcaError(
-        f"pcp_oracle did not converge in {max_iter} iterations "
-        f"(residual {np.linalg.norm(X - L - S) / norm_x:.3e})"
-    )

@@ -27,11 +27,6 @@ class SsfDivergence(RuntimeError):
 class SsfAdapter:
     gamma: np.ndarray
     delta: np.ndarray
-    frozen: bool = False
-
-    @classmethod
-    def identity(cls, dim: int) -> "SsfAdapter":
-        return cls(gamma=np.ones(dim), delta=np.zeros(dim))
 
 
 def ssf_apply(adapter: SsfAdapter, features: FeatureMatrix) -> FeatureMatrix:
@@ -39,7 +34,7 @@ def ssf_apply(adapter: SsfAdapter, features: FeatureMatrix) -> FeatureMatrix:
         raise SsfError(
             f"adapter dimension {adapter.gamma.size} != feature dimension {features.dim}")
     return FeatureMatrix(rows=features.rows * adapter.gamma + adapter.delta,
-                         labels=list(features.labels), source="adapted")
+                         labels=list(features.labels))
 
 
 def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
@@ -79,5 +74,5 @@ def ssf_train(base_features: FeatureMatrix, epochs: int = 50, lr: float = 0.1,
             delta -= lr * gd
             w -= lr * gw
             b -= lr * gb
-    return SsfAdapter(gamma=gamma, delta=delta, frozen=True)
+    return SsfAdapter(gamma=gamma, delta=delta)
 

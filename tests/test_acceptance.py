@@ -18,10 +18,11 @@ from proto_cil.features import FeatureMatrix
 from proto_cil.fusion import late_fuse, softmax
 from proto_cil.harness import RunConfig, avg_acc, perf_drop, run_scenario
 from proto_cil.projector import PrototypeState, ScoreMatrix, accumulate, solve_prototypes
-from proto_cil.rpca import RpcaModel, pcp_oracle, rpca_apply, rpca_train
+from proto_cil.rpca import RpcaModel, rpca_apply, rpca_train
 from proto_cil.ssf import SsfAdapter
 
 from gradcheck import grad_check
+from pcp_oracle import pcp_oracle
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
 
@@ -65,15 +66,14 @@ def test_criterion_2_incremental_equals_batch():
             m = int(rng.integers(10, 201))
             H = rng.normal(size=(n, d)) @ rng.normal(size=(d, m))
             labels = [f"c{int(v)}" for v in rng.integers(0, 6, size=n)]
-            fm = FeatureMatrix(rows=H, labels=labels, source="x")
+            fm = FeatureMatrix(rows=H, labels=labels)
             whole = accumulate(PrototypeState(M=m), fm)
             inc = PrototypeState(M=m)
             cuts = sorted(rng.integers(0, n + 1, size=int(rng.integers(0, 4))))
             bounds = [0] + list(cuts) + [n]
             for lo, hi in zip(bounds, bounds[1:]):
                 if hi > lo:
-                    accumulate(inc, FeatureMatrix(rows=H[lo:hi], labels=labels[lo:hi],
-                                                  source="x"))
+                    accumulate(inc, FeatureMatrix(rows=H[lo:hi], labels=labels[lo:hi]))
             order = [inc.registry.index(c) for c in whole.registry]
             gs = np.linalg.norm(whole.G)
             cs = max(np.linalg.norm(whole.C), 1.0)
@@ -94,7 +94,7 @@ def test_criterion_3_ridge_oracle():
             H = rng.normal(size=(n, m))
             labels = [f"c{int(v)}" for v in rng.integers(0, 4, size=n)]
             st = accumulate(PrototypeState(M=m),
-                            FeatureMatrix(rows=H, labels=labels, source="x"))
+                            FeatureMatrix(rows=H, labels=labels))
             lam = 10.0 ** float(rng.uniform(-4, 2))
             P = solve_prototypes(st, lam)
             oracle = np.linalg.inv(st.G + lam * np.eye(m)) @ st.C
@@ -166,7 +166,7 @@ def test_criterion_6_end_to_end_cil():
 
         seq = make_scenario(ds, ScenarioSpec(schedule=[4, 1, 1, 1, 1, 1, 1],
                                              class_order=list(ds.classes), seed=0))
-        assert seq.num_tasks == 7
+        assert len(seq.tasks) == 7
 
 
 def test_criterion_7_determinism(tmp_path):

@@ -231,6 +231,66 @@ def test_run_scenario_data_error_in_setup_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("section, value", [
+    ("cnn_train", {"epoch": 1}),
+    ("rpca", {"enabled": False, "rnak": 3}),
+    ("dataset", {"synth": {"kind": "blobs", "num_classes": 10, "per_class_train": 20,
+                           "per_class_test": 10, "image_sise": 16}}),
+])
+def test_run_unknown_section_key_is_usage_error(tmp_path, capsys, section, value):
+    assert run_with(tmp_path, **{section: value}) == 1
+    assert "unknown" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_run_missing_synth_key_is_usage_error(tmp_path, capsys):
+    synth = {"kind": "blobs", "num_classes": 10, "per_class_train": 20, "per_class_test": 10}
+    assert run_with(tmp_path, dataset={"synth": synth}) == 1
+    assert "missing ['image_size']" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("splits, message", [(("train", "test"), "nope.csv"),
+                                             (("train",), "missing ['test']")])
+def test_run_missing_csv_file_is_usage_error(tmp_path, capsys, splits, message):
+    source = {"kind": "csv", **{split: str(tmp_path / "nope.csv") for split in splits}}
+    assert run_with(tmp_path, ingested_source=source) == 1
+    err = capsys.readouterr().err
+    assert "'setup'" in err and message in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_run_bad_csv_header_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "feats.csv"
+    bad.write_text("f0,f1\n1.0,2.0\n")
+    assert run_with(tmp_path, ingested_source={"kind": "csv", "train": str(bad),
+                                               "test": str(bad)}) == 1
+    assert "header must be" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_run_cnn_on_small_images_is_usage_error(tmp_path, capsys, monkeypatch):
+    import proto_cil.cnn as cnn_mod
+    import proto_cil.rpca as rpca_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before the config was rejected")
+
+    monkeypatch.setattr(rpca_mod, "rpca_train", no_training)
+    monkeypatch.setattr(cnn_mod, "cnn_train", no_training)
+    # the bundled config's images are 16 px; the CNN branch crops 32 px
+    assert run_with(tmp_path, cnn_branch=True, ingested_branch=False,
+                    rpca={"enabled": True}) == 1
+    assert "at least 32x32 px, got 16x16" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_fusion_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(CONFIG_PATH), "--fusion", "late"])
+    assert exc.value.code == 1
+
+
 def test_threads_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "run", "--config", str(CONFIG_PATH)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS, CnnError,
-                           apply_dropout, cnn_extract, cnn_forward, cnn_init,
+                           _forward_batch, apply_dropout, cnn_extract, cnn_init,
                            cnn_loss_and_grad, cnn_train, load_cnn, save_cnn)
 from proto_cil.datahub import augment_array, synth_dataset
 from proto_cil.seeding import derive_rng
@@ -54,7 +54,7 @@ def test_init_validation():
 
 def test_zero_image_gives_zero_features():
     model = cnn_init(16, 0.0, seed=0)
-    feats, logits = cnn_forward(model, np.zeros((INPUT_SIZE, INPUT_SIZE)))
+    feats, logits, _ = _forward_batch(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), False, None)
     assert np.allclose(feats, 0.0)  # zero activations, zero biases
     assert np.allclose(logits, 0.0)
 
@@ -62,14 +62,14 @@ def test_zero_image_gives_zero_features():
 def test_forward_rejects_wrong_size():
     model = cnn_init(8, 0.0, seed=0)
     with pytest.raises(CnnError, match="70x70"):
-        cnn_forward(model, np.zeros((64, 64)))
+        _forward_batch(model, np.zeros((1, 64, 64)), False, None)
 
 
 def test_eval_forward_deterministic():
     model = cnn_init(16, 0.5, seed=0)
-    img = np.random.default_rng(1).random((INPUT_SIZE, INPUT_SIZE))
-    f1, l1 = cnn_forward(model, img)
-    f2, l2 = cnn_forward(model, img)
+    img = np.random.default_rng(1).random((1, INPUT_SIZE, INPUT_SIZE))
+    f1, l1, _ = _forward_batch(model, img, False, None)
+    f2, l2, _ = _forward_batch(model, img, False, None)
     assert np.array_equal(f1, f2) and np.array_equal(l1, l2)
 
 
@@ -121,12 +121,11 @@ def test_train_zero_epochs_is_bitwise_noop():
         assert np.array_equal(out.params[k], model.params[k])
 
 
-def test_train_reinitializes_head_on_class_count_change():
+def test_train_rejects_head_class_count_mismatch():
     imgs, labels = augmented_blobs(num_classes=3, per_class=2)
     model = cnn_init(8, 0.0, seed=0, num_classes=2)
-    out = cnn_train(model, imgs, labels, epochs=0)
-    assert out.num_classes == 3
-    assert out.params["head_w"].shape == (8, 3)
+    with pytest.raises(CnnError, match="head has 2 classes, labels have 3"):
+        cnn_train(model, imgs, labels, epochs=0)
 
 
 def test_train_learns_two_blob_classes():
@@ -162,7 +161,6 @@ def test_extract_shapes_and_batching():
     whole = cnn_extract(model, imgs, labels)
     small = cnn_extract(model, imgs, labels, batch_size=2)
     assert whole.rows.shape == (len(imgs), 16)
-    assert whole.source == "cnn"
     assert np.allclose(whole.rows, small.rows)
 
 

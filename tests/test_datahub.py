@@ -123,7 +123,7 @@ def test_b4inc1_schedule():
     ds = tiny_dataset(num_classes=10, train=3, test=2)
     seq = make_scenario(ds, ScenarioSpec(schedule=[4, 1, 1, 1, 1, 1, 1],
                                          class_order=list(ds.classes), seed=0))
-    assert seq.num_tasks == 7
+    assert len(seq.tasks) == 7
     assert [len(t.classes) for t in seq.tasks] == [4, 1, 1, 1, 1, 1, 1]
 
 
@@ -131,7 +131,7 @@ def test_b2inc2_schedule():
     ds = tiny_dataset(num_classes=10, train=3, test=2)
     seq = make_scenario(ds, ScenarioSpec(schedule=[2] * 5,
                                          class_order=list(ds.classes), seed=0))
-    assert seq.num_tasks == 5
+    assert len(seq.tasks) == 5
     assert all(len(t.classes) == 2 for t in seq.tasks)
 
 
@@ -193,7 +193,7 @@ def test_task_disjointness_and_coverage(seed, schedule):
 def test_eval_set_is_union_of_seen_test_samples():
     ds = tiny_dataset(num_classes=4, train=2, test=3)
     seq = make_scenario(ds, ScenarioSpec(schedule=[2, 1, 1], class_order=list(ds.classes)))
-    for t in range(seq.num_tasks):
+    for t in range(len(seq.tasks)):
         labels = {im.label for im in seq.eval_set(t)}
         assert labels == set(seq.seen_classes(t))
         assert len(seq.eval_set(t)) == 3 * len(seq.seen_classes(t))

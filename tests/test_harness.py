@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,45 @@ def test_config_branch_rules():
                              "ingested_source": {"kind": "csv"}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({**base, "fusion": "mean"})
+
+
+def test_fusion_is_derived_from_branches():
+    base = {"dataset": {"synth": {}}, "schedule": [2]}
+    assert RunConfig.from_dict(base).fusion == "single"
+    assert RunConfig.from_dict({**base, "cnn_branch": True}).fusion == "late"
+    assert RunConfig.from_dict({**base, "cnn_branch": True,
+                                "ingested_branch": False}).fusion == "single"
+    # an explicit value that matches changes neither config.json nor the fingerprint
+    for cfg in (base, {**base, "cnn_branch": True}):
+        omitted = RunConfig.from_dict(cfg)
+        given = RunConfig.from_dict({**cfg, "fusion": omitted.fusion})
+        assert asdict(given) == asdict(omitted)
+        assert given.fingerprint() == omitted.fingerprint()
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"rpca": {"enabled": True, "rnak": 3}}, "unknown rpca keys"),
+    ({"ssf": {"epoch": 1}}, "unknown ssf keys"),
+    ({"cnn_train": {"epoch": 1}}, "unknown cnn_train keys"),
+    ({"ingested_source": {"kind": "csv", "tarin": "a.csv"}}, "unknown ingested_source keys"),
+    ({"rpca": True}, "rpca must be an object"),
+    ({"dataset": {"synth": {"image_sise": 16}}}, "unknown dataset.synth keys"),
+    ({"dataset": {"synth": {}, "manifest": "m.csv"}}, "exactly one of"),
+    ({"dataset": {}}, "exactly one of"),
+    ({"dataset": {"manfest": "m.csv"}}, "exactly one of"),
+])
+def test_config_rejects_unknown_section_keys(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], **overrides})
+
+
+def test_missing_synth_key_fails_in_setup():
+    cfg = json.loads(CONFIG_PATH.read_text())
+    del cfg["dataset"]["synth"]["image_size"]
+    with pytest.raises(StageFailure, match=r"missing \['image_size'\]") as exc:
+        run_scenario(RunConfig.from_dict(cfg))
+    assert exc.value.stage == "setup"
+    assert isinstance(exc.value.cause, ConfigError)
 
 
 @pytest.mark.parametrize("grid", [[], [0, 1], [-1.0], [1, float("nan")], [float("inf")],

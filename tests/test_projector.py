@@ -20,8 +20,7 @@ CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs
 def random_fm(n, d, seed, classes=("a", "b", "c")):
     rng = np.random.default_rng(seed)
     return FeatureMatrix(rows=rng.normal(size=(n, d)),
-                         labels=[classes[i % len(classes)] for i in range(n)],
-                         source="ingested")
+                         labels=[classes[i % len(classes)] for i in range(n)])
 
 
 def blob_fm(n, d, seed, classes, scale):
@@ -30,7 +29,7 @@ def blob_fm(n, d, seed, classes, scale):
     means = {c: rng.normal(size=d) for c in classes}
     labels = [classes[i % len(classes)] for i in range(n)]
     rows = np.array([means[c] + 0.3 * rng.normal(size=d) for c in labels])
-    return FeatureMatrix(rows=scale * rows, labels=labels, source="ingested")
+    return FeatureMatrix(rows=scale * rows, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +58,6 @@ def test_project_relu_clamps_negatives():
     assert np.array_equal(H.rows, np.maximum(fm.rows @ layer.W, 0.0))
 
 
-def test_project_identity_is_linear():
-    layer = init_projection(4, 16, seed=1, phi="identity")
-    fm = random_fm(10, 4, seed=0)
-    assert np.array_equal(project(layer, fm).rows, fm.rows @ layer.W)
-
-
 def test_project_dimension_mismatch():
     layer = init_projection(4, 16, seed=1)
     with pytest.raises(ProjectorError, match="dimension"):
@@ -75,7 +68,7 @@ def test_init_projection_validates():
     with pytest.raises(ProjectorError):
         init_projection(0, 5, seed=0)
     with pytest.raises(ProjectorError):
-        init_projection(5, 5, seed=0, phi="tanh")
+        init_projection(5, 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +85,9 @@ def test_accumulate_matches_batch_formulas():
 
 def test_registry_grows_in_first_sight_order():
     st = PrototypeState(M=3)
-    accumulate(st, FeatureMatrix(rows=np.eye(3)[:2], labels=["q", "p"], source="ingested"))
+    accumulate(st, FeatureMatrix(rows=np.eye(3)[:2], labels=["q", "p"]))
     assert st.registry == ["q", "p"]
-    accumulate(st, FeatureMatrix(rows=np.eye(3)[2:], labels=["z"], source="ingested"))
+    accumulate(st, FeatureMatrix(rows=np.eye(3)[2:], labels=["z"]))
     assert st.registry == ["q", "p", "z"]
     assert st.C.shape == (3, 3)
     # the old columns are unchanged by registry growth
@@ -106,8 +99,7 @@ def test_incremental_equals_single_pass():
     whole = accumulate(PrototypeState(M=8), H)
     inc = PrototypeState(M=8)
     for lo, hi in ((0, 13), (13, 30), (30, 50)):
-        accumulate(inc, FeatureMatrix(rows=H.rows[lo:hi], labels=H.labels[lo:hi],
-                                      source="ingested"))
+        accumulate(inc, FeatureMatrix(rows=H.rows[lo:hi], labels=H.labels[lo:hi]))
     scale = np.linalg.norm(whole.G)
     assert np.linalg.norm(inc.G - whole.G) <= 1e-12 * scale
     assert np.linalg.norm(inc.C - whole.C) <= 1e-12 * max(np.linalg.norm(whole.C), 1.0)
@@ -121,8 +113,7 @@ def test_accumulation_order_independent():
     perm = np.random.default_rng(0).permutation(40)
     a = accumulate(PrototypeState(M=5), H)
     b = accumulate(PrototypeState(M=5),
-                   FeatureMatrix(rows=H.rows[perm], labels=[H.labels[i] for i in perm],
-                                 source="ingested"))
+                   FeatureMatrix(rows=H.rows[perm], labels=[H.labels[i] for i in perm]))
     order = [b.registry.index(c) for c in a.registry]
     assert np.linalg.norm(a.G - b.G) <= 1e-12 * np.linalg.norm(a.G)
     assert np.linalg.norm(a.C - b.C[:, order]) <= 1e-12 * max(np.linalg.norm(a.C), 1.0)
@@ -153,8 +144,7 @@ def test_solve_matches_dense_inverse_oracle():
 
 def test_hand_worked_prototype():
     st = PrototypeState(M=2)
-    accumulate(st, FeatureMatrix(rows=np.array([[1.0, 0.0]]), labels=["a"],
-                                 source="ingested"))
+    accumulate(st, FeatureMatrix(rows=np.array([[1.0, 0.0]]), labels=["a"]))
     P = solve_prototypes(st, 1.0)
     # G = diag(1, 0), C = [1, 0]^T, so P = (G + I)^{-1} C = [0.5, 0]^T
     assert np.allclose(P, [[0.5], [0.0]])
@@ -165,7 +155,7 @@ def test_solve_bitwise_equals_dense_shift():
     rng = np.random.default_rng(11)
     H = np.maximum(rng.normal(size=(150, 40)) @ rng.normal(size=(40, 300)), 0.0)
     st = accumulate(PrototypeState(M=300),
-                    FeatureMatrix(rows=H, labels=[i % 4 for i in range(150)], source="x"))
+                    FeatureMatrix(rows=H, labels=[i % 4 for i in range(150)]))
     G0 = st.G.copy()
     for lam in (1e-2, 10.0, 1e4):
         old = cho_solve(cho_factor(st.G + lam * np.eye(st.M), lower=True), st.C)
@@ -210,8 +200,7 @@ def brute_force_lambda(state, task_H, grid, seed):
     fit_idx, val_idx = perm[:n_fit], perm[n_fit:]
     trial = state.snapshot()
     accumulate(trial, FeatureMatrix(rows=task_H.rows[fit_idx],
-                                    labels=[task_H.labels[i] for i in fit_idx],
-                                    source="x"))
+                                    labels=[task_H.labels[i] for i in fit_idx]))
     best, best_mse = None, np.inf
     for lam in sorted(float(g) for g in grid):
         A = trial.G + lam * np.eye(trial.M)

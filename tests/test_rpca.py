@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from proto_cil.rpca import (RpcaDivergence, RpcaError, RpcaModel, SMOOTH_EPS,
-                            bilinear_loss_and_grad, export_sparse_pgm, pcp_oracle,
-                            rpca_apply, rpca_train)
+                            bilinear_loss_and_grad, export_sparse_pgm, rpca_apply, rpca_train)
 
 from gradcheck import grad_check
+from pcp_oracle import pcp_oracle
 
 
 def rank1_images(n=60, m=36, seed=0):

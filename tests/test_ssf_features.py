@@ -14,7 +14,7 @@ def make_fm(n=20, d=6, seed=0, classes=("a", "b")):
     rows = rng.normal(size=(n, d))
     for i, c in enumerate(labels):
         rows[i, 0] += 4.0 * classes.index(c)  # make the classes separable
-    return FeatureMatrix(rows=rows, labels=labels, source="ingested")
+    return FeatureMatrix(rows=rows, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -22,15 +22,15 @@ def make_fm(n=20, d=6, seed=0, classes=("a", "b")):
 
 def test_feature_matrix_validation():
     with pytest.raises(FeatureError):
-        FeatureMatrix(rows=np.zeros(3), labels=["a"] * 3, source="x")
+        FeatureMatrix(rows=np.zeros(3), labels=["a"] * 3)
     with pytest.raises(FeatureError):
-        FeatureMatrix(rows=np.array([[np.nan]]), labels=["a"], source="x")
+        FeatureMatrix(rows=np.array([[np.nan]]), labels=["a"])
     with pytest.raises(FeatureError, match="labels"):
-        FeatureMatrix(rows=np.zeros((2, 3)), labels=["a"], source="x")
+        FeatureMatrix(rows=np.zeros((2, 3)), labels=["a"])
 
 
 def test_feature_matrix_casts_to_float64():
-    fm = FeatureMatrix(rows=np.ones((2, 2), dtype=np.float32), labels=["a", "b"], source="x")
+    fm = FeatureMatrix(rows=np.ones((2, 2), dtype=np.float32), labels=["a", "b"])
     assert fm.rows.dtype == np.float64
     assert fm.dim == 2
 
@@ -67,7 +67,7 @@ def test_ingest_error_messages(tmp_path):
 
 def test_identity_adapter_is_noop():
     fm = make_fm()
-    out = ssf_apply(SsfAdapter.identity(fm.dim), fm)
+    out = ssf_apply(SsfAdapter(gamma=np.ones(fm.dim), delta=np.zeros(fm.dim)), fm)
     assert np.array_equal(out.rows, fm.rows)
     assert out.labels == fm.labels
 
@@ -77,12 +77,11 @@ def test_ssf_apply_formula():
     adapter = SsfAdapter(gamma=np.array([2.0, 0.5, 1.0]), delta=np.array([1.0, 0.0, -1.0]))
     out = ssf_apply(adapter, fm)
     assert np.allclose(out.rows, fm.rows * adapter.gamma + adapter.delta)
-    assert out.source == "adapted"
 
 
 def test_ssf_apply_dimension_mismatch():
     with pytest.raises(SsfError):
-        ssf_apply(SsfAdapter.identity(4), make_fm(d=6))
+        ssf_apply(SsfAdapter(gamma=np.ones(4), delta=np.zeros(4)), make_fm(d=6))
 
 
 def test_probe_gradients_match_finite_differences():
@@ -109,7 +108,6 @@ def test_ssf_train_zero_epochs_is_identity():
     adapter = ssf_train(make_fm(), epochs=0)
     assert np.array_equal(adapter.gamma, np.ones(6))
     assert np.array_equal(adapter.delta, np.zeros(6))
-    assert adapter.frozen
 
 
 def test_ssf_train_deterministic():
@@ -119,7 +117,7 @@ def test_ssf_train_deterministic():
 
 
 def test_ssf_train_requires_two_classes():
-    fm = FeatureMatrix(rows=np.zeros((4, 3)), labels=["a"] * 4, source="x")
+    fm = FeatureMatrix(rows=np.zeros((4, 3)), labels=["a"] * 4)
     with pytest.raises(SsfError):
         ssf_train(fm)
 
@@ -151,4 +149,5 @@ def test_ssf_train_keeps_separable_features_separable():
     fm = make_fm(n=40, d=8, seed=5)
     adapter = ssf_train(fm, epochs=30, seed=0)
     assert probe_accuracy(adapter, fm, seed=0) >= 0.95
-    assert probe_accuracy(SsfAdapter.identity(fm.dim), fm, seed=0) >= 0.95
+    identity = SsfAdapter(gamma=np.ones(fm.dim), delta=np.zeros(fm.dim))
+    assert probe_accuracy(identity, fm, seed=0) >= 0.95
