@@ -15,7 +15,7 @@ import numpy as np
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
 from .datahub import DataError, load_dataset, save_dataset, synth_dataset
-from .features import write_features
+from .features import softmax_cross_entropy, write_features
 from .harness import (ConfigError, RunConfig, StageFailure, load_report, prepare_images,
                       run_scenario)
 from .pgm import read_pgm
@@ -129,15 +129,20 @@ def cmd_train_backbone(args) -> int:
         _usage_fail("--dropout must be in [0,1)")
     ds = load_dataset(args.manifest)
     train = [im for im in ds.samples if im.split == "train"]
+    labels = [im.label for im in train]
     imgs = prepare_images(train, "cnn_train", args.seed)
     model = cnn_mod.cnn_init(args.d_cnn, args.dropout, args.seed,
                              num_classes=len(ds.classes))
-    model = cnn_mod.cnn_train(model, imgs, [im.label for im in train],
-                              epochs=args.epochs, lr=args.lr, momentum=args.momentum,
-                              weight_decay=args.weight_decay, seed=args.seed)
+    model = cnn_mod.cnn_train(model, imgs, labels, epochs=args.epochs, lr=args.lr,
+                              momentum=args.momentum, weight_decay=args.weight_decay,
+                              seed=args.seed)
     cnn_mod.save_cnn(model, args.out)
-    final = model.history[-1] if model.history else (None, None, None)
-    print(f"saved checkpoint {args.out} (final loss {final[1]}, accuracy {final[2]})")
+    # eval-mode fit of the training head on the training images
+    y = np.array([sorted(set(labels)).index(c) for c in labels])
+    logits = cnn_mod.cnn_extract(model, imgs, labels).rows @ model.params["head_w"]
+    logits += model.params["head_b"]
+    loss, acc = softmax_cross_entropy(logits, y)[0], float((logits.argmax(axis=1) == y).mean())
+    print(f"saved checkpoint {args.out} (final loss {loss}, accuracy {acc})")
     return 0
 
 

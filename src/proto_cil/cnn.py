@@ -6,7 +6,7 @@ only while training on the base task. Backprop is hand-written so parameter
 gradients can be verified against finite differences.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,6 +18,8 @@ KERNELS = (7, 5, 3, 3)
 CHANNELS = (16, 32, 64, 128)
 INPUT_SIZE = 70
 FLAT_SIZE = 4 * 4 * 128  # spatial sizes after pools: 35, 17, 8, 4
+TRAIN_BATCH = 16
+EXTRACT_BATCH = 64
 
 
 class CnnError(ValueError):
@@ -26,7 +28,7 @@ class CnnError(ValueError):
 
 class CnnDivergence(RuntimeError):
     def __init__(self, epoch):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
+        super().__init__(f"non-finite training loss or weights at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -37,14 +39,12 @@ class CnnModel:
     dropout: float
     num_classes: int
     frozen: bool = False
-    history: list = field(default_factory=list)  # (epoch, loss, accuracy)
 
     def copy(self):
         return CnnModel(
             params={k: v.copy() for k, v in self.params.items()},
             d_cnn=self.d_cnn, dropout=self.dropout,
             num_classes=self.num_classes, frozen=self.frozen,
-            history=list(self.history),
         )
 
 
@@ -191,9 +191,9 @@ def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
 
 def cnn_train(model: CnnModel, images, labels, epochs: int = 30, lr: float = 0.01,
               momentum: float = 0.9, weight_decay: float = 0.0005,
-              seed: int = 0, batch_size: int = 16) -> CnnModel:
+              seed: int = 0) -> CnnModel:
     """SGD with momentum and weight decay on base-task classes; returns a
-    frozen copy with per-epoch (loss, accuracy) history."""
+    frozen copy."""
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise CnnError("base task must contain at least 2 classes")
@@ -206,8 +206,8 @@ def cnn_train(model: CnnModel, images, labels, epochs: int = 30, lr: float = 0.0
     vel = {k: np.zeros_like(v) for k, v in model.params.items()}
     for epoch in range(epochs):
         order = rng.permutation(len(x))
-        for start in range(0, len(x), batch_size):
-            sel = order[start : start + batch_size]
+        for start in range(0, len(x), TRAIN_BATCH):
+            sel = order[start : start + TRAIN_BATCH]
             loss, grads = cnn_loss_and_grad(model, x[sel], y[sel], train_mode=True, rng=rng)
             if not np.isfinite(loss):
                 raise CnnDivergence(epoch)
@@ -216,24 +216,20 @@ def cnn_train(model: CnnModel, images, labels, epochs: int = 30, lr: float = 0.0
                     g = g + weight_decay * model.params[k]
                 vel[k] = momentum * vel[k] - lr * g
                 model.params[k] += vel[k]
-        _, logits, _ = _forward_batch(model, x, False, None)
-        ep_loss = softmax_cross_entropy(logits, y)[0]
-        acc = float((logits.argmax(axis=1) == y).mean())
-        if not np.isfinite(ep_loss):
+        if not all(np.isfinite(v).all() for v in model.params.values()):
             raise CnnDivergence(epoch)
-        model.history.append((epoch, ep_loss, acc))
     model.frozen = True
     return model
 
 
-def cnn_extract(model: CnnModel, images, labels, batch_size: int = 64) -> FeatureMatrix:
+def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
     """Eval-mode dense features for a frozen model."""
     if not model.frozen:
         raise CnnError("cnn_extract requires a trained (frozen) model")
     x = np.asarray(images, dtype=np.float64)
     rows = []
-    for start in range(0, len(x), batch_size):
-        feats, _, _ = _forward_batch(model, x[start : start + batch_size], False, None)
+    for start in range(0, len(x), EXTRACT_BATCH):
+        feats, _, _ = _forward_batch(model, x[start : start + EXTRACT_BATCH], False, None)
         rows.append(feats)
     return FeatureMatrix(rows=np.concatenate(rows, axis=0), labels=list(labels))
 

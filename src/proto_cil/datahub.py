@@ -93,12 +93,6 @@ class Task:
 class TaskSequence:
     tasks: tuple  # of Task
 
-    def seen_classes(self, t: int) -> list:
-        out = []
-        for task in self.tasks[: t + 1]:
-            out.extend(task.classes)
-        return out
-
     def eval_set(self, t: int) -> list:
         """Union of test samples over all classes seen up to task t."""
         out = []

@@ -42,12 +42,32 @@ SECTION_KEYS = {
 }
 
 
+def _number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+# section key -> (what its value must be, test); bools are not numbers here
+VALUE_RULES = {
+    "enabled": ("a bool", lambda v: type(v) is bool),
+    "rank": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "d_cnn": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "epochs": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "lr": ("a finite number > 0", lambda v: _number(v) and v > 0),
+    "dropout": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
+    "momentum": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
+    "weight_decay": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
+}
+
+
 def _check_keys(name, section, allowed) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be an object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
+    for key, value in section.items():
+        if key in VALUE_RULES and not VALUE_RULES[key][1](value):
+            raise ConfigError(f"{name}.{key} must be {VALUE_RULES[key][0]}, got {value!r}")
 
 
 class StageFailure(RuntimeError):
@@ -225,8 +245,8 @@ def perf_drop(a0: float, a_t: float) -> float:
 # branch feature pipelines
 #
 # A branch has a feature width `dim` and one method,
-# `features(samples, classes, split) -> FeatureMatrix`, which turns the
-# samples of `classes` in `split` ("train" or "test") into feature rows.
+# `features(samples, split) -> FeatureMatrix`, which turns `samples` of
+# `split` ("train" or "test") into feature rows.
 
 def prepare_images(samples, mode, seed, rpca_model=None) -> np.ndarray:
     """Network inputs for `samples`: the RPCA sparse part when a model is given,
@@ -251,25 +271,20 @@ class _CnnBranch:
         if config.rpca.get("enabled"):
             flat = np.stack([im.pixels.ravel() for im in base_task.train])
             self.rpca_model = rpca_mod.rpca_train(
-                flat, r=int(config.rpca.get("rank", 2)),
-                epochs=int(config.rpca.get("epochs", 100)),
-                lr=float(config.rpca.get("lr", 0.01)),
-                seed=derive_seed(config.seed, "rpca"))
+                flat, r=config.rpca.get("rank", 2), epochs=config.rpca.get("epochs", 100),
+                lr=config.rpca.get("lr", 0.01), seed=derive_seed(config.seed, "rpca"))
         train_imgs = prepare_images(base_task.train, "cnn_train", self.seed, self.rpca_model)
         labels = [im.label for im in base_task.train]
-        model = cnn_mod.cnn_init(d_cnn=int(hp.get("d_cnn", 256)),
-                                 dropout=float(hp.get("dropout", 0.5)),
+        model = cnn_mod.cnn_init(d_cnn=hp.get("d_cnn", 256), dropout=hp.get("dropout", 0.5),
                                  seed=derive_seed(config.seed, "cnn"),
                                  num_classes=len(set(labels)))
         self.model = cnn_mod.cnn_train(
-            model, train_imgs, labels,
-            epochs=int(hp.get("epochs", 30)), lr=float(hp.get("lr", 0.01)),
-            momentum=float(hp.get("momentum", 0.9)),
-            weight_decay=float(hp.get("weight_decay", 0.0005)),
+            model, train_imgs, labels, epochs=hp.get("epochs", 30), lr=hp.get("lr", 0.01),
+            momentum=hp.get("momentum", 0.9), weight_decay=hp.get("weight_decay", 0.0005),
             seed=derive_seed(config.seed, "cnn", 1))
         self.dim = self.model.d_cnn
 
-    def features(self, samples, classes, split) -> FeatureMatrix:
+    def features(self, samples, split) -> FeatureMatrix:
         imgs = prepare_images(samples, "cnn_eval", self.seed, self.rpca_model)
         return cnn_mod.cnn_extract(self.model, imgs, [im.label for im in samples])
 
@@ -282,17 +297,18 @@ class _IngestedBranch:
         self.dim = base_task.train[0].pixels.size if csv is None else csv["train"].dim
         self.adapter = None
         if config.ssf.get("enabled"):
-            base = self.features(base_task.train, base_task.classes, "train")
-            self.adapter = ssf_train(base, epochs=int(config.ssf.get("epochs", 50)),
-                                     lr=float(config.ssf.get("lr", 0.1)),
+            base = self.features(base_task.train, "train")
+            self.adapter = ssf_train(base, epochs=config.ssf.get("epochs", 50),
+                                     lr=config.ssf.get("lr", 0.1),
                                      seed=derive_seed(config.seed, "ssf"))
 
-    def features(self, samples, classes, split) -> FeatureMatrix:
+    def features(self, samples, split) -> FeatureMatrix:
         if self.csv is None:
             fm = FeatureMatrix(rows=np.stack([im.pixels.ravel() for im in samples]),
                                labels=[im.label for im in samples])
         else:
-            src, wanted = self.csv[split], set(classes)
+            # every class has images in both splits, so these are the classes asked for
+            src, wanted = self.csv[split], {im.label for im in samples}
             keep = [i for i, c in enumerate(src.labels) if c in wanted]
             fm = FeatureMatrix(rows=src.rows[keep], labels=[src.labels[i] for i in keep])
         return fm if self.adapter is None else ssf_apply(self.adapter, fm)
@@ -394,7 +410,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             t0 = time.perf_counter()
             stage = f"task{t}-train"
             for br in branches:
-                H = project(layers[br.name], br.features(task.train, task.classes, "train"))
+                H = project(layers[br.name], br.features(task.train, "train"))
                 st = states[br.name]
                 if config.freeze_lambda and t > 0:
                     lam = lambdas[br.name][0]
@@ -407,16 +423,14 @@ def run_scenario(config: RunConfig) -> MetricsReport:
 
             stage = f"task{t}-eval"
             eval_samples = seq.eval_set(t)
-            seen = seq.seen_classes(t)
             scores = []
             true_labels = None
             for br in branches:
-                fm = br.features(eval_samples, seen, "test")
+                fm = br.features(eval_samples, "test")
                 true_labels = fm.labels
                 He = project(layers[br.name], fm)
                 scores.append(score(states[br.name], He))
-            preds = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
-            pred_labels = [p.label for p in preds]
+            pred_labels = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
             accs.append(accuracy(pred_labels, true_labels))
             baccs.append(balanced_accuracy(pred_labels, true_labels))
             sizes.append(len(true_labels))

@@ -46,7 +46,6 @@ class PrototypeState:
     G: np.ndarray = None          # (M, M)
     C: np.ndarray = None          # (M, K)
     registry: list = field(default_factory=list)
-    lam: float = None
     P: np.ndarray = None          # (M, K)
     stale: bool = True
 
@@ -56,15 +55,10 @@ class PrototypeState:
         if self.C is None:
             self.C = np.zeros((self.M, 0))
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.registry)
-
     def snapshot(self) -> "PrototypeState":
         return PrototypeState(M=self.M, G=self.G.copy(), C=self.C.copy(),
-                              registry=list(self.registry), lam=self.lam,
-                              P=None if self.P is None else self.P.copy(),
-                              stale=self.stale)
+                              registry=list(self.registry),
+                              P=None if self.P is None else self.P.copy(), stale=self.stale)
 
 
 def init_projection(d: int, M: int, seed: int) -> ProjectionLayer:
@@ -129,7 +123,6 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     if not np.isfinite(P).all():
         raise ProjectorError("prototype solve produced non-finite entries")
     state.P = P
-    state.lam = lam
     state.stale = False
     return P
 
@@ -195,27 +188,3 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     solve_prototypes(trial, best_lam)
     return best_lam
 
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-def save_state(state: PrototypeState, path, seed: int = None) -> None:
-    from .binio import save_blocks
-
-    meta = {"kind": "prototype_state", "M": state.M, "registry": state.registry,
-            "lambda": state.lam, "stale": state.stale, "seed": seed}
-    arrays = {"G": state.G, "C": state.C}
-    if state.P is not None:
-        arrays["P"] = state.P
-    save_blocks(path, meta, arrays)
-
-
-def load_state(path) -> PrototypeState:
-    from .binio import load_blocks
-
-    meta, arrays = load_blocks(path)
-    if meta.get("kind") != "prototype_state":
-        raise ProjectorError(f"{path}: not a prototype-state checkpoint")
-    return PrototypeState(M=meta["M"], G=arrays["G"], C=arrays["C"],
-                          registry=list(meta["registry"]), lam=meta["lambda"],
-                          P=arrays.get("P"), stale=meta["stale"])

@@ -14,6 +14,9 @@ import numpy as np
 from .seeding import derive_rng
 
 SMOOTH_EPS = 1e-4  # |u| ~ sqrt(u^2 + eps^2)
+BATCH_SIZE = 16
+LR_DECAY = 0.01    # step size lr / (1 + LR_DECAY * epoch)
+GRAD_CLIP = 1.0    # largest norm of a batch gradient
 
 
 class RpcaError(ValueError):
@@ -52,10 +55,6 @@ class DecomposedImage:
     sparse: np.ndarray     # X' = X - L, exactly additive
 
 
-def _smooth_l1(u: np.ndarray) -> float:
-    return float(np.sum(np.sqrt(u * u + SMOOTH_EPS * SMOOTH_EPS)))
-
-
 def bilinear_loss_and_grad(A, B, batch):
     """Smoothed-L1 reconstruction loss sum_i |x_i - A B x_i| and its gradients.
 
@@ -71,12 +70,11 @@ def bilinear_loss_and_grad(A, B, batch):
 
 
 def rpca_train(images, r: int, epochs: int = 200, lr: float = 0.5,
-               seed: int = 0, batch_size: int = 16, lr_decay: float = 0.01,
-               grad_clip: float = 1.0) -> RpcaModel:
+               seed: int = 0) -> RpcaModel:
     """Fit the bilinear denoiser by mini-batch subgradient descent on the
     smoothed-L1 objective.
 
-    The step size decays harmonically (lr / (1 + lr_decay * epoch)), batch
+    The step size decays harmonically (lr / (1 + LR_DECAY * epoch)), batch
     gradients are norm-clipped, and the two factors are rebalanced to equal
     Frobenius norm after each epoch. A fixed step oscillates at a floor set
     by the step size and the unbalanced factorization can blow up, so both
@@ -97,17 +95,17 @@ def rpca_train(images, r: int, epochs: int = 200, lr: float = 0.5,
 
     losses = [bilinear_loss_and_grad(A, B, X)[0]]
     for epoch in range(epochs):
-        step = lr / (1.0 + lr_decay * epoch)
+        step = lr / (1.0 + LR_DECAY * epoch)
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = X[order[start : start + batch_size]]
+        for start in range(0, n, BATCH_SIZE):
+            batch = X[order[start : start + BATCH_SIZE]]
             _, gA, gB = bilinear_loss_and_grad(A, B, batch)
             gA /= len(batch)
             gB /= len(batch)
             gnorm = np.sqrt((gA * gA).sum() + (gB * gB).sum())
-            if gnorm > grad_clip:
-                gA *= grad_clip / gnorm
-                gB *= grad_clip / gnorm
+            if gnorm > GRAD_CLIP:
+                gA *= GRAD_CLIP / gnorm
+                gB *= GRAD_CLIP / gnorm
             A -= step * gA
             B -= step * gB
         na, nb = np.linalg.norm(A), np.linalg.norm(B)

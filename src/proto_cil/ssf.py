@@ -12,6 +12,8 @@ import numpy as np
 from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
 
+BATCH_SIZE = 32
+
 
 class SsfError(ValueError):
     pass
@@ -51,7 +53,7 @@ def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
 
 
 def ssf_train(base_features: FeatureMatrix, epochs: int = 50, lr: float = 0.1,
-              seed: int = 0, batch_size: int = 32) -> SsfAdapter:
+              seed: int = 0) -> SsfAdapter:
     """Train gamma/delta with a throwaway linear probe on base-task features."""
     classes = sorted(set(base_features.labels))
     if len(classes) < 2:
@@ -65,8 +67,8 @@ def ssf_train(base_features: FeatureMatrix, epochs: int = 50, lr: float = 0.1,
     b = np.zeros(k)
     for epoch in range(epochs):
         order = rng.permutation(len(X))
-        for start in range(0, len(X), batch_size):
-            sel = order[start : start + batch_size]
+        for start in range(0, len(X), BATCH_SIZE):
+            sel = order[start : start + BATCH_SIZE]
             loss, gg, gd, gw, gb = probe_loss_and_grad(gamma, delta, w, b, X[sel], y[sel])
             if not np.isfinite(loss):
                 raise SsfDivergence(epoch)

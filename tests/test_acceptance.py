@@ -14,8 +14,8 @@ import pytest
 
 from proto_cil.cnn import INPUT_SIZE, cnn_init
 from proto_cil.datahub import ScenarioSpec, make_scenario, synth_dataset
-from proto_cil.features import FeatureMatrix
-from proto_cil.fusion import late_fuse, softmax
+from proto_cil.features import FeatureMatrix, softmax
+from proto_cil.fusion import late_fuse
 from proto_cil.harness import RunConfig, avg_acc, perf_drop, run_scenario
 from proto_cil.projector import PrototypeState, ScoreMatrix, accumulate, solve_prototypes
 from proto_cil.rpca import RpcaModel, rpca_apply, rpca_train
@@ -190,15 +190,11 @@ def test_criterion_8_fusion_properties():
         r2 = rng.normal(size=(n, k)) * 3.0
         shifts = rng.normal(size=(n, 1)) * 100.0
 
-        def labels(preds):
-            return [p.label for p in preds]
-
-        ab = labels(late_fuse(ScoreMatrix(r1, classes), ScoreMatrix(r2, classes)))
-        ba = labels(late_fuse(ScoreMatrix(r2, classes), ScoreMatrix(r1, classes)))
+        ab = late_fuse(ScoreMatrix(r1, classes), ScoreMatrix(r2, classes))
+        ba = late_fuse(ScoreMatrix(r2, classes), ScoreMatrix(r1, classes))
         assert ab == ba
-        sh = labels(late_fuse(ScoreMatrix(r1 + shifts, classes), ScoreMatrix(r2, classes)))
+        sh = late_fuse(ScoreMatrix(r1 + shifts, classes), ScoreMatrix(r2, classes))
         assert ab == sh
-        flat = labels(late_fuse(ScoreMatrix(r1, classes),
-                                ScoreMatrix(np.zeros((n, k)), classes)))
+        flat = late_fuse(ScoreMatrix(r1, classes), ScoreMatrix(np.zeros((n, k)), classes))
         solo = softmax(r1).argmax(axis=1)
         assert flat == [classes[j] for j in solo]

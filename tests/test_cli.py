@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,30 @@ def test_train_backbone_seeds_flips_from_seed(tmp_path, monkeypatch):
     assert calls == [("cnn_train", derive_seed(5, "augment", i)) for i in range(6)]
 
 
+def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
+    from proto_cil.cnn import _forward_batch, load_cnn
+    from proto_cil.datahub import load_dataset
+    from proto_cil.features import softmax_cross_entropy
+    from proto_cil.harness import prepare_images
+
+    ds = tmp_path / "ds"
+    assert main(["synth", "--kind", "blobs", "--classes", "3", "--train", "4",
+                 "--test", "1", "--size", "32", "--out", str(ds)]) == 0
+    ckpt = tmp_path / "cnn.bin"
+    assert main(["train-backbone", "--manifest", str(ds / "manifest.csv"), "--out", str(ckpt),
+                 "--epochs", "2", "--d-cnn", "8", "--seed", "3"]) == 0
+    printed = re.search(r"final loss (\S+), accuracy (\S+)\)", capsys.readouterr().out)
+
+    model = load_cnn(ckpt)
+    train = [im for im in load_dataset(ds / "manifest.csv").samples if im.split == "train"]
+    labels = [im.label for im in train]
+    y = np.array([sorted(set(labels)).index(c) for c in labels])
+    _, logits, _ = _forward_batch(model, prepare_images(train, "cnn_train", 3), False, None)
+    assert float(printed.group(1)) == pytest.approx(softmax_cross_entropy(logits, y)[0],
+                                                    rel=1e-12)
+    assert float(printed.group(2)) == float((logits.argmax(axis=1) == y).mean())
+
+
 def test_extract_missing_model_is_runtime_error(tmp_path):
     ds = tmp_path / "ds"
     assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "1",
@@ -240,6 +265,18 @@ def test_run_scenario_data_error_in_setup_is_usage_error(tmp_path, capsys):
 def test_run_unknown_section_key_is_usage_error(tmp_path, capsys, section, value):
     assert run_with(tmp_path, **{section: value}) == 1
     assert "unknown" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("rpca", {"enabled": True, "rank": "abc"}, "rpca.rank must be an integer >= 1"),
+    ("rpca", {"enabled": "no"}, "rpca.enabled must be a bool"),
+    ("cnn_train", {"dropout": 1.5}, "cnn_train.dropout must be a number in [0, 1)"),
+    ("ssf", {"enabled": True, "epochs": -1}, "ssf.epochs must be an integer >= 0"),
+])
+def test_run_bad_section_value_is_usage_error(tmp_path, capsys, section, value, message):
+    assert run_with(tmp_path, **{section: value}) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "report").exists()
 
 

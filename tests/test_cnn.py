@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS, CnnError,
+from proto_cil import cnn
+from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS, CnnDivergence, CnnError,
                            _forward_batch, apply_dropout, cnn_extract, cnn_init,
                            cnn_loss_and_grad, cnn_train, load_cnn, save_cnn)
 from proto_cil.datahub import augment_array, synth_dataset
+from proto_cil.features import softmax_cross_entropy
 from proto_cil.seeding import derive_rng
 
 from gradcheck import grad_check
@@ -15,6 +17,13 @@ def augmented_blobs(num_classes=2, per_class=8, seed=0):
     train = [im for im in ds.samples if im.split == "train"]
     imgs = np.stack([augment_array(im.pixels, "cnn_train", i) for i, im in enumerate(train)])
     return imgs, [im.label for im in train]
+
+
+def eval_fit(model, imgs, labels):
+    """Eval-mode cross-entropy and accuracy of the training head on the whole set."""
+    y = np.array([sorted(set(labels)).index(c) for c in labels])
+    _, logits, _ = _forward_batch(model, imgs, False, None)
+    return softmax_cross_entropy(logits, y)[0], float((logits.argmax(axis=1) == y).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +140,23 @@ def test_train_rejects_head_class_count_mismatch():
 def test_train_learns_two_blob_classes():
     imgs, labels = augmented_blobs(num_classes=2, per_class=8, seed=1)
     model = cnn_init(64, 0.1, seed=0, num_classes=2)
+    first_loss, _ = eval_fit(cnn_train(model, imgs, labels, epochs=1, seed=0), imgs, labels)
     out = cnn_train(model, imgs, labels, epochs=20, seed=0)
-    losses = [h[1] for h in out.history]
-    accs = [h[2] for h in out.history]
-    assert losses[-1] < losses[0]
-    assert accs[-1] >= 0.95
+    loss, acc = eval_fit(out, imgs, labels)
+    assert loss < first_loss
+    assert acc >= 0.95
     assert out.frozen
+
+
+@pytest.mark.parametrize("lr, epoch", [(1e30, 2), (np.inf, 0)])
+def test_train_divergence_is_reported_with_epoch(lr, epoch):
+    # 1e30 overflows the loss of a later epoch's batch; inf leaves non-finite
+    # weights behind the first epoch's finite loss
+    imgs, labels = augmented_blobs(per_class=2)
+    model = cnn_init(8, 0.0, seed=0, num_classes=2)
+    with np.errstate(all="ignore"), pytest.raises(CnnDivergence) as exc:
+        cnn_train(model, imgs, labels, epochs=5, lr=lr, seed=0)
+    assert exc.value.epoch == epoch
 
 
 def test_train_requires_two_classes():
@@ -154,12 +174,13 @@ def test_extract_requires_frozen_model():
         cnn_extract(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), ["a"])
 
 
-def test_extract_shapes_and_batching():
+def test_extract_shapes_and_batching(monkeypatch):
     imgs, labels = augmented_blobs(per_class=3)
     model = cnn_init(16, 0.5, seed=0, num_classes=2)
     model = cnn_train(model, imgs, labels, epochs=0)
     whole = cnn_extract(model, imgs, labels)
-    small = cnn_extract(model, imgs, labels, batch_size=2)
+    monkeypatch.setattr(cnn, "EXTRACT_BATCH", 2)
+    small = cnn_extract(model, imgs, labels)
     assert whole.rows.shape == (len(imgs), 16)
     assert np.allclose(whole.rows, small.rows)
 

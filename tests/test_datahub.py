@@ -194,9 +194,10 @@ def test_eval_set_is_union_of_seen_test_samples():
     ds = tiny_dataset(num_classes=4, train=2, test=3)
     seq = make_scenario(ds, ScenarioSpec(schedule=[2, 1, 1], class_order=list(ds.classes)))
     for t in range(len(seq.tasks)):
+        seen = [c for task in seq.tasks[: t + 1] for c in task.classes]
         labels = {im.label for im in seq.eval_set(t)}
-        assert labels == set(seq.seen_classes(t))
-        assert len(seq.eval_set(t)) == 3 * len(seq.seen_classes(t))
+        assert labels == set(seen)
+        assert len(seq.eval_set(t)) == 3 * len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,33 @@ def test_config_rejects_unknown_section_keys(overrides, match):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], **overrides})
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("rpca", "enabled", "no"), ("ssf", "enabled", 1), ("rpca", "enabled", None),
+    ("rpca", "rank", "abc"), ("rpca", "rank", 0), ("rpca", "rank", 2.0), ("rpca", "rank", True),
+    ("cnn_train", "d_cnn", 0), ("cnn_train", "d_cnn", "64"), ("cnn_train", "d_cnn", True),
+    ("rpca", "epochs", -1), ("ssf", "epochs", 1.5), ("cnn_train", "epochs", False),
+    ("rpca", "lr", 0), ("ssf", "lr", -0.1), ("cnn_train", "lr", "0.01"),
+    ("cnn_train", "lr", True), ("rpca", "lr", float("nan")), ("ssf", "lr", float("inf")),
+    ("cnn_train", "dropout", 1.5), ("cnn_train", "dropout", 1), ("cnn_train", "dropout", -0.1),
+    ("cnn_train", "dropout", False), ("cnn_train", "momentum", -0.9),
+    ("cnn_train", "momentum", None), ("cnn_train", "weight_decay", -1e-4),
+    ("cnn_train", "weight_decay", float("inf")),
+])
+def test_config_rejects_bad_section_values(section, key, value):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+        RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], section: {key: value}})
+
+
+def test_config_accepts_section_values_at_their_bounds():
+    cfg = RunConfig.from_dict({
+        "dataset": {"synth": {}}, "schedule": [2],
+        "rpca": {"enabled": False, "rank": 1, "epochs": 0, "lr": 1},
+        "ssf": {"enabled": True, "epochs": 0, "lr": 1e-9},
+        "cnn_train": {"d_cnn": 1, "dropout": 0, "epochs": 0, "lr": 0.5, "momentum": 0,
+                      "weight_decay": 0.0}})
+    assert cfg.cnn_train["dropout"] == 0
+
+
 def test_missing_synth_key_fails_in_setup():
     cfg = json.loads(CONFIG_PATH.read_text())
     del cfg["dataset"]["synth"]["image_size"]
@@ -206,9 +233,10 @@ def test_single_class_base_task_fails_in_setup():
     assert isinstance(exc.value.cause, ConfigError)
 
 
-def csv_config(tmp_path, train_per_class, **overrides):
+def write_csv_features(dir_path, train_per_class):
     """Four classes of externally computed features, one informative
-    coordinate per class; `train_per_class[j]` train rows for class j."""
+    coordinate per class; `train_per_class[j]` train rows for class j, five
+    test rows each, in `dir_path`/train.csv and test.csv."""
     rng = np.random.default_rng(0)
     classes = [f"c{i:02d}" for i in range(4)]
 
@@ -221,18 +249,25 @@ def csv_config(tmp_path, train_per_class, **overrides):
                 lines.append(c + "," + ",".join(repr(float(x)) for x in v))
         path.write_text("\n".join(lines) + "\n")
 
-    write(tmp_path / "train.csv", train_per_class)
-    write(tmp_path / "test.csv", [5] * 4)
-    return RunConfig.from_dict({
-        "dataset": {"synth": {"kind": "blobs", "num_classes": 4, "per_class_train": 10,
-                              "per_class_test": 5, "image_size": 8}},
-        "schedule": [2, 2],
-        "ingested_source": {"kind": "csv", "train": str(tmp_path / "train.csv"),
-                            "test": str(tmp_path / "test.csv")},
-        "projection_dim": 200,
-        "seed": 0,
-        **overrides,
-    })
+    write(dir_path / "train.csv", train_per_class)
+    write(dir_path / "test.csv", [5] * 4)
+
+
+CSV_SOURCE = {
+    "dataset": {"synth": {"kind": "blobs", "num_classes": 4, "per_class_train": 10,
+                          "per_class_test": 5, "image_size": 8}},
+    "schedule": [2, 2],
+    "ingested_source": {"kind": "csv", "train": "train.csv", "test": "test.csv"},
+    "projection_dim": 200,
+    "seed": 0,
+}
+
+
+def csv_config(tmp_path, train_per_class, **overrides):
+    write_csv_features(tmp_path, train_per_class)
+    source = {"kind": "csv", "train": str(tmp_path / "train.csv"),
+              "test": str(tmp_path / "test.csv")}
+    return RunConfig.from_dict({**CSV_SOURCE, "ingested_source": source, **overrides})
 
 
 def test_csv_branch_run(tmp_path):
@@ -385,8 +420,12 @@ BUNDLED = json.loads(CONFIG_PATH.read_text())
     ({**BUNDLED, "seed": 1}, "0bb1d56624c46a32ee4d8d47c9e3cb8f0584410d97fbc5fe9739b3be19361366"),
     ({**BUNDLED, "seed": 3}, "02c82b6826ead401ef01127b2a9dbadd23f73b5e9e9b63c76b5f3933970f4c74"),
     (SMALL_FUSION, "efd75330605b908f8aa7804774bced47c596c90289352c22d2d2f214ab5319b5"),
-], ids=["bundled-seed1", "bundled-seed3", "cnn-rpca-ssf-late-fusion"])
-def test_metrics_json_golden_sha256(tmp_path, config, sha256):
+    (CSV_SOURCE, "5f5dd24c3f72e0281964797d3cf2b2c6e58c7a11bfcc8f4075c8139563433bde"),
+], ids=["bundled-seed1", "bundled-seed3", "cnn-rpca-ssf-late-fusion", "csv-source"])
+def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, sha256):
     """metrics.json bytes are pinned: any change to them is a change of results."""
+    # CSV_SOURCE reads relative paths, which keep its config fingerprint fixed
+    monkeypatch.chdir(tmp_path)
+    write_csv_features(tmp_path, [10] * 4)
     run_scenario(RunConfig.from_dict({**config, "output_dir": str(tmp_path)}))
     assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == sha256

@@ -9,9 +9,8 @@ from proto_cil import projector
 from proto_cil.features import FeatureMatrix
 from proto_cil.harness import RunConfig, run_scenario
 from proto_cil.projector import (DEFAULT_LAMBDA_GRID, ProjectorError, PrototypeState,
-                                 StalePrototypes, accumulate, init_projection, load_state,
-                                 project, save_state, score, select_lambda,
-                                 solve_prototypes)
+                                 StalePrototypes, accumulate, init_projection, project,
+                                 score, select_lambda, solve_prototypes)
 from proto_cil.seeding import derive_rng
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
@@ -294,27 +293,3 @@ def test_bundled_config_lambda_picks(seed, picks):
     cfg["seed"] = seed
     assert run_scenario(RunConfig.from_dict(cfg)).lambdas == {"ingested": picks}
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-def test_state_checkpoint_roundtrip(tmp_path):
-    st = accumulate(PrototypeState(M=5), random_fm(12, 5, seed=6))
-    solve_prototypes(st, 0.01)
-    save_state(st, tmp_path / "state.bin", seed=42)
-    back = load_state(tmp_path / "state.bin")
-    assert np.array_equal(back.G, st.G)
-    assert np.array_equal(back.C, st.C)
-    assert np.array_equal(back.P, st.P)
-    assert back.registry == st.registry
-    assert back.lam == st.lam and back.stale == st.stale
-    sm = score(back, random_fm(3, 5, seed=7))
-    assert np.allclose(sm.rows, score(st, random_fm(3, 5, seed=7)).rows)
-
-
-def test_state_checkpoint_rejects_wrong_kind(tmp_path):
-    from proto_cil.binio import save_blocks
-
-    save_blocks(tmp_path / "x.bin", {"kind": "other"}, {"G": np.zeros((2, 2))})
-    with pytest.raises(ProjectorError):
-        load_state(tmp_path / "x.bin")
