@@ -9,7 +9,6 @@ gradients can be verified against finite differences.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
@@ -19,7 +18,7 @@ CHANNELS = (16, 32, 64, 128)
 INPUT_SIZE = 70
 FLAT_SIZE = 4 * 4 * 128  # spatial sizes after pools: 35, 17, 8, 4
 TRAIN_BATCH = 16
-EXTRACT_BATCH = 64
+EXTRACT_BATCH = 16
 
 
 class CnnError(ValueError):
@@ -73,37 +72,63 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
 
 # ---------------------------------------------------------------------------
 # layer primitives
+#
+# Inside the conv stack activations are (C, N, H, W): channel-major, so a
+# layer's im2col columns are (C*k*k, N*H*W), a conv is one GEMM whose
+# (F, N*H*W) output is already the next layer's input, and the weight
+# gradient is one GEMM too. Weight rows stay in (c, ki, kj) order.
 
 def _im2col(x, k):
-    """x: (N, C, H, W) zero-padded to preserve size; returns (N, H*W, C*k*k)."""
+    """x: (C, N, H, W), zero-padded to keep H and W; returns (C*k*k, N*H*W)
+    columns with rows in (c, ki, kj) order, built from k*k slab copies."""
+    c, n, h, w = x.shape
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N, C, H, W, k, k)
-    n, c, h, w = x.shape
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h * w, c * k * k)
+    cols = np.empty((c, k, k, n, h, w))
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, ki, kj] = xp[:, :, ki : ki + h, kj : kj + w]
+    return cols.reshape(c * k * k, n * h * w)
 
 
 def _col2im(dcols, shape, k):
-    """Adjoint of _im2col: scatter-add column gradients back to (N, C, H, W)."""
-    n, c, h, w = shape
+    """Adjoint of _im2col: add the column gradients back into (C, N, H, W)."""
+    c, n, h, w = shape
     p = k // 2
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
-    d6 = dcols.reshape(n, h, w, c, k, k)
+    dxp = np.zeros((c, n, h + 2 * p, w + 2 * p))
+    d6 = dcols.reshape(c, k, k, n, h, w)
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki : ki + h, kj : kj + w] += d6[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+            dxp[:, :, ki : ki + h, kj : kj + w] += d6[:, ki, kj]
     return dxp[:, :, p : p + h, p : p + w]
 
 
+def _pool_views(x):
+    """The four strided views of 2x2 stride-2 floor pooling, in (di, dj) order."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    return [x[..., di : 2 * h2 : 2, dj : 2 * w2 : 2] for di in (0, 1) for dj in (0, 1)]
+
+
 def _maxpool(x):
-    """2x2 stride-2 floor pooling; returns (out, argmax) for backprop."""
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    win = x[:, :, : 2 * h2, : 2 * w2].reshape(n, c, h2, 2, w2, 2)
-    flat = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    """Eval-mode pooling: the max of the four views, with no indices kept."""
+    v = _pool_views(x)
+    return np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+
+
+def _maxpool_argmax(x):
+    """Train-mode pooling; returns (out, idx) for backprop, idx being the
+    argmax over the four views: the first view that holds the max."""
+    out = _maxpool(x)
+    v = _pool_views(x)
+    idx = np.where(v[0] == out, 0, np.where(v[1] == out, 1, np.where(v[2] == out, 2, 3)))
     return out, idx
+
+
+def _maxpool_back(dout, idx, shape):
+    dx = np.zeros(shape)
+    for q, view in enumerate(_pool_views(dx)):
+        view[...] = dout * (idx == q)
+    return dx
 
 
 def apply_dropout(x, p, rng):
@@ -113,39 +138,27 @@ def apply_dropout(x, p, rng):
     return x * mask, mask
 
 
-def _maxpool_back(dout, idx, shape):
-    n, c, h, w = shape
-    h2, w2 = h // 2, w // 2
-    dflat = np.zeros((n, c, h2, w2, 4))
-    np.put_along_axis(dflat, idx[..., None], dout[..., None], axis=-1)
-    dwin = dflat.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    dx = np.zeros(shape)
-    dx[:, :, : 2 * h2, : 2 * w2] = dwin.reshape(n, c, 2 * h2, 2 * w2)
-    return dx
-
-
-def _forward_batch(model, images, train_mode, rng):
-    """images: (N, 70, 70). Returns (features, logits, cache)."""
+def _forward_batch(model, images, train_mode, rng, backprop=False):
+    """images: (N, 70, 70). Returns (features, logits, cache); the cache keeps
+    each layer's columns, pool indices and ReLU mask only for `backprop`."""
     x = np.asarray(images, dtype=np.float64)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
         raise CnnError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
-    a = x[:, None, :, :]
-    cache = {"x_shapes": [], "cols": [], "relu": [], "pool_idx": []}
+    a = x[None]
+    cache = {"layers": []}
     for i, k in enumerate(KERNELS):
         cols = _im2col(a, k)
-        z = cols @ model.params[f"conv{i}_w"] + model.params[f"conv{i}_b"]
-        n, hw, f = z.shape
-        side = a.shape[2]
-        z = z.reshape(n, side, side, f).transpose(0, 3, 1, 2)
-        relu_mask = z > 0
-        z = z * relu_mask
-        pooled, idx = _maxpool(z)
-        cache["x_shapes"].append((a.shape, z.shape))
-        cache["cols"].append(cols)
-        cache["relu"].append(relu_mask)
-        cache["pool_idx"].append(idx)
-        a = pooled
-    flat = a.reshape(a.shape[0], -1)
+        z = model.params[f"conv{i}_w"].T @ cols
+        z += model.params[f"conv{i}_b"][:, None]
+        z = z.reshape(-1, *a.shape[1:])
+        # ReLU after the pool: it is monotone, so this equals pooling the ReLU
+        if backprop:
+            pooled, idx = _maxpool_argmax(z)
+            cache["layers"].append((a.shape, cols, idx, pooled > 0))
+        else:
+            pooled = _maxpool(z)
+        a = np.maximum(pooled, 0.0)
+    flat = a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)  # per sample (c, h, w)
     if train_mode and model.dropout > 0:
         if rng is None:
             raise CnnError("train-mode forward needs an rng for dropout")
@@ -162,7 +175,7 @@ def _forward_batch(model, images, train_mode, rng):
 
 def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
     """Mean softmax cross-entropy and gradients for every parameter."""
-    _, logits, cache = _forward_batch(model, images, train_mode, rng)
+    _, logits, cache = _forward_batch(model, images, train_mode, rng, backprop=True)
     n = logits.shape[0]
     loss, _, dlogits = softmax_cross_entropy(logits, label_idx)
 
@@ -175,17 +188,15 @@ def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
     dflat = dfeats @ model.params["dense_w"].T
     if cache["drop_mask"] is not None:
         dflat = dflat * cache["drop_mask"]
-    da = dflat.reshape(n, CHANNELS[-1], 4, 4)
+    da = dflat.reshape(n, CHANNELS[-1], 4, 4).transpose(1, 0, 2, 3)
     for i in reversed(range(len(KERNELS))):
-        a_shape, z_shape = cache["x_shapes"][i]
-        dz = _maxpool_back(da, cache["pool_idx"][i], z_shape)
-        dz = dz * cache["relu"][i]
-        dzm = dz.transpose(0, 2, 3, 1).reshape(n, -1, dz.shape[1])
-        grads[f"conv{i}_w"] = np.einsum("nid,nif->df", cache["cols"][i], dzm)
-        grads[f"conv{i}_b"] = dzm.sum(axis=(0, 1))
+        a_shape, cols, idx, relu = cache["layers"][i]
+        z_shape = (CHANNELS[i], *a_shape[1:])
+        dz = _maxpool_back(da * relu, idx, z_shape).reshape(CHANNELS[i], -1)
+        grads[f"conv{i}_w"] = cols @ dz.T
+        grads[f"conv{i}_b"] = dz.sum(axis=1)
         if i > 0:
-            dcols = dzm @ model.params[f"conv{i}_w"].T
-            da = _col2im(dcols, a_shape, KERNELS[i])
+            da = _col2im(model.params[f"conv{i}_w"] @ dz, a_shape, KERNELS[i])
     return loss, grads
 
 

@@ -46,16 +46,28 @@ def _number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
 
+_BOOL = ("a bool", lambda v: type(v) is bool)
+_POSITIVE_INT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+
 # section key -> (what its value must be, test); bools are not numbers here
 VALUE_RULES = {
-    "enabled": ("a bool", lambda v: type(v) is bool),
-    "rank": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "d_cnn": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "enabled": _BOOL,
+    "rank": _POSITIVE_INT,
+    "d_cnn": _POSITIVE_INT,
     "epochs": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
     "lr": ("a finite number > 0", lambda v: _number(v) and v > 0),
     "dropout": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
     "momentum": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
     "weight_decay": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
+}
+
+# top-level RunConfig scalars, in the same style
+TOP_LEVEL_RULES = {
+    "cnn_branch": _BOOL,
+    "ingested_branch": _BOOL,
+    "freeze_lambda": _BOOL,
+    "projection_dim": _POSITIVE_INT,
+    "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
 }
 
 
@@ -98,6 +110,9 @@ class RunConfig:
     threads: int = 1  # ignored; kept so configs that set it still load
 
     def __post_init__(self):
+        for key, (what, ok) in TOP_LEVEL_RULES.items():
+            if not ok(getattr(self, key)):
+                raise ConfigError(f"{key} must be {what}, got {getattr(self, key)!r}")
         if not (self.cnn_branch or self.ingested_branch):
             raise ConfigError("at least one branch must be enabled")
         derived = "late" if self.cnn_branch and self.ingested_branch else "single"
@@ -123,8 +138,6 @@ class RunConfig:
                 f"schedule must be a nonempty list of integers >= 1, got {schedule!r}")
         if not (type(self.portion) in (int, float) and 0 < self.portion <= 1):
             raise ConfigError(f"portion must be a number in (0, 1], got {self.portion!r}")
-        if self.projection_dim < 1:
-            raise ConfigError("projection_dim must be >= 1")
         grid = self.lambda_grid
         if grid is not None and not (
                 isinstance(grid, (list, tuple)) and grid

@@ -280,6 +280,19 @@ def test_run_bad_section_value_is_usage_error(tmp_path, capsys, section, value, 
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("freeze_lambda", "no", "freeze_lambda must be a bool"),
+    ("projection_dim", 1.5, "projection_dim must be an integer >= 1"),
+    ("projection_dim", True, "projection_dim must be an integer >= 1"),
+    ("seed", "a", "seed must be an integer >= 0"),
+    ("seed", -1, "seed must be an integer >= 0"),
+])
+def test_run_bad_top_level_value_is_usage_error(tmp_path, capsys, key, value, message):
+    assert run_with(tmp_path, **{key: value}) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_run_missing_synth_key_is_usage_error(tmp_path, capsys):
     synth = {"kind": "blobs", "num_classes": 10, "per_class_train": 20, "per_class_test": 10}
     assert run_with(tmp_path, dataset={"synth": synth}) == 1

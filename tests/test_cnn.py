@@ -3,12 +3,14 @@ import pytest
 
 from proto_cil import cnn
 from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS, CnnDivergence, CnnError,
-                           _forward_batch, apply_dropout, cnn_extract, cnn_init,
+                           _col2im, _forward_batch, _im2col, _maxpool, _maxpool_argmax,
+                           _pool_views, apply_dropout, cnn_extract, cnn_init,
                            cnn_loss_and_grad, cnn_train, load_cnn, save_cnn)
 from proto_cil.datahub import augment_array, synth_dataset
 from proto_cil.features import softmax_cross_entropy
 from proto_cil.seeding import derive_rng
 
+import cnn_reference
 from gradcheck import grad_check
 
 
@@ -80,6 +82,67 @@ def test_eval_forward_deterministic():
     f1, l1, _ = _forward_batch(model, img, False, None)
     f2, l2, _ = _forward_batch(model, img, False, None)
     assert np.array_equal(f1, f2) and np.array_equal(l1, l2)
+
+
+# ---------------------------------------------------------------------------
+# layers in the channel-major (C, N, H, W) layout
+
+def max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("k", KERNELS)
+def test_im2col_and_col2im_are_adjoint(k):
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((3, 2, 9, 8))
+    cols = _im2col(x, k)
+    assert cols.shape == (3 * k * k, 2 * 9 * 8)
+    y = rng.standard_normal(cols.shape)
+    lhs, rhs = np.vdot(cols, y), np.vdot(x, _col2im(y, x.shape, k))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_eval_pooling_equals_argmax_pooling_bitwise():
+    z = np.random.default_rng(3).standard_normal((4, 3, 17, 17))  # odd size: floor pooling
+    win = np.stack(_pool_views(z))
+    argmax = win.argmax(axis=0)
+    gathered = np.take_along_axis(win, argmax[None], axis=0)[0]
+    out, idx = _maxpool_argmax(z)
+    assert _maxpool(z).shape == (4, 3, 8, 8)
+    assert np.array_equal(_maxpool(z), gathered)
+    assert np.array_equal(out, gathered)
+    assert np.array_equal(idx, argmax)
+
+
+def test_eval_forward_keeps_no_layer_cache():
+    model = cnn_init(8, 0.5, seed=0)
+    imgs = np.random.default_rng(4).random((2, INPUT_SIZE, INPUT_SIZE))
+    _, _, cache = _forward_batch(model, imgs, False, None)
+    assert cache["layers"] == []
+    _, _, cache = _forward_batch(model, imgs, False, None, backprop=True)
+    assert len(cache["layers"]) == len(KERNELS)
+
+
+@pytest.mark.parametrize("train_mode", [True, False])
+def test_gradients_match_reference_layout(train_mode):
+    model = cnn_init(16, 0.5, seed=2, num_classes=3)
+    rng = np.random.default_rng(5)
+    imgs, y = rng.random((5, INPUT_SIZE, INPUT_SIZE)), rng.integers(0, 3, 5)
+    loss, grads = cnn_loss_and_grad(model, imgs, y, train_mode, derive_rng(1, "cnn", 3))
+    ref_loss, ref_grads = cnn_reference.loss_and_grad(model, imgs, y, train_mode,
+                                                      derive_rng(1, "cnn", 3))
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert grads[name].shape == ref_grads[name].shape
+        assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
+
+
+def test_extract_matches_reference_forward():
+    imgs, labels = augmented_blobs(per_class=3)
+    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=1)
+    ref_feats, _, _ = cnn_reference.forward(model, imgs, False, None)
+    assert max_rel(cnn_extract(model, imgs, labels).rows, ref_feats) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,32 @@ def test_config_rejects_bad_section_values(section, key, value):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], section: {key: value}})
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("freeze_lambda", "no", "freeze_lambda must be a bool"),
+    ("freeze_lambda", 0, "freeze_lambda must be a bool"),
+    ("cnn_branch", "yes", "cnn_branch must be a bool"),
+    ("ingested_branch", None, "ingested_branch must be a bool"),
+    ("projection_dim", 1.5, "projection_dim must be an integer >= 1"),
+    ("projection_dim", True, "projection_dim must be an integer >= 1"),
+    ("projection_dim", 0, "projection_dim must be an integer >= 1"),
+    ("projection_dim", "1000", "projection_dim must be an integer >= 1"),
+    ("seed", "a", "seed must be an integer >= 0"),
+    ("seed", -1, "seed must be an integer >= 0"),
+    ("seed", 1.0, "seed must be an integer >= 0"),
+    ("seed", False, "seed must be an integer >= 0"),
+])
+def test_config_rejects_bad_top_level_values(key, value, match):
+    with pytest.raises(ConfigError, match=match):
+        RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], key: value})
+
+
+def test_config_accepts_top_level_values_at_their_bounds():
+    cfg = RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "cnn_branch": True,
+                               "ingested_branch": False, "freeze_lambda": True,
+                               "projection_dim": 1, "seed": 0})
+    assert cfg.projection_dim == 1 and cfg.seed == 0 and cfg.freeze_lambda is True
+
+
 def test_config_accepts_section_values_at_their_bounds():
     cfg = RunConfig.from_dict({
         "dataset": {"synth": {}}, "schedule": [2],

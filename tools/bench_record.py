@@ -1,0 +1,94 @@
+"""Turn perfbench results of a parent and a changed checkout into one
+committed benchmark record.
+
+    python3 tools/bench_record.py --parent P/.perfbench-out/*-trace0/result.json \
+        --change .perfbench-out/*-trace0/result.json --out BENCH_<n>.json
+
+Each `result.json` is what `perfbench/run.py --trace 0` writes for one
+workload. Per workload the record keeps, for the parent and the change: the
+median and sample count of each end-to-end metric, the sample and failure
+counts, the environment stamp and the `metrics.json` sha256; and the
+change/parent ratio of each median.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+METRICS = ("setup_s", "run_s", "incr_task_s", "peak_rss_mb")
+
+
+def summarize(result: dict) -> dict:
+    e2e, acc = result["end_to_end"], result["accounting"]
+    fingerprint = acc["output_fingerprint"] or {}
+    return {
+        **{m: {"median": e2e[m]["median"], "n": e2e[m]["n"]} for m in METRICS if m in e2e},
+        "attempted": acc["attempted"],
+        "failed": acc["failed"],
+        "correct": acc["correct"],
+        "metrics_sha256": fingerprint.get("metrics_sha256"),
+        "env": result["env"],
+    }
+
+
+def load(paths) -> dict:
+    """workload name -> result, refusing traced runs and duplicate workloads."""
+    out = {}
+    for path in paths:
+        result = json.loads(Path(path).read_text())
+        name = result["workload"]
+        if result["trace"]:
+            raise ValueError(f"{path}: a --trace 1 result; end-to-end medians need --trace 0")
+        if name in out:
+            raise ValueError(f"{path}: second result for workload {name!r}")
+        out[name] = result
+    return out
+
+
+def record(parent: dict, change: dict) -> dict:
+    if parent.keys() != change.keys():
+        raise ValueError(f"parent workloads {sorted(parent)} differ from change "
+                         f"workloads {sorted(change)}")
+    workloads = {}
+    for name in sorted(parent):
+        p, c = parent[name], change[name]
+        if p["seed"] != c["seed"]:
+            raise ValueError(f"{name}: parent seed {p['seed']} differs from change seed {c['seed']}")
+        before, after = summarize(p), summarize(c)
+        workloads[name] = {
+            "seed": p["seed"],
+            "seconds": {"parent": p["seconds"], "change": c["seconds"]},
+            "parent": before,
+            "change": after,
+            "change_over_parent": {m: after[m]["median"] / before[m]["median"]
+                                   for m in METRICS if m in before and m in after},
+            "metrics_identical": before["metrics_sha256"] == after["metrics_sha256"],
+        }
+    return {"command": "python3 perfbench/run.py --workload <name> --seed <seed> "
+                       "--seconds <seconds> --trace 0",
+            "statistic": "median over samples; n is the sample count "
+                         "(incr_task_s pools tasks t >= 1 of every sample)",
+            "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", nargs="+", required=True, help="parent result.json files")
+    ap.add_argument("--change", nargs="+", required=True, help="change result.json files")
+    ap.add_argument("--out", required=True, help="record to write, e.g. BENCH_<n>.json")
+    args = ap.parse_args(argv)
+    try:
+        rec = record(load(args.parent), load(args.change))
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
+    for name, w in rec["workloads"].items():
+        ratios = "  ".join(f"{m} x{r:.3f}" for m, r in w["change_over_parent"].items())
+        print(f"{name}: {ratios}  metrics identical: {w['metrics_identical']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
