@@ -68,6 +68,10 @@ TOP_LEVEL_RULES = {
     "freeze_lambda": _BOOL,
     "projection_dim": _POSITIVE_INT,
     "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "class_order": ("null or a list of strings",
+                    lambda v: v is None or (type(v) is list and all(type(c) is str for c in v))),
+    "output_dir": ("null or a nonempty string",
+                   lambda v: v is None or (type(v) is str and v != "")),
 }
 
 

@@ -1,14 +1,21 @@
 """Random-projection expansion and the exemplar-free class-prototype engine.
 
-Features are mapped through a frozen Gaussian matrix and a ReLU, the
-Gram matrix G and per-class accumulator C are updated streamingly, and the
-prototypes P solve (G + lambda*I) P = C via a Cholesky factorization.
+Features are mapped through a frozen Gaussian matrix and a ReLU. The Gram
+matrix of the projected rows is never formed: each branch keeps a thin
+triangular factor R with G = R^T R, which `accumulate` updates by a QR of
+[R; H] (Golub & Van Loan, Matrix Computations, 4th ed., sec. 6.5), so R has
+r = min(rows seen, M) rows. Beside it sits the per-class accumulator C.
+
+The prototypes solve (G + lambda I) P = C through one cached thin SVD
+R = U diag(s) V^T: P = V diag(1 / (s^2 + lambda)) V^T C. Every column of C is
+a sum of projected rows, so C lies in the row space of R and the null-space
+term is dropped. The lambda sweep rescales the same SVD per grid point.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from numpy.linalg import LinAlgError, qr, svd
 
 from .features import FeatureMatrix
 from .seeding import derive_rng
@@ -43,20 +50,39 @@ class ScoreMatrix:
 @dataclass
 class PrototypeState:
     M: int
-    G: np.ndarray = None          # (M, M)
+    R: np.ndarray = None          # (r, M) with G = R^T R, r = min(rows seen, M)
     C: np.ndarray = None          # (M, K)
     registry: list = field(default_factory=list)
     P: np.ndarray = None          # (M, K)
     stale: bool = True
+    _svd: tuple = field(default=None, init=False, repr=False)  # (s, Vt) of R, or None
 
     def __post_init__(self):
-        if self.G is None:
-            self.G = np.zeros((self.M, self.M))
+        if self.R is None:
+            self.R = np.zeros((0, self.M))
         if self.C is None:
             self.C = np.zeros((self.M, 0))
 
+    @property
+    def G(self) -> np.ndarray:
+        return self.R.T @ self.R
+
+    def spectrum(self):
+        """(s, Vt): the thin SVD of R without singular values at or below
+        s_max * max(r, M) * eps. Computed once per R."""
+        if self._svd is None:
+            try:
+                _, s, Vt = svd(self.R, full_matrices=False)
+            except LinAlgError as exc:
+                raise ProjectorError(f"SVD of the Gram factor failed: {exc}") from exc
+            if s.size:
+                keep = s > s[0] * max(self.R.shape) * np.finfo(float).eps
+                s, Vt = s[keep], Vt[keep]
+            self._svd = (s, Vt)
+        return self._svd
+
     def snapshot(self) -> "PrototypeState":
-        return PrototypeState(M=self.M, G=self.G.copy(), C=self.C.copy(),
+        return PrototypeState(M=self.M, R=self.R.copy(), C=self.C.copy(),
                               registry=list(self.registry),
                               P=None if self.P is None else self.P.copy(), stale=self.stale)
 
@@ -90,14 +116,14 @@ def _one_hot_sums(H, labels, registry):
 
 
 def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
-    """G += sum h h^T, C[:, class] += h; new classes grow zero columns first."""
+    """R <- qr([R; H]) so that G gains sum h h^T; C[:, class] += h; new classes
+    grow zero columns first."""
     if H.rows.shape[0] == 0:
         return state
     if H.dim != state.M:
         raise ProjectorError(f"projected dimension {H.dim} != state dimension {state.M}")
-    # H^T H is a blocked (pairwise-style) reduction over samples, which keeps
-    # the result stable under sample reordering.
-    state.G += H.rows.T @ H.rows
+    state.R = qr(np.vstack((state.R, H.rows)), mode="r")
+    state._svd = None
     before = len(state.registry)
     sums = _one_hot_sums(H.rows, H.labels, state.registry)
     if len(state.registry) > before:
@@ -110,16 +136,12 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
 
 
 def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
-    """P = (G + lam I)^{-1} C via SPD factorization (no explicit inverse)."""
+    """P = (G + lam I)^{-1} C = V diag(1 / (s^2 + lam)) V^T C from the cached
+    SVD of R (no explicit inverse)."""
     if lam <= 0:
         raise ProjectorError("lambda must be positive")
-    A = state.G.copy()
-    A.flat[::state.M + 1] += lam
-    try:
-        factor = cho_factor(A, lower=True, overwrite_a=True)
-        P = cho_solve(factor, state.C)
-    except np.linalg.LinAlgError as exc:
-        raise ProjectorError(f"prototype solve failed: {exc}") from exc
+    s, Vt = state.spectrum()
+    P = Vt.T @ ((Vt @ state.C) / (s * s + lam)[:, None])
     if not np.isfinite(P).all():
         raise ProjectorError("prototype solve produced non-finite entries")
     state.P = P
@@ -141,11 +163,12 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     prototypes from (prior state + 80% portion) and minimize one-hot MSE on
     the held-out 20%. Ties go to the smaller lambda.
 
-    The trial Gram is eigendecomposed once, G = V diag(w) V^T, so every grid
-    point is a diagonal rescale: P(lam) = V diag(1 / (w + lam)) V^T C. Grid
-    points with lam + w_min at or below the Gram's numerical-rank tolerance
-    M * eps * w_max are skipped, since G + lam I is not reliably positive
-    definite there. The pick is then factored once by `solve_prototypes`."""
+    The trial state's cached SVD makes every grid point a diagonal rescale:
+    P(lam) = V diag(1 / (s^2 + lam)) V^T C. The Gram spectrum w is s^2, padded
+    with zeros when fewer than M values remain. Grid points with lam + w_min
+    at or below the numerical-rank tolerance M * eps * w_max are skipped,
+    since G + lam I is not reliably positive definite there. The pick is then
+    solved by `solve_prototypes` from the same SVD."""
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ProjectorError("lambda grid must be nonempty")
@@ -171,13 +194,14 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     for i, vi in enumerate(val_idx):
         targets[i, index[task_H.labels[vi]]] = 1.0
 
-    w, V = eigh(trial.G, check_finite=False)
-    A, B = H_val @ V, V.T @ trial.C
-    del V
-    tol = trial.M * np.finfo(float).eps * max(w[-1], 0.0)
+    s, Vt = trial.spectrum()
+    A, B = H_val @ Vt.T, Vt @ trial.C
+    w = s * s
+    w_min = w[-1] if w.size == trial.M else 0.0
+    tol = trial.M * np.finfo(float).eps * (w[0] if w.size else 0.0)
     best_lam, best_mse = None, np.inf
     for lam in grid:
-        if lam + w[0] <= tol:
+        if lam + w_min <= tol:
             continue
         mse = float(np.mean((A @ (B / (w + lam)[:, None]) - targets) ** 2))
         if mse < best_mse:

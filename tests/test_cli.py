@@ -286,11 +286,21 @@ def test_run_bad_section_value_is_usage_error(tmp_path, capsys, section, value, 
     ("projection_dim", True, "projection_dim must be an integer >= 1"),
     ("seed", "a", "seed must be an integer >= 0"),
     ("seed", -1, "seed must be an integer >= 0"),
+    ("class_order", 7, "class_order must be null or a list of strings"),
 ])
 def test_run_bad_top_level_value_is_usage_error(tmp_path, capsys, key, value, message):
     assert run_with(tmp_path, **{key: value}) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report").exists()
+
+
+def test_run_non_string_output_dir_is_usage_error(tmp_path, capsys):
+    cfg = json.loads(CONFIG_PATH.read_text())
+    cfg["output_dir"] = 5
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p)]) == 1
+    assert "output_dir must be null or a nonempty string" in capsys.readouterr().err
 
 
 def test_run_missing_synth_key_is_usage_error(tmp_path, capsys):

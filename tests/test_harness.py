@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from proto_cil.harness import (ConfigError, MetricsReport, RunConfig, StageFailu
                                accuracy, avg_acc, balanced_accuracy, load_report,
                                perf_drop, report, run_scenario)
 
-CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_PATH = REPO / "configs" / "b2inc2_blobs.json"
 
 
 def blob_config(**overrides):
@@ -143,6 +146,11 @@ def test_config_rejects_bad_section_values(section, key, value):
     ("seed", -1, "seed must be an integer >= 0"),
     ("seed", 1.0, "seed must be an integer >= 0"),
     ("seed", False, "seed must be an integer >= 0"),
+    ("output_dir", 5, "output_dir must be null or a nonempty string"),
+    ("output_dir", "", "output_dir must be null or a nonempty string"),
+    ("class_order", 7, "class_order must be null or a list of strings"),
+    ("class_order", "ab", "class_order must be null or a list of strings"),
+    ("class_order", ["c0", 1], "class_order must be null or a list of strings"),
 ])
 def test_config_rejects_bad_top_level_values(key, value, match):
     with pytest.raises(ConfigError, match=match):
@@ -152,8 +160,10 @@ def test_config_rejects_bad_top_level_values(key, value, match):
 def test_config_accepts_top_level_values_at_their_bounds():
     cfg = RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "cnn_branch": True,
                                "ingested_branch": False, "freeze_lambda": True,
-                               "projection_dim": 1, "seed": 0})
+                               "projection_dim": 1, "seed": 0, "class_order": ["c1", "c0"],
+                               "output_dir": "r"})
     assert cfg.projection_dim == 1 and cfg.seed == 0 and cfg.freeze_lambda is True
+    assert cfg.class_order == ["c1", "c0"] and cfg.output_dir == "r"
 
 
 def test_config_accepts_section_values_at_their_bounds():
@@ -455,3 +465,28 @@ def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, sha256):
     write_csv_features(tmp_path, [10] * 4)
     run_scenario(RunConfig.from_dict({**config, "output_dir": str(tmp_path)}))
     assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == sha256
+
+
+SPECKLE_FUSION_RUN = """
+import sys
+sys.path.insert(0, "perfbench")
+from workloads import WORKLOADS
+from proto_cil.harness import RunConfig, run_scenario
+cfg = WORKLOADS["speckle-fusion"].run_config(int(sys.argv[1]))
+run_scenario(RunConfig.from_dict(dict(cfg, output_dir=sys.argv[2])))
+"""
+
+
+def test_metrics_json_independent_of_blas_threads(tmp_path):
+    """The benchmark's speckle-fusion config at seed 2, whose raw-pixel branch
+    has flat lambda curves, writes the same metrics.json under 1 and 2 BLAS
+    threads."""
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", SPECKLE_FUSION_RUN, "2", str(out)],
+                       cwd=REPO, env=env, check=True, timeout=600)
+        digests.add(hashlib.sha256((out / "metrics.json").read_bytes()).hexdigest())
+    assert len(digests) == 1, digests

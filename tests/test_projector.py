@@ -124,6 +124,27 @@ def test_gram_symmetric_psd():
     assert np.linalg.eigvalsh(st.G).min() >= -1e-10
 
 
+def test_factor_stays_thin_below_m_rows():
+    M = 50
+    st = accumulate(PrototypeState(M=M), random_fm(12, M, seed=6))
+    assert st.R.shape == (12, M)
+    solve_prototypes(st, 1.0)
+    held = [v for v in vars(st).values() if isinstance(v, np.ndarray)] + list(st._svd)
+    assert all(a.shape != (M, M) for a in held)
+    accumulate(st, random_fm(60, M, seed=7))
+    assert st.R.shape == (M, M)
+
+
+def test_solve_after_accumulate_refreshes_cached_svd():
+    H = random_fm(30, 20, seed=7)
+    st = accumulate(PrototypeState(M=20), FeatureMatrix(rows=H.rows[:12], labels=H.labels[:12]))
+    solve_prototypes(st, 0.1)
+    accumulate(st, FeatureMatrix(rows=H.rows[12:], labels=H.labels[12:]))
+    fresh = accumulate(PrototypeState(M=20), H)
+    P, ref = solve_prototypes(st, 0.1), solve_prototypes(fresh, 0.1)
+    assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_accumulate_dimension_mismatch():
     with pytest.raises(ProjectorError):
         accumulate(PrototypeState(M=4), random_fm(3, 5, seed=0))
@@ -149,17 +170,19 @@ def test_hand_worked_prototype():
     assert np.allclose(P, [[0.5], [0.0]])
 
 
-def test_solve_bitwise_equals_dense_shift():
-    """The in-place diagonal shift factors exactly what G + lam * I did."""
+def test_solve_matches_dense_shift_cholesky():
+    """The SVD solve agrees with a Cholesky solve of the dense G + lam * I
+    and leaves the factor and the accumulator as they were."""
     rng = np.random.default_rng(11)
     H = np.maximum(rng.normal(size=(150, 40)) @ rng.normal(size=(40, 300)), 0.0)
     st = accumulate(PrototypeState(M=300),
                     FeatureMatrix(rows=H, labels=[i % 4 for i in range(150)]))
-    G0 = st.G.copy()
+    R0, C0 = st.R.copy(), st.C.copy()
     for lam in (1e-2, 10.0, 1e4):
-        old = cho_solve(cho_factor(st.G + lam * np.eye(st.M), lower=True), st.C)
-        assert solve_prototypes(st, lam).tobytes() == old.tobytes()
-    assert np.array_equal(st.G, G0)
+        dense = cho_solve(cho_factor(st.G + lam * np.eye(st.M), lower=True), st.C)
+        P = solve_prototypes(st, lam)
+        assert np.linalg.norm(P - dense) <= 1e-8 * np.linalg.norm(dense)
+    assert np.array_equal(st.R, R0) and np.array_equal(st.C, C0)
 
 
 def test_solve_requires_positive_lambda():
@@ -224,10 +247,15 @@ def test_select_lambda_matches_brute_force():
 
 def test_select_lambda_does_not_mutate_state():
     st = accumulate(PrototypeState(M=6), random_fm(12, 6, seed=0))
-    G0, C0, reg0 = st.G.copy(), st.C.copy(), list(st.registry)
+    solve_prototypes(st, 1.0)
+    R0, C0, reg0, cache = st.R.copy(), st.C.copy(), list(st.registry), st._svd
+    s0, Vt0 = cache[0].copy(), cache[1].copy()
+    assert st.snapshot()._svd is None
     select_lambda(st, random_fm(10, 6, seed=1, classes=("x", "y")), seed=0)
-    assert np.array_equal(st.G, G0) and np.array_equal(st.C, C0)
+    assert np.array_equal(st.R, R0) and np.array_equal(st.C, C0)
     assert st.registry == reg0
+    assert st._svd is cache
+    assert np.array_equal(cache[0], s0) and np.array_equal(cache[1], Vt0)
 
 
 def test_select_lambda_grid_order_irrelevant():
@@ -247,10 +275,10 @@ def test_select_lambda_needs_enough_samples():
 
 @pytest.mark.parametrize("grid", [[0.0, 1.0], [-1.0], [1.0, float("nan")], [float("inf")]])
 def test_select_lambda_rejects_bad_grid_before_decomposing(grid, monkeypatch):
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("eigh called on an invalid grid")
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called on an invalid grid")
 
-    monkeypatch.setattr(projector, "eigh", no_eigh)
+    monkeypatch.setattr(projector, "svd", no_svd)
     with pytest.raises(ProjectorError, match="positive"):
         select_lambda(PrototypeState(M=4), random_fm(10, 4, seed=0), grid=grid)
 
@@ -268,8 +296,8 @@ def test_select_lambda_skips_grid_below_rank_tolerance():
     full = accumulate(prior.snapshot(), task)
     w_max = np.linalg.eigvalsh(full.G)[-1]
     assert 1e8 < w_max < 1e9
-    with pytest.raises(ProjectorError, match="not positive definite"):
-        solve_prototypes(full.snapshot(), 1e-8)
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(full.G + 1e-8 * np.eye(full.M))
     lam = select_lambda(prior, task, seed=0)
     assert lam in DEFAULT_LAMBDA_GRID
     assert lam > full.M * np.finfo(float).eps * w_max
@@ -280,6 +308,15 @@ def test_select_lambda_grid_wholly_below_rank_tolerance_raises():
     prior, task = rank_deficient_case()
     with pytest.raises(ProjectorError, match="rank tolerance"):
         select_lambda(prior, task, grid=[1e-8, 1e-7, 1e-6], seed=0)
+
+
+def test_rank_deficient_solve_matches_pseudoinverse():
+    prior, task = rank_deficient_case()
+    full = accumulate(prior.snapshot(), task)
+    P = solve_prototypes(full, 1e-8)
+    assert np.isfinite(P).all()
+    ref = np.linalg.pinv(full.G) @ full.C
+    assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("seed,picks", [
