@@ -33,7 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-SYNTH_KEYS = {"kind", "num_classes", "per_class_train", "per_class_test", "image_size", "seed"}
 SECTION_KEYS = {
     "rpca": {"enabled", "rank", "epochs", "lr"},
     "ssf": {"enabled", "epochs", "lr"},
@@ -48,6 +47,7 @@ def _number(v) -> bool:
 
 _BOOL = ("a bool", lambda v: type(v) is bool)
 _POSITIVE_INT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_SEED = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
 
 # section key -> (what its value must be, test); bools are not numbers here
 VALUE_RULES = {
@@ -61,13 +61,23 @@ VALUE_RULES = {
     "weight_decay": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
 }
 
+# dataset.synth keys, in the same style
+SYNTH_RULES = {
+    "kind": ("'blobs' or 'lowrank_speckle'", lambda v: v in ("blobs", "lowrank_speckle")),
+    "num_classes": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
+    "per_class_train": _POSITIVE_INT,
+    "per_class_test": _POSITIVE_INT,
+    "image_size": _POSITIVE_INT,
+    "seed": _SEED,
+}
+
 # top-level RunConfig scalars, in the same style
 TOP_LEVEL_RULES = {
     "cnn_branch": _BOOL,
     "ingested_branch": _BOOL,
     "freeze_lambda": _BOOL,
     "projection_dim": _POSITIVE_INT,
-    "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "seed": _SEED,
     "class_order": ("null or a list of strings",
                     lambda v: v is None or (type(v) is list and all(type(c) is str for c in v))),
     "output_dir": ("null or a nonempty string",
@@ -75,15 +85,15 @@ TOP_LEVEL_RULES = {
 }
 
 
-def _check_keys(name, section, allowed) -> None:
+def _check_keys(name, section, allowed, rules=VALUE_RULES) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be an object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
     for key, value in section.items():
-        if key in VALUE_RULES and not VALUE_RULES[key][1](value):
-            raise ConfigError(f"{name}.{key} must be {VALUE_RULES[key][0]}, got {value!r}")
+        if key in rules and not rules[key][1](value):
+            raise ConfigError(f"{name}.{key} must be {rules[key][0]}, got {value!r}")
 
 
 class StageFailure(RuntimeError):
@@ -131,7 +141,7 @@ class RunConfig:
             raise ConfigError(f"dataset must have exactly one of 'synth' and 'manifest', "
                               f"got {self.dataset!r}")
         if "synth" in self.dataset:
-            _check_keys("dataset.synth", self.dataset["synth"], SYNTH_KEYS)
+            _check_keys("dataset.synth", self.dataset["synth"], SYNTH_RULES.keys(), SYNTH_RULES)
         if self.fusion == "late" and self.ingested_source.get("kind") == "csv":
             raise ConfigError("fusion=late requires ingested_source raw_pixels "
                               "(csv rows do not align with image test samples)")
@@ -338,7 +348,7 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
     if "manifest" in config.dataset:
         return load_dataset(config.dataset["manifest"])
     synth = {"seed": config.seed, **config.dataset["synth"]}
-    missing = SYNTH_KEYS - set(synth)
+    missing = SYNTH_RULES.keys() - set(synth)
     if missing:
         raise ConfigError(f"dataset.synth is missing {sorted(missing)}")
     return synth_dataset(**synth)

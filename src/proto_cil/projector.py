@@ -1,21 +1,23 @@
 """Random-projection expansion and the exemplar-free class-prototype engine.
 
 Features are mapped through a frozen Gaussian matrix and a ReLU. The Gram
-matrix of the projected rows is never formed: each branch keeps a thin
-triangular factor R with G = R^T R, which `accumulate` updates by a QR of
-[R; H] (Golub & Van Loan, Matrix Computations, 4th ed., sec. 6.5), so R has
-r = min(rows seen, M) rows. Beside it sits the per-class accumulator C.
+matrix of the projected rows is never formed: each branch keeps its truncated
+SVD G = Vt^T diag(s^2) Vt, r <= min(rows seen, M) orthonormal rows Vt, beside
+the per-class accumulator C. New rows H update it through the small kernel of
+X = [diag(s) Vt; H]: X X^T = U diag(w) U^T has the nonzero spectrum of the new
+G = X^T X, so s = sqrt(w) and Vt = U^T X / s (Brand, "Fast low-rank
+modifications of the thin singular value decomposition", LAA 2006).
 
-The prototypes solve (G + lambda I) P = C through one cached thin SVD
-R = U diag(s) V^T: P = V diag(1 / (s^2 + lambda)) V^T C. Every column of C is
-a sum of projected rows, so C lies in the row space of R and the null-space
-term is dropped. The lambda sweep rescales the same SVD per grid point.
+The prototypes solve (G + lambda I) P = C as P = Vt^T diag(1 / (s^2 + lambda))
+Vt C. Every column of C is a sum of projected rows, so C lies in the row space
+of Vt and the null-space term is dropped. The lambda sweep rescales the same
+(s, Vt) per grid point.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError, qr, svd
+from numpy.linalg import LinAlgError, eigh
 
 from .features import FeatureMatrix
 from .seeding import derive_rng
@@ -50,49 +52,44 @@ class ScoreMatrix:
 @dataclass
 class PrototypeState:
     M: int
-    R: np.ndarray = None          # (r, M) with G = R^T R, r = min(rows seen, M)
+    s: np.ndarray = None          # (r,) descending; read-only
+    Vt: np.ndarray = None         # (r, M) orthonormal rows, G = Vt^T diag(s^2) Vt; read-only
     C: np.ndarray = None          # (M, K)
     registry: list = field(default_factory=list)
     P: np.ndarray = None          # (M, K)
     stale: bool = True
-    _svd: tuple = field(default=None, init=False, repr=False)  # (s, Vt) of R, or None
 
     def __post_init__(self):
-        if self.R is None:
-            self.R = np.zeros((0, self.M))
+        if self.s is None:
+            self.s, self.Vt = _frozen(np.zeros(0)), _frozen(np.zeros((0, self.M)))
         if self.C is None:
             self.C = np.zeros((self.M, 0))
 
     @property
-    def G(self) -> np.ndarray:
-        return self.R.T @ self.R
+    def R(self) -> np.ndarray:  # (r, M) with G = R^T R
+        return self.s[:, None] * self.Vt
 
-    def spectrum(self):
-        """(s, Vt): the thin SVD of R without singular values at or below
-        s_max * max(r, M) * eps. Computed once per R."""
-        if self._svd is None:
-            try:
-                _, s, Vt = svd(self.R, full_matrices=False)
-            except LinAlgError as exc:
-                raise ProjectorError(f"SVD of the Gram factor failed: {exc}") from exc
-            if s.size:
-                keep = s > s[0] * max(self.R.shape) * np.finfo(float).eps
-                s, Vt = s[keep], Vt[keep]
-            self._svd = (s, Vt)
-        return self._svd
+    @property
+    def G(self) -> np.ndarray:
+        R = self.R
+        return R.T @ R
 
     def snapshot(self) -> "PrototypeState":
-        return PrototypeState(M=self.M, R=self.R.copy(), C=self.C.copy(),
+        """A copy that shares the read-only (s, Vt); `accumulate` replaces them."""
+        return PrototypeState(M=self.M, s=self.s, Vt=self.Vt, C=self.C.copy(),
                               registry=list(self.registry),
                               P=None if self.P is None else self.P.copy(), stale=self.stale)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def init_projection(d: int, M: int, seed: int) -> ProjectionLayer:
     if d < 1 or M < 1:
         raise ProjectorError("d and M must be >= 1")
-    W = derive_rng(seed, "projection_a").standard_normal((d, M))
-    W.flags.writeable = False
-    return ProjectionLayer(W=W)
+    return ProjectionLayer(W=_frozen(derive_rng(seed, "projection_a").standard_normal((d, M))))
 
 
 def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
@@ -116,14 +113,22 @@ def _one_hot_sums(H, labels, registry):
 
 
 def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
-    """R <- qr([R; H]) so that G gains sum h h^T; C[:, class] += h; new classes
-    grow zero columns first."""
+    """(s, Vt) <- SVD of [R; H] by eigh of its kernel, so that G gains sum h h^T;
+    C[:, class] += h; new classes grow zero columns first. Keeps at most M
+    eigenvalues, those above w_max * max(X.shape) * eps (eigh's accuracy)."""
     if H.rows.shape[0] == 0:
         return state
     if H.dim != state.M:
         raise ProjectorError(f"projected dimension {H.dim} != state dimension {state.M}")
-    state.R = qr(np.vstack((state.R, H.rows)), mode="r")
-    state._svd = None
+    X = np.vstack((state.R, H.rows))
+    try:
+        w, U = eigh(X @ X.T)
+    except LinAlgError as exc:
+        raise ProjectorError(f"eigendecomposition of the factor kernel failed: {exc}") from exc
+    w, U = w[::-1], U[:, ::-1]
+    r = min(int(np.count_nonzero(w > w[0] * max(X.shape) * np.finfo(float).eps)), state.M)
+    s = np.sqrt(w[:r])
+    state.s, state.Vt = _frozen(s), _frozen((U[:, :r].T @ X) / s[:, None])
     before = len(state.registry)
     sums = _one_hot_sums(H.rows, H.labels, state.registry)
     if len(state.registry) > before:
@@ -136,16 +141,15 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
 
 
 def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
-    """P = (G + lam I)^{-1} C = V diag(1 / (s^2 + lam)) V^T C from the cached
-    SVD of R (no explicit inverse)."""
+    """P = (G + lam I)^{-1} C = Vt^T diag(1 / (s^2 + lam)) Vt C from the
+    state's (s, Vt) (no explicit inverse)."""
     if lam <= 0:
         raise ProjectorError("lambda must be positive")
-    s, Vt = state.spectrum()
+    s, Vt = state.s, state.Vt
     P = Vt.T @ ((Vt @ state.C) / (s * s + lam)[:, None])
     if not np.isfinite(P).all():
         raise ProjectorError("prototype solve produced non-finite entries")
-    state.P = P
-    state.stale = False
+    state.P, state.stale = P, False
     return P
 
 
@@ -163,12 +167,12 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     prototypes from (prior state + 80% portion) and minimize one-hot MSE on
     the held-out 20%. Ties go to the smaller lambda.
 
-    The trial state's cached SVD makes every grid point a diagonal rescale:
-    P(lam) = V diag(1 / (s^2 + lam)) V^T C. The Gram spectrum w is s^2, padded
+    The trial state's (s, Vt) makes every grid point a diagonal rescale:
+    P(lam) = Vt^T diag(1 / (s^2 + lam)) Vt C. The Gram spectrum w is s^2, padded
     with zeros when fewer than M values remain. Grid points with lam + w_min
     at or below the numerical-rank tolerance M * eps * w_max are skipped,
     since G + lam I is not reliably positive definite there. The pick is then
-    solved by `solve_prototypes` from the same SVD."""
+    solved by `solve_prototypes` from the same (s, Vt)."""
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ProjectorError("lambda grid must be nonempty")
@@ -187,16 +191,12 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     fit = FeatureMatrix(rows=task_H.rows[fit_idx], labels=[task_H.labels[i] for i in fit_idx])
     trial = state.snapshot()
     accumulate(trial, fit)
-    registry = list(trial.registry)
-    H_val = task_H.rows[val_idx]
-    targets = np.zeros((len(val_idx), len(registry)))
-    index = {c: j for j, c in enumerate(registry)}
+    index = {c: j for j, c in enumerate(trial.registry)}
+    targets = np.zeros((len(val_idx), len(index)))
     for i, vi in enumerate(val_idx):
         targets[i, index[task_H.labels[vi]]] = 1.0
 
-    s, Vt = trial.spectrum()
-    A, B = H_val @ Vt.T, Vt @ trial.C
-    w = s * s
+    A, B, w = task_H.rows[val_idx] @ trial.Vt.T, trial.Vt @ trial.C, trial.s * trial.s
     w_min = w[-1] if w.size == trial.M else 0.0
     tol = trial.M * np.finfo(float).eps * (w[0] if w.size else 0.0)
     best_lam, best_mse = None, np.inf

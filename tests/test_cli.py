@@ -310,6 +310,15 @@ def test_run_missing_synth_key_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("value", ["16", True, 2.5])
+def test_run_bad_synth_value_is_usage_error(tmp_path, capsys, value):
+    synth = {"kind": "blobs", "num_classes": 10, "per_class_train": 20, "per_class_test": 10,
+             "image_size": value}
+    assert run_with(tmp_path, dataset={"synth": synth}) == 1
+    assert "dataset.synth.image_size must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize("splits, message", [(("train", "test"), "nope.csv"),
                                              (("train",), "missing ['test']")])
 def test_run_missing_csv_file_is_usage_error(tmp_path, capsys, splits, message):

@@ -176,6 +176,40 @@ def test_config_accepts_section_values_at_their_bounds():
     assert cfg.cnn_train["dropout"] == 0
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("kind", "gauss", "dataset.synth.kind must be 'blobs' or 'lowrank_speckle'"),
+    ("kind", None, "dataset.synth.kind must be 'blobs' or 'lowrank_speckle'"),
+    ("num_classes", 1, "dataset.synth.num_classes must be an integer >= 2"),
+    ("num_classes", 4.0, "dataset.synth.num_classes must be an integer >= 2"),
+    ("num_classes", True, "dataset.synth.num_classes must be an integer >= 2"),
+    ("per_class_train", 0, "dataset.synth.per_class_train must be an integer >= 1"),
+    ("per_class_train", "20", "dataset.synth.per_class_train must be an integer >= 1"),
+    ("per_class_test", -1, "dataset.synth.per_class_test must be an integer >= 1"),
+    ("per_class_test", True, "dataset.synth.per_class_test must be an integer >= 1"),
+    ("image_size", "16", "dataset.synth.image_size must be an integer >= 1"),
+    ("image_size", True, "dataset.synth.image_size must be an integer >= 1"),
+    ("image_size", 2.5, "dataset.synth.image_size must be an integer >= 1"),
+    ("image_size", 0, "dataset.synth.image_size must be an integer >= 1"),
+    ("seed", -1, "dataset.synth.seed must be an integer >= 0"),
+    ("seed", False, "dataset.synth.seed must be an integer >= 0"),
+    ("seed", 1.0, "dataset.synth.seed must be an integer >= 0"),
+])
+def test_config_rejects_bad_synth_values(tmp_path, key, value, match):
+    cfg = json.loads(CONFIG_PATH.read_text())
+    cfg["dataset"]["synth"][key] = value
+    cfg["output_dir"] = str(tmp_path / "report")
+    with pytest.raises(ConfigError, match=match):
+        RunConfig.from_dict(cfg)
+    assert not (tmp_path / "report").exists()
+
+
+def test_config_accepts_synth_values_at_their_bounds():
+    synth = {"kind": "lowrank_speckle", "num_classes": 2, "per_class_train": 1,
+             "per_class_test": 1, "image_size": 1, "seed": 0}
+    cfg = RunConfig.from_dict({"dataset": {"synth": synth}, "schedule": [2]})
+    assert cfg.dataset["synth"] == synth
+
+
 def test_missing_synth_key_fails_in_setup():
     cfg = json.loads(CONFIG_PATH.read_text())
     del cfg["dataset"]["synth"]["image_size"]

@@ -129,10 +129,34 @@ def test_factor_stays_thin_below_m_rows():
     st = accumulate(PrototypeState(M=M), random_fm(12, M, seed=6))
     assert st.R.shape == (12, M)
     solve_prototypes(st, 1.0)
-    held = [v for v in vars(st).values() if isinstance(v, np.ndarray)] + list(st._svd)
+    held = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
     assert all(a.shape != (M, M) for a in held)
     accumulate(st, random_fm(60, M, seed=7))
     assert st.R.shape == (M, M)
+    assert st.s.size == M
+
+
+def test_single_row_updates_match_one_batch():
+    """150 one-row updates keep Vt orthonormal and agree with one batch update."""
+    M = 60
+    H = random_fm(150, M, seed=8)
+    whole = accumulate(PrototypeState(M=M), H)
+    inc = PrototypeState(M=M)
+    for i in range(150):
+        accumulate(inc, FeatureMatrix(rows=H.rows[i:i + 1], labels=H.labels[i:i + 1]))
+    assert np.linalg.norm(inc.G - whole.G) <= 1e-12 * np.linalg.norm(whole.G)
+    assert np.abs(inc.Vt @ inc.Vt.T - np.eye(inc.s.size)).max() <= 1e-12
+    for lam in (1e-8, 1e-2, 1e3):
+        ref = np.linalg.pinv(whole.G + lam * np.eye(M)) @ whole.C
+        assert np.linalg.norm(solve_prototypes(inc, lam) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_factor_arrays_are_read_only():
+    st = accumulate(PrototypeState(M=5), random_fm(8, 5, seed=9))
+    with pytest.raises(ValueError):
+        st.Vt[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        st.s[0] = 1.0
 
 
 def test_solve_after_accumulate_refreshes_cached_svd():
@@ -248,14 +272,14 @@ def test_select_lambda_matches_brute_force():
 def test_select_lambda_does_not_mutate_state():
     st = accumulate(PrototypeState(M=6), random_fm(12, 6, seed=0))
     solve_prototypes(st, 1.0)
-    R0, C0, reg0, cache = st.R.copy(), st.C.copy(), list(st.registry), st._svd
-    s0, Vt0 = cache[0].copy(), cache[1].copy()
-    assert st.snapshot()._svd is None
+    R0, C0, reg0, s0, Vt0 = st.R.copy(), st.C.copy(), list(st.registry), st.s.copy(), st.Vt.copy()
+    snap = st.snapshot()
+    assert snap.s is st.s and snap.Vt is st.Vt
+    assert not st.s.flags.writeable and not st.Vt.flags.writeable
     select_lambda(st, random_fm(10, 6, seed=1, classes=("x", "y")), seed=0)
     assert np.array_equal(st.R, R0) and np.array_equal(st.C, C0)
     assert st.registry == reg0
-    assert st._svd is cache
-    assert np.array_equal(cache[0], s0) and np.array_equal(cache[1], Vt0)
+    assert np.array_equal(st.s, s0) and np.array_equal(st.Vt, Vt0)
 
 
 def test_select_lambda_grid_order_irrelevant():
@@ -275,10 +299,10 @@ def test_select_lambda_needs_enough_samples():
 
 @pytest.mark.parametrize("grid", [[0.0, 1.0], [-1.0], [1.0, float("nan")], [float("inf")]])
 def test_select_lambda_rejects_bad_grid_before_decomposing(grid, monkeypatch):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("svd called on an invalid grid")
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on an invalid grid")
 
-    monkeypatch.setattr(projector, "svd", no_svd)
+    monkeypatch.setattr(projector, "eigh", no_eigh)
     with pytest.raises(ProjectorError, match="positive"):
         select_lambda(PrototypeState(M=4), random_fm(10, 4, seed=0), grid=grid)
 
