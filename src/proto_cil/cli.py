@@ -16,12 +16,24 @@ from . import cnn as cnn_mod
 from . import rpca as rpca_mod
 from .datahub import DataError, load_dataset, save_dataset, synth_dataset
 from .features import softmax_cross_entropy, write_features
-from .harness import (ConfigError, RunConfig, StageFailure, load_report, prepare_images,
-                      run_scenario)
+from .harness import (ConfigError, RunConfig, StageFailure, check_key, load_report,
+                      prepare_images, run_scenario)
 from .pgm import read_pgm
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
+
+# subcommand -> flag (its argparse dest) -> the run-config key whose rule it obeys
+FLAG_KEYS = {
+    "synth": {"kind": "dataset.synth.kind", "classes": "dataset.synth.num_classes",
+              "train": "dataset.synth.per_class_train", "test": "dataset.synth.per_class_test",
+              "size": "dataset.synth.image_size", "seed": "seed"},
+    "denoise": {"rank": "rpca.rank", "epochs": "rpca.epochs", "lr": "rpca.lr", "seed": "seed"},
+    "train-backbone": {"manifest": "dataset.manifest", "epochs": "cnn_train.epochs",
+                       "lr": "cnn_train.lr", "momentum": "cnn_train.momentum",
+                       "weight_decay": "cnn_train.weight_decay", "d_cnn": "cnn_train.d_cnn",
+                       "dropout": "cnn_train.dropout", "seed": "seed"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,10 +100,6 @@ def _build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
-    if args.classes < 2:
-        _usage_fail("--classes must be >= 2")
-    if args.train < 1 or args.test < 1 or args.size < 1:
-        _usage_fail("--train, --test, and --size must be >= 1")
     ds = synth_dataset(args.kind, args.classes, args.train, args.test, args.size, args.seed)
     manifest = save_dataset(ds, args.out)
     print(f"wrote {len(ds.samples)} images and {manifest}")
@@ -105,8 +113,6 @@ def cmd_denoise(args) -> int:
         raise DataError(f"no files match --train-glob {args.train_glob!r}")
     if not apply_paths:
         raise DataError(f"no files match --apply-glob {args.apply_glob!r}")
-    if args.rank < 1:
-        _usage_fail("--rank must be >= 1")
     images = [read_pgm(p) for p in train_paths]
     side = images[0].shape[0]
     for p, im in zip(train_paths, images):
@@ -125,8 +131,6 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_train_backbone(args) -> int:
-    if not 0 <= args.dropout < 1:
-        _usage_fail("--dropout must be in [0,1)")
     ds = load_dataset(args.manifest)
     train = [im for im in ds.samples if im.split == "train"]
     labels = [im.label for im in train]
@@ -160,11 +164,11 @@ def cmd_extract(args) -> int:
 def cmd_run(args) -> int:
     cfg_path = Path(args.config)
     if not cfg_path.exists():
-        _usage_fail(f"config not found: {cfg_path}")
+        raise _UsageError(f"config not found: {cfg_path}")
     try:
         raw = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as exc:
-        _usage_fail(f"config is not valid JSON: {exc}")
+        raise _UsageError(f"config is not valid JSON: {exc}") from exc
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.out is not None:
@@ -173,13 +177,13 @@ def cmd_run(args) -> int:
         raw["portion"] = args.portion
     try:
         config = RunConfig.from_dict(raw)
-    except (ConfigError, TypeError) as exc:
-        _usage_fail(str(exc))
+    except TypeError as exc:  # a required key is missing
+        raise _UsageError(str(exc)) from exc
     try:
         metrics = run_scenario(config)
     except StageFailure as exc:
         if exc.stage == "setup" and isinstance(exc.cause, (ConfigError, DataError)):
-            _usage_fail(str(exc))  # rejected before any training
+            raise _UsageError(str(exc)) from exc  # rejected before any training
         raise
     print(f"tasks: {len(metrics.task_accuracies)}  "
           f"avg accuracy: {metrics.avg_accuracy:.2f}  perf drop: {metrics.perf_drop:.2f}")
@@ -210,10 +214,6 @@ class _UsageError(Exception):
     pass
 
 
-def _usage_fail(message):
-    raise _UsageError(message)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -226,8 +226,10 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
     }
     try:
+        for dest, path in FLAG_KEYS.get(args.command, {}).items():
+            check_key(path, getattr(args, dest), "--" + dest.replace("_", "-"))
         return handlers[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"proto-cil {args.command}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # runtime failures map to exit 2

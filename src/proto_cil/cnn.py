@@ -9,6 +9,7 @@ gradients can be verified against finite differences.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
@@ -80,15 +81,12 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
 
 def _im2col(x, k):
     """x: (C, N, H, W), zero-padded to keep H and W; returns (C*k*k, N*H*W)
-    columns with rows in (c, ki, kj) order, built from k*k slab copies."""
+    columns with rows in (c, ki, kj) order, copied once from a strided view."""
     c, n, h, w = x.shape
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = np.empty((c, k, k, n, h, w))
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, ki, kj] = xp[:, :, ki : ki + h, kj : kj + w]
-    return cols.reshape(c * k * k, n * h * w)
+    windows = sliding_window_view(xp, (h, w), axis=(2, 3))  # (C, N, k, k, H, W)
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(c * k * k, n * h * w)
 
 
 def _col2im(dcols, shape, k):

@@ -8,8 +8,8 @@ over all seen classes.
 
 import hashlib
 import json
-import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
@@ -33,67 +33,75 @@ class ConfigError(ValueError):
     pass
 
 
-SECTION_KEYS = {
-    "rpca": {"enabled", "rank", "epochs", "lr"},
-    "ssf": {"enabled", "epochs", "lr"},
-    "cnn_train": {"d_cnn", "dropout", "epochs", "lr", "momentum", "weight_decay"},
-    "ingested_source": {"kind", "train", "test"},
-}
-
-
 def _number(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+    """A finite float, or an int that converts to one; bools are not numbers."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 _BOOL = ("a bool", lambda v: type(v) is bool)
+_OBJECT = ("an object", lambda v: type(v) is dict)
 _POSITIVE_INT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
-_SEED = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_PATH = ("a nonempty string", lambda v: type(v) is str and v != "")
+_POSITIVE = ("a finite number > 0", lambda v: _number(v) and v > 0)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: _number(v) and v >= 0)
 
-# section key -> (what its value must be, test); bools are not numbers here
-VALUE_RULES = {
-    "enabled": _BOOL,
-    "rank": _POSITIVE_INT,
-    "d_cnn": _POSITIVE_INT,
-    "epochs": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
-    "lr": ("a finite number > 0", lambda v: _number(v) and v > 0),
-    "dropout": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
-    "momentum": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
-    "weight_decay": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
+# section -> key -> (what its value must be, test); "" is the top level, and a
+# dotted key names a nested section. A section accepts exactly its own keys.
+# Bools are not numbers here, and 2.0 is not an integer.
+RULES = {
+    "": {
+        "dataset": ("an object with exactly one of 'synth' and 'manifest'",
+                    lambda v: type(v) is dict and len(v) == 1 and set(v) <= {"synth", "manifest"}),
+        "schedule": ("a nonempty list of integers >= 1", lambda v: type(v) is list and v != []
+                     and all(type(k) is int and k >= 1 for k in v)),
+        "class_order": ("null or a list of strings", lambda v: v is None
+                        or (type(v) is list and all(type(c) is str for c in v))),
+        "portion": ("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1),
+        "cnn_branch": _BOOL, "ingested_branch": _BOOL, "freeze_lambda": _BOOL,
+        "ingested_source": _OBJECT, "rpca": _OBJECT, "ssf": _OBJECT, "cnn_train": _OBJECT,
+        "fusion": ("null, 'late' or 'single'", lambda v: v in (None, "late", "single")),
+        "projection_dim": _POSITIVE_INT,
+        "lambda_grid": ("null or a nonempty list of finite positive numbers",
+                        lambda v: v is None or (type(v) is list and v != []
+                                                and all(_number(g) and g > 0 for g in v))),
+        "output_dir": ("null or a nonempty string",
+                       lambda v: v is None or (type(v) is str and v != "")),
+        "seed": _COUNT,
+        "threads": ("anything (it is ignored)", lambda v: True),
+    },
+    "dataset": {"synth": _OBJECT, "manifest": _PATH},
+    "dataset.synth": {
+        "kind": ("'blobs' or 'lowrank_speckle'", lambda v: v in ("blobs", "lowrank_speckle")),
+        "num_classes": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
+        "per_class_train": _POSITIVE_INT, "per_class_test": _POSITIVE_INT,
+        "image_size": _POSITIVE_INT, "seed": _COUNT,
+    },
+    "ingested_source": {"kind": ("'raw_pixels' or 'csv'", lambda v: v in ("raw_pixels", "csv")),
+                        "train": _PATH, "test": _PATH},
+    "rpca": {"enabled": _BOOL, "rank": _POSITIVE_INT, "epochs": _COUNT, "lr": _POSITIVE},
+    "ssf": {"enabled": _BOOL, "epochs": _COUNT, "lr": _POSITIVE},
+    "cnn_train": {"d_cnn": _POSITIVE_INT, "epochs": _COUNT, "lr": _POSITIVE,
+                  "dropout": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
+                  "momentum": _NON_NEGATIVE, "weight_decay": _NON_NEGATIVE},
 }
 
-# dataset.synth keys, in the same style
-SYNTH_RULES = {
-    "kind": ("'blobs' or 'lowrank_speckle'", lambda v: v in ("blobs", "lowrank_speckle")),
-    "num_classes": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
-    "per_class_train": _POSITIVE_INT,
-    "per_class_test": _POSITIVE_INT,
-    "image_size": _POSITIVE_INT,
-    "seed": _SEED,
-}
 
-# top-level RunConfig scalars, in the same style
-TOP_LEVEL_RULES = {
-    "cnn_branch": _BOOL,
-    "ingested_branch": _BOOL,
-    "freeze_lambda": _BOOL,
-    "projection_dim": _POSITIVE_INT,
-    "seed": _SEED,
-    "class_order": ("null or a list of strings",
-                    lambda v: v is None or (type(v) is list and all(type(c) is str for c in v))),
-    "output_dir": ("null or a nonempty string",
-                   lambda v: v is None or (type(v) is str and v != "")),
-}
-
-
-def _check_keys(name, section, allowed, rules=VALUE_RULES) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be an object, got {section!r}")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
-    for key, value in section.items():
-        if key in rules and not rules[key][1](value):
-            raise ConfigError(f"{name}.{key} must be {rules[key][0]}, got {value!r}")
+def check_key(path, value, name=None) -> None:
+    """Raise ConfigError unless `value` obeys the rule of config key `path`
+    ("" is the whole config); a section must hold only its own keys, each
+    obeying its rule. Errors name `name` (a CLI flag, say), else `path`."""
+    section, _, key = path.rpartition(".")
+    what, ok = RULES[section][key] if path else _OBJECT
+    if not ok(value):
+        raise ConfigError(f"{name or path or 'the config'} must be {what}, got {value!r}")
+    if path in RULES:
+        unknown = value.keys() - RULES[path].keys()
+        if unknown:
+            raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)} "
+                              f"(allowed: {sorted(RULES[path])})")
+        for key, item in value.items():
+            check_key(f"{path}.{key}" if path else key, item)
 
 
 class StageFailure(RuntimeError):
@@ -124,9 +132,7 @@ class RunConfig:
     threads: int = 1  # ignored; kept so configs that set it still load
 
     def __post_init__(self):
-        for key, (what, ok) in TOP_LEVEL_RULES.items():
-            if not ok(getattr(self, key)):
-                raise ConfigError(f"{key} must be {what}, got {getattr(self, key)!r}")
+        check_key("", vars(self))
         if not (self.cnn_branch or self.ingested_branch):
             raise ConfigError("at least one branch must be enabled")
         derived = "late" if self.cnn_branch and self.ingested_branch else "single"
@@ -134,37 +140,13 @@ class RunConfig:
             raise ConfigError(f"fusion is {derived!r} for these branches (it may be omitted), "
                               f"got {self.fusion!r}")
         self.fusion = derived
-        for name, allowed in SECTION_KEYS.items():
-            _check_keys(name, getattr(self, name), allowed)
-        if not (isinstance(self.dataset, dict) and len(self.dataset) == 1
-                and set(self.dataset) <= {"synth", "manifest"}):
-            raise ConfigError(f"dataset must have exactly one of 'synth' and 'manifest', "
-                              f"got {self.dataset!r}")
-        if "synth" in self.dataset:
-            _check_keys("dataset.synth", self.dataset["synth"], SYNTH_RULES.keys(), SYNTH_RULES)
         if self.fusion == "late" and self.ingested_source.get("kind") == "csv":
             raise ConfigError("fusion=late requires ingested_source raw_pixels "
                               "(csv rows do not align with image test samples)")
-        schedule = self.schedule
-        if not (isinstance(schedule, (list, tuple)) and schedule
-                and all(type(k) is int and k >= 1 for k in schedule)):
-            raise ConfigError(
-                f"schedule must be a nonempty list of integers >= 1, got {schedule!r}")
-        if not (type(self.portion) in (int, float) and 0 < self.portion <= 1):
-            raise ConfigError(f"portion must be a number in (0, 1], got {self.portion!r}")
-        grid = self.lambda_grid
-        if grid is not None and not (
-                isinstance(grid, (list, tuple)) and grid
-                and all(type(g) in (int, float) and 0 < g < math.inf for g in grid)):
-            raise ConfigError(
-                f"lambda_grid must be a nonempty list of finite positive numbers, got {grid!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_key("", d)  # an unknown key would be a TypeError in cls(**d)
         return cls(**d)
 
     def fingerprint(self) -> str:
@@ -348,7 +330,7 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
     if "manifest" in config.dataset:
         return load_dataset(config.dataset["manifest"])
     synth = {"seed": config.seed, **config.dataset["synth"]}
-    missing = SYNTH_RULES.keys() - set(synth)
+    missing = RULES["dataset.synth"].keys() - set(synth)
     if missing:
         raise ConfigError(f"dataset.synth is missing {sorted(missing)}")
     return synth_dataset(**synth)
@@ -357,11 +339,8 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
 def _ingest_csv(config: RunConfig):
     """Train and test feature matrices of a CSV ingested source; None otherwise."""
     source = config.ingested_source
-    kind = source.get("kind", "raw_pixels")
-    if not config.ingested_branch or kind == "raw_pixels":
+    if not config.ingested_branch or source.get("kind") != "csv":
         return None
-    if kind != "csv":
-        raise ConfigError(f"unknown ingested_source kind {kind!r}")
     missing = {"train", "test"} - set(source)
     if missing:
         raise ConfigError(f"ingested_source csv is missing {sorted(missing)}")

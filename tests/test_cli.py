@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,52 @@ def test_denoise_rejects_bad_rank(tmp_path):
                "--apply-glob", str(tmp_path / "in" / "*.pgm"),
                "--rank", "0", "--out", str(tmp_path)])
     assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# flag values follow the rules of the run-config keys they set
+
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    ds = tmp_path_factory.mktemp("ds")
+    assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "3", "--test", "1",
+                 "--size", "32", "--out", str(ds)]) == 0
+    return str(ds / "manifest.csv")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--seed", "-1"),
+    ("train-backbone", "--d-cnn", "0"),
+    ("train-backbone", "--lr", "-1"),
+    ("train-backbone", "--epochs", "-1"),
+    ("denoise", "--lr", "0"),
+    ("denoise", "--epochs", "-1"),
+])
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, monkeypatch, small_manifest,
+                                       command, flag, value):
+    import proto_cil.cnn as cnn_mod
+    import proto_cil.rpca as rpca_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before the flags were checked")
+
+    monkeypatch.setattr(rpca_mod, "rpca_train", no_training)
+    monkeypatch.setattr(cnn_mod, "cnn_train", no_training)
+    rank1_pgms(tmp_path / "in", n=2)
+    pgms = str(tmp_path / "in" / "*.pgm")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--kind", "blobs", "--classes", "2", "--train", "1", "--test", "1",
+                  "--size", "8"],
+        "train-backbone": ["train-backbone", "--manifest", small_manifest],
+        "denoise": ["denoise", "--train-glob", pgms, "--apply-glob", pgms, "--rank", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +350,28 @@ def test_run_non_string_output_dir_is_usage_error(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 1
     assert "output_dir must be null or a nonempty string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", [0, ""])
+def test_run_bad_manifest_is_usage_error(tmp_path, capsys, manifest):
+    assert run_with(tmp_path, dataset={"manifest": manifest}) == 1
+    assert "dataset.manifest must be a nonempty string" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def test_run_csv_path_zero_is_usage_error_without_reading_stdin(tmp_path):
+    # open(0) would read file descriptor 0, this process's stdin, as the training CSV
+    cfg = json.loads(CONFIG_PATH.read_text())
+    cfg["ingested_source"] = {"kind": "csv", "train": 0, "test": "test.csv"}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_PATH.parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "proto_cil.cli", "run", "--config", str(p),
+                           "--out", str(tmp_path / "report")], input="label,f0\nc00,1.0\n",
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert "ingested_source.train must be a nonempty string, got 0" in done.stderr
+    assert not (tmp_path / "report").exists()
 
 
 def test_run_missing_synth_key_is_usage_error(tmp_path, capsys):

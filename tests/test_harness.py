@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proto_cil.harness import (ConfigError, MetricsReport, RunConfig, StageFailure,
+from proto_cil.harness import (RULES, ConfigError, MetricsReport, RunConfig, StageFailure,
                                accuracy, avg_acc, balanced_accuracy, load_report,
                                perf_drop, report, run_scenario)
 
@@ -127,6 +130,9 @@ def test_config_rejects_unknown_section_keys(overrides, match):
     ("cnn_train", "dropout", False), ("cnn_train", "momentum", -0.9),
     ("cnn_train", "momentum", None), ("cnn_train", "weight_decay", -1e-4),
     ("cnn_train", "weight_decay", float("inf")),
+    pytest.param("rpca", "lr", 10 ** 400, id="rpca-lr-1e400"),
+    ("ingested_source", "kind", "parquet"), ("ingested_source", "train", 0),
+    ("ingested_source", "test", ""), ("dataset", "manifest", 0), ("dataset", "manifest", ""),
 ])
 def test_config_rejects_bad_section_values(section, key, value):
     with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
@@ -241,6 +247,48 @@ def test_config_rejects_bad_schedule(schedule):
 def test_config_rejects_bad_portion(portion):
     with pytest.raises(ConfigError, match="portion"):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "portion": portion})
+
+
+def _put(cfg, section, key, value):
+    """Set config key `section`.`key` of the bundled config to `value`."""
+    if section == "dataset":
+        cfg["dataset"] = {key: value}
+    elif section == "dataset.synth":
+        cfg["dataset"]["synth"][key] = value
+    elif section:
+        cfg.setdefault(section, {})[key] = value
+    else:
+        cfg[key] = value
+
+
+_KEY_NAMES = sorted({key for rules in RULES.values() for key in rules})
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-1, 0, 1, 2, 2 ** 63, 10 ** 400, -10 ** 400, 1e308, 0.5])
+    | st.text(max_size=6) | st.sampled_from(["", "blobs", "csv", "raw_pixels", "late"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEY_NAMES) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("section, key",
+                         [(section, key) for section, rules in RULES.items() for key in rules])
+@settings(max_examples=15, deadline=None)
+@given(value=_JSON_VALUES)
+def test_config_fuzz_rejects_only_with_config_error(section, key, value):
+    """Any JSON value at any key: from_dict raises nothing but ConfigError, and
+    raises it, naming the key, whenever the key's rule rejects the value."""
+    cfg = json.loads(CONFIG_PATH.read_text())
+    _put(cfg, section, key, value)
+    path = f"{section}.{key}" if section else key
+    if not RULES[section][key][1](value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be"):
+            RunConfig.from_dict(cfg)
+        return
+    try:
+        RunConfig.from_dict(cfg)
+    except ConfigError:
+        pass  # a nested key, or a rule across keys, may still reject it
 
 
 def test_fingerprint_ignores_output_dir_and_threads():

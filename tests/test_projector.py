@@ -136,6 +136,20 @@ def test_factor_stays_thin_below_m_rows():
     assert st.s.size == M
 
 
+def test_accumulate_keeps_at_most_m_values(monkeypatch):
+    """An eigh that puts more than M eigenvalues above the cut (exact arithmetic
+    gives at most M, the rank of X) still leaves an M-wide factor."""
+    M = 6
+
+    def flat_eigh(K):
+        return np.linspace(1.0, 2.0, K.shape[0]), np.eye(K.shape[0])
+
+    monkeypatch.setattr(projector, "eigh", flat_eigh)
+    st = accumulate(PrototypeState(M=M), random_fm(10, M, seed=8))
+    assert st.s.size == M
+    assert st.Vt.shape == (M, M)
+
+
 def test_single_row_updates_match_one_batch():
     """150 one-row updates keep Vt orthonormal and agree with one batch update."""
     M = 60
