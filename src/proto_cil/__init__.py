@@ -9,7 +9,7 @@ from .fusion import late_fuse, single_predict
 from .harness import MetricsReport, RunConfig, accuracy, avg_acc, perf_drop, run_scenario
 from .projector import (PrototypeState, accumulate, init_projection, project,
                         score, select_lambda, solve_prototypes)
-from .rpca import DecomposedImage, RpcaModel, rpca_apply, rpca_train
+from .rpca import RpcaModel, rpca_apply, rpca_train
 
 __all__ = [
     "Dataset", "LabeledImage", "ScenarioSpec", "TaskSequence", "load_dataset",
@@ -19,5 +19,5 @@ __all__ = [
     "MetricsReport", "RunConfig", "accuracy", "avg_acc", "perf_drop", "run_scenario",
     "PrototypeState", "accumulate", "init_projection", "project", "score",
     "select_lambda", "solve_prototypes",
-    "DecomposedImage", "RpcaModel", "rpca_apply", "rpca_train",
+    "RpcaModel", "rpca_apply", "rpca_train",
 ]

@@ -124,8 +124,8 @@ def cmd_denoise(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for p in apply_paths:
         img = read_pgm(p)
-        decomp = rpca_mod.rpca_apply(model, img.ravel())
-        rpca_mod.export_sparse_pgm(decomp, img.shape[0], out / Path(p).name)
+        rpca_mod.export_sparse_pgm(rpca_mod.rpca_apply(model, img.ravel()), img.shape[0],
+                                   out / Path(p).name)
     print(f"filtered {len(apply_paths)} images into {out}")
     return 0
 
@@ -164,26 +164,23 @@ def cmd_extract(args) -> int:
 def cmd_run(args) -> int:
     cfg_path = Path(args.config)
     if not cfg_path.exists():
-        raise _UsageError(f"config not found: {cfg_path}")
+        raise ConfigError(f"config not found: {cfg_path}")
     try:
         raw = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"config is not valid JSON: {exc}") from exc
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    if args.portion is not None:
-        raw["portion"] = args.portion
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    overrides = {"seed": args.seed, "output_dir": args.out, "portion": args.portion}
+    if type(raw) is dict:  # anything else is rejected by from_dict
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         config = RunConfig.from_dict(raw)
     except TypeError as exc:  # a required key is missing
-        raise _UsageError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
     try:
         metrics = run_scenario(config)
     except StageFailure as exc:
         if exc.stage == "setup" and isinstance(exc.cause, (ConfigError, DataError)):
-            raise _UsageError(str(exc)) from exc  # rejected before any training
+            raise ConfigError(str(exc)) from exc  # rejected before any training
         raise
     print(f"tasks: {len(metrics.task_accuracies)}  "
           f"avg accuracy: {metrics.avg_accuracy:.2f}  perf drop: {metrics.perf_drop:.2f}")
@@ -210,10 +207,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -229,7 +222,7 @@ def main(argv=None) -> int:
         for dest, path in FLAG_KEYS.get(args.command, {}).items():
             check_key(path, getattr(args, dest), "--" + dest.replace("_", "-"))
         return handlers[args.command](args)
-    except (_UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"proto-cil {args.command}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # runtime failures map to exit 2

@@ -17,7 +17,8 @@ from .seeding import derive_rng
 KERNELS = (7, 5, 3, 3)
 CHANNELS = (16, 32, 64, 128)
 INPUT_SIZE = 70
-FLAT_SIZE = 4 * 4 * 128  # spatial sizes after pools: 35, 17, 8, 4
+POOLED_SIDE = INPUT_SIZE >> len(KERNELS)  # each pool floors the side: 35, 17, 8, 4
+FLAT_SIZE = POOLED_SIDE * POOLED_SIDE * CHANNELS[-1]
 TRAIN_BATCH = 16
 EXTRACT_BATCH = 16
 
@@ -186,7 +187,7 @@ def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
     dflat = dfeats @ model.params["dense_w"].T
     if cache["drop_mask"] is not None:
         dflat = dflat * cache["drop_mask"]
-    da = dflat.reshape(n, CHANNELS[-1], 4, 4).transpose(1, 0, 2, 3)
+    da = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE).transpose(1, 0, 2, 3)
     for i in reversed(range(len(KERNELS))):
         a_shape, cols, idx, relu = cache["layers"][i]
         z_shape = (CHANNELS[i], *a_shape[1:])

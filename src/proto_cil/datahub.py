@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .cnn import INPUT_SIZE
 from .pgm import read_pgm, write_pgm
 from .seeding import derive_rng
 
 CROP_SIZE = 32
-NET_INPUT_SIZE = 70
 
 
 class DataError(ValueError):
@@ -282,7 +282,7 @@ def augment_array(px: np.ndarray, mode: str, seed: int) -> np.ndarray:
         raise DataError(f"image {h}x{w} smaller than {CROP_SIZE}x{CROP_SIZE} crop")
     top, left = (h - CROP_SIZE) // 2, (w - CROP_SIZE) // 2
     px = px[top : top + CROP_SIZE, left : left + CROP_SIZE]
-    px = bilinear_resize(px, NET_INPUT_SIZE, NET_INPUT_SIZE)
+    px = bilinear_resize(px, INPUT_SIZE, INPUT_SIZE)
     if mode == "cnn_train" and derive_rng(seed, "augment").random() < 0.5:
         px = px[:, ::-1]
     return np.ascontiguousarray(px)

@@ -265,7 +265,7 @@ def prepare_images(samples, mode, seed, rpca_model=None) -> np.ndarray:
     for i, im in enumerate(samples):
         px = im.pixels
         if rpca_model is not None:
-            px = rpca_mod.rpca_apply(rpca_model, px.ravel()).sparse.reshape(px.shape)
+            px = rpca_mod.rpca_apply(rpca_model, px.ravel()).reshape(px.shape)
         out.append(augment_array(px, mode, derive_seed(seed, "augment", i)))
     return np.stack(out)
 
@@ -373,13 +373,24 @@ def _check_sweep_rows(config: RunConfig, seq, csv) -> None:
                               f"needs >= {MIN_SWEEP_ROWS}")
 
 
+def _check_projection_size(config: RunConfig, base, csv) -> None:
+    """Every branch's frozen (d, projection_dim) float64 matrix must fit in memory."""
+    dims = [config.cnn_train.get("d_cnn", 256)] if config.cnn_branch else []
+    if config.ingested_branch:
+        dims.append(base.train[0].pixels.size if csv is None else csv["train"].dim)
+    need = 8 * sum(dims) * config.projection_dim
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"projection_dim {config.projection_dim} needs {need / 2**30:.1f} GiB "
+                          f"of projection weights; this machine has {have / 2**30:.1f} GiB")
+
+
 def run_scenario(config: RunConfig) -> MetricsReport:
     """Execute the configured CIL run. Any stage failure raises StageFailure;
     metrics for completed tasks are flushed to the output directory first."""
     stage = "setup"
-    accs, baccs, sizes = [], [], []
-    lambdas = {}
-    clocks = []
+    accs, baccs, sizes, clocks = [], [], [], []
+    lambdas, failure = {}, None
     try:
         dataset = _resolve_dataset(config)
         order = config.class_order or list(dataset.classes)
@@ -393,6 +404,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             _check_cnn_inputs(seq)
         csv = _ingest_csv(config)
         _check_sweep_rows(config, seq, csv)
+        _check_projection_size(config, base, csv)
 
         branches = []
         if config.cnn_branch:
@@ -442,22 +454,20 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             sizes.append(len(true_labels))
             clocks.append(time.perf_counter() - t0)
     except Exception as exc:
-        if accs and config.output_dir:
-            partial = MetricsReport(task_accuracies=accs, balanced_accuracies=baccs,
-                                    eval_sizes=sizes, lambdas=lambdas,
-                                    config_fingerprint=config.fingerprint(),
-                                    wall_clock=clocks)
-            try:
-                report(partial, config.output_dir, config, partial_after_stage=stage)
-            except OSError:
-                pass
-        raise StageFailure(stage, exc) from exc
+        failure = exc
 
     metrics = MetricsReport(task_accuracies=accs, balanced_accuracies=baccs,
                             eval_sizes=sizes, lambdas=lambdas,
                             config_fingerprint=config.fingerprint(), wall_clock=clocks)
-    if config.output_dir:
-        report(metrics, config.output_dir, config)
+    if config.output_dir and (failure is None or accs):
+        try:
+            report(metrics, config.output_dir, config,
+                   partial_after_stage=None if failure is None else stage)
+        except OSError:
+            if failure is None:
+                raise  # a partial report is best effort; the stage failure wins
+    if failure is not None:
+        raise StageFailure(stage, failure) from failure
     return metrics
 
 

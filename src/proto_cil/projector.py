@@ -56,8 +56,7 @@ class PrototypeState:
     Vt: np.ndarray = None         # (r, M) orthonormal rows, G = Vt^T diag(s^2) Vt; read-only
     C: np.ndarray = None          # (M, K)
     registry: list = field(default_factory=list)
-    P: np.ndarray = None          # (M, K)
-    stale: bool = True
+    P: np.ndarray = None          # (M, K); None until solved after the last accumulate
 
     def __post_init__(self):
         if self.s is None:
@@ -65,20 +64,10 @@ class PrototypeState:
         if self.C is None:
             self.C = np.zeros((self.M, 0))
 
-    @property
-    def R(self) -> np.ndarray:  # (r, M) with G = R^T R
-        return self.s[:, None] * self.Vt
-
-    @property
-    def G(self) -> np.ndarray:
-        R = self.R
-        return R.T @ R
-
     def snapshot(self) -> "PrototypeState":
-        """A copy that shares the read-only (s, Vt); `accumulate` replaces them."""
+        """An unsolved copy sharing the read-only (s, Vt); `accumulate` replaces them."""
         return PrototypeState(M=self.M, s=self.s, Vt=self.Vt, C=self.C.copy(),
-                              registry=list(self.registry),
-                              P=None if self.P is None else self.P.copy(), stale=self.stale)
+                              registry=list(self.registry))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -113,14 +102,14 @@ def _one_hot_sums(H, labels, registry):
 
 
 def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
-    """(s, Vt) <- SVD of [R; H] by eigh of its kernel, so that G gains sum h h^T;
-    C[:, class] += h; new classes grow zero columns first. Keeps at most M
-    eigenvalues, those above w_max * max(X.shape) * eps (eigh's accuracy)."""
+    """(s, Vt) <- SVD of [diag(s) Vt; H] by eigh of its kernel, so G gains sum h h^T;
+    C[:, class] += h, new classes growing zero columns first; P <- None. Keeps at
+    most M eigenvalues, those above w_max * max(X.shape) * eps (eigh's accuracy)."""
     if H.rows.shape[0] == 0:
         return state
     if H.dim != state.M:
         raise ProjectorError(f"projected dimension {H.dim} != state dimension {state.M}")
-    X = np.vstack((state.R, H.rows))
+    X = np.vstack((state.s[:, None] * state.Vt, H.rows))
     try:
         w, U = eigh(X @ X.T)
     except LinAlgError as exc:
@@ -136,7 +125,7 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
         grown[:, :before] = state.C
         state.C = grown
     state.C += sums
-    state.stale = True
+    state.P = None
     return state
 
 
@@ -149,12 +138,12 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     P = Vt.T @ ((Vt @ state.C) / (s * s + lam)[:, None])
     if not np.isfinite(P).all():
         raise ProjectorError("prototype solve produced non-finite entries")
-    state.P, state.stale = P, False
+    state.P = P
     return P
 
 
 def score(state: PrototypeState, H_test: FeatureMatrix) -> ScoreMatrix:
-    if state.stale or state.P is None:
+    if state.P is None:
         raise StalePrototypes("prototypes are stale; call solve_prototypes first")
     if H_test.dim != state.M:
         raise ProjectorError(f"projected dimension {H_test.dim} != state dimension {state.M}")

@@ -48,13 +48,6 @@ class RpcaModel:
             raise RpcaError("model weights must be finite")
 
 
-@dataclass(frozen=True)
-class DecomposedImage:
-    original: np.ndarray   # X
-    low_rank: np.ndarray   # L = A B x
-    sparse: np.ndarray     # X' = X - L, exactly additive
-
-
 def bilinear_loss_and_grad(A, B, batch):
     """Smoothed-L1 reconstruction loss sum_i |x_i - A B x_i| and its gradients.
 
@@ -120,21 +113,20 @@ def rpca_train(images, r: int, epochs: int = 200, lr: float = 0.5,
     return RpcaModel(A=A, B=B, rank=r, m=m, epoch_losses=losses)
 
 
-def rpca_apply(model: RpcaModel, image) -> DecomposedImage:
-    """Decompose one flattened image: L = A B x, sparse X' = x - L."""
+def rpca_apply(model: RpcaModel, image) -> np.ndarray:
+    """The filtered (sparse) part x - A B x of one flattened image."""
     x = np.asarray(image, dtype=np.float64).ravel()
     if x.size != model.m:
         raise RpcaError(f"image length {x.size} != model window length {model.m}")
-    low = model.A @ (model.B @ x)
-    return DecomposedImage(original=x, low_rank=low, sparse=x - low)
+    return x - model.A @ (model.B @ x)
 
 
-def export_sparse_pgm(decomp: DecomposedImage, side: int, path) -> dict:
-    """Write the sparse component as a PGM after affine rescale to [0,1];
+def export_sparse_pgm(sparse: np.ndarray, side: int, path) -> dict:
+    """Write a sparse component as a PGM after affine rescale to [0,1];
     the scale is recorded in a JSON sidecar so the raw values are recoverable."""
     from .pgm import write_pgm
 
-    sp = decomp.sparse.reshape(side, side)
+    sp = sparse.reshape(side, side)
     lo, hi = float(sp.min()), float(sp.max())
     scale = hi - lo if hi > lo else 1.0
     write_pgm(path, (sp - lo) / scale)

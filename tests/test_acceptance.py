@@ -18,9 +18,10 @@ from proto_cil.features import FeatureMatrix, softmax
 from proto_cil.fusion import late_fuse
 from proto_cil.harness import RunConfig, avg_acc, perf_drop, run_scenario
 from proto_cil.projector import PrototypeState, ScoreMatrix, accumulate, solve_prototypes
-from proto_cil.rpca import RpcaModel, rpca_apply, rpca_train
+from proto_cil.rpca import RpcaModel, rpca_train
 from proto_cil.ssf import SsfAdapter
 
+from factor_views import gram
 from gradcheck import grad_check
 from pcp_oracle import pcp_oracle
 
@@ -75,9 +76,9 @@ def test_criterion_2_incremental_equals_batch():
                 if hi > lo:
                     accumulate(inc, FeatureMatrix(rows=H[lo:hi], labels=labels[lo:hi]))
             order = [inc.registry.index(c) for c in whole.registry]
-            gs = np.linalg.norm(whole.G)
+            gs = np.linalg.norm(gram(whole))
             cs = max(np.linalg.norm(whole.C), 1.0)
-            assert np.linalg.norm(inc.G - whole.G) <= 1e-12 * gs
+            assert np.linalg.norm(gram(inc) - gram(whole)) <= 1e-12 * gs
             assert np.linalg.norm(inc.C[:, order] - whole.C) <= 1e-12 * cs
             lam = 10.0 ** int(rng.integers(-2, 3))
             P1 = solve_prototypes(whole, lam)
@@ -97,7 +98,7 @@ def test_criterion_3_ridge_oracle():
                             FeatureMatrix(rows=H, labels=labels))
             lam = 10.0 ** float(rng.uniform(-4, 2))
             P = solve_prototypes(st, lam)
-            oracle = np.linalg.inv(st.G + lam * np.eye(m)) @ st.C
+            oracle = np.linalg.inv(gram(st) + lam * np.eye(m)) @ st.C
             assert np.linalg.norm(P - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
 
 
@@ -136,7 +137,7 @@ def test_criterion_5_rpca_recovery():
 
         model = rpca_train(X, r=2, epochs=300, seed=0)
         assert model.epoch_losses[-1] <= 0.5 * model.epoch_losses[0]
-        lows = np.stack([rpca_apply(model, x).low_rank for x in X])
+        lows = np.stack([model.A @ (model.B @ x) for x in X])
         sv = np.linalg.svd(lows, compute_uv=False)
         assert sv[2] <= 1e-8 * sv[0]
 

@@ -425,6 +425,41 @@ def test_run_cnn_on_small_images_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--out", "report"),
+                                         ("--portion", "0.5")])
+def test_run_non_object_config_with_flag_is_usage_error(tmp_path, capsys, flag, value):
+    p = tmp_path / "cfg.json"
+    p.write_text("[]")
+    value = str(tmp_path / value) if flag == "--out" else value
+    assert main(["run", "--config", str(p), flag, value]) == 1
+    assert "the config must be an object, got []" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("num_classes, branches", [
+    (4, {"schedule": [2, 1, 1]}),
+    (10, {"cnn_branch": True, "fusion": None, "rpca": {"enabled": True}}),
+], ids=["ingested", "cnn-rpca-ingested"])
+def test_run_projection_dim_beyond_memory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                         num_classes, branches):
+    import proto_cil.cnn as cnn_mod
+    import proto_cil.rpca as rpca_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before the config was rejected")
+
+    monkeypatch.setattr(rpca_mod, "rpca_train", no_training)
+    monkeypatch.setattr(cnn_mod, "cnn_train", no_training)
+    synth = {"kind": "blobs", "num_classes": num_classes,
+             "per_class_train": 20, "per_class_test": 10, "image_size": 32}
+    # 8 bytes * (256 + 1024) * 1e11 is far above any machine's memory
+    assert run_with(tmp_path, dataset={"synth": synth}, projection_dim=10**11,
+                    **branches) == 1
+    err = capsys.readouterr().err
+    assert "'setup'" in err and "projection_dim 100000000000 needs" in err
+    assert not (tmp_path / "report").exists()
+
+
 def test_fusion_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(CONFIG_PATH), "--fusion", "late"])

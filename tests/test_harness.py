@@ -512,6 +512,41 @@ def test_partial_report_flushed_on_late_failure(tmp_path, monkeypatch):
     assert len(body["task_accuracies"]) == 2
 
 
+def test_partial_report_write_error_keeps_the_stage_failure(tmp_path, monkeypatch):
+    import proto_cil.harness as harness
+
+    real = harness.select_lambda
+    calls = {"n": 0}
+
+    def failing(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] >= 2:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    def unwritable(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "select_lambda", failing)
+    monkeypatch.setattr(harness, "report", unwritable)
+    with pytest.raises(StageFailure, match="task1") as exc:
+        run_scenario(blob_config(output_dir=str(tmp_path),
+                                 synth={"per_class_train": 10, "per_class_test": 5}))
+    assert isinstance(exc.value.cause, RuntimeError)
+
+
+def test_final_report_write_error_is_raised(tmp_path, monkeypatch):
+    import proto_cil.harness as harness
+
+    def unwritable(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "report", unwritable)
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(blob_config(output_dir=str(tmp_path),
+                                 synth={"per_class_train": 10, "per_class_test": 5}))
+
+
 # ---------------------------------------------------------------------------
 # golden outputs
 

@@ -1,12 +1,22 @@
-"""Layout guard: every module-level function and class in `src/proto_cil` has
-a reader in the program itself (`src/` or `perfbench/`), so code that only
-tests use does not linger in the package."""
+"""Layout guard: every module-level function and class in `src/proto_cil`, and
+every method, property and field of those classes, has a reader in the
+program itself (`src/` or `perfbench/`), so code that only tests use does not
+linger in the package."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "proto_cil"
+
+# class members kept without a reader in the program, with the reason
+MEMBER_EXEMPTIONS = {
+    # the denoiser's per-epoch training curve: acceptance criterion 5 checks that
+    # it falls, and the run diagnostics of ROADMAP item 5 are to report it
+    "rpca.RpcaModel.epoch_losses",
+}
 
 
 def _names(node) -> set:
@@ -24,12 +34,50 @@ def _names(node) -> set:
     return out
 
 
+def _reads(node) -> Counter:
+    """Attribute loads (`x.name`) and string constants under `node`, counted."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out[sub.value] += 1  # getattr(x, "name"), vars(x)[...], rule tables
+    return out
+
+
+def _program():
+    """(path, parsed module) of every file in `src/` and `perfbench/`."""
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def _package_classes(program):
+    """(path, class statement) of every top-level class in `src/proto_cil`."""
+    for path, tree in program:
+        if path.parent == PACKAGE and path.name != "__init__.py":
+            for stmt in tree.body:
+                if isinstance(stmt, ast.ClassDef):
+                    yield path, stmt
+
+
+def _members(cls: ast.ClassDef):
+    """(name, statement) of each method, property and field a class body defines."""
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id, stmt
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, stmt
+
+
 def unreferenced_definitions() -> list:
     """`module.name` of each definition named only inside its own body."""
-    readers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     statements = []  # (path, top-level statement, names it uses)
-    for path in readers:
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+    for path, tree in _program():
+        for stmt in tree.body:
             statements.append((path, stmt, _names(stmt)))
     unused = []
     for path, stmt, _ in statements:
@@ -42,5 +90,37 @@ def unreferenced_definitions() -> list:
     return unused
 
 
+def unread_members() -> list:
+    """`module.Class.member` of each class member that no code outside its own
+    body reads. Dunders (Python calls them) and overrides of a base-class
+    member (the base's caller reads them) are not checked."""
+    program = _program()
+    reads = Counter()
+    for _, tree in program:
+        reads.update(_reads(tree))
+    unread = []
+    for path, cls in _package_classes(program):
+        bases = importlib.import_module(f"proto_cil.{path.stem}").__dict__[cls.name].__mro__[1:]
+        for name, stmt in _members(cls):
+            qualified = f"{path.stem}.{cls.name}.{name}"
+            if (name.startswith("__") and name.endswith("__")) or qualified in MEMBER_EXEMPTIONS:
+                continue
+            if any(hasattr(base, name) for base in bases):
+                continue
+            if reads[name] <= _reads(stmt)[name]:
+                unread.append(qualified)
+    return unread
+
+
 def test_every_definition_has_a_reader_outside_tests():
     assert unreferenced_definitions() == []
+
+
+def test_every_class_member_has_a_reader_outside_tests():
+    assert unread_members() == []
+
+
+def test_member_exemptions_name_existing_members():
+    members = {f"{path.stem}.{cls.name}.{name}"
+               for path, cls in _package_classes(_program()) for name, _ in _members(cls)}
+    assert MEMBER_EXEMPTIONS <= members

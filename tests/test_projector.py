@@ -13,6 +13,8 @@ from proto_cil.projector import (DEFAULT_LAMBDA_GRID, ProjectorError, PrototypeS
                                  score, select_lambda, solve_prototypes)
 from proto_cil.seeding import derive_rng
 
+from factor_views import gram, root
+
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
 
 
@@ -76,7 +78,7 @@ def test_init_projection_validates():
 def test_accumulate_matches_batch_formulas():
     H = random_fm(20, 6, seed=2)
     st = accumulate(PrototypeState(M=6), H)
-    assert np.allclose(st.G, H.rows.T @ H.rows)
+    assert np.allclose(gram(st), H.rows.T @ H.rows)
     for j, c in enumerate(st.registry):
         rows = H.rows[[i for i, l in enumerate(H.labels) if l == c]]
         assert np.allclose(st.C[:, j], rows.sum(axis=0))
@@ -99,8 +101,8 @@ def test_incremental_equals_single_pass():
     inc = PrototypeState(M=8)
     for lo, hi in ((0, 13), (13, 30), (30, 50)):
         accumulate(inc, FeatureMatrix(rows=H.rows[lo:hi], labels=H.labels[lo:hi]))
-    scale = np.linalg.norm(whole.G)
-    assert np.linalg.norm(inc.G - whole.G) <= 1e-12 * scale
+    scale = np.linalg.norm(gram(whole))
+    assert np.linalg.norm(gram(inc) - gram(whole)) <= 1e-12 * scale
     assert np.linalg.norm(inc.C - whole.C) <= 1e-12 * max(np.linalg.norm(whole.C), 1.0)
     P1 = solve_prototypes(whole, 0.1)
     P2 = solve_prototypes(inc, 0.1)
@@ -114,25 +116,25 @@ def test_accumulation_order_independent():
     b = accumulate(PrototypeState(M=5),
                    FeatureMatrix(rows=H.rows[perm], labels=[H.labels[i] for i in perm]))
     order = [b.registry.index(c) for c in a.registry]
-    assert np.linalg.norm(a.G - b.G) <= 1e-12 * np.linalg.norm(a.G)
+    assert np.linalg.norm(gram(a) - gram(b)) <= 1e-12 * np.linalg.norm(gram(a))
     assert np.linalg.norm(a.C - b.C[:, order]) <= 1e-12 * max(np.linalg.norm(a.C), 1.0)
 
 
 def test_gram_symmetric_psd():
     st = accumulate(PrototypeState(M=7), random_fm(30, 7, seed=5))
-    assert np.allclose(st.G, st.G.T)
-    assert np.linalg.eigvalsh(st.G).min() >= -1e-10
+    assert np.allclose(gram(st), gram(st).T)
+    assert np.linalg.eigvalsh(gram(st)).min() >= -1e-10
 
 
 def test_factor_stays_thin_below_m_rows():
     M = 50
     st = accumulate(PrototypeState(M=M), random_fm(12, M, seed=6))
-    assert st.R.shape == (12, M)
+    assert root(st).shape == (12, M)
     solve_prototypes(st, 1.0)
     held = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
     assert all(a.shape != (M, M) for a in held)
     accumulate(st, random_fm(60, M, seed=7))
-    assert st.R.shape == (M, M)
+    assert root(st).shape == (M, M)
     assert st.s.size == M
 
 
@@ -158,10 +160,10 @@ def test_single_row_updates_match_one_batch():
     inc = PrototypeState(M=M)
     for i in range(150):
         accumulate(inc, FeatureMatrix(rows=H.rows[i:i + 1], labels=H.labels[i:i + 1]))
-    assert np.linalg.norm(inc.G - whole.G) <= 1e-12 * np.linalg.norm(whole.G)
+    assert np.linalg.norm(gram(inc) - gram(whole)) <= 1e-12 * np.linalg.norm(gram(whole))
     assert np.abs(inc.Vt @ inc.Vt.T - np.eye(inc.s.size)).max() <= 1e-12
     for lam in (1e-8, 1e-2, 1e3):
-        ref = np.linalg.pinv(whole.G + lam * np.eye(M)) @ whole.C
+        ref = np.linalg.pinv(gram(whole) + lam * np.eye(M)) @ whole.C
         assert np.linalg.norm(solve_prototypes(inc, lam) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -196,7 +198,7 @@ def test_solve_matches_dense_inverse_oracle():
         st = accumulate(PrototypeState(M=12), random_fm(30, 12, seed=seed))
         lam = float(10.0 ** (seed % 5 - 2))
         P = solve_prototypes(st, lam)
-        oracle = np.linalg.inv(st.G + lam * np.eye(12)) @ st.C
+        oracle = np.linalg.inv(gram(st) + lam * np.eye(12)) @ st.C
         assert np.linalg.norm(P - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
 
 
@@ -215,12 +217,12 @@ def test_solve_matches_dense_shift_cholesky():
     H = np.maximum(rng.normal(size=(150, 40)) @ rng.normal(size=(40, 300)), 0.0)
     st = accumulate(PrototypeState(M=300),
                     FeatureMatrix(rows=H, labels=[i % 4 for i in range(150)]))
-    R0, C0 = st.R.copy(), st.C.copy()
+    R0, C0 = root(st).copy(), st.C.copy()
     for lam in (1e-2, 10.0, 1e4):
-        dense = cho_solve(cho_factor(st.G + lam * np.eye(st.M), lower=True), st.C)
+        dense = cho_solve(cho_factor(gram(st) + lam * np.eye(st.M), lower=True), st.C)
         P = solve_prototypes(st, lam)
         assert np.linalg.norm(P - dense) <= 1e-8 * np.linalg.norm(dense)
-    assert np.array_equal(st.R, R0) and np.array_equal(st.C, C0)
+    assert np.array_equal(root(st), R0) and np.array_equal(st.C, C0)
 
 
 def test_solve_requires_positive_lambda():
@@ -263,7 +265,7 @@ def brute_force_lambda(state, task_H, grid, seed):
                                     labels=[task_H.labels[i] for i in fit_idx]))
     best, best_mse = None, np.inf
     for lam in sorted(float(g) for g in grid):
-        A = trial.G + lam * np.eye(trial.M)
+        A = gram(trial) + lam * np.eye(trial.M)
         P = np.linalg.solve(A, trial.C)
         idx = {c: j for j, c in enumerate(trial.registry)}
         T = np.zeros((len(val_idx), len(trial.registry)))
@@ -286,12 +288,13 @@ def test_select_lambda_matches_brute_force():
 def test_select_lambda_does_not_mutate_state():
     st = accumulate(PrototypeState(M=6), random_fm(12, 6, seed=0))
     solve_prototypes(st, 1.0)
-    R0, C0, reg0, s0, Vt0 = st.R.copy(), st.C.copy(), list(st.registry), st.s.copy(), st.Vt.copy()
+    R0, C0, reg0 = root(st).copy(), st.C.copy(), list(st.registry)
+    s0, Vt0 = st.s.copy(), st.Vt.copy()
     snap = st.snapshot()
     assert snap.s is st.s and snap.Vt is st.Vt
     assert not st.s.flags.writeable and not st.Vt.flags.writeable
     select_lambda(st, random_fm(10, 6, seed=1, classes=("x", "y")), seed=0)
-    assert np.array_equal(st.R, R0) and np.array_equal(st.C, C0)
+    assert np.array_equal(root(st), R0) and np.array_equal(st.C, C0)
     assert st.registry == reg0
     assert np.array_equal(st.s, s0) and np.array_equal(st.Vt, Vt0)
 
@@ -332,10 +335,10 @@ def rank_deficient_case():
 def test_select_lambda_skips_grid_below_rank_tolerance():
     prior, task = rank_deficient_case()
     full = accumulate(prior.snapshot(), task)
-    w_max = np.linalg.eigvalsh(full.G)[-1]
+    w_max = np.linalg.eigvalsh(gram(full))[-1]
     assert 1e8 < w_max < 1e9
     with pytest.raises(np.linalg.LinAlgError):
-        cho_factor(full.G + 1e-8 * np.eye(full.M))
+        cho_factor(gram(full) + 1e-8 * np.eye(full.M))
     lam = select_lambda(prior, task, seed=0)
     assert lam in DEFAULT_LAMBDA_GRID
     assert lam > full.M * np.finfo(float).eps * w_max
@@ -353,7 +356,7 @@ def test_rank_deficient_solve_matches_pseudoinverse():
     full = accumulate(prior.snapshot(), task)
     P = solve_prototypes(full, 1e-8)
     assert np.isfinite(P).all()
-    ref = np.linalg.pinv(full.G) @ full.C
+    ref = np.linalg.pinv(gram(full)) @ full.C
     assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
 
 

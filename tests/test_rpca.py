@@ -37,16 +37,15 @@ def rel_l1(model, X):
 def test_identity_map_gives_zero_sparse():
     model = RpcaModel(A=np.eye(4), B=np.eye(4), rank=4, m=4)
     x = np.arange(4.0)
-    d = rpca_apply(model, x)
-    assert np.allclose(d.low_rank, x)
-    assert np.allclose(d.sparse, 0.0)
+    assert np.allclose(model.A @ (model.B @ x), x)
+    assert np.allclose(rpca_apply(model, x), 0.0)
 
 
 def test_decomposition_additive_exactly():
     rng = np.random.default_rng(0)
     model = RpcaModel(A=rng.normal(size=(6, 2)), B=rng.normal(size=(2, 6)), rank=2, m=6)
-    d = rpca_apply(model, rng.random(6))
-    assert np.array_equal(d.sparse, d.original - d.low_rank)
+    x = rng.random(6)
+    assert np.array_equal(rpca_apply(model, x), x - model.A @ (model.B @ x))
 
 
 def test_zero_batch_loss_is_smoothing_floor():
@@ -93,7 +92,7 @@ def test_train_loss_decreases():
 def test_trained_low_rank_batch_has_bounded_rank():
     X = rank1_images(n=40, seed=1)
     model = rpca_train(X, r=2, epochs=100, seed=0)
-    lows = np.stack([rpca_apply(model, x).low_rank for x in X])
+    lows = np.stack([model.A @ (model.B @ x) for x in X])
     sv = np.linalg.svd(lows, compute_uv=False)
     assert sv[2] <= 1e-8 * sv[0]
 
@@ -103,10 +102,10 @@ def test_train_recovers_spike_in_sparse_component():
     model = rpca_train(X, r=1, epochs=1500, seed=0)
     x = X[0].copy()
     x[7] += 1.0
-    d = rpca_apply(model, x)
+    sparse = rpca_apply(model, x)
     # the injected spike should land almost entirely in the sparse part
-    clean_resid = rpca_apply(model, X[0]).sparse[7]
-    assert abs((d.sparse[7] - clean_resid) - 1.0) <= 0.1
+    clean_resid = rpca_apply(model, X[0])[7]
+    assert abs((sparse[7] - clean_resid) - 1.0) <= 0.1
 
 
 def test_train_subspace_matches_pcp_oracle():
@@ -150,18 +149,15 @@ def test_apply_rejects_wrong_length():
 def test_export_sparse_pgm_sidecar_roundtrip(tmp_path):
     import json
 
-    model = RpcaModel(A=np.eye(9), B=np.eye(9), rank=9, m=9)
-    d = rpca_apply(model, np.linspace(0, 1, 9))
-    d = type(d)(original=d.original, low_rank=np.zeros(9),
-                sparse=np.linspace(-1, 2, 9))
-    sidecar = export_sparse_pgm(d, 3, tmp_path / "s.pgm")
+    sparse = np.linspace(-1, 2, 9)
+    sidecar = export_sparse_pgm(sparse, 3, tmp_path / "s.pgm")
     from proto_cil.pgm import read_pgm
 
     back = read_pgm(tmp_path / "s.pgm")
     stored = json.loads((tmp_path / "s.pgm.json").read_text())
     assert stored == sidecar
     restored = back * sidecar["scale"] + sidecar["offset"]
-    assert np.abs(restored.ravel() - d.sparse).max() <= 0.5 * sidecar["scale"] / 255
+    assert np.abs(restored.ravel() - sparse).max() <= 0.5 * sidecar["scale"] / 255
 
 
 # ---------------------------------------------------------------------------
