@@ -16,7 +16,7 @@ from . import cnn as cnn_mod
 from . import rpca as rpca_mod
 from .datahub import DataError, load_dataset, save_dataset, synth_dataset
 from .features import softmax_cross_entropy, write_features
-from .harness import (ConfigError, RunConfig, StageFailure, check_key, load_report,
+from .harness import (DEFAULTS, ConfigError, RunConfig, StageFailure, check_key, load_report,
                       prepare_images, run_scenario)
 from .pgm import read_pgm
 
@@ -72,12 +72,13 @@ def _build_parser() -> _Parser:
                        help="train the convnet on a dataset's train split")
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True, help="checkpoint path")
-    s.add_argument("--epochs", type=int, default=30)
-    s.add_argument("--lr", type=float, default=0.01)
-    s.add_argument("--momentum", type=float, default=0.9)
-    s.add_argument("--weight-decay", type=float, default=0.0005)
-    s.add_argument("--d-cnn", type=int, default=256)
-    s.add_argument("--dropout", type=float, default=0.5)
+    s.set_defaults(**DEFAULTS["cnn_train"])  # the run config's cnn_train defaults
+    s.add_argument("--epochs", type=int)
+    s.add_argument("--lr", type=float)
+    s.add_argument("--momentum", type=float)
+    s.add_argument("--weight-decay", type=float)
+    s.add_argument("--d-cnn", type=int)
+    s.add_argument("--dropout", type=float)
     s.add_argument("--seed", type=int, default=0)
 
     s = sub.add_parser("extract",

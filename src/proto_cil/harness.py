@@ -3,7 +3,9 @@
 Base task: train the denoiser, the convnet, and the feature adapter (as
 enabled), then freeze everything. Every task: extract, project, accumulate,
 re-select the ridge parameter (unless frozen), solve prototypes, and evaluate
-over all seen classes.
+over all seen classes. Each test image is extracted and projected once, by the
+task that introduces its class; its projected row is kept for later tasks'
+scoring. No training row is kept.
 """
 
 import hashlib
@@ -85,6 +87,19 @@ RULES = {
                   "dropout": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
                   "momentum": _NON_NEGATIVE, "weight_decay": _NON_NEGATIVE},
 }
+
+# section -> key -> the value a run uses where the config leaves the key out
+DEFAULTS = {
+    "rpca": {"rank": 2, "epochs": 100, "lr": 0.01},
+    "ssf": {"epochs": 50, "lr": 0.1},
+    "cnn_train": {"d_cnn": 256, "dropout": 0.5, "epochs": 30, "lr": 0.01, "momentum": 0.9,
+                  "weight_decay": 0.0005},
+}
+
+
+def _section(config, name) -> dict:
+    """Config section `name` with DEFAULTS filling the keys it leaves out."""
+    return {**DEFAULTS[name], **getattr(config, name)}
 
 
 def check_key(path, value, name=None) -> None:
@@ -276,20 +291,21 @@ class _CnnBranch:
     def __init__(self, config: RunConfig, base_task):
         self.seed = config.seed
         self.rpca_model = None
-        hp = dict(config.cnn_train)
         if config.rpca.get("enabled"):
+            rpca = _section(config, "rpca")
             flat = np.stack([im.pixels.ravel() for im in base_task.train])
             self.rpca_model = rpca_mod.rpca_train(
-                flat, r=config.rpca.get("rank", 2), epochs=config.rpca.get("epochs", 100),
-                lr=config.rpca.get("lr", 0.01), seed=derive_seed(config.seed, "rpca"))
+                flat, r=rpca["rank"], epochs=rpca["epochs"], lr=rpca["lr"],
+                seed=derive_seed(config.seed, "rpca"))
         train_imgs = prepare_images(base_task.train, "cnn_train", self.seed, self.rpca_model)
         labels = [im.label for im in base_task.train]
-        model = cnn_mod.cnn_init(d_cnn=hp.get("d_cnn", 256), dropout=hp.get("dropout", 0.5),
+        hp = _section(config, "cnn_train")
+        model = cnn_mod.cnn_init(d_cnn=hp["d_cnn"], dropout=hp["dropout"],
                                  seed=derive_seed(config.seed, "cnn"),
                                  num_classes=len(set(labels)))
         self.model = cnn_mod.cnn_train(
-            model, train_imgs, labels, epochs=hp.get("epochs", 30), lr=hp.get("lr", 0.01),
-            momentum=hp.get("momentum", 0.9), weight_decay=hp.get("weight_decay", 0.0005),
+            model, train_imgs, labels, epochs=hp["epochs"], lr=hp["lr"],
+            momentum=hp["momentum"], weight_decay=hp["weight_decay"],
             seed=derive_seed(config.seed, "cnn", 1))
         self.dim = self.model.d_cnn
 
@@ -306,9 +322,9 @@ class _IngestedBranch:
         self.dim = base_task.train[0].pixels.size if csv is None else csv["train"].dim
         self.adapter = None
         if config.ssf.get("enabled"):
-            base = self.features(base_task.train, "train")
-            self.adapter = ssf_train(base, epochs=config.ssf.get("epochs", 50),
-                                     lr=config.ssf.get("lr", 0.1),
+            ssf = _section(config, "ssf")
+            self.adapter = ssf_train(self.features(base_task.train, "train"),
+                                     epochs=ssf["epochs"], lr=ssf["lr"],
                                      seed=derive_seed(config.seed, "ssf"))
 
     def features(self, samples, split) -> FeatureMatrix:
@@ -375,7 +391,7 @@ def _check_sweep_rows(config: RunConfig, seq, csv) -> None:
 
 def _check_projection_size(config: RunConfig, base, csv) -> None:
     """Every branch's frozen (d, projection_dim) float64 matrix must fit in memory."""
-    dims = [config.cnn_train.get("d_cnn", 256)] if config.cnn_branch else []
+    dims = [_section(config, "cnn_train")["d_cnn"]] if config.cnn_branch else []
     if config.ingested_branch:
         dims.append(base.train[0].pixels.size if csv is None else csv["train"].dim)
     need = 8 * sum(dims) * config.projection_dim
@@ -424,6 +440,11 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             states[br.name] = PrototypeState(M=config.projection_dim)
             lambdas[br.name] = []
 
+        # Frozen branches give each test image the same projected row in any
+        # batch, so each task projects only its own test images and scores
+        # them with the cached rows of earlier tasks, in eval_set order.
+        eval_all = seq.eval_set(len(seq.tasks) - 1)  # eval_set(t) is a prefix
+        evaluated, tested = 0, {}  # tested: branch name -> projected test rows
         for t, task in enumerate(seq.tasks):
             t0 = time.perf_counter()
             stage = f"task{t}-train"
@@ -440,14 +461,18 @@ def run_scenario(config: RunConfig) -> MetricsReport:
                 solve_prototypes(st, lam)
 
             stage = f"task{t}-eval"
-            eval_samples = seq.eval_set(t)
+            new = eval_all[evaluated : evaluated + len(task.test)]
+            evaluated += len(new)
             scores = []
-            true_labels = None
             for br in branches:
-                fm = br.features(eval_samples, "test")
-                true_labels = fm.labels
-                He = project(layers[br.name], fm)
+                He = project(layers[br.name], br.features(new, "test"))
+                if t:
+                    old = tested[br.name]
+                    He = FeatureMatrix(rows=np.concatenate((old.rows, He.rows)),
+                                       labels=old.labels + He.labels)
+                tested[br.name] = He
                 scores.append(score(states[br.name], He))
+            true_labels = He.labels
             pred_labels = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
             accs.append(accuracy(pred_labels, true_labels))
             baccs.append(balanced_accuracy(pred_labels, true_labels))

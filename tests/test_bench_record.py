@@ -47,3 +47,38 @@ def test_record_rejects_unmatched_or_traced_results(tmp_path, capsys, parent, ch
     assert bench_record.main(args) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "B.json").exists()
+
+
+def test_record_marks_the_workloads_the_benchmark_gates(tmp_path):
+    names, out = ("blobs-sweep", "mstar-stream"), tmp_path / "BENCH.json"
+    parents = [write(tmp_path, f"p-{n}.json", fake_result(n, 2.0, "a")) for n in names]
+    changes = [write(tmp_path, f"c-{n}.json", fake_result(n, 1.0, "a")) for n in names]
+    assert bench_record.main(["--parent", *parents, "--change", *changes,
+                              "--out", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["blobs-sweep"]["gated"] and not workloads["mstar-stream"]["gated"]
+
+
+PARENT_RUNS = [2.0, 2.2, 1.8, 2.1, 1.9, 2.0, 2.2, 1.8, 2.1, 1.9]  # interquartile range 0.2
+
+
+@pytest.mark.parametrize("change_runs, gain", [
+    ([1.0] * 9 + [3.0], True),                    # nine wins of ten, far below the parent
+    ([1.0] * 8 + [3.0, 3.0], False),              # eight wins are too few
+    ([p - 0.01 for p in PARENT_RUNS], False),     # every pair won, within the parent's spread
+])
+def test_pairs_count_wins_and_claim_a_gain_only_past_the_parent_spread(
+        tmp_path, change_runs, gain):
+    parent_runs = PARENT_RUNS
+    args = ["--parent", write(tmp_path, "p.json", fake_result("speckle-fusion", 2.0, "a")),
+            "--change", write(tmp_path, "c.json", fake_result("speckle-fusion", 1.0, "a")),
+            "--out", str(tmp_path / "BENCH.json")]
+    for i, (p, c) in enumerate(zip(parent_runs, change_runs)):
+        args += ["--pair", write(tmp_path, f"p{i}.json", fake_result("speckle-fusion", p, "a")),
+                 write(tmp_path, f"c{i}.json", fake_result("speckle-fusion", c, "a"))]
+    assert bench_record.main(args) == 0
+    pairs = json.loads((tmp_path / "BENCH.json").read_text())["pairs"]["speckle-fusion"]
+    run_s = pairs["metrics"]["run_s"]
+    assert pairs["pairs"] == 10 and run_s["parent"] == parent_runs
+    assert run_s["change_wins"] == sum(c < p for p, c in zip(parent_runs, change_runs))
+    assert run_s["gain"] is gain

@@ -195,6 +195,16 @@ def test_train_backbone_seeds_flips_from_seed(tmp_path, monkeypatch):
     assert calls == [("cnn_train", derive_seed(5, "augment", i)) for i in range(6)]
 
 
+def test_train_backbone_defaults_are_the_run_defaults(monkeypatch):
+    import proto_cil.cli as cli
+    from proto_cil.harness import DEFAULTS
+
+    seen = {}
+    monkeypatch.setattr(cli, "cmd_train_backbone", lambda args: seen.update(vars(args)) or 0)
+    assert main(["train-backbone", "--manifest", "m.csv", "--out", "cnn.bin"]) == 0
+    assert {key: seen[key] for key in DEFAULTS["cnn_train"]} == DEFAULTS["cnn_train"]
+
+
 def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
     from proto_cil.cnn import _forward_batch, load_cnn
     from proto_cil.datahub import load_dataset

@@ -248,6 +248,18 @@ def test_extract_shapes_and_batching(monkeypatch):
     assert np.allclose(whole.rows, small.rows)
 
 
+def test_extract_rows_do_not_depend_on_batch_composition():
+    """A test image's features are the same bits whatever else shares its call:
+    40 images alone equal the same images at offset 7 of a 60-image call, where
+    they fall into other EXTRACT_BATCH groups. The run's eval cache relies on it."""
+    imgs, labels = augmented_blobs(per_class=30)
+    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0)
+    whole = cnn_extract(model, imgs, labels)
+    part = cnn_extract(model, imgs[7:47], labels[7:47])
+    assert 7 % cnn.EXTRACT_BATCH and len(imgs) == 60
+    assert np.array_equal(part.rows, whole.rows[7:47])
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     imgs, labels = augmented_blobs(per_class=2)
     model = cnn_train(cnn_init(8, 0.25, seed=3, num_classes=2), imgs, labels, epochs=1)

@@ -200,6 +200,17 @@ def test_eval_set_is_union_of_seen_test_samples():
         assert len(seq.eval_set(t)) == 3 * len(seen)
 
 
+def test_eval_set_is_a_prefix_of_the_next():
+    """eval_set(t) is the head of eval_set(t + 1), the same objects in the same
+    order; the run scores cached rows of earlier tasks on that basis."""
+    ds = tiny_dataset(num_classes=5, train=2, test=3)
+    seq = make_scenario(ds, ScenarioSpec(schedule=[2, 1, 2], class_order=list(ds.classes)[::-1]))
+    for t in range(len(seq.tasks) - 1):
+        now, then = seq.eval_set(t), seq.eval_set(t + 1)
+        assert len(then) == len(now) + len(seq.tasks[t + 1].test)
+        assert all(a is b for a, b in zip(now, then))
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 

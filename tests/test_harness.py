@@ -584,6 +584,33 @@ def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, sha256):
     assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == sha256
 
 
+def test_each_image_is_extracted_and_projected_once(monkeypatch):
+    """Over a run, the CNN branch extracts every train and test image once, and
+    each branch projects exactly that many rows: later tasks score the cached
+    rows of earlier tasks' test images."""
+    import proto_cil.harness as harness
+
+    extracted, projected = [], {}
+    real_extract, real_project = harness.cnn_mod.cnn_extract, harness.project
+
+    def counting_extract(model, images, labels):
+        extracted.append(len(images))
+        return real_extract(model, images, labels)
+
+    def counting_project(layer, fm):
+        projected[id(layer)] = projected.get(id(layer), 0) + fm.rows.shape[0]
+        return real_project(layer, fm)
+
+    monkeypatch.setattr(harness.cnn_mod, "cnn_extract", counting_extract)
+    monkeypatch.setattr(harness, "project", counting_project)
+    metrics = run_scenario(RunConfig.from_dict(SMALL_FUSION))
+    synth = SMALL_FUSION["dataset"]["synth"]
+    images = synth["num_classes"] * (synth["per_class_train"] + synth["per_class_test"])
+    assert sum(extracted) == images
+    assert list(projected.values()) == [images, images]
+    assert metrics.eval_sizes == [10, 15, 20]
+
+
 SPECKLE_FUSION_RUN = """
 import sys
 sys.path.insert(0, "perfbench")

@@ -59,6 +59,15 @@ def test_project_relu_clamps_negatives():
     assert np.array_equal(H.rows, np.maximum(fm.rows @ layer.W, 0.0))
 
 
+def test_project_rows_do_not_depend_on_batch_composition():
+    """40 rows projected alone equal the same rows inside a 60-row call at
+    offset 7, bit for bit; the run's eval cache relies on it."""
+    layer = init_projection(1024, 1000, seed=2)
+    fm = random_fm(60, 1024, seed=5)
+    part = FeatureMatrix(rows=fm.rows[7:47], labels=fm.labels[7:47])
+    assert np.array_equal(project(layer, part).rows, project(layer, fm).rows[7:47])
+
+
 def test_project_dimension_mismatch():
     layer = init_projection(4, 16, seed=1)
     with pytest.raises(ProjectorError, match="dimension"):

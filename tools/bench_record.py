@@ -7,16 +7,26 @@ committed benchmark record.
 Each `result.json` is what `perfbench/run.py --trace 0` writes for one
 workload. Per workload the record keeps, for the parent and the change: the
 median and sample count of each end-to-end metric, the sample and failure
-counts, the environment stamp and the `metrics.json` sha256; and the
-change/parent ratio of each median.
+counts, the environment stamp and the `metrics.json` sha256; the
+change/parent ratio of each median; and whether `BENCHMARK.json` gates the
+workload.
+
+`--pair PARENT CHANGE`, repeated, adds runs made in alternating order (see
+the choosing-metrics rule for small sandboxes). Per workload and metric the
+record keeps each side's run medians and quartiles, the pairs the change won
+(ties count for neither side), and `gain`: the change won at least nine tenths
+of the pairs and its median run beats the parent's by more than the parent's
+interquartile range.
 """
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
-METRICS = ("setup_s", "run_s", "incr_task_s", "peak_rss_mb")
+METRICS = ("setup_s", "run_s", "incr_task_s", "peak_rss_mb")  # lower is better
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def summarize(result: dict) -> dict:
@@ -46,7 +56,35 @@ def load(paths) -> dict:
     return out
 
 
-def record(parent: dict, change: dict) -> dict:
+def pair_summary(pairs) -> dict:
+    """workload -> metric -> both sides' run medians, quartiles, wins and gain."""
+    by_workload = {}
+    for p, c in pairs:
+        if p["workload"] != c["workload"] or p["seed"] != c["seed"]:
+            raise ValueError(f"pair of {p['workload']} seed {p['seed']} and "
+                             f"{c['workload']} seed {c['seed']}")
+        by_workload.setdefault(p["workload"], []).append((p, c))
+    out = {}
+    for name, runs in sorted(by_workload.items()):
+        metrics = {}
+        for m in METRICS:
+            before = [p["end_to_end"][m]["median"] for p, _ in runs]
+            after = [c["end_to_end"][m]["median"] for _, c in runs]
+            q = {side: statistics.quantiles(v, n=4, method="inclusive")  # needs 2 pairs
+                 for side, v in (("parent", before), ("change", after))}
+            wins = sum(a < b for a, b in zip(after, before))
+            metrics[m] = {
+                "parent": before, "change": after,
+                "parent_quartiles": q["parent"], "change_quartiles": q["change"],
+                "change_wins": wins,
+                "gain": wins >= 0.9 * len(runs)
+                and q["parent"][1] - q["change"][1] > q["parent"][2] - q["parent"][0],
+            }
+        out[name] = {"seed": runs[0][0]["seed"], "pairs": len(runs), "metrics": metrics}
+    return out
+
+
+def record(parent: dict, change: dict, pairs=(), gated=()) -> dict:
     if parent.keys() != change.keys():
         raise ValueError(f"parent workloads {sorted(parent)} differ from change "
                          f"workloads {sorted(change)}")
@@ -64,22 +102,30 @@ def record(parent: dict, change: dict) -> dict:
             "change_over_parent": {m: after[m]["median"] / before[m]["median"]
                                    for m in METRICS if m in before and m in after},
             "metrics_identical": before["metrics_sha256"] == after["metrics_sha256"],
+            "gated": name in gated,
         }
-    return {"command": "python3 perfbench/run.py --workload <name> --seed <seed> "
-                       "--seconds <seconds> --trace 0",
-            "statistic": "median over samples; n is the sample count "
-                         "(incr_task_s pools tasks t >= 1 of every sample)",
-            "workloads": workloads}
+    out = {"command": "python3 perfbench/run.py --workload <name> --seed <seed> "
+                      "--seconds <seconds> --trace 0",
+           "statistic": "median over samples; n is the sample count "
+                        "(incr_task_s pools tasks t >= 1 of every sample)",
+           "workloads": workloads}
+    if pairs:
+        out["pairs"] = pair_summary(pairs)
+    return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", nargs="+", required=True, help="parent result.json files")
     ap.add_argument("--change", nargs="+", required=True, help="change result.json files")
+    ap.add_argument("--pair", nargs=2, action="append", default=[],
+                    metavar=("PARENT", "CHANGE"), help="one alternating pair of result.json")
     ap.add_argument("--out", required=True, help="record to write, e.g. BENCH_<n>.json")
     args = ap.parse_args(argv)
     try:
-        rec = record(load(args.parent), load(args.change))
+        pairs = [tuple(load([path]).popitem()[1] for path in pair) for pair in args.pair]
+        gated = {w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]}
+        rec = record(load(args.parent), load(args.change), pairs, gated)
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -87,6 +133,10 @@ def main(argv=None) -> int:
     for name, w in rec["workloads"].items():
         ratios = "  ".join(f"{m} x{r:.3f}" for m, r in w["change_over_parent"].items())
         print(f"{name}: {ratios}  metrics identical: {w['metrics_identical']}")
+    for name, w in rec.get("pairs", {}).items():
+        wins = "  ".join(f"{m} {v['change_wins']}/{w['pairs']} gain={v['gain']}"
+                         for m, v in w["metrics"].items())
+        print(f"{name} pairs: {wins}")
     return 0
 
 
