@@ -116,10 +116,12 @@ def _maxpool(x):
 
 def _maxpool_argmax(x):
     """Train-mode pooling; returns (out, idx) for backprop, idx being the
-    argmax over the four views: the first view that holds the max."""
+    uint8 argmax over the four views: the first view that holds the max."""
     out = _maxpool(x)
     v = _pool_views(x)
-    idx = np.where(v[0] == out, 0, np.where(v[1] == out, 1, np.where(v[2] == out, 2, 3)))
+    idx = np.full(out.shape, 3, dtype=np.uint8)
+    for q in (2, 1, 0):  # the earliest view written last wins a tie
+        idx[v[q] == out] = q
     return out, idx
 
 
@@ -189,10 +191,13 @@ def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
         dflat = dflat * cache["drop_mask"]
     da = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE).transpose(1, 0, 2, 3)
     for i in reversed(range(len(KERNELS))):
-        a_shape, cols, idx, relu = cache["layers"][i]
+        # take the layer off the cache and drop its columns once the weight
+        # gradient has used them, before the column gradient is allocated
+        a_shape, cols, idx, relu = cache["layers"].pop()
         z_shape = (CHANNELS[i], *a_shape[1:])
         dz = _maxpool_back(da * relu, idx, z_shape).reshape(CHANNELS[i], -1)
         grads[f"conv{i}_w"] = cols @ dz.T
+        del cols
         grads[f"conv{i}_b"] = dz.sum(axis=1)
         if i > 0:
             da = _col2im(model.params[f"conv{i}_w"] @ dz, a_shape, KERNELS[i])
