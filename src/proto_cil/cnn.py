@@ -20,6 +20,7 @@ INPUT_SIZE = 70
 POOLED_SIDE = INPUT_SIZE >> len(KERNELS)  # each pool floors the side: 35, 17, 8, 4
 FLAT_SIZE = POOLED_SIDE * POOLED_SIDE * CHANNELS[-1]
 TRAIN_BATCH = 16
+CONV_CHUNK = 4  # images per pass through the conv stack
 EXTRACT_BATCH = 16
 
 
@@ -78,7 +79,10 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
 # Inside the conv stack activations are (C, N, H, W): channel-major, so a
 # layer's im2col columns are (C*k*k, N*H*W), a conv is one GEMM whose
 # (F, N*H*W) output is already the next layer's input, and the weight
-# gradient is one GEMM too. Weight rows stay in (c, ki, kj) order.
+# gradient is one GEMM too. Weight rows stay in (c, ki, kj) order. The stack
+# runs N = CONV_CHUNK images at a time, forward and backward, so the largest
+# columns are the second conv's for one chunk: 400 x 4*35*35 float64
+# (15.7 MB). Weight gradients are summed over the chunks.
 
 def _im2col(x, k):
     """x: (C, N, H, W), zero-padded to keep H and W; returns (C*k*k, N*H*W)
@@ -108,21 +112,31 @@ def _pool_views(x):
     return [x[..., di : 2 * h2 : 2, dj : 2 * w2 : 2] for di in (0, 1) for dj in (0, 1)]
 
 
+def _pool_left_right(x):
+    """First pass of 2x2 floor pooling: the (left, right) column pairs."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    return x[..., : 2 * h2, 0 : 2 * w2 : 2], x[..., : 2 * h2, 1 : 2 * w2 : 2]
+
+
 def _maxpool(x):
-    """Eval-mode pooling: the max of the four views, with no indices kept."""
-    v = _pool_views(x)
-    return np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+    """Eval-mode pooling: the max of each column pair, then of each row pair,
+    with no indices kept."""
+    rows = np.maximum(*_pool_left_right(x))
+    return np.maximum(rows[..., 0::2, :], rows[..., 1::2, :])
 
 
 def _maxpool_argmax(x):
     """Train-mode pooling; returns (out, idx) for backprop, idx being the
-    uint8 argmax over the four views: the first view that holds the max."""
-    out = _maxpool(x)
-    v = _pool_views(x)
-    idx = np.full(out.shape, 3, dtype=np.uint8)
-    for q in (2, 1, 0):  # the earliest view written last wins a tie
-        idx[v[q] == out] = q
-    return out, idx
+    uint8 index 2*di + dj of the first view in (di, dj) order that holds the
+    max: the bottom row only if it beats the top, the right column likewise."""
+    left, right = _pool_left_right(x)
+    rows = np.maximum(left, right)
+    right_wins = right > left
+    top, bottom = rows[..., 0::2, :], rows[..., 1::2, :]
+    down = bottom > top
+    idx = 2 * down.astype(np.uint8)
+    idx += np.where(down, right_wins[..., 1::2, :], right_wins[..., 0::2, :])
+    return np.maximum(top, bottom), idx
 
 
 def _maxpool_back(dout, idx, shape):
@@ -140,26 +154,33 @@ def apply_dropout(x, p, rng):
 
 
 def _forward_batch(model, images, train_mode, rng, backprop=False):
-    """images: (N, 70, 70). Returns (features, logits, cache); the cache keeps
-    each layer's columns, pool indices and ReLU mask only for `backprop`."""
+    """images: (N, 70, 70). Returns (features, logits, cache). The conv stack
+    runs CONV_CHUNK images at a time; for `backprop` the cache keeps, per
+    chunk and layer, the layer input, pool indices and ReLU mask, and no
+    columns: backprop rebuilds them."""
     x = np.asarray(images, dtype=np.float64)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
         raise CnnError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
-    a = x[None]
-    cache = {"layers": []}
-    for i, k in enumerate(KERNELS):
-        cols = _im2col(a, k)
-        z = model.params[f"conv{i}_w"].T @ cols
-        z += model.params[f"conv{i}_b"][:, None]
-        z = z.reshape(-1, *a.shape[1:])
-        # ReLU after the pool: it is monotone, so this equals pooling the ReLU
+    cache = {"chunks": []}
+    flats = []
+    for start in range(0, len(x), CONV_CHUNK):
+        a = x[None, start : start + CONV_CHUNK]
+        layers = []
+        for i, k in enumerate(KERNELS):
+            z = model.params[f"conv{i}_w"].T @ _im2col(a, k)
+            z += model.params[f"conv{i}_b"][:, None]
+            z = z.reshape(-1, *a.shape[1:])
+            # ReLU after the pool: it is monotone, so this equals pooling the ReLU
+            if backprop:
+                pooled, idx = _maxpool_argmax(z)
+                layers.append((a, idx, pooled > 0))
+            else:
+                pooled = _maxpool(z)
+            a = np.maximum(pooled, 0.0)
         if backprop:
-            pooled, idx = _maxpool_argmax(z)
-            cache["layers"].append((a.shape, cols, idx, pooled > 0))
-        else:
-            pooled = _maxpool(z)
-        a = np.maximum(pooled, 0.0)
-    flat = a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)  # per sample (c, h, w)
+            cache["chunks"].append(layers)
+        flats.append(a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1))  # per sample (c, h, w)
+    flat = np.concatenate(flats)
     if train_mode and model.dropout > 0:
         if rng is None:
             raise CnnError("train-mode forward needs an rng for dropout")
@@ -189,18 +210,21 @@ def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
     dflat = dfeats @ model.params["dense_w"].T
     if cache["drop_mask"] is not None:
         dflat = dflat * cache["drop_mask"]
-    da = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE).transpose(1, 0, 2, 3)
-    for i in reversed(range(len(KERNELS))):
-        # take the layer off the cache and drop its columns once the weight
-        # gradient has used them, before the column gradient is allocated
-        a_shape, cols, idx, relu = cache["layers"].pop()
-        z_shape = (CHANNELS[i], *a_shape[1:])
-        dz = _maxpool_back(da * relu, idx, z_shape).reshape(CHANNELS[i], -1)
-        grads[f"conv{i}_w"] = cols @ dz.T
-        del cols
-        grads[f"conv{i}_b"] = dz.sum(axis=1)
-        if i > 0:
-            da = _col2im(model.params[f"conv{i}_w"] @ dz, a_shape, KERNELS[i])
+    dout = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE).transpose(1, 0, 2, 3)
+    for i in range(len(KERNELS)):
+        grads[f"conv{i}_w"] = np.zeros_like(model.params[f"conv{i}_w"])
+        grads[f"conv{i}_b"] = np.zeros_like(model.params[f"conv{i}_b"])
+    for c, layers in enumerate(cache["chunks"]):
+        da = dout[:, c * CONV_CHUNK : (c + 1) * CONV_CHUNK]
+        for i in reversed(range(len(KERNELS))):
+            a, idx, relu = layers[i]
+            z_shape = (CHANNELS[i], *a.shape[1:])
+            dz = _maxpool_back(da * relu, idx, z_shape).reshape(CHANNELS[i], -1)
+            # the columns live only for this chunk's weight gradient
+            grads[f"conv{i}_w"] += _im2col(a, KERNELS[i]) @ dz.T
+            grads[f"conv{i}_b"] += dz.sum(axis=1)
+            if i > 0:
+                da = _col2im(model.params[f"conv{i}_w"] @ dz, a.shape, KERNELS[i])
     return loss, grads
 
 

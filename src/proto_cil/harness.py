@@ -442,9 +442,10 @@ def run_scenario(config: RunConfig) -> MetricsReport:
 
         # Branches are frozen after the base task, so each task projects only
         # its own test images and scores them with the cached rows of earlier
-        # tasks, in eval_set order. Each task's slice is fixed by the sequence,
-        # so its rows are deterministic; they may differ in the last bits from
-        # the same images batched otherwise (a short last batch rounds apart).
+        # tasks, in eval_set order. Each task's slice is fixed by the sequence
+        # and cut into the same extract batches and conv chunks every run, so
+        # its rows are deterministic; they may differ in the last bits from the
+        # same images batched otherwise (a short last batch rounds apart).
         eval_all = seq.eval_set(len(seq.tasks) - 1)  # eval_set(t) is a prefix
         evaluated, tested = 0, {}  # tested: branch name -> projected test rows
         for t, task in enumerate(seq.tasks):

@@ -117,28 +117,60 @@ def test_eval_pooling_equals_argmax_pooling_bitwise():
     assert idx.dtype == np.uint8  # cached until backprop: one byte per pooled unit
 
 
+@pytest.mark.parametrize("side", [70, 35, 17, 8])
+def test_pooling_ties_pick_the_first_view(side):
+    """Values rounded to one decimal tie often inside a 2x2 window. Two-pass
+    pooling must give the bits and argmax of the max over the four views, the
+    first view in (di, dj) order winning a tie, and the reference's argmax."""
+    z = np.round(np.random.default_rng(side).standard_normal((3, 2, side, side)), 1)
+    win = np.stack(_pool_views(z))
+    argmax = win.argmax(axis=0)
+    assert (win == win.max(axis=0)).sum(axis=0).max() > 1  # the data has ties
+    out, idx = _maxpool_argmax(z)
+    four_view = np.maximum(np.maximum(win[0], win[1]), np.maximum(win[2], win[3]))
+    assert np.array_equal(_maxpool(z), four_view)
+    assert np.array_equal(out, four_view)
+    assert np.array_equal(idx, argmax)
+    _, ref_idx = cnn_reference.maxpool(z.transpose(1, 0, 2, 3))
+    assert np.array_equal(idx, ref_idx.transpose(1, 0, 2, 3))
+
+
 def test_eval_forward_keeps_no_layer_cache():
+    """Without backprop the cache holds no layer data; with it, one entry per
+    CONV_CHUNK images and layer: the layer input, pool argmax and ReLU mask,
+    and no im2col columns."""
     model = cnn_init(8, 0.5, seed=0)
-    imgs = np.random.default_rng(4).random((2, INPUT_SIZE, INPUT_SIZE))
+    n = cnn.CONV_CHUNK + 1
+    imgs = np.random.default_rng(4).random((n, INPUT_SIZE, INPUT_SIZE))
     _, _, cache = _forward_batch(model, imgs, False, None)
-    assert cache["layers"] == []
+    assert cache["chunks"] == []
     _, _, cache = _forward_batch(model, imgs, False, None, backprop=True)
-    assert len(cache["layers"]) == len(KERNELS)
+    assert [len(layers) for layers in cache["chunks"]] == [len(KERNELS)] * 2
+    for c, layers in enumerate(cache["chunks"]):
+        images = min(cnn.CONV_CHUNK, n - c * cnn.CONV_CHUNK)
+        in_ch, side = 1, INPUT_SIZE
+        for i, (a, idx, relu) in enumerate(layers):
+            assert a.shape == (in_ch, images, side, side)
+            assert idx.shape == relu.shape == (CHANNELS[i], images, side // 2, side // 2)
+            in_ch, side = CHANNELS[i], side // 2
 
 
 @pytest.mark.parametrize("train_mode", [True, False])
 def test_gradients_match_reference_layout(train_mode):
+    """Across the conv chunk edges: one image, one chunk, one chunk and one
+    image, and a full train batch."""
     model = cnn_init(16, 0.5, seed=2, num_classes=3)
-    rng = np.random.default_rng(5)
-    imgs, y = rng.random((5, INPUT_SIZE, INPUT_SIZE)), rng.integers(0, 3, 5)
-    loss, grads = cnn_loss_and_grad(model, imgs, y, train_mode, derive_rng(1, "cnn", 3))
-    ref_loss, ref_grads = cnn_reference.loss_and_grad(model, imgs, y, train_mode,
-                                                      derive_rng(1, "cnn", 3))
-    assert loss == pytest.approx(ref_loss, rel=1e-12)
-    assert grads.keys() == ref_grads.keys()
-    for name in grads:
-        assert grads[name].shape == ref_grads[name].shape
-        assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
+    for n in (1, cnn.CONV_CHUNK, cnn.CONV_CHUNK + 1, cnn.TRAIN_BATCH):
+        rng = np.random.default_rng(5)
+        imgs, y = rng.random((n, INPUT_SIZE, INPUT_SIZE)), rng.integers(0, 3, n)
+        loss, grads = cnn_loss_and_grad(model, imgs, y, train_mode, derive_rng(1, "cnn", 3))
+        ref_loss, ref_grads = cnn_reference.loss_and_grad(model, imgs, y, train_mode,
+                                                          derive_rng(1, "cnn", 3))
+        assert loss == pytest.approx(ref_loss, rel=1e-12), n
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert grads[name].shape == ref_grads[name].shape
+            assert max_rel(grads[name], ref_grads[name]) <= 1e-12, (n, name)
 
 
 def test_extract_matches_reference_forward():
@@ -173,28 +205,52 @@ def test_dropout_mask_scaling():
 # ---------------------------------------------------------------------------
 # gradients + training
 
-def test_train_step_releases_columns_during_backprop():
-    """The forward pass keeps every layer's im2col columns for backprop; each
-    must be released once its weight gradient is taken, before the column
-    gradient of the same shape is allocated. The traced peak of one 16-image
-    step is bounded by all columns plus half of the largest (layer 1's, 63 MB)
-    for activations, masks and gradients. Holding layer 1's columns and their
-    gradient together peaks near 190 MB and breaks the bound."""
-    n, in_ch, col_bytes = cnn.TRAIN_BATCH, 1, []
+def chunk_column_bytes():
+    """Bytes of each conv layer's im2col columns for one CONV_CHUNK of images."""
+    in_ch, col_bytes = 1, []
     for i, (k, out_ch) in enumerate(zip(KERNELS, CHANNELS)):
         side = INPUT_SIZE >> i
-        col_bytes.append(in_ch * k * k * n * side * side * 8)
+        col_bytes.append(in_ch * k * k * cnn.CONV_CHUNK * side * side * 8)
         in_ch = out_ch
-    bound = sum(col_bytes) + max(col_bytes) // 2
+    return col_bytes
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory_bound():
+    """Twice one chunk's columns for every layer, plus one chunk's columns of
+    the second conv (the largest, 15.7 MB) for activations and gradients:
+    70.1 MB. Columns built for a whole 16-image batch (over 100 MB) break it."""
+    col_bytes = chunk_column_bytes()
+    return 2 * sum(col_bytes) + max(col_bytes)
+
+
+def test_train_step_releases_columns_during_backprop():
+    """The forward pass caches no im2col columns: backprop rebuilds one
+    chunk's columns of one layer at a time and drops them after the weight
+    gradient, so no more than one chunk's columns and their gradient live."""
+    n, bound = cnn.TRAIN_BATCH, memory_bound()
     model = cnn_init(256, 0.5, seed=0)
     rng = np.random.default_rng(6)
     imgs = rng.random((n, INPUT_SIZE, INPUT_SIZE))
-    tracemalloc.start()
-    try:
-        cnn_loss_and_grad(model, imgs, np.arange(n) % 2, train_mode=True, rng=rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: cnn_loss_and_grad(model, imgs, np.arange(n) % 2,
+                                                 train_mode=True, rng=rng))
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
+
+
+def test_extract_builds_columns_one_chunk_at_a_time():
+    n, bound = cnn.EXTRACT_BATCH, memory_bound()
+    model = cnn_init(256, 0.5, seed=0)
+    model.frozen = True
+    imgs = np.random.default_rng(7).random((n, INPUT_SIZE, INPUT_SIZE))
+    peak = traced_peak(lambda: cnn_extract(model, imgs, ["a"] * n))
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
 
