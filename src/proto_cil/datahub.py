@@ -83,7 +83,6 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class Task:
-    index: int
     classes: tuple  # label space of this task
     train: tuple  # of LabeledImage, labels within self.classes
     test: tuple
@@ -233,7 +232,7 @@ def make_scenario(dataset: Dataset, spec: ScenarioSpec) -> TaskSequence:
 
     tasks = []
     cursor = 0
-    for t, width in enumerate(spec.schedule):
+    for width in spec.schedule:
         task_classes = tuple(spec.class_order[cursor : cursor + width])
         cursor += width
         train, test = [], []
@@ -243,7 +242,7 @@ def make_scenario(dataset: Dataset, spec: ScenarioSpec) -> TaskSequence:
             order = derive_rng(spec.seed, "scenario", spec.class_order.index(c)).permutation(len(pool))
             train.extend(pool[i] for i in sorted(order[:keep]))
             test.extend(test_pool[c])
-        tasks.append(Task(index=t, classes=task_classes, train=tuple(train), test=tuple(test)))
+        tasks.append(Task(classes=task_classes, train=tuple(train), test=tuple(test)))
     return TaskSequence(tasks=tuple(tasks))
 
 

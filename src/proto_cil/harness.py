@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +179,6 @@ class MetricsReport:
     eval_sizes: list
     lambdas: dict                # branch name -> per-task lambda
     config_fingerprint: str
-    wall_clock: list = None      # seconds per task; kept out of metrics.json
 
     @property
     def base_accuracy(self) -> float:
@@ -214,13 +213,6 @@ class MetricsReport:
             "lambdas": self.lambdas,
             "config_fingerprint": self.config_fingerprint,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict, wall_clock=None) -> "MetricsReport":
-        return cls(task_accuracies=d["task_accuracies"],
-                   balanced_accuracies=d["balanced_accuracies"],
-                   eval_sizes=d["eval_sizes"], lambdas=d["lambdas"],
-                   config_fingerprint=d["config_fingerprint"], wall_clock=wall_clock)
 
     def __eq__(self, other):
         return isinstance(other, MetricsReport) and self.to_dict() == other.to_dict()
@@ -268,9 +260,12 @@ def perf_drop(a0: float, a_t: float) -> float:
 # ---------------------------------------------------------------------------
 # branch feature pipelines
 #
-# A branch has a feature width `dim` and one method,
+# A branch has a `name`, a feature width `dim` and one method,
 # `features(samples, split) -> FeatureMatrix`, which turns `samples` of
-# `split` ("train" or "test") into feature rows.
+# `split` ("train" or "test") into feature rows. At projection init,
+# `run_scenario` gives each branch its frozen projection `layer`, its
+# prototype `state`, and `tested`, the projected rows of the test images
+# scored so far.
 
 def prepare_images(samples, mode, seed, rpca_model=None) -> np.ndarray:
     """Network inputs for `samples`: the RPCA sparse part when a model is given,
@@ -404,9 +399,9 @@ def _check_projection_size(config: RunConfig, base, csv) -> None:
 def run_scenario(config: RunConfig) -> MetricsReport:
     """Execute the configured CIL run. Any stage failure raises StageFailure;
     metrics for completed tasks are flushed to the output directory first."""
-    stage = "setup"
-    accs, baccs, sizes, clocks = [], [], [], []
-    lambdas, failure = {}, None
+    metrics = MetricsReport(task_accuracies=[], balanced_accuracies=[], eval_sizes=[],
+                            lambdas={}, config_fingerprint=config.fingerprint())
+    clocks, stage = [], "setup"  # clocks: seconds per task, for timings.json
     try:
         dataset = _resolve_dataset(config)
         order = config.class_order or list(dataset.classes)
@@ -432,13 +427,12 @@ def run_scenario(config: RunConfig) -> MetricsReport:
 
         stage = "projection-init"
         grid = config.lambda_grid or list(DEFAULT_LAMBDA_GRID)
-        layers, states = {}, {}
         for bi, br in enumerate(branches):
-            layers[br.name] = init_projection(
-                br.dim, config.projection_dim,
-                seed=derive_seed(config.seed, "projection_a", bi))
-            states[br.name] = PrototypeState(M=config.projection_dim)
-            lambdas[br.name] = []
+            br.layer = init_projection(br.dim, config.projection_dim,
+                                       seed=derive_seed(config.seed, "projection_a", bi))
+            br.state = PrototypeState(M=config.projection_dim)
+            br.tested = FeatureMatrix(rows=np.empty((0, config.projection_dim)), labels=[])
+            metrics.lambdas[br.name] = []
 
         # Branches are frozen after the base task, so each task projects only
         # its own test images and scores them with the cached rows of earlier
@@ -447,55 +441,45 @@ def run_scenario(config: RunConfig) -> MetricsReport:
         # its rows are deterministic; they may differ in the last bits from the
         # same images batched otherwise (a short last batch rounds apart).
         eval_all = seq.eval_set(len(seq.tasks) - 1)  # eval_set(t) is a prefix
-        evaluated, tested = 0, {}  # tested: branch name -> projected test rows
         for t, task in enumerate(seq.tasks):
             t0 = time.perf_counter()
             stage = f"task{t}-train"
             for br in branches:
-                H = project(layers[br.name], br.features(task.train, "train"))
-                st = states[br.name]
+                H = project(br.layer, br.features(task.train, "train"))
+                picks = metrics.lambdas[br.name]
                 if config.freeze_lambda and t > 0:
-                    lam = lambdas[br.name][0]
+                    lam = picks[0]
                 else:
-                    lam = select_lambda(st, H, grid=grid,
+                    lam = select_lambda(br.state, H, grid=grid,
                                         seed=derive_seed(config.seed, "lambda_split", t))
-                lambdas[br.name].append(lam)
-                accumulate(st, H)
-                solve_prototypes(st, lam)
+                picks.append(lam)
+                accumulate(br.state, H)
+                solve_prototypes(br.state, lam)
 
             stage = f"task{t}-eval"
-            new = eval_all[evaluated : evaluated + len(task.test)]
-            evaluated += len(new)
+            done = len(branches[0].tested.labels)
+            new = eval_all[done : done + len(task.test)]
             scores = []
             for br in branches:
-                He = project(layers[br.name], br.features(new, "test"))
-                if t:
-                    old = tested[br.name]
-                    He = FeatureMatrix(rows=np.concatenate((old.rows, He.rows)),
-                                       labels=old.labels + He.labels)
-                tested[br.name] = He
-                scores.append(score(states[br.name], He))
-            true_labels = He.labels
+                He = project(br.layer, br.features(new, "test"))
+                br.tested = FeatureMatrix(rows=np.concatenate((br.tested.rows, He.rows)),
+                                          labels=br.tested.labels + He.labels)
+                scores.append(score(br.state, br.tested))
+            true_labels = br.tested.labels
             pred_labels = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
-            accs.append(accuracy(pred_labels, true_labels))
-            baccs.append(balanced_accuracy(pred_labels, true_labels))
-            sizes.append(len(true_labels))
+            metrics.task_accuracies.append(accuracy(pred_labels, true_labels))
+            metrics.balanced_accuracies.append(balanced_accuracy(pred_labels, true_labels))
+            metrics.eval_sizes.append(len(true_labels))
             clocks.append(time.perf_counter() - t0)
     except Exception as exc:
-        failure = exc
-
-    metrics = MetricsReport(task_accuracies=accs, balanced_accuracies=baccs,
-                            eval_sizes=sizes, lambdas=lambdas,
-                            config_fingerprint=config.fingerprint(), wall_clock=clocks)
-    if config.output_dir and (failure is None or accs):
-        try:
-            report(metrics, config.output_dir, config,
-                   partial_after_stage=None if failure is None else stage)
-        except OSError:
-            if failure is None:
-                raise  # a partial report is best effort; the stage failure wins
-    if failure is not None:
-        raise StageFailure(stage, failure) from failure
+        if config.output_dir and metrics.task_accuracies:
+            try:
+                report(metrics, config.output_dir, config, clocks, partial_after_stage=stage)
+            except OSError:
+                pass  # a partial report is best effort; the stage failure wins
+        raise StageFailure(stage, exc) from exc
+    if config.output_dir:
+        report(metrics, config.output_dir, config, clocks)
     return metrics
 
 
@@ -515,11 +499,11 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def report(metrics: MetricsReport, out_dir, config: RunConfig = None,
-           partial_after_stage: str = None) -> None:
+           per_task_seconds: list = None, partial_after_stage: str = None) -> None:
     """Write metrics.json, accuracy_curve.csv, config.json (and timings.json).
 
     metrics.json is fully deterministic for a fixed config+seed; wall-clock
-    goes to timings.json so reruns stay byte-identical.
+    (`per_task_seconds`) goes to timings.json so reruns stay byte-identical.
     """
     out_dir = Path(out_dir)
     try:
@@ -536,18 +520,13 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig = None,
         if config is not None:
             _atomic_write(out_dir / "config.json",
                           json.dumps(asdict(config), sort_keys=True, indent=2) + "\n")
-        if metrics.wall_clock is not None:
+        if per_task_seconds is not None:
             _atomic_write(out_dir / "timings.json",
-                          json.dumps({"per_task_seconds": metrics.wall_clock}, indent=2) + "\n")
+                          json.dumps({"per_task_seconds": per_task_seconds}, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
 
 
 def load_report(out_dir) -> MetricsReport:
-    out_dir = Path(out_dir)
-    body = json.loads((out_dir / "metrics.json").read_text())
-    timings = None
-    tpath = out_dir / "timings.json"
-    if tpath.exists():
-        timings = json.loads(tpath.read_text())["per_task_seconds"]
-    return MetricsReport.from_dict(body, wall_clock=timings)
+    body = json.loads((Path(out_dir) / "metrics.json").read_text())
+    return MetricsReport(**{f.name: body[f.name] for f in fields(MetricsReport)})

@@ -10,6 +10,7 @@ import pytest
 
 from proto_cil.cli import main
 from proto_cil.features import ingest_features
+from proto_cil.harness import MetricsReport, report
 from proto_cil.pgm import read_pgm, write_pgm
 from proto_cil.seeding import derive_seed
 
@@ -507,6 +508,19 @@ def test_eval_unreadable_dir_is_runtime_error(tmp_path, capsys):
     rc = main(["eval", str(tmp_path / "missing")])
     assert rc == 2
     assert "cannot read report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timings", ["{}", "{broken"])
+def test_eval_reads_only_metrics_json(tmp_path, capsys, timings):
+    """`eval` prints from metrics.json; timings.json is not its input."""
+    d = tmp_path / "r"
+    report(MetricsReport(task_accuracies=[100.0, 75.0], balanced_accuracies=[100.0, 75.0],
+                         eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
+                         config_fingerprint="f" * 64), d)
+    (d / "timings.json").write_text(timings)
+    assert main(["eval", str(d)]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"\|\s+100\.00 \|\s+75\.00 \|\s+25\.00 \|\s+87\.50$", printed, re.M)
 
 
 def test_eval_corrupt_metrics_is_runtime_error(tmp_path, capsys):

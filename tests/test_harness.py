@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import os
 import re
 import subprocess
@@ -457,9 +458,9 @@ def test_report_files_and_roundtrip(tmp_path):
                                  synth={"per_class_train": 10, "per_class_test": 5}))
     for name in ("metrics.json", "accuracy_curve.csv", "config.json", "timings.json"):
         assert (tmp_path / name).exists()
-    back = load_report(tmp_path)
-    assert back == m
-    assert back.wall_clock is not None and len(back.wall_clock) == 5
+    assert load_report(tmp_path) == m
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert list(timings) == ["per_task_seconds"] and len(timings["per_task_seconds"]) == 5
     curve = (tmp_path / "accuracy_curve.csv").read_text().splitlines()
     assert curve[0] == "task,accuracy,perf_drop"
     assert len(curve) == 6
@@ -609,6 +610,38 @@ def test_each_image_is_extracted_and_projected_once(monkeypatch):
     assert sum(extracted) == images
     assert list(projected.values()) == [images, images]
     assert metrics.eval_sizes == [10, 15, 20]
+
+
+@pytest.mark.parametrize("config, target, fail_on_call, stage", [
+    (SMALL_FUSION, "cnn_mod.cnn_train", 1, "base-training(cnn)"),
+    ({**BUNDLED, "ssf": {"enabled": True}}, "ssf_train", 1, "base-training(ingested)"),
+    (BUNDLED, "init_projection", 1, "projection-init"),
+    (BUNDLED, "score", 2, "task1-eval"),
+])
+def test_stage_failure_names_its_stage(tmp_path, monkeypatch, config, target, fail_on_call,
+                                       stage):
+    """A failure carries the name of the stage it broke, as perfbench records
+    it; a report is written only once a task has completed, marked partial."""
+    import proto_cil.harness as harness
+
+    real, calls = operator.attrgetter(target)(harness), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_on_call:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(f"proto_cil.harness.{target}", failing)
+    with pytest.raises(StageFailure) as exc:
+        run_scenario(RunConfig.from_dict({**config, "output_dir": str(tmp_path)}))
+    assert exc.value.stage == stage
+    written = tmp_path / "metrics.json"
+    if stage == "task1-eval":
+        body = json.loads(written.read_text())
+        assert len(body["task_accuracies"]) == 1 and body["partial_after_stage"] == stage
+    else:
+        assert not written.exists()
 
 
 SPECKLE_FUSION_RUN = """

@@ -34,11 +34,15 @@ def _names(node) -> set:
     return out
 
 
-def _reads(node) -> Counter:
-    """Attribute loads (`x.name`) and string constants under `node`, counted."""
+def _reads(node, fields=False) -> Counter:
+    """Attribute loads (`x.name`) and string constants under `node`, counted.
+    With `fields`, the callee of a call is left out: `x.name(...)` calls a
+    method (`list.index`, say) and reads no field of that name."""
+    callees = {id(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) \
+                and not (fields and id(sub) in callees):
             out[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             out[sub.value] += 1  # getattr(x, "name"), vars(x)[...], rule tables
@@ -92,12 +96,14 @@ def unreferenced_definitions() -> list:
 
 def unread_members() -> list:
     """`module.Class.member` of each class member that no code outside its own
-    body reads. Dunders (Python calls them) and overrides of a base-class
-    member (the base's caller reads them) are not checked."""
+    body reads; a call reads a method, not a field. Dunders (Python calls
+    them) and overrides of a base-class member (the base's caller reads them)
+    are not checked."""
     program = _program()
-    reads = Counter()
+    reads = {False: Counter(), True: Counter()}  # keyed by "is a field"
     for _, tree in program:
-        reads.update(_reads(tree))
+        for is_field, counts in reads.items():
+            counts.update(_reads(tree, is_field))
     unread = []
     for path, cls in _package_classes(program):
         bases = importlib.import_module(f"proto_cil.{path.stem}").__dict__[cls.name].__mro__[1:]
@@ -107,7 +113,8 @@ def unread_members() -> list:
                 continue
             if any(hasattr(base, name) for base in bases):
                 continue
-            if reads[name] <= _reads(stmt)[name]:
+            is_field = not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if reads[is_field][name] <= _reads(stmt, is_field)[name]:
                 unread.append(qualified)
     return unread
 
