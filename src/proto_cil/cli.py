@@ -195,7 +195,7 @@ def cmd_eval(args) -> int:
     for d in args.dirs:
         try:
             reports.append((d, load_report(d)))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, ValueError, KeyError) as exc:  # ValueError: bad JSON too
             print(f"cannot read report {d}: {exc}", file=sys.stderr)
             return RUNTIME_EXIT
     width = max(len(str(d)) for d, _ in reports)

@@ -9,7 +9,7 @@ gradients can be verified against finite differences.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
@@ -20,7 +20,6 @@ INPUT_SIZE = 70
 POOLED_SIDE = INPUT_SIZE >> len(KERNELS)  # each pool floors the side: 35, 17, 8, 4
 FLAT_SIZE = POOLED_SIDE * POOLED_SIDE * CHANNELS[-1]
 TRAIN_BATCH = 16
-CONV_CHUNK = 4  # images per pass through the conv stack
 EXTRACT_BATCH = 16
 
 
@@ -76,34 +75,45 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
 # ---------------------------------------------------------------------------
 # layer primitives
 #
-# Inside the conv stack activations are (C, N, H, W): channel-major, so a
-# layer's im2col columns are (C*k*k, N*H*W), a conv is one GEMM whose
-# (F, N*H*W) output is already the next layer's input, and the weight
-# gradient is one GEMM too. Weight rows stay in (c, ki, kj) order. The stack
-# runs N = CONV_CHUNK images at a time, forward and backward, so the largest
-# columns are the second conv's for one chunk: 400 x 4*35*35 float64
-# (15.7 MB). Weight gradients are summed over the chunks.
+# The conv stack runs one image at a time. A layer's input is written into
+# the interior of a zeroed (C, h+2p+1, wp) buffer, wp = w+2p, one spare row
+# at the bottom. Flattened per channel, column row (c, ki, kj) is then the
+# single run of h*wp values from ki*wp + kj: im2col copies contiguous runs,
+# and the conv is one GEMM over h*wp positions, of which the last wp - w of
+# each row are junk (windows that wrap into the next row). They are sliced
+# off before pooling and get zero gradient, so they add exact zeros to the
+# weight gradient. Weight rows stay in (c, ki, kj) order. The largest columns
+# are the second conv's, 400 x 35*39 float64 (4.4 MB).
 
-def _im2col(x, k):
-    """x: (C, N, H, W), zero-padded to keep H and W; returns (C*k*k, N*H*W)
-    columns with rows in (c, ki, kj) order, copied once from a strided view."""
-    c, n, h, w = x.shape
+def _pad_buffer(c, side, k):
+    """A zeroed conv input buffer for a (c, side, side) input and kernel k,
+    and the view of its interior the input is written into."""
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    windows = sliding_window_view(xp, (h, w), axis=(2, 3))  # (C, N, k, k, H, W)
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(c * k * k, n * h * w)
+    buf = np.zeros((c, side + k, side + k - 1))
+    return buf, buf[:, p : p + side, p : p + side]
+
+
+def _im2col(xp, k):
+    """xp: a (C, h+k, wp) buffer from _pad_buffer; returns the (C*k*k, h*wp)
+    columns with rows in (c, ki, kj) order, row (c, ki, kj) copied from the
+    run of xp[c] that starts at ki*wp + kj."""
+    c, rows, wp = xp.shape
+    s0, s1, s2 = xp.strides
+    runs = as_strided(xp, (c, k, k, (rows - k) * wp), (s0, s1, s2, s2), writeable=False)
+    return runs.reshape(c * k * k, -1)
 
 
 def _col2im(dcols, shape, k):
-    """Adjoint of _im2col: add the column gradients back into (C, N, H, W)."""
-    c, n, h, w = shape
-    p = k // 2
-    dxp = np.zeros((c, n, h + 2 * p, w + 2 * p))
-    d6 = dcols.reshape(c, k, k, n, h, w)
+    """Adjoint of _im2col for a buffer of `shape`: add each column row back
+    onto its run and return the gradient of the buffer's interior."""
+    c, rows, wp = shape
+    p, n = k // 2, (rows - k) * wp
+    dxp = np.zeros((c, rows * wp))
+    runs = dcols.reshape(c, k, k, n)
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki : ki + h, kj : kj + w] += d6[:, ki, kj]
-    return dxp[:, :, p : p + h, p : p + w]
+            dxp[:, ki * wp + kj : ki * wp + kj + n] += runs[:, ki, kj]
+    return dxp.reshape(shape)[:, p : rows - p - 1, p : wp - p]
 
 
 def _pool_views(x):
@@ -139,11 +149,11 @@ def _maxpool_argmax(x):
     return np.maximum(top, bottom), idx
 
 
-def _maxpool_back(dout, idx, shape):
-    dx = np.zeros(shape)
+def _maxpool_back(dout, idx, dx):
+    """Write each pooled gradient into the window position idx names, in a
+    zeroed dx of the pooling input's shape."""
     for q, view in enumerate(_pool_views(dx)):
         view[...] = dout * (idx == q)
-    return dx
 
 
 def apply_dropout(x, p, rng):
@@ -155,32 +165,36 @@ def apply_dropout(x, p, rng):
 
 def _forward_batch(model, images, train_mode, rng, backprop=False):
     """images: (N, 70, 70). Returns (features, logits, cache). The conv stack
-    runs CONV_CHUNK images at a time; for `backprop` the cache keeps, per
-    chunk and layer, the layer input, pool indices and ReLU mask, and no
+    runs one image at a time; for `backprop` the cache keeps, per image and
+    layer, the padded layer input, pool indices and ReLU mask, and no
     columns: backprop rebuilds them."""
     x = np.asarray(images, dtype=np.float64)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
         raise CnnError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
-    cache = {"chunks": []}
-    flats = []
-    for start in range(0, len(x), CONV_CHUNK):
-        a = x[None, start : start + CONV_CHUNK]
+    cache = {"images": []}
+    flat = np.empty((len(x), FLAT_SIZE))
+    for n, image in enumerate(x):
+        xp, inner = _pad_buffer(1, INPUT_SIZE, KERNELS[0])
+        inner[0] = image
         layers = []
         for i, k in enumerate(KERNELS):
-            z = model.params[f"conv{i}_w"].T @ _im2col(a, k)
+            side = inner.shape[-1]
+            z = model.params[f"conv{i}_w"].T @ _im2col(xp, k)
             z += model.params[f"conv{i}_b"][:, None]
-            z = z.reshape(-1, *a.shape[1:])
+            z = z.reshape(CHANNELS[i], side, -1)[:, :, :side]  # drop the junk columns
             # ReLU after the pool: it is monotone, so this equals pooling the ReLU
             if backprop:
                 pooled, idx = _maxpool_argmax(z)
-                layers.append((a, idx, pooled > 0))
+                layers.append((xp, idx, pooled > 0))
             else:
                 pooled = _maxpool(z)
-            a = np.maximum(pooled, 0.0)
+            if i + 1 < len(KERNELS):
+                xp, inner = _pad_buffer(CHANNELS[i], side // 2, KERNELS[i + 1])
+            else:
+                inner = flat[n].reshape(pooled.shape)  # per sample (c, h, w)
+            np.maximum(pooled, 0.0, out=inner)
         if backprop:
-            cache["chunks"].append(layers)
-        flats.append(a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1))  # per sample (c, h, w)
-    flat = np.concatenate(flats)
+            cache["images"].append(layers)
     if train_mode and model.dropout > 0:
         if rng is None:
             raise CnnError("train-mode forward needs an rng for dropout")
@@ -210,21 +224,23 @@ def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
     dflat = dfeats @ model.params["dense_w"].T
     if cache["drop_mask"] is not None:
         dflat = dflat * cache["drop_mask"]
-    dout = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE).transpose(1, 0, 2, 3)
+    dout = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE)
     for i in range(len(KERNELS)):
         grads[f"conv{i}_w"] = np.zeros_like(model.params[f"conv{i}_w"])
         grads[f"conv{i}_b"] = np.zeros_like(model.params[f"conv{i}_b"])
-    for c, layers in enumerate(cache["chunks"]):
-        da = dout[:, c * CONV_CHUNK : (c + 1) * CONV_CHUNK]
+    for da, layers in zip(dout, cache["images"]):
         for i in reversed(range(len(KERNELS))):
-            a, idx, relu = layers[i]
-            z_shape = (CHANNELS[i], *a.shape[1:])
-            dz = _maxpool_back(da * relu, idx, z_shape).reshape(CHANNELS[i], -1)
-            # the columns live only for this chunk's weight gradient
-            grads[f"conv{i}_w"] += _im2col(a, KERNELS[i]) @ dz.T
+            xp, idx, relu = layers[i]
+            k = KERNELS[i]
+            side = xp.shape[1] - k
+            dz = np.zeros((CHANNELS[i], side, xp.shape[2]))  # junk columns stay 0
+            _maxpool_back(da * relu, idx, dz[:, :, :side])
+            dz = dz.reshape(CHANNELS[i], -1)
+            # the columns live only for this image's weight gradient
+            grads[f"conv{i}_w"] += _im2col(xp, k) @ dz.T
             grads[f"conv{i}_b"] += dz.sum(axis=1)
             if i > 0:
-                da = _col2im(model.params[f"conv{i}_w"] @ dz, a.shape, KERNELS[i])
+                da = _col2im(model.params[f"conv{i}_w"] @ dz, xp.shape, k)
     return loss, grads
 
 

@@ -437,9 +437,11 @@ def run_scenario(config: RunConfig) -> MetricsReport:
         # Branches are frozen after the base task, so each task projects only
         # its own test images and scores them with the cached rows of earlier
         # tasks, in eval_set order. Each task's slice is fixed by the sequence
-        # and cut into the same extract batches and conv chunks every run, so
-        # its rows are deterministic; they may differ in the last bits from the
-        # same images batched otherwise (a short last batch rounds apart).
+        # and cut into the same extract batches every run, so its rows are
+        # deterministic. A row's conv part does not depend on its batch (the
+        # conv stack runs one image at a time), but the dense GEMM's does: a
+        # row may differ in the last bits from the same image batched
+        # otherwise (a short last batch rounds apart).
         eval_all = seq.eval_set(len(seq.tasks) - 1)  # eval_set(t) is a prefix
         for t, task in enumerate(seq.tasks):
             t0 = time.perf_counter()
@@ -528,5 +530,10 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig = None,
 
 
 def load_report(out_dir) -> MetricsReport:
+    """The report in `out_dir`'s metrics.json; ValueError if the file holds
+    no object with a nonempty `task_accuracies` list."""
     body = json.loads((Path(out_dir) / "metrics.json").read_text())
+    if not (isinstance(body, dict) and isinstance(body.get("task_accuracies"), list)
+            and body["task_accuracies"]):
+        raise ValueError("metrics.json is not a report with a nonempty task_accuracies list")
     return MetricsReport(**{f.name: body[f.name] for f in fields(MetricsReport)})

@@ -1,6 +1,6 @@
 """The convnet's forward and backward pass in batch-major (N, C, H, W) layout,
 with a transposed im2col gather, einsum weight gradients and argmax pooling:
-the independent oracle the channel-major GEMM path in `proto_cil.cnn` is
+the independent oracle the padded-row GEMM path in `proto_cil.cnn` is
 checked against. Test code only."""
 
 import numpy as np
@@ -17,6 +17,17 @@ def im2col(x, k):
     win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N, C, H, W, k, k)
     n, c, h, w = x.shape
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h * w, c * k * k)
+
+
+def channel_major_im2col(x, k):
+    """x: (C, N, H, W), zero-padded to keep H and W; returns (C*k*k, N*H*W)
+    columns with rows in (c, ki, kj) order, copied from a sliding window view:
+    the columns the padded-row layout must reproduce at its valid positions."""
+    c, n, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    windows = sliding_window_view(xp, (h, w), axis=(2, 3))  # (C, N, k, k, H, W)
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(c * k * k, n * h * w)
 
 
 def col2im(dcols, shape, k):

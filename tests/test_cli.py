@@ -529,3 +529,16 @@ def test_eval_corrupt_metrics_is_runtime_error(tmp_path, capsys):
     (d / "metrics.json").write_text("{broken")
     rc = main(["eval", str(d)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("body", ["[]", '{"task_accuracies": []}'])
+def test_eval_non_report_metrics_is_runtime_error(tmp_path, capsys, body):
+    """A metrics.json that parses but holds no task is refused before any of
+    the table reaches stdout."""
+    d = tmp_path / "r"
+    d.mkdir()
+    (d / "metrics.json").write_text(body)
+    assert main(["eval", str(d)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"cannot read report {d}: metrics.json is not a report" in err

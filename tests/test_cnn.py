@@ -6,7 +6,7 @@ import pytest
 from proto_cil import cnn
 from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS, CnnDivergence, CnnError,
                            _col2im, _forward_batch, _im2col, _maxpool, _maxpool_argmax,
-                           _pool_views, apply_dropout, cnn_extract, cnn_init,
+                           _pad_buffer, _pool_views, apply_dropout, cnn_extract, cnn_init,
                            cnn_loss_and_grad, cnn_train, load_cnn, save_cnn)
 from proto_cil.datahub import augment_array, synth_dataset
 from proto_cil.features import softmax_cross_entropy
@@ -87,7 +87,7 @@ def test_eval_forward_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# layers in the channel-major (C, N, H, W) layout
+# layers in the padded-row layout
 
 def max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
@@ -95,13 +95,29 @@ def max_rel(a, b):
 
 @pytest.mark.parametrize("k", KERNELS)
 def test_im2col_and_col2im_are_adjoint(k):
+    """On a non-square input, so that a mix-up of rows and columns shows."""
     rng = np.random.default_rng(k)
-    x = rng.standard_normal((3, 2, 9, 8))
-    cols = _im2col(x, k)
-    assert cols.shape == (3 * k * k, 2 * 9 * 8)
+    x = rng.standard_normal((3, 9, 8))
+    xp = np.zeros((3, 9 + k, 8 + k - 1))
+    xp[:, k // 2 : k // 2 + 9, k // 2 : k // 2 + 8] = x
+    cols = _im2col(xp, k)
+    assert cols.shape == (3 * k * k, 9 * (8 + k - 1))
     y = rng.standard_normal(cols.shape)
-    lhs, rhs = np.vdot(cols, y), np.vdot(x, _col2im(y, x.shape, k))
+    lhs, rhs = np.vdot(cols, y), np.vdot(x, _col2im(y, xp.shape, k))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("side", [17, 35])
+@pytest.mark.parametrize("k", KERNELS)
+def test_im2col_valid_columns_match_sliding_window(k, side):
+    """Dropping each output row's junk columns leaves the sliding-window
+    columns bit for bit, at odd sides as the stack meets them."""
+    x = np.random.default_rng(side * k).standard_normal((3, side, side))
+    xp, inner = _pad_buffer(3, side, k)
+    inner[...] = x
+    cols = _im2col(xp, k).reshape(3 * k * k, side, side + k - 1)[:, :, :side]
+    ref = cnn_reference.channel_major_im2col(x[:, None], k)
+    assert np.array_equal(cols.reshape(ref.shape), ref)
 
 
 def test_eval_pooling_equals_argmax_pooling_bitwise():
@@ -137,30 +153,41 @@ def test_pooling_ties_pick_the_first_view(side):
 
 def test_eval_forward_keeps_no_layer_cache():
     """Without backprop the cache holds no layer data; with it, one entry per
-    CONV_CHUNK images and layer: the layer input, pool argmax and ReLU mask,
-    and no im2col columns."""
+    image and layer: the padded layer input, the uint8 pool argmax and the
+    ReLU mask, and no im2col columns. The padding stays zero, and the ReLU'd
+    pool output is what the next layer's buffer (or the flat row) holds."""
     model = cnn_init(8, 0.5, seed=0)
-    n = cnn.CONV_CHUNK + 1
+    n = 3
     imgs = np.random.default_rng(4).random((n, INPUT_SIZE, INPUT_SIZE))
     _, _, cache = _forward_batch(model, imgs, False, None)
-    assert cache["chunks"] == []
+    assert cache["images"] == []
     _, _, cache = _forward_batch(model, imgs, False, None, backprop=True)
-    assert [len(layers) for layers in cache["chunks"]] == [len(KERNELS)] * 2
-    for c, layers in enumerate(cache["chunks"]):
-        images = min(cnn.CONV_CHUNK, n - c * cnn.CONV_CHUNK)
+    assert len(cache["images"]) == n
+    for image, layers, flat in zip(imgs, cache["images"], cache["flat"]):
+        assert len(layers) == len(KERNELS)
+        inners = []
         in_ch, side = 1, INPUT_SIZE
-        for i, (a, idx, relu) in enumerate(layers):
-            assert a.shape == (in_ch, images, side, side)
-            assert idx.shape == relu.shape == (CHANNELS[i], images, side // 2, side // 2)
+        for i, (xp, idx, relu) in enumerate(layers):
+            k, p = KERNELS[i], KERNELS[i] // 2
+            assert xp.shape == (in_ch, side + k, side + k - 1)
+            inner = xp[:, p : p + side, p : p + side]
+            assert np.count_nonzero(xp) == np.count_nonzero(inner)  # padding is zero
+            assert idx.dtype == np.uint8 and relu.dtype == bool
+            assert idx.shape == relu.shape == (CHANNELS[i], side // 2, side // 2)
+            inners.append(inner)
             in_ch, side = CHANNELS[i], side // 2
+        assert np.array_equal(inners[0][0], image)
+        outputs = inners[1:] + [flat.reshape(CHANNELS[-1], side, side)]
+        for (_, _, relu), out in zip(layers, outputs):
+            assert np.array_equal(out > 0, relu)
 
 
 @pytest.mark.parametrize("train_mode", [True, False])
 def test_gradients_match_reference_layout(train_mode):
-    """Across the conv chunk edges: one image, one chunk, one chunk and one
-    image, and a full train batch."""
+    """Per-image weight gradients summed over one image, two, five and a full
+    train batch."""
     model = cnn_init(16, 0.5, seed=2, num_classes=3)
-    for n in (1, cnn.CONV_CHUNK, cnn.CONV_CHUNK + 1, cnn.TRAIN_BATCH):
+    for n in (1, 2, 5, cnn.TRAIN_BATCH):
         rng = np.random.default_rng(5)
         imgs, y = rng.random((n, INPUT_SIZE, INPUT_SIZE)), rng.integers(0, 3, n)
         loss, grads = cnn_loss_and_grad(model, imgs, y, train_mode, derive_rng(1, "cnn", 3))
@@ -205,12 +232,13 @@ def test_dropout_mask_scaling():
 # ---------------------------------------------------------------------------
 # gradients + training
 
-def chunk_column_bytes():
-    """Bytes of each conv layer's im2col columns for one CONV_CHUNK of images."""
+def image_column_bytes():
+    """Bytes of each conv layer's im2col columns for one image: C*k*k rows of
+    side * (side + k - 1) positions, the junk columns included."""
     in_ch, col_bytes = 1, []
     for i, (k, out_ch) in enumerate(zip(KERNELS, CHANNELS)):
         side = INPUT_SIZE >> i
-        col_bytes.append(in_ch * k * k * cnn.CONV_CHUNK * side * side * 8)
+        col_bytes.append(in_ch * k * k * side * (side + k - 1) * 8)
         in_ch = out_ch
     return col_bytes
 
@@ -224,19 +252,21 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def memory_bound():
-    """Twice one chunk's columns for every layer, plus one chunk's columns of
-    the second conv (the largest, 15.7 MB) for activations and gradients:
-    70.1 MB. Columns built for a whole 16-image batch (over 100 MB) break it."""
-    col_bytes = chunk_column_bytes()
-    return 2 * sum(col_bytes) + max(col_bytes)
+def memory_bound(copies):
+    """`copies` times one image's columns summed over the four layers, whose
+    largest part is the second conv's 4.4 MB: 7.6 MB a copy."""
+    return copies * sum(image_column_bytes())
 
 
 def test_train_step_releases_columns_during_backprop():
     """The forward pass caches no im2col columns: backprop rebuilds one
-    chunk's columns of one layer at a time and drops them after the weight
-    gradient, so no more than one chunk's columns and their gradient live."""
-    n, bound = cnn.TRAIN_BATCH, memory_bound()
+    image's columns of one layer at a time and drops them after the weight
+    gradient, so no more than one layer's columns and their gradient live.
+    Beside them live the batch's cached layer inputs and masks (7.5 MB for
+    16 images) and the dense weight gradient (4.2 MB at d_cnn 256); three
+    copies of one image's columns (22.7 MB) bound the lot. Columns built for
+    four images at a time (29.5 MB) break it."""
+    n, bound = cnn.TRAIN_BATCH, memory_bound(3)
     model = cnn_init(256, 0.5, seed=0)
     rng = np.random.default_rng(6)
     imgs = rng.random((n, INPUT_SIZE, INPUT_SIZE))
@@ -245,8 +275,11 @@ def test_train_step_releases_columns_during_backprop():
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
 
-def test_extract_builds_columns_one_chunk_at_a_time():
-    n, bound = cnn.EXTRACT_BATCH, memory_bound()
+def test_extract_builds_columns_one_image_at_a_time():
+    """Extraction holds one image's columns of one layer at a time, so it
+    peaks below one image's columns of all four layers (7.6 MB). Columns
+    built for four images at a time (20.9 MB) break it."""
+    n, bound = cnn.EXTRACT_BATCH, memory_bound(1)
     model = cnn_init(256, 0.5, seed=0)
     model.frozen = True
     imgs = np.random.default_rng(7).random((n, INPUT_SIZE, INPUT_SIZE))
@@ -349,8 +382,9 @@ def test_extract_rows_do_not_depend_on_batch_composition():
 def test_extract_tail_batch_agrees_to_rounding(tail):
     """A short batch may round differently from the same images inside a full
     EXTRACT_BATCH: BLAS picks other kernels or thread splits for the narrower
-    GEMMs (speckle-fusion's 20-image task-0 test slice runs as 16 + 4). The rows
-    agree to rounding, not always bit for bit."""
+    dense and head GEMMs (speckle-fusion's 20-image task-0 test slice runs as
+    16 + 4); the conv stack runs one image at a time, so its part of a row is
+    the same in any batch. The rows agree to rounding, not always bit for bit."""
     imgs, labels = augmented_blobs(per_class=8)
     model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0)
     whole = cnn_extract(model, imgs, labels).rows
