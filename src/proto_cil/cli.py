@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
-from .datahub import DataError, load_dataset, save_dataset, synth_dataset
+from .datahub import SYNTH_KINDS, DataError, load_dataset, save_dataset, synth_dataset
 from .features import softmax_cross_entropy, write_features
 from .harness import (DEFAULTS, ConfigError, RunConfig, StageFailure, check_key, load_report,
                       prepare_images, run_scenario)
@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    s.add_argument("--kind", choices=["blobs", "lowrank_speckle"], required=True)
+    s.add_argument("--kind", choices=SYNTH_KINDS, required=True)
     s.add_argument("--classes", type=int, required=True, help="number of classes (>= 2)")
     s.add_argument("--train", type=int, required=True, help="train samples per class")
     s.add_argument("--test", type=int, required=True, help="test samples per class")

@@ -163,8 +163,9 @@ def apply_dropout(x, p, rng):
     return x * mask, mask
 
 
-def _forward_batch(model, images, train_mode, rng, backprop=False):
-    """images: (N, 70, 70). Returns (features, logits, cache). The conv stack
+def _forward_batch(model, images, rng, backprop=False):
+    """images: (N, 70, 70). Returns (features, logits, cache). An `rng` makes
+    it a train-mode forward: dropout is its only randomness. The conv stack
     runs one image at a time; for `backprop` the cache keeps, per image and
     layer, the padded layer input, pool indices and ReLU mask, and no
     columns: backprop rebuilds them."""
@@ -195,28 +196,24 @@ def _forward_batch(model, images, train_mode, rng, backprop=False):
             np.maximum(pooled, 0.0, out=inner)
         if backprop:
             cache["images"].append(layers)
-    if train_mode and model.dropout > 0:
-        if rng is None:
-            raise CnnError("train-mode forward needs an rng for dropout")
-        flat, mask = apply_dropout(flat, model.dropout, rng)
-        cache["drop_mask"] = mask
-    else:
-        cache["drop_mask"] = None
+    cache["drop_mask"] = None
+    if rng is not None and model.dropout > 0:
+        flat, cache["drop_mask"] = apply_dropout(flat, model.dropout, rng)
     cache["flat"] = flat
     feats = flat @ model.params["dense_w"] + model.params["dense_b"]
     logits = feats @ model.params["head_w"] + model.params["head_b"]
-    cache["feats"] = feats
     return feats, logits, cache
 
 
-def cnn_loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
-    """Mean softmax cross-entropy and gradients for every parameter."""
-    _, logits, cache = _forward_batch(model, images, train_mode, rng, backprop=True)
+def cnn_loss_and_grad(model, images, label_idx, rng=None):
+    """Mean softmax cross-entropy and gradients for every parameter; an `rng`
+    trains with dropout."""
+    feats, logits, cache = _forward_batch(model, images, rng, backprop=True)
     n = logits.shape[0]
-    loss, _, dlogits = softmax_cross_entropy(logits, label_idx)
+    loss, dlogits = softmax_cross_entropy(logits, label_idx)
 
     grads = {}
-    grads["head_w"] = cache["feats"].T @ dlogits
+    grads["head_w"] = feats.T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
     dfeats = dlogits @ model.params["head_w"].T
     grads["dense_w"] = cache["flat"].T @ dfeats
@@ -263,7 +260,7 @@ def cnn_train(model: CnnModel, images, labels, epochs: int = 30, lr: float = 0.0
         order = rng.permutation(len(x))
         for start in range(0, len(x), TRAIN_BATCH):
             sel = order[start : start + TRAIN_BATCH]
-            loss, grads = cnn_loss_and_grad(model, x[sel], y[sel], train_mode=True, rng=rng)
+            loss, grads = cnn_loss_and_grad(model, x[sel], y[sel], rng=rng)
             if not np.isfinite(loss):
                 raise CnnDivergence(epoch)
             for k, g in grads.items():
@@ -284,7 +281,7 @@ def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
     x = np.asarray(images, dtype=np.float64)
     rows = []
     for start in range(0, len(x), EXTRACT_BATCH):
-        feats, _, _ = _forward_batch(model, x[start : start + EXTRACT_BATCH], False, None)
+        feats, _, _ = _forward_batch(model, x[start : start + EXTRACT_BATCH], None)
         rows.append(feats)
     return FeatureMatrix(rows=np.concatenate(rows, axis=0), labels=list(labels))
 

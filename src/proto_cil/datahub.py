@@ -13,6 +13,7 @@ from .pgm import read_pgm, write_pgm
 from .seeding import derive_rng
 
 CROP_SIZE = 32
+SYNTH_KINDS = ("blobs", "lowrank_speckle")  # what synth_dataset can generate
 
 
 class DataError(ValueError):
@@ -142,7 +143,7 @@ def load_dataset(manifest_path) -> Dataset:
     return Dataset(name=name, classes=classes, samples=samples)
 
 
-def save_dataset(dataset: Dataset, out_dir, maxval: int = 255) -> Path:
+def save_dataset(dataset: Dataset, out_dir) -> Path:
     """Write PGM images plus manifest.csv / manifest.json; returns manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,7 +153,7 @@ def save_dataset(dataset: Dataset, out_dir, maxval: int = 255) -> Path:
         k = (im.label, im.split)
         counters[k] = counters.get(k, 0) + 1
         rel = f"{im.label}_{im.split}_{counters[k]:04d}.pgm"
-        write_pgm(out_dir / rel, im.pixels, maxval=maxval)
+        write_pgm(out_dir / rel, im.pixels)
         rows.append([rel, im.label, im.split])
     manifest = out_dir / "manifest.csv"
     with open(manifest, "w", newline="") as f:
@@ -187,7 +188,7 @@ def synth_dataset(kind: str, num_classes: int, per_class_train: int,
     """Deterministic synthetic dataset: `blobs` (Gaussian clusters rendered as
     images) or `lowrank_speckle` (rank-2 class templates under multiplicative
     speckle plus sparse spikes)."""
-    if kind not in ("blobs", "lowrank_speckle"):
+    if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}")
     if num_classes < 2:
         raise DataError("num_classes must be >= 2")

@@ -38,15 +38,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: np.ndarray, y_idx):
-    """Mean cross-entropy of integer targets. Returns (loss, probs, dlogits),
-    where dlogits is the loss gradient with respect to the logits."""
+    """Mean cross-entropy of integer targets. Returns (loss, dlogits), where
+    dlogits is the loss gradient with respect to the logits."""
     n = logits.shape[0]
-    probs = softmax(logits)
-    loss = float(-np.log(probs[np.arange(n), y_idx] + 1e-300).mean())
-    dlogits = probs.copy()
+    dlogits = softmax(logits)
+    loss = float(-np.log(dlogits[np.arange(n), y_idx] + 1e-300).mean())
     dlogits[np.arange(n), y_idx] -= 1.0
     dlogits /= n
-    return loss, probs, dlogits
+    return loss, dlogits
 
 
 def ingest_features(path) -> FeatureMatrix:

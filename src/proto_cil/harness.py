@@ -21,8 +21,8 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
-from .datahub import (CROP_SIZE, DataError, Dataset, ScenarioSpec, augment_array, load_dataset,
-                      make_scenario, synth_dataset)
+from .datahub import (CROP_SIZE, SYNTH_KINDS, DataError, Dataset, ScenarioSpec, augment_array,
+                      load_dataset, make_scenario, synth_dataset)
 from .features import FeatureError, FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict
 from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, PrototypeState, accumulate,
@@ -74,7 +74,7 @@ RULES = {
     },
     "dataset": {"synth": _OBJECT, "manifest": _PATH},
     "dataset.synth": {
-        "kind": ("'blobs' or 'lowrank_speckle'", lambda v: v in ("blobs", "lowrank_speckle")),
+        "kind": (" or ".join(map(repr, SYNTH_KINDS)), lambda v: v in SYNTH_KINDS),
         "num_classes": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
         "per_class_train": _POSITIVE_INT, "per_class_test": _POSITIVE_INT,
         "image_size": _POSITIVE_INT, "seed": _COUNT,
@@ -213,9 +213,6 @@ class MetricsReport:
             "lambdas": self.lambdas,
             "config_fingerprint": self.config_fingerprint,
         }
-
-    def __eq__(self, other):
-        return isinstance(other, MetricsReport) and self.to_dict() == other.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +497,9 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def report(metrics: MetricsReport, out_dir, config: RunConfig = None,
-           per_task_seconds: list = None, partial_after_stage: str = None) -> None:
-    """Write metrics.json, accuracy_curve.csv, config.json (and timings.json).
+def report(metrics: MetricsReport, out_dir, config: RunConfig, per_task_seconds: list,
+           partial_after_stage: str = None) -> None:
+    """Write metrics.json, accuracy_curve.csv, config.json and timings.json.
 
     metrics.json is fully deterministic for a fixed config+seed; wall-clock
     (`per_task_seconds`) goes to timings.json so reruns stay byte-identical.
@@ -519,12 +516,10 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig = None,
         for t, (a, pd) in enumerate(zip(metrics.task_accuracies, metrics.perf_drops)):
             rows.append(f"{t},{a!r},{pd!r}")
         _atomic_write(out_dir / "accuracy_curve.csv", "\n".join(rows) + "\n")
-        if config is not None:
-            _atomic_write(out_dir / "config.json",
-                          json.dumps(asdict(config), sort_keys=True, indent=2) + "\n")
-        if per_task_seconds is not None:
-            _atomic_write(out_dir / "timings.json",
-                          json.dumps({"per_task_seconds": per_task_seconds}, indent=2) + "\n")
+        _atomic_write(out_dir / "config.json",
+                      json.dumps(asdict(config), sort_keys=True, indent=2) + "\n")
+        _atomic_write(out_dir / "timings.json",
+                      json.dumps({"per_task_seconds": per_task_seconds}, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
 

@@ -173,9 +173,7 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
             f"lambda selection needs >= {MIN_SWEEP_ROWS} task samples, got {n}")
     perm = derive_rng(seed, "lambda_split").permutation(n)
     n_fit = int(round(0.8 * n))
-    fit_idx, val_idx = perm[:n_fit], perm[n_fit:]
-    if len(val_idx) == 0 or len(fit_idx) == 0:
-        raise ProjectorError("degenerate 80:20 split")
+    fit_idx, val_idx = perm[:n_fit], perm[n_fit:]  # both nonempty, as n >= 5
 
     fit = FeatureMatrix(rows=task_H.rows[fit_idx], labels=[task_H.labels[i] for i in fit_idx])
     trial = state.snapshot()

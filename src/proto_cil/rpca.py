@@ -31,18 +31,16 @@ class RpcaDivergence(RuntimeError):
 
 @dataclass
 class RpcaModel:
-    A: np.ndarray  # m x r
+    A: np.ndarray  # m x r; m is the window length, r the rank
     B: np.ndarray  # r x m
-    rank: int
-    m: int
     epoch_losses: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.A.shape != (self.m, self.rank) or self.B.shape != (self.rank, self.m):
+        if self.A.ndim != 2 or self.B.shape != self.A.shape[::-1]:
             raise RpcaError("A/B shapes inconsistent with (m, rank)")
         # r == m is allowed only so tests can build the square identity map;
         # training itself rejects r >= m.
-        if self.rank > self.m:
+        if self.A.shape[1] > self.A.shape[0]:
             raise RpcaError("rank must not exceed window length")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise RpcaError("model weights must be finite")
@@ -110,18 +108,18 @@ def rpca_train(images, r: int, epochs: int = 200, lr: float = 0.5,
         if not np.isfinite(loss):
             raise RpcaDivergence(epoch)
         losses.append(loss)
-    return RpcaModel(A=A, B=B, rank=r, m=m, epoch_losses=losses)
+    return RpcaModel(A=A, B=B, epoch_losses=losses)
 
 
 def rpca_apply(model: RpcaModel, image) -> np.ndarray:
     """The filtered (sparse) part x - A B x of one flattened image."""
     x = np.asarray(image, dtype=np.float64).ravel()
-    if x.size != model.m:
-        raise RpcaError(f"image length {x.size} != model window length {model.m}")
+    if x.size != len(model.A):
+        raise RpcaError(f"image length {x.size} != model window length {len(model.A)}")
     return x - model.A @ (model.B @ x)
 
 
-def export_sparse_pgm(sparse: np.ndarray, side: int, path) -> dict:
+def export_sparse_pgm(sparse: np.ndarray, side: int, path) -> None:
     """Write a sparse component as a PGM after affine rescale to [0,1];
     the scale is recorded in a JSON sidecar so the raw values are recoverable."""
     from .pgm import write_pgm
@@ -130,6 +128,4 @@ def export_sparse_pgm(sparse: np.ndarray, side: int, path) -> dict:
     lo, hi = float(sp.min()), float(sp.max())
     scale = hi - lo if hi > lo else 1.0
     write_pgm(path, (sp - lo) / scale)
-    sidecar = {"offset": lo, "scale": scale}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
-    return sidecar
+    Path(str(path) + ".json").write_text(json.dumps({"offset": lo, "scale": scale}) + "\n")

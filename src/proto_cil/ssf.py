@@ -43,7 +43,7 @@ def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
     """Cross-entropy of the probe on adapted features; grads for all four params."""
     Z = X * gamma + delta
     logits = Z @ w + b
-    loss, _, dlogits = softmax_cross_entropy(logits, y_idx)
+    loss, dlogits = softmax_cross_entropy(logits, y_idx)
     gw = Z.T @ dlogits
     gb = dlogits.sum(axis=0)
     dZ = dlogits @ w.T

@@ -101,7 +101,7 @@ def loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
     """Mean softmax cross-entropy and gradients for every parameter."""
     _, logits, cache = forward(model, images, train_mode, rng)
     n = logits.shape[0]
-    loss, _, dlogits = softmax_cross_entropy(logits, label_idx)
+    loss, dlogits = softmax_cross_entropy(logits, label_idx)
 
     grads = {}
     grads["head_w"] = cache["feats"].T @ dlogits

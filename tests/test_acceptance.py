@@ -117,8 +117,7 @@ def test_criterion_4_gradient_correctness():
                       rng.normal(size=(10, d)), rng.integers(0, k, size=10))
             assert grad_check(adapter, sample, epsilon=1e-6, seed=seed) <= 1e-6
 
-            rp = RpcaModel(A=rng.normal(size=(12, 3)), B=rng.normal(size=(3, 12)),
-                           rank=3, m=12)
+            rp = RpcaModel(A=rng.normal(size=(12, 3)), B=rng.normal(size=(3, 12)))
             batch = rng.normal(size=(6, 12)) + 2.0
             assert grad_check(rp, batch, epsilon=1e-6, seed=seed) <= 1e-6
 

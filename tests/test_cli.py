@@ -10,7 +10,7 @@ import pytest
 
 from proto_cil.cli import main
 from proto_cil.features import ingest_features
-from proto_cil.harness import MetricsReport, report
+from proto_cil.harness import MetricsReport, RunConfig, report
 from proto_cil.pgm import read_pgm, write_pgm
 from proto_cil.seeding import derive_seed
 
@@ -224,7 +224,7 @@ def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
     train = [im for im in load_dataset(ds / "manifest.csv").samples if im.split == "train"]
     labels = [im.label for im in train]
     y = np.array([sorted(set(labels)).index(c) for c in labels])
-    _, logits, _ = _forward_batch(model, prepare_images(train, "cnn_train", 3), False, None)
+    _, logits, _ = _forward_batch(model, prepare_images(train, "cnn_train", 3), None)
     assert float(printed.group(1)) == pytest.approx(softmax_cross_entropy(logits, y)[0],
                                                     rel=1e-12)
     assert float(printed.group(2)) == float((logits.argmax(axis=1) == y).mean())
@@ -516,7 +516,8 @@ def test_eval_reads_only_metrics_json(tmp_path, capsys, timings):
     d = tmp_path / "r"
     report(MetricsReport(task_accuracies=[100.0, 75.0], balanced_accuracies=[100.0, 75.0],
                          eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
-                         config_fingerprint="f" * 64), d)
+                         config_fingerprint="f" * 64),
+           d, RunConfig.from_dict(json.loads(CONFIG_PATH.read_text())), [0.0, 0.0])
     (d / "timings.json").write_text(timings)
     assert main(["eval", str(d)]) == 0
     printed = capsys.readouterr().out

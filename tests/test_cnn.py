@@ -26,7 +26,7 @@ def augmented_blobs(num_classes=2, per_class=8, seed=0):
 def eval_fit(model, imgs, labels):
     """Eval-mode cross-entropy and accuracy of the training head on the whole set."""
     y = np.array([sorted(set(labels)).index(c) for c in labels])
-    _, logits, _ = _forward_batch(model, imgs, False, None)
+    _, logits, _ = _forward_batch(model, imgs, None)
     return softmax_cross_entropy(logits, y)[0], float((logits.argmax(axis=1) == y).mean())
 
 
@@ -67,7 +67,7 @@ def test_init_validation():
 
 def test_zero_image_gives_zero_features():
     model = cnn_init(16, 0.0, seed=0)
-    feats, logits, _ = _forward_batch(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), False, None)
+    feats, logits, _ = _forward_batch(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), None)
     assert np.allclose(feats, 0.0)  # zero activations, zero biases
     assert np.allclose(logits, 0.0)
 
@@ -75,14 +75,14 @@ def test_zero_image_gives_zero_features():
 def test_forward_rejects_wrong_size():
     model = cnn_init(8, 0.0, seed=0)
     with pytest.raises(CnnError, match="70x70"):
-        _forward_batch(model, np.zeros((1, 64, 64)), False, None)
+        _forward_batch(model, np.zeros((1, 64, 64)), None)
 
 
 def test_eval_forward_deterministic():
     model = cnn_init(16, 0.5, seed=0)
     img = np.random.default_rng(1).random((1, INPUT_SIZE, INPUT_SIZE))
-    f1, l1, _ = _forward_batch(model, img, False, None)
-    f2, l2, _ = _forward_batch(model, img, False, None)
+    f1, l1, _ = _forward_batch(model, img, None)
+    f2, l2, _ = _forward_batch(model, img, None)
     assert np.array_equal(f1, f2) and np.array_equal(l1, l2)
 
 
@@ -159,9 +159,9 @@ def test_eval_forward_keeps_no_layer_cache():
     model = cnn_init(8, 0.5, seed=0)
     n = 3
     imgs = np.random.default_rng(4).random((n, INPUT_SIZE, INPUT_SIZE))
-    _, _, cache = _forward_batch(model, imgs, False, None)
+    _, _, cache = _forward_batch(model, imgs, None)
     assert cache["images"] == []
-    _, _, cache = _forward_batch(model, imgs, False, None, backprop=True)
+    _, _, cache = _forward_batch(model, imgs, None, backprop=True)
     assert len(cache["images"]) == n
     for image, layers, flat in zip(imgs, cache["images"], cache["flat"]):
         assert len(layers) == len(KERNELS)
@@ -190,7 +190,8 @@ def test_gradients_match_reference_layout(train_mode):
     for n in (1, 2, 5, cnn.TRAIN_BATCH):
         rng = np.random.default_rng(5)
         imgs, y = rng.random((n, INPUT_SIZE, INPUT_SIZE)), rng.integers(0, 3, n)
-        loss, grads = cnn_loss_and_grad(model, imgs, y, train_mode, derive_rng(1, "cnn", 3))
+        loss, grads = cnn_loss_and_grad(model, imgs, y,
+                                        derive_rng(1, "cnn", 3) if train_mode else None)
         ref_loss, ref_grads = cnn_reference.loss_and_grad(model, imgs, y, train_mode,
                                                           derive_rng(1, "cnn", 3))
         assert loss == pytest.approx(ref_loss, rel=1e-12), n
@@ -270,8 +271,7 @@ def test_train_step_releases_columns_during_backprop():
     model = cnn_init(256, 0.5, seed=0)
     rng = np.random.default_rng(6)
     imgs = rng.random((n, INPUT_SIZE, INPUT_SIZE))
-    peak = traced_peak(lambda: cnn_loss_and_grad(model, imgs, np.arange(n) % 2,
-                                                 train_mode=True, rng=rng))
+    peak = traced_peak(lambda: cnn_loss_and_grad(model, imgs, np.arange(n) % 2, rng=rng))
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
 

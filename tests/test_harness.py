@@ -470,12 +470,12 @@ def test_report_overwrite_is_atomic_replace(tmp_path):
     m = MetricsReport(task_accuracies=[100.0, 90.0], balanced_accuracies=[100.0, 90.0],
                       eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
                       config_fingerprint="f" * 64)
-    report(m, tmp_path)
+    report(m, tmp_path, blob_config(), [0.0, 0.0])
     first = (tmp_path / "metrics.json").read_text()
     m2 = MetricsReport(task_accuracies=[100.0, 95.0], balanced_accuracies=[100.0, 95.0],
                        eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
                        config_fingerprint="f" * 64)
-    report(m2, tmp_path)
+    report(m2, tmp_path, blob_config(), [0.0, 0.0])
     second = (tmp_path / "metrics.json").read_text()
     assert first != second
     assert json.loads(second)["task_accuracies"] == [100.0, 95.0]

@@ -35,7 +35,7 @@ def rel_l1(model, X):
 # bilinear loss and model basics
 
 def test_identity_map_gives_zero_sparse():
-    model = RpcaModel(A=np.eye(4), B=np.eye(4), rank=4, m=4)
+    model = RpcaModel(A=np.eye(4), B=np.eye(4))
     x = np.arange(4.0)
     assert np.allclose(model.A @ (model.B @ x), x)
     assert np.allclose(rpca_apply(model, x), 0.0)
@@ -43,7 +43,7 @@ def test_identity_map_gives_zero_sparse():
 
 def test_decomposition_additive_exactly():
     rng = np.random.default_rng(0)
-    model = RpcaModel(A=rng.normal(size=(6, 2)), B=rng.normal(size=(2, 6)), rank=2, m=6)
+    model = RpcaModel(A=rng.normal(size=(6, 2)), B=rng.normal(size=(2, 6)))
     x = rng.random(6)
     assert np.array_equal(rpca_apply(model, x), x - model.A @ (model.B @ x))
 
@@ -59,16 +59,16 @@ def test_zero_batch_loss_is_smoothing_floor():
 
 def test_model_rejects_bad_shapes_and_rank():
     with pytest.raises(RpcaError):
-        RpcaModel(A=np.zeros((4, 2)), B=np.zeros((2, 5)), rank=2, m=4)
+        RpcaModel(A=np.zeros((4, 2)), B=np.zeros((2, 5)))
     with pytest.raises(RpcaError):
-        RpcaModel(A=np.zeros((4, 5)), B=np.zeros((5, 4)), rank=5, m=4)
+        RpcaModel(A=np.zeros((4, 5)), B=np.zeros((5, 4)))
     with pytest.raises(RpcaError):
-        RpcaModel(A=np.full((4, 2), np.nan), B=np.zeros((2, 4)), rank=2, m=4)
+        RpcaModel(A=np.full((4, 2), np.nan), B=np.zeros((2, 4)))
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    model = RpcaModel(A=rng.normal(size=(8, 2)), B=rng.normal(size=(2, 8)), rank=2, m=8)
+    model = RpcaModel(A=rng.normal(size=(8, 2)), B=rng.normal(size=(2, 8)))
     batch = rng.normal(size=(5, 8)) + 2.0  # residuals well away from the L1 kink
     err = grad_check(model, batch, epsilon=1e-6, seed=0)
     assert err <= 1e-6
@@ -141,7 +141,7 @@ def test_train_divergence_is_reported_with_epoch(monkeypatch):
 
 
 def test_apply_rejects_wrong_length():
-    model = RpcaModel(A=np.eye(4), B=np.eye(4), rank=4, m=4)
+    model = RpcaModel(A=np.eye(4), B=np.eye(4))
     with pytest.raises(RpcaError, match="length"):
         rpca_apply(model, np.zeros(5))
 
@@ -150,7 +150,8 @@ def test_export_sparse_pgm_sidecar_roundtrip(tmp_path):
     import json
 
     sparse = np.linspace(-1, 2, 9)
-    sidecar = export_sparse_pgm(sparse, 3, tmp_path / "s.pgm")
+    export_sparse_pgm(sparse, 3, tmp_path / "s.pgm")
+    sidecar = {"offset": -1.0, "scale": 3.0}  # min and range of `sparse`
     from proto_cil.pgm import read_pgm
 
     back = read_pgm(tmp_path / "s.pgm")
