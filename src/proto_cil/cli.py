@@ -114,18 +114,18 @@ def cmd_denoise(args) -> int:
         raise DataError(f"no files match --train-glob {args.train_glob!r}")
     if not apply_paths:
         raise DataError(f"no files match --apply-glob {args.apply_glob!r}")
-    images = [read_pgm(p) for p in train_paths]
-    side = images[0].shape[0]
-    for p, im in zip(train_paths, images):
+    # every image is read and checked against the first before training
+    images = {p: read_pgm(p) for p in train_paths + apply_paths}
+    side = images[train_paths[0]].shape[0]
+    for p, im in images.items():
         if im.shape != (side, side):
             raise DataError(f"{p}: expected {side}x{side} square image, got {im.shape}")
-    model = rpca_mod.rpca_train(np.stack([im.ravel() for im in images]), r=args.rank,
+    model = rpca_mod.rpca_train(np.stack([images[p].ravel() for p in train_paths]), r=args.rank,
                                 epochs=args.epochs, lr=args.lr, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for p in apply_paths:
-        img = read_pgm(p)
-        rpca_mod.export_sparse_pgm(rpca_mod.rpca_apply(model, img.ravel()), img.shape[0],
+        rpca_mod.export_sparse_pgm(rpca_mod.rpca_apply(model, images[p].ravel()), side,
                                    out / Path(p).name)
     print(f"filtered {len(apply_paths)} images into {out}")
     return 0

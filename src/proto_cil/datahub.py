@@ -115,10 +115,20 @@ def load_dataset(manifest_path) -> Dataset:
     try:
         header = json.loads(header_path.read_text())
         name = header["name"]
-        classes = list(header["classes"])
+        classes = header["classes"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"malformed manifest header {header_path}: {exc}") from exc
+    if not (type(classes) is list and all(type(c) is str for c in classes)):
+        raise DataError(f"malformed manifest header {header_path}: classes must be a list "
+                        f"of strings, got {classes!r}")
+    repeated = sorted({c for c in classes if classes.count(c) > 1})
+    if repeated:
+        raise DataError(f"malformed manifest header {header_path}: classes repeat {repeated}")
     expect_size = header.get("image_size")  # optional [height, width]
+    if expect_size is not None and not (type(expect_size) is list and len(expect_size) == 2
+                                        and all(type(v) is int and v >= 1 for v in expect_size)):
+        raise DataError(f"malformed manifest header {header_path}: image_size must be null "
+                        f"or two integers >= 1, got {expect_size!r}")
 
     samples = []
     with open(manifest_path, newline="") as f:

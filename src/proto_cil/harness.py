@@ -344,8 +344,10 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
     return synth_dataset(**synth)
 
 
-def _ingest_csv(config: RunConfig):
-    """Train and test feature matrices of a CSV ingested source; None otherwise."""
+def _ingest_csv(config: RunConfig, classes):
+    """Train and test feature matrices of a CSV ingested source, checked to
+    share one width and to hold rows of every class in `classes`; None for
+    any other source."""
     source = config.ingested_source
     if not config.ingested_branch or source.get("kind") != "csv":
         return None
@@ -353,9 +355,19 @@ def _ingest_csv(config: RunConfig):
     if missing:
         raise ConfigError(f"ingested_source csv is missing {sorted(missing)}")
     try:
-        return {split: ingest_features(source[split]) for split in ("train", "test")}
+        csv = {split: ingest_features(source[split]) for split in ("train", "test")}
     except (OSError, FeatureError) as exc:
         raise DataError(f"ingested_source csv: {exc}") from exc
+    if csv["train"].dim != csv["test"].dim:
+        raise DataError(f"ingested_source csv: train rows have {csv['train'].dim} features, "
+                        f"test rows {csv['test'].dim}")
+    for split, fm in csv.items():
+        labels = set(fm.labels)
+        missing = [c for c in classes if c not in labels]
+        if missing:
+            raise DataError(f"ingested_source csv: {source[split]} has no rows of "
+                            f"scenario classes {missing}")
+    return csv
 
 
 def _check_cnn_inputs(seq) -> None:
@@ -410,7 +422,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             raise ConfigError("base task needs >= 2 classes for backbone/probe training")
         if config.cnn_branch:
             _check_cnn_inputs(seq)
-        csv = _ingest_csv(config)
+        csv = _ingest_csv(config, order)
         _check_sweep_rows(config, seq, csv)
         _check_projection_size(config, base, csv)
 

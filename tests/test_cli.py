@@ -102,6 +102,24 @@ def test_denoise_rejects_empty_glob(tmp_path, capsys):
     assert "no files match" in capsys.readouterr().err
 
 
+def test_denoise_checks_apply_images_before_training(tmp_path, capsys, monkeypatch):
+    import proto_cil.rpca as rpca_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the denoiser trained before the apply images were checked")
+
+    monkeypatch.setattr(rpca_mod, "rpca_train", no_training)
+    rank1_pgms(tmp_path / "train", n=4, size=8)
+    rank1_pgms(tmp_path / "apply", n=2, size=6)
+    rc = main(["denoise", "--train-glob", str(tmp_path / "train" / "*.pgm"),
+               "--apply-glob", str(tmp_path / "apply" / "*.pgm"),
+               "--rank", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "im000.pgm: expected 8x8 square image, got (6, 6)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_denoise_rejects_bad_rank(tmp_path):
     rank1_pgms(tmp_path / "in", n=2)
     rc = main(["denoise", "--train-glob", str(tmp_path / "in" / "*.pgm"),
@@ -367,6 +385,67 @@ def test_run_non_string_output_dir_is_usage_error(tmp_path, capsys):
 def test_run_bad_manifest_is_usage_error(tmp_path, capsys, manifest):
     assert run_with(tmp_path, dataset={"manifest": manifest}) == 1
     assert "dataset.manifest must be a nonempty string" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+def synth_manifest(out, header_edits):
+    """A 4-class, 8 px blobs dataset written to `out`, its manifest.json
+    header updated with `header_edits`; returns the manifest path."""
+    assert main(["synth", "--kind", "blobs", "--classes", "4", "--train", "3", "--test", "1",
+                 "--size", "8", "--out", str(out)]) == 0
+    header = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps({**header, **header_edits}))
+    return str(out / "manifest.csv")
+
+
+@pytest.mark.parametrize("header_edits, message", [
+    ({"image_size": 8}, "image_size must be null or two integers >= 1, got 8"),
+    ({"image_size": [8]}, "image_size must be null or two integers >= 1, got [8]"),
+    ({"image_size": [8, 0]}, "image_size must be null or two integers >= 1, got [8, 0]"),
+    ({"image_size": [8, True]}, "image_size must be null or two integers >= 1, got [8, True]"),
+    ({"classes": ["c00", "c01", "c02", "c03", "c02"]}, "classes repeat ['c02']"),
+    ({"classes": "c00c01c02c03"}, "classes must be a list of strings, got 'c00c01c02c03'"),
+], ids=["int", "one-side", "zero-side", "bool-side", "repeated-class", "string-classes"])
+def test_run_bad_manifest_header_is_usage_error(tmp_path, capsys, header_edits, message):
+    manifest = synth_manifest(tmp_path / "ds", header_edits)
+    assert run_with(tmp_path, dataset={"manifest": manifest}, schedule=[2, 2]) == 1
+    err = capsys.readouterr().err
+    assert "'setup'" in err and "manifest.json" in err and message in err
+    assert not (tmp_path / "report").exists()
+
+
+BUNDLED_CLASSES = [f"c{i:02d}" for i in range(10)]  # the bundled config's synth classes
+
+
+def write_feature_csv(path, classes, width=4, rows=5):
+    """`rows` random feature rows of `width` columns for each of `classes`;
+    five rows let a one-class task pass the lambda sweep's row check."""
+    rng = np.random.default_rng(0)
+    lines = ["label," + ",".join(f"f{i}" for i in range(width))]
+    lines += [c + "," + ",".join(repr(float(v)) for v in rng.random(width))
+              for c in classes for _ in range(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_run_csv_width_mismatch_is_usage_error(tmp_path, capsys):
+    source = {"kind": "csv", "train": write_feature_csv(tmp_path / "train.csv", BUNDLED_CLASSES),
+              "test": write_feature_csv(tmp_path / "test.csv", BUNDLED_CLASSES, width=5)}
+    assert run_with(tmp_path, ingested_source=source) == 1
+    err = capsys.readouterr().err
+    assert "'setup'" in err and "train rows have 4 features, test rows 5" in err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_run_csv_without_a_scenario_class_is_usage_error(tmp_path, capsys, split):
+    source = {"kind": "csv"}
+    for name in ("train", "test"):
+        classes = [c for c in BUNDLED_CLASSES if name != split or c != "c02"]
+        source[name] = write_feature_csv(tmp_path / f"{name}.csv", classes)
+    assert run_with(tmp_path, ingested_source=source) == 1
+    err = capsys.readouterr().err
+    assert "'setup'" in err and f"{split}.csv has no rows of scenario classes ['c02']" in err
     assert not (tmp_path / "report").exists()
 
 

@@ -74,6 +74,16 @@ def test_manifest_dimension_mismatch(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("size", [None, [8, 8]])
+def test_manifest_header_image_size_null_or_matching_loads(tmp_path, size):
+    import json
+
+    manifest = save_dataset(tiny_dataset(size=8), tmp_path)
+    header = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "manifest.json").write_text(json.dumps({**header, "image_size": size}))
+    assert load_dataset(manifest).samples[0].pixels.shape == (8, 8)
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 
