@@ -17,7 +17,7 @@ from . import rpca as rpca_mod
 from .datahub import SYNTH_KINDS, DataError, load_dataset, save_dataset, synth_dataset
 from .features import softmax_cross_entropy, write_features
 from .harness import (DEFAULTS, ConfigError, RunConfig, StageFailure, check_key, load_report,
-                      prepare_images, run_scenario)
+                      prepare_images, run_scenario, train_backbone)
 from .pgm import read_pgm
 
 USAGE_EXIT = 1
@@ -136,11 +136,7 @@ def cmd_train_backbone(args) -> int:
     train = [im for im in ds.samples if im.split == "train"]
     labels = [im.label for im in train]
     imgs = prepare_images(train, "cnn_train", args.seed)
-    model = cnn_mod.cnn_init(args.d_cnn, args.dropout, args.seed,
-                             num_classes=len(ds.classes))
-    model = cnn_mod.cnn_train(model, imgs, labels, epochs=args.epochs, lr=args.lr,
-                              momentum=args.momentum, weight_decay=args.weight_decay,
-                              seed=args.seed)
+    model = train_backbone(imgs, labels, vars(args), args.seed)  # args holds the cnn_train keys
     cnn_mod.save_cnn(model, args.out)
     # eval-mode fit of the training head on the training images
     y = np.array([sorted(set(labels)).index(c) for c in labels])
@@ -203,7 +199,9 @@ def cmd_eval(args) -> int:
     header = " | ".join(f"{t:>6d}" for t in range(ntasks))
     print(f"{'run':<{width}} | {header} |     PD |   Aavg")
     for d, m in reports:
-        cells = " | ".join(f"{a:6.2f}" for a in m.task_accuracies)
+        # a run with fewer tasks gets blank cells, so PD and Aavg stay in their columns
+        cells = " | ".join([f"{a:6.2f}" for a in m.task_accuracies]
+                           + [" " * 6] * (ntasks - len(m.task_accuracies)))
         print(f"{str(d):<{width}} | {cells} | {m.perf_drop:6.2f} | {m.avg_accuracy:6.2f}")
     return 0
 

@@ -35,18 +35,13 @@ class CnnDivergence(RuntimeError):
 
 @dataclass
 class CnnModel:
-    params: dict  # name -> float64 array
-    d_cnn: int
+    params: dict  # name -> float64 array; dense_w is (FLAT_SIZE, d_cnn), head_w (d_cnn, classes)
     dropout: float
-    num_classes: int
     frozen: bool = False
 
     def copy(self):
-        return CnnModel(
-            params={k: v.copy() for k, v in self.params.items()},
-            d_cnn=self.d_cnn, dropout=self.dropout,
-            num_classes=self.num_classes, frozen=self.frozen,
-        )
+        return CnnModel(params={k: v.copy() for k, v in self.params.items()},
+                        dropout=self.dropout, frozen=self.frozen)
 
 
 def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> CnnModel:
@@ -69,7 +64,7 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
     params["dense_b"] = np.zeros(d_cnn)
     params["head_w"] = rng.normal(0.0, np.sqrt(2.0 / d_cnn), size=(d_cnn, num_classes))
     params["head_b"] = np.zeros(num_classes)
-    return CnnModel(params=params, d_cnn=d_cnn, dropout=dropout, num_classes=num_classes)
+    return CnnModel(params=params, dropout=dropout)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +236,16 @@ def cnn_loss_and_grad(model, images, label_idx, rng=None):
     return loss, grads
 
 
-def cnn_train(model: CnnModel, images, labels, epochs: int = 30, lr: float = 0.01,
-              momentum: float = 0.9, weight_decay: float = 0.0005,
-              seed: int = 0) -> CnnModel:
+def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum: float,
+              weight_decay: float, seed: int = 0) -> CnnModel:
     """SGD with momentum and weight decay on base-task classes; returns a
     frozen copy."""
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise CnnError("base task must contain at least 2 classes")
-    if model.num_classes != len(classes):
-        raise CnnError(f"model head has {model.num_classes} classes, labels have {len(classes)}")
+    heads = model.params["head_w"].shape[1]
+    if heads != len(classes):
+        raise CnnError(f"model head has {heads} classes, labels have {len(classes)}")
     model = model.copy()
     x = np.asarray(images, dtype=np.float64)
     y = np.array([classes.index(c) for c in labels])
@@ -292,9 +287,8 @@ def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
 def save_cnn(model: CnnModel, path) -> None:
     from .binio import save_blocks
 
-    meta = {"kind": "cnn", "d_cnn": model.d_cnn, "dropout": model.dropout,
-            "num_classes": model.num_classes, "frozen": model.frozen}
-    save_blocks(path, meta, model.params)
+    save_blocks(path, {"kind": "cnn", "dropout": model.dropout, "frozen": model.frozen},
+                model.params)
 
 
 def load_cnn(path) -> CnnModel:
@@ -303,5 +297,5 @@ def load_cnn(path) -> CnnModel:
     meta, arrays = load_blocks(path)
     if meta.get("kind") != "cnn":
         raise CnnError(f"{path}: not a cnn checkpoint")
-    return CnnModel(params=arrays, d_cnn=meta["d_cnn"], dropout=meta["dropout"],
-                    num_classes=meta["num_classes"], frozen=meta["frozen"])
+    # the widths come from the weights; a header's d_cnn and num_classes, if any, are ignored
+    return CnnModel(params=arrays, dropout=meta["dropout"], frozen=meta["frozen"])

@@ -201,18 +201,9 @@ class MetricsReport:
         return self.perf_drops[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "task_accuracies": self.task_accuracies,
-            "base_accuracy": self.base_accuracy,
-            "avg_accuracy": self.avg_accuracy,
-            "final_accuracy": self.final_accuracy,
-            "perf_drop": self.perf_drop,
-            "perf_drops": self.perf_drops,
-            "balanced_accuracies": self.balanced_accuracies,
-            "eval_sizes": self.eval_sizes,
-            "lambdas": self.lambdas,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        return {**asdict(self), "base_accuracy": self.base_accuracy,
+                "avg_accuracy": self.avg_accuracy, "final_accuracy": self.final_accuracy,
+                "perf_drop": self.perf_drop, "perf_drops": self.perf_drops}
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +268,17 @@ def prepare_images(samples, mode, seed, rpca_model=None) -> np.ndarray:
     return np.stack(out)
 
 
+def train_backbone(images, labels, hp, seed) -> cnn_mod.CnnModel:
+    """The frozen CNN trained on `images` from prepare_images, with the
+    cnn_train hyperparameters `hp`: the run's CNN branch and `train-backbone`
+    both train it this way."""
+    model = cnn_mod.cnn_init(d_cnn=hp["d_cnn"], dropout=hp["dropout"],
+                             seed=derive_seed(seed, "cnn"), num_classes=len(set(labels)))
+    return cnn_mod.cnn_train(model, images, labels, epochs=hp["epochs"], lr=hp["lr"],
+                             momentum=hp["momentum"], weight_decay=hp["weight_decay"],
+                             seed=derive_seed(seed, "cnn", 1))
+
+
 class _CnnBranch:
     name = "cnn"
 
@@ -290,16 +292,9 @@ class _CnnBranch:
                 flat, r=rpca["rank"], epochs=rpca["epochs"], lr=rpca["lr"],
                 seed=derive_seed(config.seed, "rpca"))
         train_imgs = prepare_images(base_task.train, "cnn_train", self.seed, self.rpca_model)
-        labels = [im.label for im in base_task.train]
-        hp = _section(config, "cnn_train")
-        model = cnn_mod.cnn_init(d_cnn=hp["d_cnn"], dropout=hp["dropout"],
-                                 seed=derive_seed(config.seed, "cnn"),
-                                 num_classes=len(set(labels)))
-        self.model = cnn_mod.cnn_train(
-            model, train_imgs, labels, epochs=hp["epochs"], lr=hp["lr"],
-            momentum=hp["momentum"], weight_decay=hp["weight_decay"],
-            seed=derive_seed(config.seed, "cnn", 1))
-        self.dim = self.model.d_cnn
+        self.model = train_backbone(train_imgs, [im.label for im in base_task.train],
+                                    _section(config, "cnn_train"), self.seed)
+        self.dim = self.model.params["dense_w"].shape[1]
 
     def features(self, samples, split) -> FeatureMatrix:
         imgs = prepare_images(samples, "cnn_eval", self.seed, self.rpca_model)

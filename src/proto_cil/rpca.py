@@ -60,8 +60,7 @@ def bilinear_loss_and_grad(A, B, batch):
     return float(S.sum()), gA, gB
 
 
-def rpca_train(images, r: int, epochs: int = 200, lr: float = 0.5,
-               seed: int = 0) -> RpcaModel:
+def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> RpcaModel:
     """Fit the bilinear denoiser by mini-batch subgradient descent on the
     smoothed-L1 objective.
 

@@ -52,8 +52,7 @@ def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
     return loss, ggamma, gdelta, gw, gb
 
 
-def ssf_train(base_features: FeatureMatrix, epochs: int = 50, lr: float = 0.1,
-              seed: int = 0) -> SsfAdapter:
+def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 0) -> SsfAdapter:
     """Train gamma/delta with a throwaway linear probe on base-task features."""
     classes = sorted(set(base_features.labels))
     if len(classes) < 2:

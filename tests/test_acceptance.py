@@ -134,7 +134,7 @@ def test_criterion_5_rpca_recovery():
         L, _ = pcp_oracle(X, max_iter=500)
         assert np.linalg.norm(L - L0) / np.linalg.norm(L0) <= 1e-2
 
-        model = rpca_train(X, r=2, epochs=300, seed=0)
+        model = rpca_train(X, r=2, epochs=300, lr=0.5, seed=0)
         assert model.epoch_losses[-1] <= 0.5 * model.epoch_losses[0]
         lows = np.stack([model.A @ (model.B @ x) for x in X])
         sv = np.linalg.svd(lows, compute_uv=False)

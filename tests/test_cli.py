@@ -214,6 +214,35 @@ def test_train_backbone_seeds_flips_from_seed(tmp_path, monkeypatch):
     assert calls == [("cnn_train", derive_seed(5, "augment", i)) for i in range(6)]
 
 
+def test_train_backbone_trains_the_run_cnn_branch(tmp_path, monkeypatch):
+    """For one seed, `train-backbone` writes bit for bit the network that the
+    run's CNN branch trains on the same base task."""
+    import proto_cil.harness as harness
+    from proto_cil.cnn import load_cnn
+
+    ds = tmp_path / "ds"
+    assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "3",
+                 "--test", "1", "--size", "32", "--out", str(ds)]) == 0
+    ckpt = tmp_path / "cnn.bin"
+    assert main(["train-backbone", "--manifest", str(ds / "manifest.csv"), "--out", str(ckpt),
+                 "--epochs", "2", "--d-cnn", "8", "--seed", "5"]) == 0
+    branches, real_init = [], harness._CnnBranch.__init__
+
+    def recording(self, *args):
+        real_init(self, *args)
+        branches.append(self)
+
+    monkeypatch.setattr(harness._CnnBranch, "__init__", recording)
+    harness.run_scenario(RunConfig.from_dict({
+        "dataset": {"manifest": str(ds / "manifest.csv")}, "schedule": [2],
+        "cnn_branch": True, "ingested_branch": False, "rpca": {"enabled": False},
+        "cnn_train": {"d_cnn": 8, "epochs": 2}, "projection_dim": 8, "seed": 5}))
+    saved, run = load_cnn(ckpt), branches[0].model
+    assert saved.params.keys() == run.params.keys()
+    for k in run.params:
+        assert np.array_equal(saved.params[k], run.params[k]), k
+
+
 def test_train_backbone_defaults_are_the_run_defaults(monkeypatch):
     import proto_cil.cli as cli
     from proto_cil.harness import DEFAULTS
@@ -601,6 +630,24 @@ def test_eval_reads_only_metrics_json(tmp_path, capsys, timings):
     assert main(["eval", str(d)]) == 0
     printed = capsys.readouterr().out
     assert re.search(r"\|\s+100\.00 \|\s+75\.00 \|\s+25\.00 \|\s+87\.50$", printed, re.M)
+
+
+def test_eval_aligns_runs_with_fewer_tasks(tmp_path, capsys):
+    """A run with fewer tasks than the longest gets blank task cells, so its
+    PD and Aavg stay under their headers."""
+    config = RunConfig.from_dict(json.loads(CONFIG_PATH.read_text()))
+    dirs = []
+    for name, accs in (("long", [100.0, 80.0, 60.0]), ("short", [100.0, 90.0])):
+        n = len(accs)
+        report(MetricsReport(task_accuracies=accs, balanced_accuracies=accs, eval_sizes=[4] * n,
+                             lambdas={"ingested": [1.0] * n}, config_fingerprint="f" * 64),
+               tmp_path / name, config, [0.0] * n)
+        dirs.append(str(tmp_path / name))
+    assert main(["eval", *dirs]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len({tuple(i for i, ch in enumerate(line) if ch == "|") for line in lines}) == 1
+    assert [c.strip() for c in lines[2].split("|")][1:] == ["100.00", "90.00", "", "10.00",
+                                                            "95.00"]
 
 
 def test_eval_corrupt_metrics_is_runtime_error(tmp_path, capsys):

@@ -15,6 +15,9 @@ from proto_cil.seeding import derive_rng
 import cnn_reference
 from gradcheck import grad_check
 
+# SGD settings for tests that do not vary them: the run's cnn_train defaults
+SGD = {"lr": 0.01, "momentum": 0.9, "weight_decay": 0.0005}
+
 
 def augmented_blobs(num_classes=2, per_class=8, seed=0):
     ds = synth_dataset("blobs", num_classes, per_class, 1, 32, seed=seed)
@@ -203,7 +206,7 @@ def test_gradients_match_reference_layout(train_mode):
 
 def test_extract_matches_reference_forward():
     imgs, labels = augmented_blobs(per_class=3)
-    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=1)
+    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=1, **SGD)
     ref_feats, _, _ = cnn_reference.forward(model, imgs, False, None)
     assert max_rel(cnn_extract(model, imgs, labels).rows, ref_feats) <= 1e-12
 
@@ -304,7 +307,7 @@ def test_loss_is_cross_entropy_at_init_scale():
 def test_train_zero_epochs_is_bitwise_noop():
     imgs, labels = augmented_blobs(per_class=2)
     model = cnn_init(8, 0.5, seed=0, num_classes=2)
-    out = cnn_train(model, imgs, labels, epochs=0)
+    out = cnn_train(model, imgs, labels, epochs=0, **SGD)
     assert out.frozen and not model.frozen
     for k in model.params:
         assert np.array_equal(out.params[k], model.params[k])
@@ -314,14 +317,14 @@ def test_train_rejects_head_class_count_mismatch():
     imgs, labels = augmented_blobs(num_classes=3, per_class=2)
     model = cnn_init(8, 0.0, seed=0, num_classes=2)
     with pytest.raises(CnnError, match="head has 2 classes, labels have 3"):
-        cnn_train(model, imgs, labels, epochs=0)
+        cnn_train(model, imgs, labels, epochs=0, **SGD)
 
 
 def test_train_learns_two_blob_classes():
     imgs, labels = augmented_blobs(num_classes=2, per_class=8, seed=1)
     model = cnn_init(64, 0.1, seed=0, num_classes=2)
-    first_loss, _ = eval_fit(cnn_train(model, imgs, labels, epochs=1, seed=0), imgs, labels)
-    out = cnn_train(model, imgs, labels, epochs=20, seed=0)
+    first_loss, _ = eval_fit(cnn_train(model, imgs, labels, epochs=1, **SGD, seed=0), imgs, labels)
+    out = cnn_train(model, imgs, labels, epochs=20, **SGD, seed=0)
     loss, acc = eval_fit(out, imgs, labels)
     assert loss < first_loss
     assert acc >= 0.95
@@ -335,14 +338,15 @@ def test_train_divergence_is_reported_with_epoch(lr, epoch):
     imgs, labels = augmented_blobs(per_class=2)
     model = cnn_init(8, 0.0, seed=0, num_classes=2)
     with np.errstate(all="ignore"), pytest.raises(CnnDivergence) as exc:
-        cnn_train(model, imgs, labels, epochs=5, lr=lr, seed=0)
+        cnn_train(model, imgs, labels, epochs=5, lr=lr, momentum=0.9, weight_decay=0.0005,
+                  seed=0)
     assert exc.value.epoch == epoch
 
 
 def test_train_requires_two_classes():
     imgs, _ = augmented_blobs(per_class=2)
     with pytest.raises(CnnError):
-        cnn_train(cnn_init(8, 0.0, seed=0), imgs, ["a"] * len(imgs), epochs=1)
+        cnn_train(cnn_init(8, 0.0, seed=0), imgs, ["a"] * len(imgs), epochs=1, **SGD)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,7 @@ def test_extract_requires_frozen_model():
 def test_extract_shapes_and_batching(monkeypatch):
     imgs, labels = augmented_blobs(per_class=3)
     model = cnn_init(16, 0.5, seed=0, num_classes=2)
-    model = cnn_train(model, imgs, labels, epochs=0)
+    model = cnn_train(model, imgs, labels, epochs=0, **SGD)
     whole = cnn_extract(model, imgs, labels)
     monkeypatch.setattr(cnn, "EXTRACT_BATCH", 2)
     small = cnn_extract(model, imgs, labels)
@@ -371,7 +375,7 @@ def test_extract_rows_do_not_depend_on_batch_composition():
     for these batch sizes, not for every one (see the tail-batch test); the
     run's eval cache needs only that each task extracts a fixed slice."""
     imgs, labels = augmented_blobs(per_class=30)
-    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0)
+    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0, **SGD)
     whole = cnn_extract(model, imgs, labels)
     part = cnn_extract(model, imgs[7:47], labels[7:47])
     assert 7 % cnn.EXTRACT_BATCH and len(imgs) == 60
@@ -386,7 +390,7 @@ def test_extract_tail_batch_agrees_to_rounding(tail):
     16 + 4); the conv stack runs one image at a time, so its part of a row is
     the same in any batch. The rows agree to rounding, not always bit for bit."""
     imgs, labels = augmented_blobs(per_class=8)
-    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0)
+    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0, **SGD)
     whole = cnn_extract(model, imgs, labels).rows
     part = cnn_extract(model, imgs[:tail], labels[:tail]).rows
     assert len(imgs) == cnn.EXTRACT_BATCH
@@ -395,16 +399,33 @@ def test_extract_tail_batch_agrees_to_rounding(tail):
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     imgs, labels = augmented_blobs(per_class=2)
-    model = cnn_train(cnn_init(8, 0.25, seed=3, num_classes=2), imgs, labels, epochs=1)
+    model = cnn_train(cnn_init(8, 0.25, seed=3, num_classes=2), imgs, labels, epochs=1, **SGD)
     save_cnn(model, tmp_path / "cnn.bin")
     back = load_cnn(tmp_path / "cnn.bin")
-    assert back.d_cnn == model.d_cnn and back.dropout == model.dropout
+    assert back.params["dense_w"].shape[1] == model.params["dense_w"].shape[1]
+    assert back.dropout == model.dropout
     assert back.frozen
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
     a = cnn_extract(model, imgs[:2], labels[:2]).rows
     b = cnn_extract(back, imgs[:2], labels[:2]).rows
     assert np.array_equal(a, b)
+
+
+def test_checkpoint_with_widths_in_header_loads(tmp_path):
+    """Checkpoint headers that also carry d_cnn and num_classes, as they once
+    did, still load; the widths come from the weights."""
+    from proto_cil.binio import save_blocks
+
+    imgs, labels = augmented_blobs(per_class=2)
+    model = cnn_train(cnn_init(8, 0.25, seed=3, num_classes=2), imgs, labels, epochs=0, **SGD)
+    save_blocks(tmp_path / "old.bin", {"kind": "cnn", "d_cnn": 8, "dropout": 0.25,
+                                       "num_classes": 2, "frozen": True}, model.params)
+    back = load_cnn(tmp_path / "old.bin")
+    assert back.dropout == 0.25 and back.frozen
+    assert back.params["dense_w"].shape[1] == 8 and back.params["head_w"].shape[1] == 2
+    for k in model.params:
+        assert np.array_equal(back.params[k], model.params[k])
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path):

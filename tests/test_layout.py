@@ -131,3 +131,25 @@ def test_member_exemptions_name_existing_members():
     members = {f"{path.stem}.{cls.name}.{name}"
                for path, cls in _package_classes(_program()) for name, _ in _members(cls)}
     assert MEMBER_EXEMPTIONS <= members
+
+
+def test_no_function_defaults_a_run_default():
+    """A value a run uses where its config leaves a key out is written once, in
+    harness.DEFAULTS: no function in `src/` gives a parameter of such a name a
+    default of its own."""
+    from proto_cil.harness import DEFAULTS
+
+    keys = {key for section in DEFAULTS.values() for key in section}
+    defaulted = []
+    for path, tree in _program():
+        if ROOT / "src" not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                defaulted += [f"{path.stem}.{node.name}({arg.arg})" for arg in with_default
+                              if arg.arg in keys]
+    assert defaulted == []

@@ -79,19 +79,19 @@ def test_gradients_match_finite_differences():
 
 def test_train_fits_rank1_data():
     X = rank1_images()
-    model = rpca_train(X, r=1, epochs=1500, seed=0)
+    model = rpca_train(X, r=1, epochs=1500, lr=0.5, seed=0)
     assert rel_l1(model, X) <= 0.05
 
 
 def test_train_loss_decreases():
     X = rank1_images(seed=2)
-    model = rpca_train(X, r=1, epochs=50, seed=0)
+    model = rpca_train(X, r=1, epochs=50, lr=0.5, seed=0)
     assert model.epoch_losses[-1] <= 0.5 * model.epoch_losses[0]
 
 
 def test_trained_low_rank_batch_has_bounded_rank():
     X = rank1_images(n=40, seed=1)
-    model = rpca_train(X, r=2, epochs=100, seed=0)
+    model = rpca_train(X, r=2, epochs=100, lr=0.5, seed=0)
     lows = np.stack([model.A @ (model.B @ x) for x in X])
     sv = np.linalg.svd(lows, compute_uv=False)
     assert sv[2] <= 1e-8 * sv[0]
@@ -99,7 +99,7 @@ def test_trained_low_rank_batch_has_bounded_rank():
 
 def test_train_recovers_spike_in_sparse_component():
     X = rank1_images(n=80, m=36, seed=4)
-    model = rpca_train(X, r=1, epochs=1500, seed=0)
+    model = rpca_train(X, r=1, epochs=1500, lr=0.5, seed=0)
     x = X[0].copy()
     x[7] += 1.0
     sparse = rpca_apply(model, x)
@@ -110,7 +110,7 @@ def test_train_recovers_spike_in_sparse_component():
 
 def test_train_subspace_matches_pcp_oracle():
     X = rank1_images(n=60, seed=5)
-    model = rpca_train(X, r=1, epochs=800, seed=0)
+    model = rpca_train(X, r=1, epochs=800, lr=0.5, seed=0)
     L, _ = pcp_oracle(X, tol=1e-6)
     _, _, Vt = np.linalg.svd(L)
     a = model.A[:, 0] / np.linalg.norm(model.A[:, 0])
@@ -123,13 +123,13 @@ def test_train_subspace_matches_pcp_oracle():
 def test_train_validates_inputs():
     X = rank1_images(n=4, m=9)
     with pytest.raises(RpcaError):
-        rpca_train(X, r=9, epochs=1)
+        rpca_train(X, r=9, epochs=1, lr=0.5)
     with pytest.raises(RpcaError):
-        rpca_train(X, r=0, epochs=1)
+        rpca_train(X, r=0, epochs=1, lr=0.5)
     with pytest.raises(RpcaError):
         rpca_train(X, r=1, epochs=1, lr=0.0)
     with pytest.raises(RpcaError):
-        rpca_train(np.zeros((0, 9)), r=1, epochs=1)
+        rpca_train(np.zeros((0, 9)), r=1, epochs=1, lr=0.5)
 
 
 def test_train_divergence_is_reported_with_epoch(monkeypatch):

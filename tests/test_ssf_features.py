@@ -105,21 +105,21 @@ def test_probe_loss_is_cross_entropy():
 
 
 def test_ssf_train_zero_epochs_is_identity():
-    adapter = ssf_train(make_fm(), epochs=0)
+    adapter = ssf_train(make_fm(), epochs=0, lr=0.1)
     assert np.array_equal(adapter.gamma, np.ones(6))
     assert np.array_equal(adapter.delta, np.zeros(6))
 
 
 def test_ssf_train_deterministic():
-    a = ssf_train(make_fm(seed=2), epochs=5, seed=7)
-    b = ssf_train(make_fm(seed=2), epochs=5, seed=7)
+    a = ssf_train(make_fm(seed=2), epochs=5, lr=0.1, seed=7)
+    b = ssf_train(make_fm(seed=2), epochs=5, lr=0.1, seed=7)
     assert np.array_equal(a.gamma, b.gamma) and np.array_equal(a.delta, b.delta)
 
 
 def test_ssf_train_requires_two_classes():
     fm = FeatureMatrix(rows=np.zeros((4, 3)), labels=["a"] * 4)
     with pytest.raises(SsfError):
-        ssf_train(fm)
+        ssf_train(fm, epochs=50, lr=0.1)
 
 
 def probe_accuracy(adapter: SsfAdapter, features: FeatureMatrix, epochs: int = 50,
@@ -147,7 +147,7 @@ def probe_accuracy(adapter: SsfAdapter, features: FeatureMatrix, epochs: int = 5
 
 def test_ssf_train_keeps_separable_features_separable():
     fm = make_fm(n=40, d=8, seed=5)
-    adapter = ssf_train(fm, epochs=30, seed=0)
+    adapter = ssf_train(fm, epochs=30, lr=0.1, seed=0)
     assert probe_accuracy(adapter, fm, seed=0) >= 0.95
     identity = SsfAdapter(gamma=np.ones(fm.dim), delta=np.zeros(fm.dim))
     assert probe_accuracy(identity, fm, seed=0) >= 0.95
