@@ -17,7 +17,7 @@ from . import rpca as rpca_mod
 from .datahub import SYNTH_KINDS, DataError, load_dataset, save_dataset, synth_dataset
 from .features import softmax_cross_entropy, write_features
 from .harness import (DEFAULTS, ConfigError, RunConfig, StageFailure, check_key, load_report,
-                      prepare_images, run_scenario, train_backbone)
+                      prepare_images, run_scenario, train_backbone, train_denoiser)
 from .pgm import read_pgm
 
 USAGE_EXIT = 1
@@ -62,9 +62,10 @@ def _build_parser() -> _Parser:
                        help="train the low-rank denoiser and write sparse components")
     s.add_argument("--train-glob", required=True, help="PGM files to train on")
     s.add_argument("--apply-glob", required=True, help="PGM files to filter")
-    s.add_argument("--rank", type=int, required=True)
-    s.add_argument("--epochs", type=int, default=200)
-    s.add_argument("--lr", type=float, default=0.01)
+    s.set_defaults(**DEFAULTS["rpca"])  # the run config's rpca defaults
+    s.add_argument("--rank", type=int)
+    s.add_argument("--epochs", type=int)
+    s.add_argument("--lr", type=float)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output directory")
 
@@ -120,8 +121,8 @@ def cmd_denoise(args) -> int:
     for p, im in images.items():
         if im.shape != (side, side):
             raise DataError(f"{p}: expected {side}x{side} square image, got {im.shape}")
-    model = rpca_mod.rpca_train(np.stack([images[p].ravel() for p in train_paths]), r=args.rank,
-                                epochs=args.epochs, lr=args.lr, seed=args.seed)
+    flat = np.stack([images[p].ravel() for p in train_paths])
+    model = train_denoiser(flat, vars(args), args.seed)  # args holds the rpca keys
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for p in apply_paths:
@@ -135,7 +136,7 @@ def cmd_train_backbone(args) -> int:
     ds = load_dataset(args.manifest)
     train = [im for im in ds.samples if im.split == "train"]
     labels = [im.label for im in train]
-    imgs = prepare_images(train, "cnn_train", args.seed)
+    imgs = prepare_images(train, args.seed)
     model = train_backbone(imgs, labels, vars(args), args.seed)  # args holds the cnn_train keys
     cnn_mod.save_cnn(model, args.out)
     # eval-mode fit of the training head on the training images
@@ -151,7 +152,7 @@ def cmd_extract(args) -> int:
     ds = load_dataset(args.manifest)
     model = cnn_mod.load_cnn(args.model)
     samples = [im for im in ds.samples if im.split == args.split]
-    imgs = prepare_images(samples, "cnn_eval", seed=0)  # eval mode never flips
+    imgs = prepare_images(samples, None)
     fm = cnn_mod.cnn_extract(model, imgs, [im.label for im in samples])
     write_features(fm, args.out)
     print(f"wrote {fm.rows.shape[0]}x{fm.dim} features to {args.out}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnn import INPUT_SIZE
-from .pgm import read_pgm, write_pgm
+from .pgm import PgmError, read_pgm, write_pgm
 from .seeding import derive_rng
 
 CROP_SIZE = 32
@@ -143,7 +143,10 @@ def load_dataset(manifest_path) -> Dataset:
         img_path = manifest_path.parent / rel
         if not img_path.exists():
             raise DataError(f"{manifest_path}:{lineno}: image not found: {img_path}")
-        pixels = read_pgm(img_path)
+        try:
+            pixels = read_pgm(img_path)
+        except PgmError as exc:
+            raise DataError(f"{manifest_path}:{lineno}: {exc}") from exc
         if expect_size is not None and list(pixels.shape) != list(expect_size):
             raise DataError(
                 f"{img_path}: image is {pixels.shape[0]}x{pixels.shape[1]}, "
@@ -280,20 +283,18 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return rows[:, x0] * (1 - wx) + rows[:, x1] * wx
 
 
-def augment_array(px: np.ndarray, mode: str, seed: int) -> np.ndarray:
-    """Center-crop to 32x32 and bilinear-resize to 70x70; `cnn_train` adds a
-    seeded horizontal flip with probability 0.5, `cnn_eval` never flips.
-    Works on raw arrays (no [0,1] requirement) so filtered residuals pass
-    through unclamped."""
-    if mode not in ("cnn_train", "cnn_eval"):
-        raise DataError(f"unknown augment mode {mode!r}")
+def augment_array(px: np.ndarray, flip_seed) -> np.ndarray:
+    """Center-crop to 32x32 and bilinear-resize to 70x70, then flip
+    horizontally with probability 0.5 drawn from `flip_seed`; None never
+    flips. Works on raw arrays (no [0,1] requirement) so filtered residuals
+    pass through unclamped."""
     h, w = px.shape
     if h < CROP_SIZE or w < CROP_SIZE:
         raise DataError(f"image {h}x{w} smaller than {CROP_SIZE}x{CROP_SIZE} crop")
     top, left = (h - CROP_SIZE) // 2, (w - CROP_SIZE) // 2
     px = px[top : top + CROP_SIZE, left : left + CROP_SIZE]
     px = bilinear_resize(px, INPUT_SIZE, INPUT_SIZE)
-    if mode == "cnn_train" and derive_rng(seed, "augment").random() < 0.5:
+    if flip_seed is not None and derive_rng(flip_seed, "augment").random() < 0.5:
         px = px[:, ::-1]
     return np.ascontiguousarray(px)
 

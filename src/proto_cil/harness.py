@@ -90,7 +90,7 @@ RULES = {
 
 # section -> key -> the value a run uses where the config leaves the key out
 DEFAULTS = {
-    "rpca": {"rank": 2, "epochs": 100, "lr": 0.01},
+    "rpca": {"rank": 2, "epochs": 100, "lr": 0.5},
     "ssf": {"epochs": 50, "lr": 0.1},
     "cnn_train": {"d_cnn": 256, "dropout": 0.5, "epochs": 30, "lr": 0.01, "momentum": 0.9,
                   "weight_decay": 0.0005},
@@ -255,17 +255,25 @@ def perf_drop(a0: float, a_t: float) -> float:
 # prototype `state`, and `tested`, the projected rows of the test images
 # scored so far.
 
-def prepare_images(samples, mode, seed, rpca_model=None) -> np.ndarray:
+def prepare_images(samples, seed, rpca_model=None) -> np.ndarray:
     """Network inputs for `samples`: the RPCA sparse part when a model is given,
-    then `augment_array` in `mode`. Sample i draws its flip from
-    derive_seed(seed, "augment", i)."""
+    then `augment_array`. With a `seed` (training), sample i draws its flip
+    from derive_seed(seed, "augment", i); with None (evaluation) none flips."""
     out = []
     for i, im in enumerate(samples):
         px = im.pixels
         if rpca_model is not None:
             px = rpca_mod.rpca_apply(rpca_model, px.ravel()).reshape(px.shape)
-        out.append(augment_array(px, mode, derive_seed(seed, "augment", i)))
+        out.append(augment_array(px, None if seed is None else derive_seed(seed, "augment", i)))
     return np.stack(out)
+
+
+def train_denoiser(flat, hp, seed) -> rpca_mod.RpcaModel:
+    """The RPCA denoiser trained on the rows of `flat` (one flattened image
+    each) with the rpca hyperparameters `hp`: the run's CNN branch and
+    `denoise` both train it this way."""
+    return rpca_mod.rpca_train(flat, r=hp["rank"], epochs=hp["epochs"], lr=hp["lr"],
+                               seed=derive_seed(seed, "rpca"))
 
 
 def train_backbone(images, labels, hp, seed) -> cnn_mod.CnnModel:
@@ -283,21 +291,17 @@ class _CnnBranch:
     name = "cnn"
 
     def __init__(self, config: RunConfig, base_task):
-        self.seed = config.seed
         self.rpca_model = None
         if config.rpca.get("enabled"):
-            rpca = _section(config, "rpca")
             flat = np.stack([im.pixels.ravel() for im in base_task.train])
-            self.rpca_model = rpca_mod.rpca_train(
-                flat, r=rpca["rank"], epochs=rpca["epochs"], lr=rpca["lr"],
-                seed=derive_seed(config.seed, "rpca"))
-        train_imgs = prepare_images(base_task.train, "cnn_train", self.seed, self.rpca_model)
+            self.rpca_model = train_denoiser(flat, _section(config, "rpca"), config.seed)
+        train_imgs = prepare_images(base_task.train, config.seed, self.rpca_model)
         self.model = train_backbone(train_imgs, [im.label for im in base_task.train],
-                                    _section(config, "cnn_train"), self.seed)
+                                    _section(config, "cnn_train"), config.seed)
         self.dim = self.model.params["dense_w"].shape[1]
 
     def features(self, samples, split) -> FeatureMatrix:
-        imgs = prepare_images(samples, "cnn_eval", self.seed, self.rpca_model)
+        imgs = prepare_images(samples, None, self.rpca_model)
         return cnn_mod.cnn_extract(self.model, imgs, [im.label for im in samples])
 
 

@@ -51,6 +51,10 @@ def read_pgm(path) -> np.ndarray:
         rest = data[end + len(maxval_tok) :].split()
         if len(rest) != width * height:
             raise PgmError(f"{path}: expected {width * height} pixels, got {len(rest)}")
+        bad = [t for t in rest if not t.isdigit()]
+        if bad:
+            raise PgmError(f"{path}: sample {bad[0].decode(errors='replace')!r} "
+                           f"is not a non-negative integer")
         pixels = np.array([int(t) for t in rest], dtype=np.float64)
     else:
         # single whitespace byte separates maxval from raster

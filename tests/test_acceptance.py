@@ -16,7 +16,7 @@ from proto_cil.cnn import INPUT_SIZE, cnn_init
 from proto_cil.datahub import ScenarioSpec, make_scenario, synth_dataset
 from proto_cil.features import FeatureMatrix, softmax
 from proto_cil.fusion import late_fuse
-from proto_cil.harness import RunConfig, avg_acc, perf_drop, run_scenario
+from proto_cil.harness import DEFAULTS, RunConfig, avg_acc, perf_drop, run_scenario, train_denoiser
 from proto_cil.projector import PrototypeState, ScoreMatrix, accumulate, solve_prototypes
 from proto_cil.rpca import RpcaModel, rpca_train
 from proto_cil.ssf import SsfAdapter
@@ -139,6 +139,19 @@ def test_criterion_5_rpca_recovery():
         lows = np.stack([model.A @ (model.B @ x) for x in X])
         sv = np.linalg.svd(lows, compute_uv=False)
         assert sv[2] <= 1e-8 * sv[0]
+
+
+def test_criterion_5_holds_for_the_run_denoiser_defaults():
+    """The denoiser a run trains when its config sets no rpca hyperparameter
+    meets criterion 5's loss bound on the criterion's problem."""
+    rng = np.random.default_rng(2)
+    L0 = (np.outer(rng.normal(size=64), rng.normal(size=64))
+          + np.outer(rng.normal(size=64), rng.normal(size=64)))
+    S0 = np.zeros((64, 64))
+    mask = rng.random((64, 64)) < 0.05
+    S0[mask] = rng.choice([-5.0, 5.0], size=mask.sum())
+    model = train_denoiser(L0 + S0, DEFAULTS["rpca"], seed=0)
+    assert model.epoch_losses[-1] <= 0.5 * model.epoch_losses[0]
 
 
 def test_criterion_6_end_to_end_cil():

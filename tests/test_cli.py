@@ -10,7 +10,7 @@ import pytest
 
 from proto_cil.cli import main
 from proto_cil.features import ingest_features
-from proto_cil.harness import MetricsReport, RunConfig, report
+from proto_cil.harness import MetricsReport, RunConfig, report, run_scenario
 from proto_cil.pgm import read_pgm, write_pgm
 from proto_cil.seeding import derive_seed
 
@@ -81,7 +81,7 @@ def test_denoise_pipeline(tmp_path):
     out = tmp_path / "out"
     rc = main(["denoise", "--train-glob", str(tmp_path / "in" / "*.pgm"),
                "--apply-glob", str(tmp_path / "in" / "im00*.pgm"),
-               "--rank", "1", "--epochs", "400", "--lr", "0.5",
+               "--rank", "1", "--epochs", "1500", "--lr", "0.5",
                "--out", str(out)])
     assert rc == 0
     produced = sorted(out.glob("*.pgm"))
@@ -118,6 +118,33 @@ def test_denoise_checks_apply_images_before_training(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "im000.pgm: expected 8x8 square image, got (6, 6)" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_denoise_trains_the_run_denoiser(tmp_path, monkeypatch):
+    """For one seed, `denoise` trains bit for bit the denoiser that the run's
+    CNN branch trains on the same images in the same order."""
+    import proto_cil.rpca as rpca_mod
+
+    ds = tmp_path / "ds"
+    assert main(["synth", "--kind", "lowrank_speckle", "--classes", "2", "--train", "3",
+                 "--test", "1", "--size", "32", "--out", str(ds)]) == 0
+    real, models = rpca_mod.rpca_train, []
+
+    def recording(*args, **kwargs):
+        models.append(real(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(rpca_mod, "rpca_train", recording)
+    train = str(ds / "*_train_*.pgm")
+    assert main(["denoise", "--train-glob", train, "--apply-glob", train, "--epochs", "3",
+                 "--seed", "5", "--out", str(tmp_path / "sparse")]) == 0
+    run_scenario(RunConfig.from_dict({
+        "dataset": {"manifest": str(ds / "manifest.csv")}, "schedule": [2],
+        "cnn_branch": True, "ingested_branch": False, "rpca": {"enabled": True, "epochs": 3},
+        "cnn_train": {"d_cnn": 8, "epochs": 0}, "projection_dim": 8, "seed": 5}))
+    cli_model, run_model = models
+    assert np.array_equal(cli_model.A, run_model.A)
+    assert np.array_equal(cli_model.B, run_model.B)
 
 
 def test_denoise_rejects_bad_rank(tmp_path):
@@ -202,16 +229,16 @@ def test_train_backbone_seeds_flips_from_seed(tmp_path, monkeypatch):
                  "--test", "1", "--size", "32", "--out", str(ds)]) == 0
     real, calls = harness.augment_array, []
 
-    def recording(px, mode, seed):
-        calls.append((mode, seed))
-        return real(px, mode, seed)
+    def recording(px, flip_seed):
+        calls.append(flip_seed)
+        return real(px, flip_seed)
 
     monkeypatch.setattr(harness, "augment_array", recording)
     rc = main(["train-backbone", "--manifest", str(ds / "manifest.csv"),
                "--out", str(tmp_path / "cnn.bin"), "--epochs", "0", "--d-cnn", "4",
                "--seed", "5"])
     assert rc == 0
-    assert calls == [("cnn_train", derive_seed(5, "augment", i)) for i in range(6)]
+    assert calls == [derive_seed(5, "augment", i) for i in range(6)]
 
 
 def test_train_backbone_trains_the_run_cnn_branch(tmp_path, monkeypatch):
@@ -243,14 +270,19 @@ def test_train_backbone_trains_the_run_cnn_branch(tmp_path, monkeypatch):
         assert np.array_equal(saved.params[k], run.params[k]), k
 
 
-def test_train_backbone_defaults_are_the_run_defaults(monkeypatch):
+@pytest.mark.parametrize("command, section, argv", [
+    ("train-backbone", "cnn_train", ["--manifest", "m.csv", "--out", "cnn.bin"]),
+    ("denoise", "rpca", ["--train-glob", "*.pgm", "--apply-glob", "*.pgm", "--out", "out"]),
+], ids=["train-backbone", "denoise"])
+def test_flag_defaults_are_the_run_defaults(monkeypatch, command, section, argv):
     import proto_cil.cli as cli
     from proto_cil.harness import DEFAULTS
 
     seen = {}
-    monkeypatch.setattr(cli, "cmd_train_backbone", lambda args: seen.update(vars(args)) or 0)
-    assert main(["train-backbone", "--manifest", "m.csv", "--out", "cnn.bin"]) == 0
-    assert {key: seen[key] for key in DEFAULTS["cnn_train"]} == DEFAULTS["cnn_train"]
+    handler = "cmd_" + command.replace("-", "_")
+    monkeypatch.setattr(cli, handler, lambda args: seen.update(vars(args)) or 0)
+    assert main([command] + argv) == 0
+    assert {key: seen[key] for key in DEFAULTS[section]} == DEFAULTS[section]
 
 
 def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
@@ -271,7 +303,7 @@ def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
     train = [im for im in load_dataset(ds / "manifest.csv").samples if im.split == "train"]
     labels = [im.label for im in train]
     y = np.array([sorted(set(labels)).index(c) for c in labels])
-    _, logits, _ = _forward_batch(model, prepare_images(train, "cnn_train", 3), None)
+    _, logits, _ = _forward_batch(model, prepare_images(train, 3), None)
     assert float(printed.group(1)) == pytest.approx(softmax_cross_entropy(logits, y)[0],
                                                     rel=1e-12)
     assert float(printed.group(2)) == float((logits.argmax(axis=1) == y).mean())
@@ -440,6 +472,20 @@ def test_run_bad_manifest_header_is_usage_error(tmp_path, capsys, header_edits, 
     assert run_with(tmp_path, dataset={"manifest": manifest}, schedule=[2, 2]) == 1
     err = capsys.readouterr().err
     assert "'setup'" in err and "manifest.json" in err and message in err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("contents, message", [
+    (b"P5\n8 8\n255\n" + bytes(10), "truncated raster"),
+    (b"P2\n2 1\n255\nx 0\n", "sample 'x' is not a non-negative integer"),
+    (b"P2\n2 1\n255\n-1 0\n", "sample '-1' is not a non-negative integer"),
+], ids=["truncated-raster", "p2-letter", "p2-negative"])
+def test_run_malformed_pgm_is_usage_error(tmp_path, capsys, contents, message):
+    manifest = synth_manifest(tmp_path / "ds", {})
+    (tmp_path / "ds" / "c00_train_0002.pgm").write_bytes(contents)  # manifest line 3
+    assert run_with(tmp_path, dataset={"manifest": manifest}, schedule=[2, 2]) == 1
+    err = capsys.readouterr().err
+    assert "'setup'" in err and "manifest.csv:3:" in err and message in err
     assert not (tmp_path / "report").exists()
 
 

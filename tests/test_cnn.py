@@ -22,7 +22,7 @@ SGD = {"lr": 0.01, "momentum": 0.9, "weight_decay": 0.0005}
 def augmented_blobs(num_classes=2, per_class=8, seed=0):
     ds = synth_dataset("blobs", num_classes, per_class, 1, 32, seed=seed)
     train = [im for im in ds.samples if im.split == "train"]
-    imgs = np.stack([augment_array(im.pixels, "cnn_train", i) for i, im in enumerate(train)])
+    imgs = np.stack([augment_array(im.pixels, i) for i, im in enumerate(train)])
     return imgs, [im.label for im in train]
 
 
