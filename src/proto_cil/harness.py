@@ -221,6 +221,8 @@ def accuracy(predicted_labels, true_labels) -> float:
 
 def balanced_accuracy(predicted_labels, true_labels) -> float:
     """Mean of per-class recalls, percent."""
+    if len(predicted_labels) != len(true_labels):
+        raise ValueError("prediction/label length mismatch")
     if len(true_labels) == 0:
         raise ValueError("accuracy of empty input is undefined")
     per_class = {}

@@ -6,7 +6,8 @@ SVD G = Vt^T diag(s^2) Vt, r <= min(rows seen, M) orthonormal rows Vt, beside
 the per-class accumulator C. New rows H update it through the small kernel of
 X = [diag(s) Vt; H]: X X^T = U diag(w) U^T has the nonzero spectrum of the new
 G = X^T X, so s = sqrt(w) and Vt = U^T X / s (Brand, "Fast low-rank
-modifications of the thin singular value decomposition", LAA 2006).
+modifications of the thin singular value decomposition", LAA 2006). s, Vt and
+C are read-only values that `accumulate` replaces, so a snapshot shares them.
 
 The prototypes solve (G + lambda I) P = C as P = Vt^T diag(1 / (s^2 + lambda))
 Vt C. Every column of C is a sum of projected rows, so C lies in the row space
@@ -54,19 +55,18 @@ class PrototypeState:
     M: int
     s: np.ndarray = None          # (r,) descending; read-only
     Vt: np.ndarray = None         # (r, M) orthonormal rows, G = Vt^T diag(s^2) Vt; read-only
-    C: np.ndarray = None          # (M, K)
+    C: np.ndarray = None          # (M, K) per-class sums of projected rows; read-only
     registry: list = field(default_factory=list)
     P: np.ndarray = None          # (M, K); None until solved after the last accumulate
 
     def __post_init__(self):
         if self.s is None:
             self.s, self.Vt = _frozen(np.zeros(0)), _frozen(np.zeros((0, self.M)))
-        if self.C is None:
-            self.C = np.zeros((self.M, 0))
+            self.C = _frozen(np.zeros((self.M, 0)))
 
     def snapshot(self) -> "PrototypeState":
-        """An unsolved copy sharing the read-only (s, Vt); `accumulate` replaces them."""
-        return PrototypeState(M=self.M, s=self.s, Vt=self.Vt, C=self.C.copy(),
+        """An unsolved copy sharing the read-only (s, Vt, C); the registry list is copied."""
+        return PrototypeState(M=self.M, s=self.s, Vt=self.Vt, C=self.C,
                               registry=list(self.registry))
 
 
@@ -85,31 +85,24 @@ def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
     if features.dim != layer.W.shape[0]:
         raise ProjectorError(
             f"feature dimension {features.dim} != projection input {layer.W.shape[0]}")
-    H = np.maximum(features.rows @ layer.W, 0.0)
+    H = features.rows @ layer.W
+    np.maximum(H, 0.0, out=H)
     return FeatureMatrix(rows=H, labels=list(features.labels))
-
-
-def _one_hot_sums(H, labels, registry):
-    """Per-class column sums of H rows; extends registry in first-sight order."""
-    for c in labels:
-        if c not in registry:
-            registry.append(c)
-    sums = np.zeros((H.shape[1], len(registry)))
-    index = {c: j for j, c in enumerate(registry)}
-    for row, c in zip(H, labels):
-        sums[:, index[c]] += row
-    return sums
 
 
 def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     """(s, Vt) <- SVD of [diag(s) Vt; H] by eigh of its kernel, so G gains sum h h^T;
-    C[:, class] += h, new classes growing zero columns first; P <- None. Keeps at
-    most M eigenvalues, those above w_max * max(X.shape) * eps (eigh's accuracy)."""
+    C <- C zero-padded for new classes (first-sight order) + each class's rows of H;
+    P <- None. Replaces the three arrays, never writes them. Keeps at most M
+    eigenvalues, those above w_max * max(X.shape) * eps (eigh's accuracy)."""
     if H.rows.shape[0] == 0:
         return state
     if H.dim != state.M:
         raise ProjectorError(f"projected dimension {H.dim} != state dimension {state.M}")
-    X = np.vstack((state.s[:, None] * state.Vt, H.rows))
+    r0 = state.s.size
+    X = np.empty((r0 + H.rows.shape[0], state.M))
+    np.multiply(state.s[:, None], state.Vt, out=X[:r0])
+    X[r0:] = H.rows
     try:
         w, U = eigh(X @ X.T)
     except LinAlgError as exc:
@@ -117,23 +110,24 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     w, U = w[::-1], U[:, ::-1]
     r = min(int(np.count_nonzero(w > w[0] * max(X.shape) * np.finfo(float).eps)), state.M)
     s = np.sqrt(w[:r])
-    state.s, state.Vt = _frozen(s), _frozen((U[:, :r].T @ X) / s[:, None])
-    before = len(state.registry)
-    sums = _one_hot_sums(H.rows, H.labels, state.registry)
-    if len(state.registry) > before:
-        grown = np.zeros((state.M, len(state.registry)))
-        grown[:, :before] = state.C
-        state.C = grown
-    state.C += sums
-    state.P = None
+    Vt = U[:, :r].T @ X
+    Vt /= s[:, None]
+    state.registry += [c for c in dict.fromkeys(H.labels) if c not in state.registry]
+    index = {c: j for j, c in enumerate(state.registry)}
+    sums = np.zeros((len(index), state.M))
+    for row, c in zip(H.rows, H.labels):
+        sums[index[c]] += row
+    C = np.pad(state.C, ((0, 0), (0, len(index) - state.C.shape[1])))
+    C += sums.T
+    state.s, state.Vt, state.C, state.P = _frozen(s), _frozen(Vt), _frozen(C), None
     return state
 
 
 def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     """P = (G + lam I)^{-1} C = Vt^T diag(1 / (s^2 + lam)) Vt C from the
     state's (s, Vt) (no explicit inverse)."""
-    if lam <= 0:
-        raise ProjectorError("lambda must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ProjectorError(f"lambda must be finite and positive, got {lam}")
     s, Vt = state.s, state.Vt
     P = Vt.T @ ((Vt @ state.C) / (s * s + lam)[:, None])
     if not np.isfinite(P).all():
@@ -180,8 +174,7 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     accumulate(trial, fit)
     index = {c: j for j, c in enumerate(trial.registry)}
     targets = np.zeros((len(val_idx), len(index)))
-    for i, vi in enumerate(val_idx):
-        targets[i, index[task_H.labels[vi]]] = 1.0
+    targets[np.arange(len(val_idx)), [index[task_H.labels[vi]] for vi in val_idx]] = 1.0
 
     A, B, w = task_H.rows[val_idx] @ trial.Vt.T, trial.Vt @ trial.C, trial.s * trial.s
     w_min = w[-1] if w.size == trial.M else 0.0

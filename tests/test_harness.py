@@ -53,6 +53,9 @@ def test_metric_input_validation():
         avg_acc([])
     with pytest.raises(ValueError):
         perf_drop(101.0, 50.0)
+    for preds, truth in ((["a"], ["a", "b"]), (["a", "b"], ["a"])):
+        with pytest.raises(ValueError, match="length mismatch"):
+            balanced_accuracy(preds, truth)  # zip would score ["a"] vs ["a", "b"] 100.0
 
 
 def test_accuracy_and_balance():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,12 +91,17 @@ def test_init_projection_validates():
 # streaming statistics
 
 def test_accumulate_matches_batch_formulas():
+    """G to rounding; each column of C is its class's rows (interleaved with
+    the other classes' rows) summed one at a time in row order, bit for bit."""
     H = random_fm(20, 6, seed=2)
     st = accumulate(PrototypeState(M=6), H)
     assert np.allclose(gram(st), H.rows.T @ H.rows)
     for j, c in enumerate(st.registry):
-        rows = H.rows[[i for i, l in enumerate(H.labels) if l == c]]
-        assert np.allclose(st.C[:, j], rows.sum(axis=0))
+        ref = np.zeros(6)
+        for row, label in zip(H.rows, H.labels):
+            if label == c:
+                ref = ref + row
+        assert np.array_equal(st.C[:, j], ref)
 
 
 def test_registry_grows_in_first_sight_order():
@@ -182,11 +188,50 @@ def test_single_row_updates_match_one_batch():
 
 
 def test_factor_arrays_are_read_only():
+    empty = PrototypeState(M=5)
+    assert not any(a.flags.writeable for a in (empty.s, empty.Vt, empty.C))
     st = accumulate(PrototypeState(M=5), random_fm(8, 5, seed=9))
     with pytest.raises(ValueError):
         st.Vt[0, 0] = 1.0
     with pytest.raises(ValueError):
         st.s[0] = 1.0
+    with pytest.raises(ValueError):
+        st.C[0, 0] = 1.0
+
+
+def test_accumulate_replaces_arrays_without_writing_inputs():
+    """A snapshot shares s, Vt and C; accumulating into the state, with a new
+    class, leaves H, the snapshot and the replaced arrays as they were."""
+    st = accumulate(PrototypeState(M=8), random_fm(12, 8, seed=10))
+    H = random_fm(9, 8, seed=11, classes=("a", "d"))
+    snap = st.snapshot()
+    assert snap.s is st.s and snap.Vt is st.Vt and snap.C is st.C
+    old = [H.rows, st.s, st.Vt, st.C]
+    copies = [a.copy() for a in old]
+    accumulate(st, H)
+    assert st.C.shape == (8, 4) and not any(a is b for a, b in zip(old[1:], (st.s, st.Vt, st.C)))
+    assert all(np.array_equal(a, b) for a, b in zip(old, copies))
+    assert snap.registry == ["a", "b", "c"]
+    assert st.snapshot().C is st.C
+
+
+def test_accumulate_memory_guard():
+    """One accumulate at r=160, n=40, M=1000 fills one (r + n, M) buffer X and
+    writes the new Vt into its rotation U^T X: 2.25 copies of X's bytes
+    traced. Stacking X from a scaled copy of Vt and dividing into a
+    fresh array peaks at 3.24 copies."""
+    r, n, M = 160, 40, 1000
+    st = accumulate(PrototypeState(M=M), random_fm(r, M, seed=12))
+    H = random_fm(n, M, seed=13)
+    assert st.s.size == r
+    tracemalloc.start()
+    try:
+        accumulate(st, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2.75 * (r + n) * M * 8
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB > bound {bound / 1e6:.2f} MB"
 
 
 def test_solve_after_accumulate_refreshes_cached_svd():
@@ -240,9 +285,11 @@ def test_solve_matches_dense_shift_cholesky():
 
 
 def test_solve_requires_positive_lambda():
+    """Finite too: lam = inf would divide C by inf and return an all-zero P."""
     st = accumulate(PrototypeState(M=3), random_fm(5, 3, seed=0))
-    with pytest.raises(ProjectorError):
-        solve_prototypes(st, 0.0)
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ProjectorError, match=f"finite and positive, got {lam}"):
+            solve_prototypes(st, lam)
 
 
 def test_score_requires_fresh_prototypes():
