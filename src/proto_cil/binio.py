@@ -8,9 +8,7 @@ import json
 
 import numpy as np
 
-
-class CheckpointError(ValueError):
-    pass
+from .errors import InputError
 
 
 def save_blocks(path, meta: dict, arrays: dict) -> None:
@@ -30,14 +28,18 @@ def load_blocks(path):
         try:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: bad checkpoint header") from exc
+            raise InputError(f"{path}: bad checkpoint header") from exc
+        if not (type(header) is dict and type(header.get("meta")) is dict
+                and type(header.get("blocks")) is list):
+            raise InputError(f"{path}: checkpoint header must be an object with a 'meta' "
+                             f"object and a 'blocks' list")
         arrays = {}
         for name, shape in header["blocks"]:
             count = int(np.prod(shape)) if shape else 1
             raw = f.read(count * 8)
             if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated block {name!r}")
+                raise InputError(f"{path}: truncated block {name!r}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if f.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after last block")
+            raise InputError(f"{path}: trailing bytes after last block")
     return header["meta"], arrays

@@ -170,10 +170,7 @@ def cmd_run(args) -> int:
     overrides = {"seed": args.seed, "output_dir": args.out, "portion": args.portion}
     if type(raw) is dict:  # anything else is rejected by from_dict
         raw.update((key, value) for key, value in overrides.items() if value is not None)
-    try:
-        config = RunConfig.from_dict(raw)
-    except TypeError as exc:  # a required key is missing
-        raise ConfigError(str(exc)) from exc
+    config = RunConfig.from_dict(raw)
     try:
         metrics = run_scenario(config)
     except StageFailure as exc:

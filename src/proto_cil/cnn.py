@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .errors import Divergence, InputError
 from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
 
@@ -21,16 +22,8 @@ POOLED_SIDE = INPUT_SIZE >> len(KERNELS)  # each pool floors the side: 35, 17, 8
 FLAT_SIZE = POOLED_SIDE * POOLED_SIDE * CHANNELS[-1]
 TRAIN_BATCH = 16
 EXTRACT_BATCH = 16
-
-
-class CnnError(ValueError):
-    pass
-
-
-class CnnDivergence(RuntimeError):
-    def __init__(self, epoch):
-        super().__init__(f"non-finite training loss or weights at epoch {epoch}")
-        self.epoch = epoch
+PARAM_NAMES = tuple(f"conv{i}_{p}" for i in range(len(KERNELS)) for p in "wb") + (
+    "dense_w", "dense_b", "head_w", "head_b")  # the parameters cnn_init creates
 
 
 @dataclass
@@ -47,11 +40,11 @@ class CnnModel:
 def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> CnnModel:
     """He fan-in Gaussian init for conv/dense weights, zero biases."""
     if d_cnn < 1:
-        raise CnnError("d_cnn must be >= 1")
+        raise InputError("d_cnn must be >= 1")
     if not 0 <= dropout < 1:
-        raise CnnError(f"dropout must be in [0,1), got {dropout}")
+        raise InputError(f"dropout must be in [0,1), got {dropout}")
     if num_classes < 2:
-        raise CnnError("num_classes must be >= 2")
+        raise InputError("num_classes must be >= 2")
     rng = derive_rng(seed, "cnn")
     params = {}
     in_ch = 1
@@ -166,7 +159,7 @@ def _forward_batch(model, images, rng, backprop=False):
     columns: backprop rebuilds them."""
     x = np.asarray(images, dtype=np.float64)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
-        raise CnnError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
+        raise InputError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
     cache = {"images": []}
     flat = np.empty((len(x), FLAT_SIZE))
     for n, image in enumerate(x):
@@ -242,10 +235,10 @@ def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum:
     frozen copy."""
     classes = sorted(set(labels))
     if len(classes) < 2:
-        raise CnnError("base task must contain at least 2 classes")
+        raise InputError("base task must contain at least 2 classes")
     heads = model.params["head_w"].shape[1]
     if heads != len(classes):
-        raise CnnError(f"model head has {heads} classes, labels have {len(classes)}")
+        raise InputError(f"model head has {heads} classes, labels have {len(classes)}")
     model = model.copy()
     x = np.asarray(images, dtype=np.float64)
     y = np.array([classes.index(c) for c in labels])
@@ -257,14 +250,14 @@ def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum:
             sel = order[start : start + TRAIN_BATCH]
             loss, grads = cnn_loss_and_grad(model, x[sel], y[sel], rng=rng)
             if not np.isfinite(loss):
-                raise CnnDivergence(epoch)
+                raise Divergence("training loss or weights", epoch)
             for k, g in grads.items():
                 if k.endswith("_w"):
                     g = g + weight_decay * model.params[k]
                 vel[k] = momentum * vel[k] - lr * g
                 model.params[k] += vel[k]
         if not all(np.isfinite(v).all() for v in model.params.values()):
-            raise CnnDivergence(epoch)
+            raise Divergence("training loss or weights", epoch)
     model.frozen = True
     return model
 
@@ -272,7 +265,7 @@ def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum:
 def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
     """Eval-mode dense features for a frozen model."""
     if not model.frozen:
-        raise CnnError("cnn_extract requires a trained (frozen) model")
+        raise InputError("cnn_extract requires a trained (frozen) model")
     x = np.asarray(images, dtype=np.float64)
     rows = []
     for start in range(0, len(x), EXTRACT_BATCH):
@@ -296,6 +289,10 @@ def load_cnn(path) -> CnnModel:
 
     meta, arrays = load_blocks(path)
     if meta.get("kind") != "cnn":
-        raise CnnError(f"{path}: not a cnn checkpoint")
+        raise InputError(f"{path}: not a cnn checkpoint")
+    missing = [k for k in ("dropout", "frozen") if k not in meta]
+    missing += [k for k in PARAM_NAMES if k not in arrays]
+    if missing:
+        raise InputError(f"{path}: cnn checkpoint is missing {missing}")
     # the widths come from the weights; a header's d_cnn and num_classes, if any, are ignored
     return CnnModel(params=arrays, dropout=meta["dropout"], frozen=meta["frozen"])

@@ -9,14 +9,15 @@ from pathlib import Path
 import numpy as np
 
 from .cnn import INPUT_SIZE
-from .pgm import PgmError, read_pgm, write_pgm
+from .errors import InputError
+from .pgm import read_pgm, write_pgm
 from .seeding import derive_rng
 
 CROP_SIZE = 32
 SYNTH_KINDS = ("blobs", "lowrank_speckle")  # what synth_dataset can generate
 
 
-class DataError(ValueError):
+class DataError(InputError):
     pass
 
 
@@ -145,7 +146,7 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataError(f"{manifest_path}:{lineno}: image not found: {img_path}")
         try:
             pixels = read_pgm(img_path)
-        except PgmError as exc:
+        except InputError as exc:
             raise DataError(f"{manifest_path}:{lineno}: {exc}") from exc
         if expect_size is not None and list(pixels.shape) != list(expect_size):
             raise DataError(

@@ -5,9 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class FeatureError(ValueError):
-    pass
+from .errors import InputError
 
 
 @dataclass
@@ -18,11 +16,11 @@ class FeatureMatrix:
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2:
-            raise FeatureError(f"rows must be 2-D, got shape {self.rows.shape}")
+            raise InputError(f"rows must be 2-D, got shape {self.rows.shape}")
         if not np.isfinite(self.rows).all():
-            raise FeatureError("feature entries must be finite")
+            raise InputError("feature entries must be finite")
         if len(self.labels) != self.rows.shape[0]:
-            raise FeatureError(
+            raise InputError(
                 f"{len(self.labels)} labels for {self.rows.shape[0]} feature rows")
 
     @property
@@ -53,23 +51,23 @@ def ingest_features(path) -> FeatureMatrix:
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines:
-        raise FeatureError(f"{path}: empty file")
+        raise InputError(f"{path}: empty file")
     header = lines[0].split(",")
     if header[0] != "label" or len(header) < 2:
-        raise FeatureError(f"{path}: header must be 'label,f0,..'")
+        raise InputError(f"{path}: header must be 'label,f0,..'")
     d = len(header) - 1
     if not lines[1:]:
-        raise FeatureError(f"{path}: no rows")
+        raise InputError(f"{path}: no rows")
     labels, rows = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != d + 1:
-            raise FeatureError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+            raise InputError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
         labels.append(parts[0])
         try:
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
-            raise FeatureError(f"{path}:{lineno}: non-numeric cell") from exc
+            raise InputError(f"{path}:{lineno}: non-numeric cell") from exc
     return FeatureMatrix(rows=np.array(rows), labels=labels)
 
 

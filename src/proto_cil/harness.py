@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from . import cnn as cnn_mod
 from . import rpca as rpca_mod
 from .datahub import (CROP_SIZE, SYNTH_KINDS, DataError, Dataset, ScenarioSpec, augment_array,
                       load_dataset, make_scenario, synth_dataset)
-from .features import FeatureError, FeatureMatrix, ingest_features
+from .errors import InputError
+from .features import FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict
 from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, PrototypeState, accumulate,
                         init_projection, project, score, select_lambda, solve_prototypes)
@@ -31,7 +32,7 @@ from .seeding import derive_seed
 from .ssf import ssf_apply, ssf_train
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -155,13 +156,21 @@ class RunConfig:
             raise ConfigError(f"fusion is {derived!r} for these branches (it may be omitted), "
                               f"got {self.fusion!r}")
         self.fusion = derived
-        if self.fusion == "late" and self.ingested_source.get("kind") == "csv":
+        csv = self.ingested_branch and self.ingested_source.get("kind") == "csv"
+        if csv and self.fusion == "late":
             raise ConfigError("fusion=late requires ingested_source raw_pixels "
                               "(csv rows do not align with image test samples)")
+        if csv and self.portion < 1:
+            raise ConfigError(f"portion {self.portion} < 1 requires ingested_source raw_pixels "
+                              "(csv rows are not subsampled)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         check_key("", d)  # an unknown key would be a TypeError in cls(**d)
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING} - d.keys()
+        if missing:
+            raise ConfigError(f"config is missing {sorted(missing)}")
         return cls(**d)
 
     def fingerprint(self) -> str:
@@ -212,9 +221,9 @@ class MetricsReport:
 def accuracy(predicted_labels, true_labels) -> float:
     """Top-1 accuracy in percent."""
     if len(predicted_labels) != len(true_labels):
-        raise ValueError("prediction/label length mismatch")
+        raise InputError("prediction/label length mismatch")
     if len(true_labels) == 0:
-        raise ValueError("accuracy of empty input is undefined")
+        raise InputError("accuracy of empty input is undefined")
     correct = sum(p == t for p, t in zip(predicted_labels, true_labels))
     return 100.0 * correct / len(true_labels)
 
@@ -222,9 +231,9 @@ def accuracy(predicted_labels, true_labels) -> float:
 def balanced_accuracy(predicted_labels, true_labels) -> float:
     """Mean of per-class recalls, percent."""
     if len(predicted_labels) != len(true_labels):
-        raise ValueError("prediction/label length mismatch")
+        raise InputError("prediction/label length mismatch")
     if len(true_labels) == 0:
-        raise ValueError("accuracy of empty input is undefined")
+        raise InputError("accuracy of empty input is undefined")
     per_class = {}
     for p, t in zip(predicted_labels, true_labels):
         hits, total = per_class.get(t, (0, 0))
@@ -235,7 +244,7 @@ def balanced_accuracy(predicted_labels, true_labels) -> float:
 def avg_acc(accuracies) -> float:
     """Arithmetic mean of per-task accuracies (base task included)."""
     if len(accuracies) == 0:
-        raise ValueError("avg_acc of empty list is undefined")
+        raise InputError("avg_acc of empty list is undefined")
     return float(np.mean(accuracies))
 
 
@@ -243,7 +252,7 @@ def perf_drop(a0: float, a_t: float) -> float:
     """Accuracy lost relative to the base task; may be negative."""
     for v in (a0, a_t):
         if not 0 <= v <= 100:
-            raise ValueError(f"accuracy {v} outside [0,100]")
+            raise InputError(f"accuracy {v} outside [0,100]")
     return a0 - a_t
 
 
@@ -357,7 +366,7 @@ def _ingest_csv(config: RunConfig, classes):
         raise ConfigError(f"ingested_source csv is missing {sorted(missing)}")
     try:
         csv = {split: ingest_features(source[split]) for split in ("train", "test")}
-    except (OSError, FeatureError) as exc:
+    except (OSError, InputError) as exc:
         raise DataError(f"ingested_source csv: {exc}") from exc
     if csv["train"].dim != csv["test"].dim:
         raise DataError(f"ingested_source csv: train rows have {csv['train'].dim} features, "
@@ -453,6 +462,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
         # row may differ in the last bits from the same image batched
         # otherwise (a short last batch rounds apart).
         eval_all = seq.eval_set(len(seq.tasks) - 1)  # eval_set(t) is a prefix
+        done = 0  # images of eval_all scored so far; a CSV source's rows may differ in number
         for t, task in enumerate(seq.tasks):
             t0 = time.perf_counter()
             stage = f"task{t}-train"
@@ -469,8 +479,8 @@ def run_scenario(config: RunConfig) -> MetricsReport:
                 solve_prototypes(br.state, lam)
 
             stage = f"task{t}-eval"
-            done = len(branches[0].tested.labels)
             new = eval_all[done : done + len(task.test)]
+            done += len(task.test)
             scores = []
             for br in branches:
                 He = project(br.layer, br.features(new, "test"))
@@ -538,10 +548,10 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig, per_task_seconds:
 
 
 def load_report(out_dir) -> MetricsReport:
-    """The report in `out_dir`'s metrics.json; ValueError if the file holds
+    """The report in `out_dir`'s metrics.json; InputError if the file holds
     no object with a nonempty `task_accuracies` list."""
     body = json.loads((Path(out_dir) / "metrics.json").read_text())
     if not (isinstance(body, dict) and isinstance(body.get("task_accuracies"), list)
             and body["task_accuracies"]):
-        raise ValueError("metrics.json is not a report with a nonempty task_accuracies list")
+        raise InputError("metrics.json is not a report with a nonempty task_accuracies list")
     return MetricsReport(**{f.name: body[f.name] for f in fields(MetricsReport)})

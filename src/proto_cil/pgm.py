@@ -7,9 +7,7 @@ two bytes big-endian, per the netpbm convention.
 
 import numpy as np
 
-
-class PgmError(ValueError):
-    pass
+from .errors import InputError
 
 
 def _tokens(data: bytes):
@@ -36,25 +34,25 @@ def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
     toks = _tokens(data)
+    _, magic = next(toks, (0, b""))
+    if magic not in (b"P2", b"P5"):
+        raise InputError(f"{path}: not a PGM file (magic {magic!r})")
     try:
-        _, magic = next(toks)
-        if magic not in (b"P2", b"P5"):
-            raise PgmError(f"{path}: not a PGM file (magic {magic!r})")
         (_, w_tok), (_, h_tok), (end, maxval_tok) = next(toks), next(toks), next(toks)
         width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     except (StopIteration, ValueError) as exc:
-        raise PgmError(f"{path}: malformed PGM header") from exc
+        raise InputError(f"{path}: malformed PGM header") from exc
     if width <= 0 or height <= 0 or not (0 < maxval < 65536):
-        raise PgmError(f"{path}: bad PGM dimensions {width}x{height} maxval {maxval}")
+        raise InputError(f"{path}: bad PGM dimensions {width}x{height} maxval {maxval}")
 
     if magic == b"P2":
         rest = data[end + len(maxval_tok) :].split()
         if len(rest) != width * height:
-            raise PgmError(f"{path}: expected {width * height} pixels, got {len(rest)}")
+            raise InputError(f"{path}: expected {width * height} pixels, got {len(rest)}")
         bad = [t for t in rest if not t.isdigit()]
         if bad:
-            raise PgmError(f"{path}: sample {bad[0].decode(errors='replace')!r} "
-                           f"is not a non-negative integer")
+            raise InputError(f"{path}: sample {bad[0].decode(errors='replace')!r} "
+                             f"is not a non-negative integer")
         pixels = np.array([int(t) for t in rest], dtype=np.float64)
     else:
         # single whitespace byte separates maxval from raster
@@ -63,10 +61,10 @@ def read_pgm(path) -> np.ndarray:
         count = width * height
         raster = data[start : start + count * dtype.itemsize]
         if len(raster) != count * dtype.itemsize:
-            raise PgmError(f"{path}: truncated raster")
+            raise InputError(f"{path}: truncated raster")
         pixels = np.frombuffer(raster, dtype=dtype).astype(np.float64)
     if pixels.max(initial=0) > maxval:
-        raise PgmError(f"{path}: pixel value exceeds maxval {maxval}")
+        raise InputError(f"{path}: pixel value exceeds maxval {maxval}")
     return (pixels / maxval).reshape(height, width)
 
 
@@ -74,11 +72,11 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     """Write a [0,1] float array as a binary (P5) PGM."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
-        raise PgmError("image must be 2-D")
+        raise InputError("image must be 2-D")
     if not np.isfinite(img).all() or img.min() < 0 or img.max() > 1:
-        raise PgmError("image values must be finite and in [0,1]")
+        raise InputError("image values must be finite and in [0,1]")
     if not (0 < maxval < 65536):
-        raise PgmError(f"bad maxval {maxval}")
+        raise InputError(f"bad maxval {maxval}")
     quant = np.rint(img * maxval).astype(np.dtype(">u2") if maxval > 255 else np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as f:

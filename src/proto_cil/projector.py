@@ -20,15 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
+from .errors import InputError
 from .features import FeatureMatrix
 from .seeding import derive_rng
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** k for k in range(-8, 9))
 MIN_SWEEP_ROWS = 5  # fewest task rows an 80:20 lambda-selection split accepts
-
-
-class ProjectorError(ValueError):
-    pass
 
 
 class StalePrototypes(RuntimeError):
@@ -77,13 +74,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def init_projection(d: int, M: int, seed: int) -> ProjectionLayer:
     if d < 1 or M < 1:
-        raise ProjectorError("d and M must be >= 1")
+        raise InputError("d and M must be >= 1")
     return ProjectionLayer(W=_frozen(derive_rng(seed, "projection_a").standard_normal((d, M))))
 
 
 def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
     if features.dim != layer.W.shape[0]:
-        raise ProjectorError(
+        raise InputError(
             f"feature dimension {features.dim} != projection input {layer.W.shape[0]}")
     H = features.rows @ layer.W
     np.maximum(H, 0.0, out=H)
@@ -98,7 +95,7 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     if H.rows.shape[0] == 0:
         return state
     if H.dim != state.M:
-        raise ProjectorError(f"projected dimension {H.dim} != state dimension {state.M}")
+        raise InputError(f"projected dimension {H.dim} != state dimension {state.M}")
     r0 = state.s.size
     X = np.empty((r0 + H.rows.shape[0], state.M))
     np.multiply(state.s[:, None], state.Vt, out=X[:r0])
@@ -106,7 +103,7 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     try:
         w, U = eigh(X @ X.T)
     except LinAlgError as exc:
-        raise ProjectorError(f"eigendecomposition of the factor kernel failed: {exc}") from exc
+        raise InputError(f"eigendecomposition of the factor kernel failed: {exc}") from exc
     w, U = w[::-1], U[:, ::-1]
     r = min(int(np.count_nonzero(w > w[0] * max(X.shape) * np.finfo(float).eps)), state.M)
     s = np.sqrt(w[:r])
@@ -127,11 +124,11 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     """P = (G + lam I)^{-1} C = Vt^T diag(1 / (s^2 + lam)) Vt C from the
     state's (s, Vt) (no explicit inverse)."""
     if not 0.0 < lam < np.inf:
-        raise ProjectorError(f"lambda must be finite and positive, got {lam}")
+        raise InputError(f"lambda must be finite and positive, got {lam}")
     s, Vt = state.s, state.Vt
     P = Vt.T @ ((Vt @ state.C) / (s * s + lam)[:, None])
     if not np.isfinite(P).all():
-        raise ProjectorError("prototype solve produced non-finite entries")
+        raise InputError("prototype solve produced non-finite entries")
     state.P = P
     return P
 
@@ -140,7 +137,7 @@ def score(state: PrototypeState, H_test: FeatureMatrix) -> ScoreMatrix:
     if state.P is None:
         raise StalePrototypes("prototypes are stale; call solve_prototypes first")
     if H_test.dim != state.M:
-        raise ProjectorError(f"projected dimension {H_test.dim} != state dimension {state.M}")
+        raise InputError(f"projected dimension {H_test.dim} != state dimension {state.M}")
     return ScoreMatrix(rows=H_test.rows @ state.P, classes=list(state.registry))
 
 
@@ -158,12 +155,12 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     solved by `solve_prototypes` from the same (s, Vt)."""
     grid = sorted(float(g) for g in grid)
     if not grid:
-        raise ProjectorError("lambda grid must be nonempty")
+        raise InputError("lambda grid must be nonempty")
     if not all(0.0 < lam < np.inf for lam in grid):
-        raise ProjectorError(f"lambda grid must be finite and positive, got {grid}")
+        raise InputError(f"lambda grid must be finite and positive, got {grid}")
     n = task_H.rows.shape[0]
     if n < MIN_SWEEP_ROWS:
-        raise ProjectorError(
+        raise InputError(
             f"lambda selection needs >= {MIN_SWEEP_ROWS} task samples, got {n}")
     perm = derive_rng(seed, "lambda_split").permutation(n)
     n_fit = int(round(0.8 * n))
@@ -187,7 +184,7 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
         if mse < best_mse:
             best_lam, best_mse = lam, mse
     if best_lam is None:
-        raise ProjectorError(
+        raise InputError(
             f"every lambda in the grid is at or below the Gram's rank tolerance {tol:.3g}")
     solve_prototypes(trial, best_lam)
     return best_lam

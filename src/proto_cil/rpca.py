@@ -11,22 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import Divergence, InputError
 from .seeding import derive_rng
 
 SMOOTH_EPS = 1e-4  # |u| ~ sqrt(u^2 + eps^2)
 BATCH_SIZE = 16
 LR_DECAY = 0.01    # step size lr / (1 + LR_DECAY * epoch)
 GRAD_CLIP = 1.0    # largest norm of a batch gradient
-
-
-class RpcaError(ValueError):
-    pass
-
-
-class RpcaDivergence(RuntimeError):
-    def __init__(self, epoch):
-        super().__init__(f"non-finite denoiser loss at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass
@@ -37,13 +28,13 @@ class RpcaModel:
 
     def __post_init__(self):
         if self.A.ndim != 2 or self.B.shape != self.A.shape[::-1]:
-            raise RpcaError("A/B shapes inconsistent with (m, rank)")
+            raise InputError("A/B shapes inconsistent with (m, rank)")
         # r == m is allowed only so tests can build the square identity map;
         # training itself rejects r >= m.
         if self.A.shape[1] > self.A.shape[0]:
-            raise RpcaError("rank must not exceed window length")
+            raise InputError("rank must not exceed window length")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
-            raise RpcaError("model weights must be finite")
+            raise InputError("model weights must be finite")
 
 
 def bilinear_loss_and_grad(A, B, batch):
@@ -72,12 +63,12 @@ def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> RpcaMod
     """
     X = np.asarray(images, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
-        raise RpcaError("images must be a non-empty (n, m) array")
+        raise InputError("images must be a non-empty (n, m) array")
     n, m = X.shape
     if not 0 < r < m:
-        raise RpcaError(f"rank must satisfy 0 < r < m, got r={r}, m={m}")
+        raise InputError(f"rank must satisfy 0 < r < m, got r={r}, m={m}")
     if lr <= 0:
-        raise RpcaError("lr must be positive")
+        raise InputError("lr must be positive")
 
     rng = derive_rng(seed, "rpca")
     A = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, r))
@@ -105,7 +96,7 @@ def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> RpcaMod
             B /= s
         loss = bilinear_loss_and_grad(A, B, X)[0]
         if not np.isfinite(loss):
-            raise RpcaDivergence(epoch)
+            raise Divergence("denoiser loss", epoch)
         losses.append(loss)
     return RpcaModel(A=A, B=B, epoch_losses=losses)
 
@@ -114,7 +105,7 @@ def rpca_apply(model: RpcaModel, image) -> np.ndarray:
     """The filtered (sparse) part x - A B x of one flattened image."""
     x = np.asarray(image, dtype=np.float64).ravel()
     if x.size != len(model.A):
-        raise RpcaError(f"image length {x.size} != model window length {len(model.A)}")
+        raise InputError(f"image length {x.size} != model window length {len(model.A)}")
     return x - model.A @ (model.B @ x)
 
 

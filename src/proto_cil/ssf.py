@@ -9,20 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Divergence, InputError
 from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
 
 BATCH_SIZE = 32
-
-
-class SsfError(ValueError):
-    pass
-
-
-class SsfDivergence(RuntimeError):
-    def __init__(self, epoch):
-        super().__init__(f"non-finite adapter loss at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass
@@ -33,7 +24,7 @@ class SsfAdapter:
 
 def ssf_apply(adapter: SsfAdapter, features: FeatureMatrix) -> FeatureMatrix:
     if features.dim != adapter.gamma.size:
-        raise SsfError(
+        raise InputError(
             f"adapter dimension {adapter.gamma.size} != feature dimension {features.dim}")
     return FeatureMatrix(rows=features.rows * adapter.gamma + adapter.delta,
                          labels=list(features.labels))
@@ -56,7 +47,7 @@ def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 
     """Train gamma/delta with a throwaway linear probe on base-task features."""
     classes = sorted(set(base_features.labels))
     if len(classes) < 2:
-        raise SsfError("adapter training needs at least 2 base classes")
+        raise InputError("adapter training needs at least 2 base classes")
     X = base_features.rows
     y = np.array([classes.index(c) for c in base_features.labels])
     d, k = X.shape[1], len(classes)
@@ -70,7 +61,7 @@ def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 
             sel = order[start : start + BATCH_SIZE]
             loss, gg, gd, gw, gb = probe_loss_and_grad(gamma, delta, w, b, X[sel], y[sel])
             if not np.isfinite(loss):
-                raise SsfDivergence(epoch)
+                raise Divergence("adapter loss", epoch)
             gamma -= lr * gg
             delta -= lr * gd
             w -= lr * gw

@@ -3,7 +3,7 @@ recovery tests check the trained denoiser against. Test code only."""
 
 import numpy as np
 
-from proto_cil.rpca import RpcaError
+from proto_cil.errors import InputError
 
 
 def pcp_oracle(X, mu: float | None = None, tol: float = 1e-7, max_iter: int = 500):
@@ -15,9 +15,9 @@ def pcp_oracle(X, mu: float | None = None, tol: float = 1e-7, max_iter: int = 50
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
-        raise RpcaError("X must be finite")
+        raise InputError("X must be finite")
     if tol <= 0:
-        raise RpcaError("tol must be positive")
+        raise InputError("tol must be positive")
     norm_x = np.linalg.norm(X)
     if norm_x == 0:
         return np.zeros_like(X), np.zeros_like(X)
@@ -37,7 +37,7 @@ def pcp_oracle(X, mu: float | None = None, tol: float = 1e-7, max_iter: int = 50
         Y = Y + mu * R
         if np.linalg.norm(R) / norm_x <= tol:
             return L, S
-    raise RpcaError(
+    raise InputError(
         f"pcp_oracle did not converge in {max_iter} iterations "
         f"(residual {np.linalg.norm(X - L - S) / norm_x:.3e})"
     )

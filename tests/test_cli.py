@@ -374,6 +374,16 @@ def run_with(tmp_path, **overrides):
     return main(["run", "--config", str(p), "--out", str(tmp_path / "report")])
 
 
+def test_run_config_without_schedule_is_usage_error(tmp_path, capsys):
+    cfg = json.loads(CONFIG_PATH.read_text())
+    del cfg["schedule"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "report")]) == 1
+    assert "config is missing ['schedule']" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_run_bad_schedule_is_usage_error(tmp_path, capsys):
     assert run_with(tmp_path, schedule=["2", 2, 2, 2, 2]) == 1
     assert "schedule" in capsys.readouterr().err
@@ -479,7 +489,16 @@ def test_run_bad_manifest_header_is_usage_error(tmp_path, capsys, header_edits, 
     (b"P5\n8 8\n255\n" + bytes(10), "truncated raster"),
     (b"P2\n2 1\n255\nx 0\n", "sample 'x' is not a non-negative integer"),
     (b"P2\n2 1\n255\n-1 0\n", "sample '-1' is not a non-negative integer"),
-], ids=["truncated-raster", "p2-letter", "p2-negative"])
+    (b"P6\n8 8\n255\n" + bytes(192), "not a PGM file (magic b'P6')"),
+    (b"", "not a PGM file (magic b'')"),
+    (b"P5\n8 x\n255\n" + bytes(64), "malformed PGM header"),
+    (b"P5\n8 8\n", "malformed PGM header"),
+    (b"P5\n0 8\n255\n", "bad PGM dimensions 0x8 maxval 255"),
+    (b"P5\n8 8\n65536\n" + bytes(128), "bad PGM dimensions 8x8 maxval 65536"),
+    (b"P2\n2 1\n255\n0\n", "expected 2 pixels, got 1"),
+    (b"P2\n2 1\n100\n101 0\n", "pixel value exceeds maxval 100"),
+], ids=["truncated-raster", "p2-letter", "p2-negative", "p6-magic", "empty", "bad-width-token",
+        "no-maxval", "zero-width", "maxval-too-large", "p2-pixel-count", "above-maxval"])
 def test_run_malformed_pgm_is_usage_error(tmp_path, capsys, contents, message):
     manifest = synth_manifest(tmp_path / "ds", {})
     (tmp_path / "ds" / "c00_train_0002.pgm").write_bytes(contents)  # manifest line 3
@@ -521,6 +540,18 @@ def test_run_csv_without_a_scenario_class_is_usage_error(tmp_path, capsys, split
     assert run_with(tmp_path, ingested_source=source) == 1
     err = capsys.readouterr().err
     assert "'setup'" in err and f"{split}.csv has no rows of scenario classes ['c02']" in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_run_csv_source_with_portion_flag_is_usage_error(tmp_path, capsys):
+    source = {"kind": "csv", "train": write_feature_csv(tmp_path / "train.csv", BUNDLED_CLASSES),
+              "test": write_feature_csv(tmp_path / "test.csv", BUNDLED_CLASSES)}
+    cfg = {**json.loads(CONFIG_PATH.read_text()), "ingested_source": source}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "report"),
+                 "--portion", "0.5"]) == 1
+    assert "portion 0.5 < 1 requires ingested_source raw_pixels" in capsys.readouterr().err
     assert not (tmp_path / "report").exists()
 
 

@@ -1,14 +1,17 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from proto_cil import cnn
-from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS, CnnDivergence, CnnError,
+from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS,
                            _col2im, _forward_batch, _im2col, _maxpool, _maxpool_argmax,
                            _pad_buffer, _pool_views, apply_dropout, cnn_extract, cnn_init,
                            cnn_loss_and_grad, cnn_train, load_cnn, save_cnn)
 from proto_cil.datahub import augment_array, synth_dataset
+from proto_cil.errors import Divergence, InputError
 from proto_cil.features import softmax_cross_entropy
 from proto_cil.seeding import derive_rng
 
@@ -60,11 +63,11 @@ def test_init_shapes_and_determinism():
 
 
 def test_init_validation():
-    with pytest.raises(CnnError):
+    with pytest.raises(InputError, match="d_cnn must be >= 1"):
         cnn_init(0, 0.5, seed=0)
-    with pytest.raises(CnnError):
+    with pytest.raises(InputError, match=r"dropout must be in \[0,1\), got 1.0"):
         cnn_init(8, 1.0, seed=0)
-    with pytest.raises(CnnError):
+    with pytest.raises(InputError, match="num_classes must be >= 2"):
         cnn_init(8, 0.5, seed=0, num_classes=1)
 
 
@@ -77,7 +80,7 @@ def test_zero_image_gives_zero_features():
 
 def test_forward_rejects_wrong_size():
     model = cnn_init(8, 0.0, seed=0)
-    with pytest.raises(CnnError, match="70x70"):
+    with pytest.raises(InputError, match="70x70"):
         _forward_batch(model, np.zeros((1, 64, 64)), None)
 
 
@@ -316,7 +319,7 @@ def test_train_zero_epochs_is_bitwise_noop():
 def test_train_rejects_head_class_count_mismatch():
     imgs, labels = augmented_blobs(num_classes=3, per_class=2)
     model = cnn_init(8, 0.0, seed=0, num_classes=2)
-    with pytest.raises(CnnError, match="head has 2 classes, labels have 3"):
+    with pytest.raises(InputError, match="head has 2 classes, labels have 3"):
         cnn_train(model, imgs, labels, epochs=0, **SGD)
 
 
@@ -337,7 +340,7 @@ def test_train_divergence_is_reported_with_epoch(lr, epoch):
     # weights behind the first epoch's finite loss
     imgs, labels = augmented_blobs(per_class=2)
     model = cnn_init(8, 0.0, seed=0, num_classes=2)
-    with np.errstate(all="ignore"), pytest.raises(CnnDivergence) as exc:
+    with np.errstate(all="ignore"), pytest.raises(Divergence, match="non-finite training loss or weights at epoch") as exc:
         cnn_train(model, imgs, labels, epochs=5, lr=lr, momentum=0.9, weight_decay=0.0005,
                   seed=0)
     assert exc.value.epoch == epoch
@@ -345,7 +348,7 @@ def test_train_divergence_is_reported_with_epoch(lr, epoch):
 
 def test_train_requires_two_classes():
     imgs, _ = augmented_blobs(per_class=2)
-    with pytest.raises(CnnError):
+    with pytest.raises(InputError, match="at least 2 classes"):
         cnn_train(cnn_init(8, 0.0, seed=0), imgs, ["a"] * len(imgs), epochs=1, **SGD)
 
 
@@ -354,7 +357,7 @@ def test_train_requires_two_classes():
 
 def test_extract_requires_frozen_model():
     model = cnn_init(8, 0.0, seed=0)
-    with pytest.raises(CnnError, match="frozen"):
+    with pytest.raises(InputError, match="frozen"):
         cnn_extract(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), ["a"])
 
 
@@ -428,9 +431,53 @@ def test_checkpoint_with_widths_in_header_loads(tmp_path):
         assert np.array_equal(back.params[k], model.params[k])
 
 
+def _checkpoint(header, payload=b""):
+    return json.dumps(header).encode("utf-8") + b"\n" + payload
+
+
+HEADER_RULE = "checkpoint header must be an object with a 'meta' object and a 'blocks' list"
+
+
+@pytest.mark.parametrize("contents, message", [
+    (b"\xff\n", "bad checkpoint header"),
+    (b"{\n", "bad checkpoint header"),
+    (b"[]\n", HEADER_RULE),
+    (_checkpoint({"meta": {"kind": "cnn"}}), HEADER_RULE),
+    (_checkpoint({"meta": [], "blocks": []}), HEADER_RULE),
+    (_checkpoint({"meta": {}, "blocks": [["w", [2]]]}, bytes(8)), "truncated block 'w'"),
+    (_checkpoint({"meta": {}, "blocks": [["w", [1]]]}, bytes(9)),
+     "trailing bytes after last block"),
+], ids=["not-utf8", "not-json", "list", "no-blocks", "meta-list", "truncated", "trailing"])
+def test_checkpoint_rejects_malformed_file(tmp_path, contents, message):
+    path = tmp_path / "x.bin"
+    path.write_bytes(contents)
+    with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+        load_cnn(path)
+
+
+@pytest.mark.parametrize("meta_drop, param_drop, missing", [
+    ("dropout", None, ["dropout"]),
+    ("frozen", None, ["frozen"]),
+    (None, "head_b", ["head_b"]),
+    (None, "all", list(cnn.PARAM_NAMES)),
+])
+def test_checkpoint_rejects_missing_fields(tmp_path, meta_drop, param_drop, missing):
+    from proto_cil.binio import save_blocks
+
+    params = cnn_init(4, 0.0, seed=0).params
+    assert set(params) == set(cnn.PARAM_NAMES)
+    meta = {k: v for k, v in {"kind": "cnn", "dropout": 0.0, "frozen": True}.items()
+            if k != meta_drop}
+    params = {k: v for k, v in params.items() if param_drop not in (k, "all")}
+    path = tmp_path / "x.bin"
+    save_blocks(path, meta, params)
+    with pytest.raises(InputError, match=re.escape(f"{path}: cnn checkpoint is missing {missing}")):
+        load_cnn(path)
+
+
 def test_checkpoint_rejects_wrong_kind(tmp_path):
     from proto_cil.binio import save_blocks
 
     save_blocks(tmp_path / "x.bin", {"kind": "other"}, {"w": np.zeros(2)})
-    with pytest.raises(CnnError):
+    with pytest.raises(InputError, match="not a cnn checkpoint"):
         load_cnn(tmp_path / "x.bin")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from proto_cil.datahub import (DataError, Dataset, LabeledImage, ScenarioSpec, augment_array,
                                load_dataset, make_scenario, save_dataset, synth_dataset,
                                _lowrank_clean)
-from proto_cil.pgm import PgmError, read_pgm, write_pgm
+from proto_cil.errors import InputError
+from proto_cil.pgm import read_pgm, write_pgm
 
 
 def tiny_dataset(num_classes=3, size=8, train=2, test=1):
@@ -51,7 +52,7 @@ def test_pgm_header_comments(tmp_path):
 @pytest.mark.parametrize("sample", ["x", "-1", "1.5"])
 def test_pgm_ascii_rejects_non_integer_samples(tmp_path, sample):
     (tmp_path / "a.pgm").write_text(f"P2\n2 1\n255\n{sample} 0\n")
-    with pytest.raises(PgmError, match=re.escape(f"sample '{sample}' is not a non-negative")):
+    with pytest.raises(InputError, match=re.escape(f"sample '{sample}' is not a non-negative")):
         read_pgm(tmp_path / "a.pgm")
 
 
@@ -87,6 +88,21 @@ def test_manifest_dimension_mismatch(tmp_path):
     header["image_size"] = [16, 16]
     (tmp_path / "manifest.json").write_text(json.dumps(header))
     with pytest.raises(DataError, match="8x8"):
+        load_dataset(manifest)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: (d / "manifest.json").unlink(), "manifest header not found: "),
+    (lambda d: (d / "manifest.json").write_text("{"), "malformed manifest header "),
+    (lambda d: (d / "manifest.csv").write_text("file,label,split\n"),
+     "manifest.csv: first row must be header 'path,label,split'"),
+    (lambda d: (d / "manifest.csv").write_text("path,label,split\na.pgm,c00\n"),
+     "manifest.csv:2: expected 3 fields, got 2"),
+], ids=["no-header", "header-not-json", "wrong-first-row", "two-fields"])
+def test_manifest_rejections(tmp_path, edit, message):
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    edit(tmp_path)
+    with pytest.raises(DataError, match=re.escape(message)):
         load_dataset(manifest)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from proto_cil.errors import InputError
 from proto_cil.features import softmax
-from proto_cil.fusion import FusionError, late_fuse, single_predict
+from proto_cil.fusion import late_fuse, single_predict
 from proto_cil.projector import ScoreMatrix
 
 
@@ -35,9 +36,9 @@ def test_softmax_rejects_non_finite():
     """The fused softmax refuses non-finite scores from either branch."""
     ok = sm([[0.0, 1.0, 2.0]])
     for bad in (sm([[np.nan, 0.0, 0.0]]), sm([[0.0, np.inf, 0.0]])):
-        with pytest.raises(FusionError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             late_fuse(bad, ok)
-        with pytest.raises(FusionError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             late_fuse(ok, bad)
 
 
@@ -103,9 +104,9 @@ def test_late_fuse_property_sweep():
 
 def test_late_fuse_rejects_mismatches():
     l1 = sm(np.zeros((2, 3)))
-    with pytest.raises(FusionError, match="registries"):
+    with pytest.raises(InputError, match="registries"):
         late_fuse(l1, sm(np.zeros((2, 3)), classes=("x", "y", "z")))
-    with pytest.raises(FusionError, match="shapes"):
+    with pytest.raises(InputError, match="shapes"):
         late_fuse(l1, sm(np.zeros((3, 3))))
 
 
@@ -119,5 +120,5 @@ def test_single_predict_uses_raw_argmax():
 
 
 def test_single_predict_rejects_non_finite():
-    with pytest.raises(FusionError):
+    with pytest.raises(InputError, match="scores must be finite"):
         single_predict(sm(np.array([[np.inf, 0.0, 0.0]])))

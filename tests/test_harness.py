@@ -253,6 +253,24 @@ def test_config_rejects_bad_portion(portion):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "portion": portion})
 
 
+def test_config_names_missing_required_keys():
+    with pytest.raises(ConfigError, match=re.escape("config is missing ['schedule']")):
+        RunConfig.from_dict({"dataset": {"synth": {}}})
+    with pytest.raises(ConfigError, match=re.escape("config is missing ['dataset', 'schedule']")):
+        RunConfig.from_dict({})
+
+
+def test_config_rejects_portion_with_csv_source():
+    csv = {"kind": "csv", "train": "train.csv", "test": "test.csv"}
+    base = {"dataset": {"synth": {}}, "schedule": [2], "ingested_source": csv}
+    with pytest.raises(ConfigError, match="portion 0.5 < 1 requires ingested_source raw_pixels"):
+        RunConfig.from_dict({**base, "portion": 0.5})
+    assert RunConfig.from_dict({**base, "portion": 1}).portion == 1
+    # with the ingested branch off the source is unused, and portion subsamples the images
+    assert RunConfig.from_dict({**base, "portion": 0.5, "cnn_branch": True,
+                                "ingested_branch": False}).portion == 0.5
+
+
 def _put(cfg, section, key, value):
     """Set config key `section`.`key` of the bundled config to `value`."""
     if section == "dataset":
@@ -355,10 +373,10 @@ def test_single_class_base_task_fails_in_setup():
     assert isinstance(exc.value.cause, ConfigError)
 
 
-def write_csv_features(dir_path, train_per_class):
+def write_csv_features(dir_path, train_per_class, test_per_class=5):
     """Four classes of externally computed features, one informative
-    coordinate per class; `train_per_class[j]` train rows for class j, five
-    test rows each, in `dir_path`/train.csv and test.csv."""
+    coordinate per class; `train_per_class[j]` train rows for class j,
+    `test_per_class` test rows each, in `dir_path`/train.csv and test.csv."""
     rng = np.random.default_rng(0)
     classes = [f"c{i:02d}" for i in range(4)]
 
@@ -372,7 +390,7 @@ def write_csv_features(dir_path, train_per_class):
         path.write_text("\n".join(lines) + "\n")
 
     write(dir_path / "train.csv", train_per_class)
-    write(dir_path / "test.csv", [5] * 4)
+    write(dir_path / "test.csv", [test_per_class] * 4)
 
 
 CSV_SOURCE = {
@@ -385,8 +403,8 @@ CSV_SOURCE = {
 }
 
 
-def csv_config(tmp_path, train_per_class, **overrides):
-    write_csv_features(tmp_path, train_per_class)
+def csv_config(tmp_path, train_per_class, test_per_class=5, **overrides):
+    write_csv_features(tmp_path, train_per_class, test_per_class)
     source = {"kind": "csv", "train": str(tmp_path / "train.csv"),
               "test": str(tmp_path / "test.csv")}
     return RunConfig.from_dict({**CSV_SOURCE, "ingested_source": source, **overrides})
@@ -396,6 +414,13 @@ def test_csv_branch_run(tmp_path):
     m = run_scenario(csv_config(tmp_path, [10] * 4))
     assert len(m.task_accuracies) == 2
     assert m.final_accuracy >= 95.0
+
+
+def test_csv_source_scores_each_class_once(tmp_path):
+    """Each task scores the CSV test rows of its own classes once, however
+    many test images those classes have (5 here, against 3 rows)."""
+    m = run_scenario(csv_config(tmp_path, [10] * 4, test_per_class=3, schedule=[2, 1, 1]))
+    assert m.eval_sizes == [6, 9, 12]
 
 
 def test_too_few_sweep_rows_fails_in_setup(tmp_path, monkeypatch):

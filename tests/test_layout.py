@@ -153,3 +153,22 @@ def test_no_function_defaults_a_run_default():
                 defaulted += [f"{path.stem}.{node.name}({arg.arg})" for arg in with_default
                               if arg.arg in keys]
     assert defaulted == []
+
+
+ERROR_CLASSES = {"InputError", "Divergence", "ConfigError", "DataError", "StalePrototypes",
+                 "StageFailure"}
+
+
+def test_one_error_hierarchy():
+    """The package defines six exception classes, and every `raise` in `src/`
+    names one of them or OSError, or re-raises."""
+    program = [(path, tree) for path, tree in _program() if ROOT / "src" in path.parents]
+    defined = {cls.name for path, cls in _package_classes(program) if issubclass(
+        getattr(importlib.import_module(f"proto_cil.{path.stem}"), cls.name), BaseException)}
+    assert defined == ERROR_CLASSES
+    allowed = ERROR_CLASSES | {"OSError"}
+    stray = [f"{path.stem}:{node.lineno}" for path, tree in program for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and not (isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+                      and node.exc.func.id in allowed)]
+    assert stray == []

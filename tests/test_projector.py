@@ -7,11 +7,12 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from proto_cil import projector
+from proto_cil.errors import InputError
 from proto_cil.features import FeatureMatrix
 from proto_cil.harness import RunConfig, run_scenario
-from proto_cil.projector import (DEFAULT_LAMBDA_GRID, ProjectorError, PrototypeState,
-                                 StalePrototypes, accumulate, init_projection, project,
-                                 score, select_lambda, solve_prototypes)
+from proto_cil.projector import (DEFAULT_LAMBDA_GRID, PrototypeState, StalePrototypes,
+                                 accumulate, init_projection, project, score, select_lambda,
+                                 solve_prototypes)
 from proto_cil.seeding import derive_rng
 
 from factor_views import gram, root
@@ -76,14 +77,14 @@ def test_project_rows_do_not_depend_on_batch_composition():
 
 def test_project_dimension_mismatch():
     layer = init_projection(4, 16, seed=1)
-    with pytest.raises(ProjectorError, match="dimension"):
+    with pytest.raises(InputError, match="dimension"):
         project(layer, random_fm(5, 6, seed=0))
 
 
 def test_init_projection_validates():
-    with pytest.raises(ProjectorError):
+    with pytest.raises(InputError, match="d and M must be >= 1"):
         init_projection(0, 5, seed=0)
-    with pytest.raises(ProjectorError):
+    with pytest.raises(InputError, match="d and M must be >= 1"):
         init_projection(5, 0, seed=0)
 
 
@@ -245,7 +246,7 @@ def test_solve_after_accumulate_refreshes_cached_svd():
 
 
 def test_accumulate_dimension_mismatch():
-    with pytest.raises(ProjectorError):
+    with pytest.raises(InputError, match="projected dimension 5 != state dimension 4"):
         accumulate(PrototypeState(M=4), random_fm(3, 5, seed=0))
 
 
@@ -288,7 +289,7 @@ def test_solve_requires_positive_lambda():
     """Finite too: lam = inf would divide C by inf and return an all-zero P."""
     st = accumulate(PrototypeState(M=3), random_fm(5, 3, seed=0))
     for lam in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ProjectorError, match=f"finite and positive, got {lam}"):
+        with pytest.raises(InputError, match=f"finite and positive, got {lam}"):
             solve_prototypes(st, lam)
 
 
@@ -369,9 +370,9 @@ def test_select_lambda_grid_order_irrelevant():
 
 
 def test_select_lambda_needs_enough_samples():
-    with pytest.raises(ProjectorError, match=">= 5"):
+    with pytest.raises(InputError, match=">= 5"):
         select_lambda(PrototypeState(M=4), random_fm(4, 4, seed=0))
-    with pytest.raises(ProjectorError, match="nonempty"):
+    with pytest.raises(InputError, match="nonempty"):
         select_lambda(PrototypeState(M=4), random_fm(10, 4, seed=0), grid=[])
 
 
@@ -381,7 +382,7 @@ def test_select_lambda_rejects_bad_grid_before_decomposing(grid, monkeypatch):
         raise AssertionError("eigh called on an invalid grid")
 
     monkeypatch.setattr(projector, "eigh", no_eigh)
-    with pytest.raises(ProjectorError, match="positive"):
+    with pytest.raises(InputError, match="positive"):
         select_lambda(PrototypeState(M=4), random_fm(10, 4, seed=0), grid=grid)
 
 
@@ -408,7 +409,7 @@ def test_select_lambda_skips_grid_below_rank_tolerance():
 
 def test_select_lambda_grid_wholly_below_rank_tolerance_raises():
     prior, task = rank_deficient_case()
-    with pytest.raises(ProjectorError, match="rank tolerance"):
+    with pytest.raises(InputError, match="rank tolerance"):
         select_lambda(prior, task, grid=[1e-8, 1e-7, 1e-6], seed=0)
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from proto_cil import rpca
-from proto_cil.rpca import (RpcaDivergence, RpcaError, RpcaModel, SMOOTH_EPS,
-                            bilinear_loss_and_grad, export_sparse_pgm, rpca_apply, rpca_train)
+from proto_cil.errors import Divergence, InputError
+from proto_cil.rpca import (SMOOTH_EPS, RpcaModel, bilinear_loss_and_grad, export_sparse_pgm,
+                            rpca_apply, rpca_train)
 
 from gradcheck import grad_check
 from pcp_oracle import pcp_oracle
@@ -58,11 +59,11 @@ def test_zero_batch_loss_is_smoothing_floor():
 
 
 def test_model_rejects_bad_shapes_and_rank():
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="A/B shapes inconsistent"):
         RpcaModel(A=np.zeros((4, 2)), B=np.zeros((2, 5)))
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="rank must not exceed window length"):
         RpcaModel(A=np.zeros((4, 5)), B=np.zeros((5, 4)))
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="weights must be finite"):
         RpcaModel(A=np.full((4, 2), np.nan), B=np.zeros((2, 4)))
 
 
@@ -122,27 +123,27 @@ def test_train_subspace_matches_pcp_oracle():
 
 def test_train_validates_inputs():
     X = rank1_images(n=4, m=9)
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="rank must satisfy 0 < r < m, got r=9, m=9"):
         rpca_train(X, r=9, epochs=1, lr=0.5)
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="got r=0"):
         rpca_train(X, r=0, epochs=1, lr=0.5)
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="lr must be positive"):
         rpca_train(X, r=1, epochs=1, lr=0.0)
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="non-empty"):
         rpca_train(np.zeros((0, 9)), r=1, epochs=1, lr=0.5)
 
 
 def test_train_divergence_is_reported_with_epoch(monkeypatch):
     X = rank1_images(n=20, m=16, seed=6)
     monkeypatch.setattr(rpca, "GRAD_CLIP", np.inf)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RpcaDivergence) as exc:
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Divergence, match="non-finite denoiser loss at epoch") as exc:
         rpca_train(X, r=1, epochs=50, lr=1e12, seed=0)
     assert exc.value.epoch >= 0
 
 
 def test_apply_rejects_wrong_length():
     model = RpcaModel(A=np.eye(4), B=np.eye(4))
-    with pytest.raises(RpcaError, match="length"):
+    with pytest.raises(InputError, match="length"):
         rpca_apply(model, np.zeros(5))
 
 
@@ -184,13 +185,13 @@ def test_pcp_recovers_low_rank_part():
 
 
 def test_pcp_validates_inputs():
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="X must be finite"):
         pcp_oracle(np.array([[np.inf, 0.0]]))
-    with pytest.raises(RpcaError):
+    with pytest.raises(InputError, match="tol must be positive"):
         pcp_oracle(np.zeros((3, 3)), tol=0.0)
 
 
 def test_pcp_nonconvergence_reports_residual():
     L0, S0 = rank2_spiked(size=32, seed=2)
-    with pytest.raises(RpcaError, match="converge"):
+    with pytest.raises(InputError, match="converge"):
         pcp_oracle(L0 + S0, max_iter=2)

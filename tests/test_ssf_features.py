@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from proto_cil.features import FeatureError, FeatureMatrix, ingest_features, write_features
+from proto_cil.errors import Divergence, InputError
+from proto_cil.features import FeatureMatrix, ingest_features, write_features
 from proto_cil.seeding import derive_rng
-from proto_cil.ssf import SsfAdapter, SsfError, probe_loss_and_grad, ssf_apply, ssf_train
+from proto_cil.ssf import SsfAdapter, probe_loss_and_grad, ssf_apply, ssf_train
 
 from gradcheck import grad_check
 
@@ -21,11 +22,11 @@ def make_fm(n=20, d=6, seed=0, classes=("a", "b")):
 # feature matrices
 
 def test_feature_matrix_validation():
-    with pytest.raises(FeatureError):
+    with pytest.raises(InputError, match="rows must be 2-D"):
         FeatureMatrix(rows=np.zeros(3), labels=["a"] * 3)
-    with pytest.raises(FeatureError):
+    with pytest.raises(InputError, match="entries must be finite"):
         FeatureMatrix(rows=np.array([[np.nan]]), labels=["a"])
-    with pytest.raises(FeatureError, match="labels"):
+    with pytest.raises(InputError, match="labels"):
         FeatureMatrix(rows=np.zeros((2, 3)), labels=["a"])
 
 
@@ -46,19 +47,19 @@ def test_feature_csv_roundtrip_is_exact(tmp_path):
 def test_ingest_error_messages(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("")
-    with pytest.raises(FeatureError, match="empty"):
+    with pytest.raises(InputError, match="empty"):
         ingest_features(p)
     p.write_text("label,f0,f1\n")
-    with pytest.raises(FeatureError, match="no rows"):
+    with pytest.raises(InputError, match="no rows"):
         ingest_features(p)
     p.write_text("label,f0,f1\na,1.0,2.0\nb,1.0\n")
-    with pytest.raises(FeatureError, match=":3"):
+    with pytest.raises(InputError, match=":3"):
         ingest_features(p)
     p.write_text("label,f0\na,oops\n")
-    with pytest.raises(FeatureError, match="non-numeric"):
+    with pytest.raises(InputError, match="non-numeric"):
         ingest_features(p)
     p.write_text("f0,f1\n1.0,2.0\n")
-    with pytest.raises(FeatureError, match="header"):
+    with pytest.raises(InputError, match="header"):
         ingest_features(p)
 
 
@@ -80,7 +81,7 @@ def test_ssf_apply_formula():
 
 
 def test_ssf_apply_dimension_mismatch():
-    with pytest.raises(SsfError):
+    with pytest.raises(InputError, match="adapter dimension 4 != feature dimension 6"):
         ssf_apply(SsfAdapter(gamma=np.ones(4), delta=np.zeros(4)), make_fm(d=6))
 
 
@@ -116,9 +117,17 @@ def test_ssf_train_deterministic():
     assert np.array_equal(a.gamma, b.gamma) and np.array_equal(a.delta, b.delta)
 
 
+def test_ssf_train_divergence_is_reported_with_epoch():
+    # one batch per epoch: epoch 0's loss is finite, its step overflows the weights
+    with np.errstate(all="ignore"), pytest.raises(
+            Divergence, match="non-finite adapter loss at epoch 1") as exc:
+        ssf_train(make_fm(), epochs=5, lr=1e300, seed=0)
+    assert exc.value.epoch == 1
+
+
 def test_ssf_train_requires_two_classes():
     fm = FeatureMatrix(rows=np.zeros((4, 3)), labels=["a"] * 4)
-    with pytest.raises(SsfError):
+    with pytest.raises(InputError, match="at least 2 base classes"):
         ssf_train(fm, epochs=50, lr=0.1)
 
 
