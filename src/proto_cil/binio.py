@@ -5,6 +5,8 @@ The header carries `meta` (caller-defined) and `blocks`, an ordered list of
 """
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -33,13 +35,19 @@ def load_blocks(path):
                 and type(header.get("blocks")) is list):
             raise InputError(f"{path}: checkpoint header must be an object with a 'meta' "
                              f"object and a 'blocks' list")
+        size = os.fstat(f.fileno()).st_size
         arrays = {}
-        for name, shape in header["blocks"]:
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
+        for entry in header["blocks"]:
+            if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is str
+                    and type(entry[1]) is list
+                    and all(type(n) is int and n >= 0 for n in entry[1])):
+                raise InputError(f"{path}: bad block entry {entry!r}: expected [name, shape], "
+                                 f"a string and a list of integers >= 0")
+            name, shape = entry
+            count = math.prod(shape)
+            if f.tell() + count * 8 > size:
                 raise InputError(f"{path}: truncated block {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise InputError(f"{path}: trailing bytes after last block")
     return header["meta"], arrays

@@ -6,7 +6,7 @@ only while training on the base task. Backprop is hand-written so parameter
 gradients can be verified against finite differences.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -22,8 +22,20 @@ POOLED_SIDE = INPUT_SIZE >> len(KERNELS)  # each pool floors the side: 35, 17, 8
 FLAT_SIZE = POOLED_SIDE * POOLED_SIDE * CHANNELS[-1]
 TRAIN_BATCH = 16
 EXTRACT_BATCH = 16
-PARAM_NAMES = tuple(f"conv{i}_{p}" for i in range(len(KERNELS)) for p in "wb") + (
-    "dense_w", "dense_b", "head_w", "head_b")  # the parameters cnn_init creates
+
+
+def _param_shapes(d_cnn, num_classes):
+    """name -> shape of each parameter: conv weights are (C_in*k*k, C_out)."""
+    shapes, in_ch = {}, 1
+    for i, (k, out_ch) in enumerate(zip(KERNELS, CHANNELS)):
+        shapes[f"conv{i}_w"], shapes[f"conv{i}_b"] = (in_ch * k * k, out_ch), (out_ch,)
+        in_ch = out_ch
+    shapes.update(dense_w=(FLAT_SIZE, d_cnn), dense_b=(d_cnn,),
+                  head_w=(d_cnn, num_classes), head_b=(num_classes,))
+    return shapes
+
+
+PARAM_NAMES = tuple(_param_shapes(1, 2))  # the parameters cnn_init creates
 
 
 @dataclass
@@ -46,17 +58,9 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
     if num_classes < 2:
         raise InputError("num_classes must be >= 2")
     rng = derive_rng(seed, "cnn")
-    params = {}
-    in_ch = 1
-    for i, (k, out_ch) in enumerate(zip(KERNELS, CHANNELS)):
-        fan_in = in_ch * k * k
-        params[f"conv{i}_w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, out_ch))
-        params[f"conv{i}_b"] = np.zeros(out_ch)
-        in_ch = out_ch
-    params["dense_w"] = rng.normal(0.0, np.sqrt(2.0 / FLAT_SIZE), size=(FLAT_SIZE, d_cnn))
-    params["dense_b"] = np.zeros(d_cnn)
-    params["head_w"] = rng.normal(0.0, np.sqrt(2.0 / d_cnn), size=(d_cnn, num_classes))
-    params["head_b"] = np.zeros(num_classes)
+    params = {name: rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)  # shape[0] is fan-in
+                    if name.endswith("_w") else np.zeros(shape)
+              for name, shape in _param_shapes(d_cnn, num_classes).items()}
     return CnnModel(params=params, dropout=dropout)
 
 
@@ -71,13 +75,14 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
 # each row are junk (windows that wrap into the next row). They are sliced
 # off before pooling and get zero gradient, so they add exact zeros to the
 # weight gradient. Weight rows stay in (c, ki, kj) order. The largest columns
-# are the second conv's, 400 x 35*39 float64 (4.4 MB).
+# are the second conv's, 400 x 35*39: 4.4 MB in training's float64, 2.2 MB in
+# extraction's float32.
 
-def _pad_buffer(c, side, k):
+def _pad_buffer(c, side, k, dtype=np.float64):
     """A zeroed conv input buffer for a (c, side, side) input and kernel k,
     and the view of its interior the input is written into."""
     p = k // 2
-    buf = np.zeros((c, side + k, side + k - 1))
+    buf = np.zeros((c, side + k, side + k - 1), dtype=dtype)
     return buf, buf[:, p : p + side, p : p + side]
 
 
@@ -156,14 +161,16 @@ def _forward_batch(model, images, rng, backprop=False):
     it a train-mode forward: dropout is its only randomness. The conv stack
     runs one image at a time; for `backprop` the cache keeps, per image and
     layer, the padded layer input, pool indices and ReLU mask, and no
-    columns: backprop rebuilds them."""
-    x = np.asarray(images, dtype=np.float64)
+    columns: backprop rebuilds them. The conv stack runs in the conv
+    weights' dtype; the flat rows and the dense and head layers in float64."""
+    dtype = model.params["conv0_w"].dtype
+    x = np.asarray(images, dtype=dtype)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
         raise InputError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
     cache = {"images": []}
     flat = np.empty((len(x), FLAT_SIZE))
     for n, image in enumerate(x):
-        xp, inner = _pad_buffer(1, INPUT_SIZE, KERNELS[0])
+        xp, inner = _pad_buffer(1, INPUT_SIZE, KERNELS[0], dtype)
         inner[0] = image
         layers = []
         for i, k in enumerate(KERNELS):
@@ -178,7 +185,7 @@ def _forward_batch(model, images, rng, backprop=False):
             else:
                 pooled = _maxpool(z)
             if i + 1 < len(KERNELS):
-                xp, inner = _pad_buffer(CHANNELS[i], side // 2, KERNELS[i + 1])
+                xp, inner = _pad_buffer(CHANNELS[i], side // 2, KERNELS[i + 1], dtype)
             else:
                 inner = flat[n].reshape(pooled.shape)  # per sample (c, h, w)
             np.maximum(pooled, 0.0, out=inner)
@@ -263,9 +270,14 @@ def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum:
 
 
 def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
-    """Eval-mode dense features for a frozen model."""
+    """Eval-mode dense features for a frozen model: the conv stack runs on
+    float32 copies of the conv weights, the dense layer in float64, so the
+    rows are float64 and differ from a float64 forward at about 1e-6
+    relative."""
     if not model.frozen:
         raise InputError("cnn_extract requires a trained (frozen) model")
+    model = replace(model, params={k: v.astype(np.float32) if k.startswith("conv") else v
+                                   for k, v in model.params.items()})
     x = np.asarray(images, dtype=np.float64)
     rows = []
     for start in range(0, len(x), EXTRACT_BATCH):
@@ -295,4 +307,10 @@ def load_cnn(path) -> CnnModel:
     if missing:
         raise InputError(f"{path}: cnn checkpoint is missing {missing}")
     # the widths come from the weights; a header's d_cnn and num_classes, if any, are ignored
+    widths = [arrays[k].shape[1] if arrays[k].ndim == 2 else 0 for k in ("dense_w", "head_w")]
+    wrong = [f"{k} {arrays[k].shape} (expected {shape})"
+             for k, shape in _param_shapes(*widths).items() if arrays[k].shape != shape]
+    if wrong:
+        raise InputError(f"{path}: cnn checkpoint has parameters of the wrong shape: "
+                         + ", ".join(wrong))
     return CnnModel(params=arrays, dropout=meta["dropout"], frozen=meta["frozen"])

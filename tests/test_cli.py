@@ -286,7 +286,7 @@ def test_flag_defaults_are_the_run_defaults(monkeypatch, command, section, argv)
 
 
 def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
-    from proto_cil.cnn import _forward_batch, load_cnn
+    from proto_cil.cnn import cnn_extract, load_cnn
     from proto_cil.datahub import load_dataset
     from proto_cil.features import softmax_cross_entropy
     from proto_cil.harness import prepare_images
@@ -303,7 +303,8 @@ def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
     train = [im for im in load_dataset(ds / "manifest.csv").samples if im.split == "train"]
     labels = [im.label for im in train]
     y = np.array([sorted(set(labels)).index(c) for c in labels])
-    _, logits, _ = _forward_batch(model, prepare_images(train, 3), None)
+    rows = cnn_extract(model, prepare_images(train, 3), labels).rows  # what the CLI prints from
+    logits = rows @ model.params["head_w"] + model.params["head_b"]
     assert float(printed.group(1)) == pytest.approx(softmax_cross_entropy(logits, y)[0],
                                                     rel=1e-12)
     assert float(printed.group(2)) == float((logits.argmax(axis=1) == y).mean())

@@ -207,11 +207,50 @@ def test_gradients_match_reference_layout(train_mode):
             assert max_rel(grads[name], ref_grads[name]) <= 1e-12, (n, name)
 
 
-def test_extract_matches_reference_forward():
+def trained_blobs_model():
     imgs, labels = augmented_blobs(per_class=3)
     model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=1, **SGD)
+    return model, imgs, labels
+
+
+def test_eval_forward_matches_reference_forward():
+    """The float64 forward that training uses."""
+    model, imgs, _ = trained_blobs_model()
     ref_feats, _, _ = cnn_reference.forward(model, imgs, False, None)
-    assert max_rel(cnn_extract(model, imgs, labels).rows, ref_feats) <= 1e-12
+    feats, _, _ = _forward_batch(model, imgs, None)
+    assert max_rel(feats, ref_feats) <= 1e-12
+
+
+def test_extract_matches_reference_forward():
+    """Extraction is the eval forward on float32 copies of the conv weights,
+    to the bit, with float64 rows about 5e-7 relative from the float64
+    reference."""
+    model, imgs, labels = trained_blobs_model()
+    rows = cnn_extract(model, imgs, labels).rows
+    f32 = {k: v.astype(np.float32) if k.startswith("conv") else v
+           for k, v in model.params.items()}
+    feats, _, _ = _forward_batch(cnn.CnnModel(f32, model.dropout, frozen=True), imgs, None)
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows, feats)
+    ref_feats, _, _ = cnn_reference.forward(model, imgs, False, None)
+    assert max_rel(rows, ref_feats) <= 1e-5
+
+
+def test_extract_columns_are_float32_and_train_columns_float64(monkeypatch):
+    seen = []
+
+    def spy(xp, k):
+        seen.append(xp.dtype)
+        return _im2col(xp, k)
+
+    model, imgs, labels = trained_blobs_model()
+    monkeypatch.setattr(cnn, "_im2col", spy)
+    cnn_extract(model, imgs[:2], labels[:2])
+    assert seen == [np.float32] * 2 * len(KERNELS)
+    seen.clear()
+    cnn_loss_and_grad(model, imgs[:2], np.array([0, 1]), rng=derive_rng(0, "cnn", 3))
+    assert seen == [np.float64] * 2 * 2 * len(KERNELS)  # forward and backprop
+    assert all(v.dtype == np.float64 for v in model.params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +321,11 @@ def test_train_step_releases_columns_during_backprop():
 
 
 def test_extract_builds_columns_one_image_at_a_time():
-    """Extraction holds one image's columns of one layer at a time, so it
-    peaks below one image's columns of all four layers (7.6 MB). Columns
-    built for four images at a time (20.9 MB) break it."""
-    n, bound = cnn.EXTRACT_BATCH, memory_bound(1)
+    """Extraction holds one image's float32 columns of one layer at a time,
+    so it peaks (3.9 MB) below three quarters of one image's float64 columns
+    of all four layers (5.7 MB). Float64 columns (6.0 MB) break it, and so do
+    columns built for four images at a time."""
+    n, bound = cnn.EXTRACT_BATCH, memory_bound(0.75)
     model = cnn_init(256, 0.5, seed=0)
     model.frozen = True
     imgs = np.random.default_rng(7).random((n, INPUT_SIZE, INPUT_SIZE))
@@ -447,7 +487,17 @@ HEADER_RULE = "checkpoint header must be an object with a 'meta' object and a 'b
     (_checkpoint({"meta": {}, "blocks": [["w", [2]]]}, bytes(8)), "truncated block 'w'"),
     (_checkpoint({"meta": {}, "blocks": [["w", [1]]]}, bytes(9)),
      "trailing bytes after last block"),
-], ids=["not-utf8", "not-json", "list", "no-blocks", "meta-list", "truncated", "trailing"])
+    (_checkpoint({"meta": {}, "blocks": [["w", [10**12]]]}, bytes(8)), "truncated block 'w'"),
+    (_checkpoint({"meta": {}, "blocks": [["w"]]}), "bad block entry ['w']"),
+    (_checkpoint({"meta": {}, "blocks": [["w", [-1]]]}), "bad block entry ['w', [-1]]"),
+    (_checkpoint({"meta": {}, "blocks": [["w", [1.5]]]}), "bad block entry ['w', [1.5]]"),
+    (_checkpoint({"meta": {}, "blocks": [["w", [True]]]}), "bad block entry ['w', [True]]"),
+    (_checkpoint({"meta": {}, "blocks": [["w", 1]]}, bytes(8)), "bad block entry ['w', 1]"),
+    (_checkpoint({"meta": {}, "blocks": [[1, [1]]]}, bytes(8)), "bad block entry [1, [1]]"),
+    (_checkpoint({"meta": {}, "blocks": ["w"]}), "bad block entry 'w'"),
+], ids=["not-utf8", "not-json", "list", "no-blocks", "meta-list", "truncated", "trailing",
+        "huge-shape", "no-shape", "negative-dim", "float-dim", "bool-dim", "shape-not-list",
+        "name-not-string", "entry-not-list"])
 def test_checkpoint_rejects_malformed_file(tmp_path, contents, message):
     path = tmp_path / "x.bin"
     path.write_bytes(contents)
@@ -481,3 +531,27 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
     save_blocks(tmp_path / "x.bin", {"kind": "other"}, {"w": np.zeros(2)})
     with pytest.raises(InputError, match="not a cnn checkpoint"):
         load_cnn(tmp_path / "x.bin")
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("conv1_w", (10, 32)),
+    ("conv0_w", (49, 16, 1)),
+    ("conv2_b", (65,)),
+    ("dense_w", (FLAT_SIZE + 1, 8)),
+    ("dense_w", (FLAT_SIZE,)),
+    ("dense_b", (9,)),
+    ("head_w", (9, 2)),
+    ("head_b", ()),
+])
+def test_checkpoint_rejects_wrong_parameter_shape(tmp_path, name, shape):
+    """Each parameter is checked against the conv stack and the widths of
+    dense_w and head_w before any extraction uses it."""
+    from proto_cil.binio import save_blocks
+
+    params = {**cnn_init(8, 0.0, seed=0).params, name: np.zeros(shape)}
+    path = tmp_path / "x.bin"
+    save_blocks(path, {"kind": "cnn", "dropout": 0.0, "frozen": True}, params)
+    with pytest.raises(InputError, match=re.escape(f"{path}: cnn checkpoint has parameters of "
+                                                   f"the wrong shape: ")) as exc:
+        load_cnn(path)
+    assert f"{name} {shape} (expected " in str(exc.value)
