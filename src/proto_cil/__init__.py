@@ -7,7 +7,7 @@ from .datahub import (Dataset, LabeledImage, ScenarioSpec, TaskSequence, load_da
 from .features import FeatureMatrix, ingest_features, softmax
 from .fusion import late_fuse, single_predict
 from .harness import MetricsReport, RunConfig, accuracy, avg_acc, perf_drop, run_scenario
-from .projector import (PrototypeState, accumulate, init_projection, project,
+from .projector import (PrototypeState, accumulate, empty_state, init_projection, project,
                         score, select_lambda, solve_prototypes)
 from .rpca import RpcaModel, rpca_apply, rpca_train
 
@@ -17,7 +17,7 @@ __all__ = [
     "FeatureMatrix", "ingest_features", "softmax",
     "late_fuse", "single_predict",
     "MetricsReport", "RunConfig", "accuracy", "avg_acc", "perf_drop", "run_scenario",
-    "PrototypeState", "accumulate", "init_projection", "project", "score",
+    "PrototypeState", "accumulate", "empty_state", "init_projection", "project", "score",
     "select_lambda", "solve_prototypes",
     "RpcaModel", "rpca_apply", "rpca_train",
 ]

@@ -114,9 +114,9 @@ def cmd_denoise(args) -> int:
     train_paths = sorted(glob.glob(args.train_glob))
     apply_paths = sorted(glob.glob(args.apply_glob))
     if not train_paths:
-        raise DataError(f"no files match --train-glob {args.train_glob!r}")
+        raise ConfigError(f"no files match --train-glob {args.train_glob!r}")
     if not apply_paths:
-        raise DataError(f"no files match --apply-glob {args.apply_glob!r}")
+        raise ConfigError(f"no files match --apply-glob {args.apply_glob!r}")
     # every image is read and checked against the first before training
     images = {p: read_pgm(p) for p in train_paths + apply_paths}
     side = images[train_paths[0]].shape[0]

@@ -26,7 +26,7 @@ from .datahub import (CROP_SIZE, SYNTH_KINDS, DataError, Dataset, ScenarioSpec, 
 from .errors import InputError
 from .features import FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict
-from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, PrototypeState, accumulate,
+from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, accumulate, empty_state,
                         init_projection, project, score, select_lambda, solve_prototypes)
 from .seeding import derive_seed
 from .ssf import ssf_apply, ssf_train
@@ -263,8 +263,8 @@ def perf_drop(a0: float, a_t: float) -> float:
 # `features(samples, split) -> FeatureMatrix`, which turns `samples` of
 # `split` ("train" or "test") into feature rows. At projection init,
 # `run_scenario` gives each branch its frozen projection `layer`, its
-# prototype `state`, and `tested`, the projected rows of the test images
-# scored so far.
+# prototype `state`, the prototypes `P` solved from it, and `tested`, the
+# projected rows of the test images scored so far.
 
 def prepare_images(samples, seed, rpca_model=None) -> np.ndarray:
     """Network inputs for `samples`: the RPCA sparse part when a model is given,
@@ -449,7 +449,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
         for bi, br in enumerate(branches):
             br.layer = init_projection(br.dim, config.projection_dim,
                                        seed=derive_seed(config.seed, "projection_a", bi))
-            br.state = PrototypeState(M=config.projection_dim)
+            br.state = empty_state(config.projection_dim)
             br.tested = FeatureMatrix(rows=np.empty((0, config.projection_dim)), labels=[])
             metrics.lambdas[br.name] = []
 
@@ -475,8 +475,8 @@ def run_scenario(config: RunConfig) -> MetricsReport:
                     lam = select_lambda(br.state, H, grid=grid,
                                         seed=derive_seed(config.seed, "lambda_split", t))
                 picks.append(lam)
-                accumulate(br.state, H)
-                solve_prototypes(br.state, lam)
+                br.state = accumulate(br.state, H)
+                br.P = solve_prototypes(br.state, lam)
 
             stage = f"task{t}-eval"
             new = eval_all[done : done + len(task.test)]
@@ -486,7 +486,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
                 He = project(br.layer, br.features(new, "test"))
                 br.tested = FeatureMatrix(rows=np.concatenate((br.tested.rows, He.rows)),
                                           labels=br.tested.labels + He.labels)
-                scores.append(score(br.state, br.tested))
+                scores.append(score(br.P, br.state.registry, br.tested))
             true_labels = br.tested.labels
             pred_labels = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
             metrics.task_accuracies.append(accuracy(pred_labels, true_labels))

@@ -6,8 +6,8 @@ SVD G = Vt^T diag(s^2) Vt, r <= min(rows seen, M) orthonormal rows Vt, beside
 the per-class accumulator C. New rows H update it through the small kernel of
 X = [diag(s) Vt; H]: X X^T = U diag(w) U^T has the nonzero spectrum of the new
 G = X^T X, so s = sqrt(w) and Vt = U^T X / s (Brand, "Fast low-rank
-modifications of the thin singular value decomposition", LAA 2006). s, Vt and
-C are read-only values that `accumulate` replaces, so a snapshot shares them.
+modifications of the thin singular value decomposition", LAA 2006). A state
+is a frozen value: `accumulate` returns a new one and never writes its input.
 
 The prototypes solve (G + lambda I) P = C as P = Vt^T diag(1 / (s^2 + lambda))
 Vt C. Every column of C is a sum of projected rows, so C lies in the row space
@@ -15,7 +15,7 @@ of Vt and the null-space term is dropped. The lambda sweep rescales the same
 (s, Vt) per grid point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
@@ -26,10 +26,6 @@ from .seeding import derive_rng
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** k for k in range(-8, 9))
 MIN_SWEEP_ROWS = 5  # fewest task rows an 80:20 lambda-selection split accepts
-
-
-class StalePrototypes(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -47,29 +43,26 @@ class ScoreMatrix:
     classes: list     # registry order
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrototypeState:
-    M: int
-    s: np.ndarray = None          # (r,) descending; read-only
-    Vt: np.ndarray = None         # (r, M) orthonormal rows, G = Vt^T diag(s^2) Vt; read-only
-    C: np.ndarray = None          # (M, K) per-class sums of projected rows; read-only
-    registry: list = field(default_factory=list)
-    P: np.ndarray = None          # (M, K); None until solved after the last accumulate
+    s: np.ndarray     # (r,) descending; read-only
+    Vt: np.ndarray    # (r, M) orthonormal rows, G = Vt^T diag(s^2) Vt; read-only
+    C: np.ndarray     # (M, K) per-class sums of projected rows; read-only
+    registry: tuple   # class labels in first-sight order, the columns of C
 
-    def __post_init__(self):
-        if self.s is None:
-            self.s, self.Vt = _frozen(np.zeros(0)), _frozen(np.zeros((0, self.M)))
-            self.C = _frozen(np.zeros((self.M, 0)))
-
-    def snapshot(self) -> "PrototypeState":
-        """An unsolved copy sharing the read-only (s, Vt, C); the registry list is copied."""
-        return PrototypeState(M=self.M, s=self.s, Vt=self.Vt, C=self.C,
-                              registry=list(self.registry))
+    @property
+    def M(self) -> int:
+        return self.Vt.shape[1]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def empty_state(M: int) -> PrototypeState:
+    return PrototypeState(s=_frozen(np.zeros(0)), Vt=_frozen(np.zeros((0, M))),
+                          C=_frozen(np.zeros((M, 0))), registry=())
 
 
 def init_projection(d: int, M: int, seed: int) -> ProjectionLayer:
@@ -89,8 +82,8 @@ def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
 
 def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     """(s, Vt) <- SVD of [diag(s) Vt; H] by eigh of its kernel, so G gains sum h h^T;
-    C <- C zero-padded for new classes (first-sight order) + each class's rows of H;
-    P <- None. Replaces the three arrays, never writes them. Keeps at most M
+    C <- C zero-padded for new classes (first-sight order) + each class's rows of H.
+    Returns them in a new state and never writes the input. Keeps at most M
     eigenvalues, those above w_max * max(X.shape) * eps (eigh's accuracy)."""
     if H.rows.shape[0] == 0:
         return state
@@ -109,15 +102,15 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     s = np.sqrt(w[:r])
     Vt = U[:, :r].T @ X
     Vt /= s[:, None]
-    state.registry += [c for c in dict.fromkeys(H.labels) if c not in state.registry]
-    index = {c: j for j, c in enumerate(state.registry)}
+    registry = state.registry + tuple(
+        c for c in dict.fromkeys(H.labels) if c not in state.registry)
+    index = {c: j for j, c in enumerate(registry)}
     sums = np.zeros((len(index), state.M))
     for row, c in zip(H.rows, H.labels):
         sums[index[c]] += row
     C = np.pad(state.C, ((0, 0), (0, len(index) - state.C.shape[1])))
     C += sums.T
-    state.s, state.Vt, state.C, state.P = _frozen(s), _frozen(Vt), _frozen(C), None
-    return state
+    return PrototypeState(s=_frozen(s), Vt=_frozen(Vt), C=_frozen(C), registry=registry)
 
 
 def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
@@ -129,16 +122,14 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     P = Vt.T @ ((Vt @ state.C) / (s * s + lam)[:, None])
     if not np.isfinite(P).all():
         raise InputError("prototype solve produced non-finite entries")
-    state.P = P
     return P
 
 
-def score(state: PrototypeState, H_test: FeatureMatrix) -> ScoreMatrix:
-    if state.P is None:
-        raise StalePrototypes("prototypes are stale; call solve_prototypes first")
-    if H_test.dim != state.M:
-        raise InputError(f"projected dimension {H_test.dim} != state dimension {state.M}")
-    return ScoreMatrix(rows=H_test.rows @ state.P, classes=list(state.registry))
+def score(P: np.ndarray, classes, H_test: FeatureMatrix) -> ScoreMatrix:
+    """Scores of H_test's rows against prototypes P, whose columns are `classes`."""
+    if H_test.dim != P.shape[0]:
+        raise InputError(f"projected dimension {H_test.dim} != prototype dimension {P.shape[0]}")
+    return ScoreMatrix(rows=H_test.rows @ P, classes=list(classes))
 
 
 def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAMBDA_GRID,
@@ -167,8 +158,7 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     fit_idx, val_idx = perm[:n_fit], perm[n_fit:]  # both nonempty, as n >= 5
 
     fit = FeatureMatrix(rows=task_H.rows[fit_idx], labels=[task_H.labels[i] for i in fit_idx])
-    trial = state.snapshot()
-    accumulate(trial, fit)
+    trial = accumulate(state, fit)
     index = {c: j for j, c in enumerate(trial.registry)}
     targets = np.zeros((len(val_idx), len(index)))
     targets[np.arange(len(val_idx)), [index[task_H.labels[vi]] for vi in val_idx]] = 1.0
@@ -186,6 +176,6 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
     if best_lam is None:
         raise InputError(
             f"every lambda in the grid is at or below the Gram's rank tolerance {tol:.3g}")
-    solve_prototypes(trial, best_lam)
+    solve_prototypes(trial, best_lam)  # kept for its finiteness check; perfbench counts it
     return best_lam
 

@@ -17,7 +17,7 @@ from proto_cil.datahub import ScenarioSpec, make_scenario, synth_dataset
 from proto_cil.features import FeatureMatrix, softmax
 from proto_cil.fusion import late_fuse
 from proto_cil.harness import DEFAULTS, RunConfig, avg_acc, perf_drop, run_scenario, train_denoiser
-from proto_cil.projector import PrototypeState, ScoreMatrix, accumulate, solve_prototypes
+from proto_cil.projector import ScoreMatrix, accumulate, empty_state, solve_prototypes
 from proto_cil.rpca import RpcaModel, rpca_train
 from proto_cil.ssf import SsfAdapter
 
@@ -68,13 +68,13 @@ def test_criterion_2_incremental_equals_batch():
             H = rng.normal(size=(n, d)) @ rng.normal(size=(d, m))
             labels = [f"c{int(v)}" for v in rng.integers(0, 6, size=n)]
             fm = FeatureMatrix(rows=H, labels=labels)
-            whole = accumulate(PrototypeState(M=m), fm)
-            inc = PrototypeState(M=m)
+            whole = accumulate(empty_state(m), fm)
+            inc = empty_state(m)
             cuts = sorted(rng.integers(0, n + 1, size=int(rng.integers(0, 4))))
             bounds = [0] + list(cuts) + [n]
             for lo, hi in zip(bounds, bounds[1:]):
                 if hi > lo:
-                    accumulate(inc, FeatureMatrix(rows=H[lo:hi], labels=labels[lo:hi]))
+                    inc = accumulate(inc, FeatureMatrix(rows=H[lo:hi], labels=labels[lo:hi]))
             order = [inc.registry.index(c) for c in whole.registry]
             gs = np.linalg.norm(gram(whole))
             cs = max(np.linalg.norm(whole.C), 1.0)
@@ -94,8 +94,7 @@ def test_criterion_3_ridge_oracle():
             n = int(rng.integers(m, 3 * m + 1))
             H = rng.normal(size=(n, m))
             labels = [f"c{int(v)}" for v in rng.integers(0, 4, size=n)]
-            st = accumulate(PrototypeState(M=m),
-                            FeatureMatrix(rows=H, labels=labels))
+            st = accumulate(empty_state(m), FeatureMatrix(rows=H, labels=labels))
             lam = 10.0 ** float(rng.uniform(-4, 2))
             P = solve_prototypes(st, lam)
             oracle = np.linalg.inv(gram(st) + lam * np.eye(m)) @ st.C

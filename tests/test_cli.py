@@ -95,11 +95,23 @@ def test_denoise_pipeline(tmp_path):
 
 
 def test_denoise_rejects_empty_glob(tmp_path, capsys):
+    """A glob that matches no file is a bad flag: exit 1, nothing written."""
     rc = main(["denoise", "--train-glob", str(tmp_path / "none*.pgm"),
                "--apply-glob", str(tmp_path / "none*.pgm"),
-               "--rank", "1", "--out", str(tmp_path)])
-    assert rc == 2
+               "--rank", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
     assert "no files match" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_denoise_rejects_empty_apply_glob(tmp_path, capsys):
+    rank1_pgms(tmp_path / "in", n=4)
+    rc = main(["denoise", "--train-glob", str(tmp_path / "in" / "*.pgm"),
+               "--apply-glob", str(tmp_path / "none*.pgm"),
+               "--rank", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "no files match --apply-glob" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_denoise_checks_apply_images_before_training(tmp_path, capsys, monkeypatch):
