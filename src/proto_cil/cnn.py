@@ -74,9 +74,12 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
 # and the conv is one GEMM over h*wp positions, of which the last wp - w of
 # each row are junk (windows that wrap into the next row). They are sliced
 # off before pooling and get zero gradient, so they add exact zeros to the
-# weight gradient. Weight rows stay in (c, ki, kj) order. The largest columns
-# are the second conv's, 400 x 35*39: 4.4 MB in training's float64, 2.2 MB in
-# extraction's float32.
+# weight gradient. Weight rows stay in (c, ki, kj) order. Every buffer, column
+# and gradient here takes the conv weights' dtype: float32 in training and
+# extraction, which hand the stack float32 copies of the float64 weights, and
+# float64 for a float64 model given straight to cnn_loss_and_grad, as the grad
+# checks do. The largest columns are the second conv's, 400 x 35*39: 2.2 MB in
+# float32, 4.4 MB in float64.
 
 def _pad_buffer(c, side, k, dtype=np.float64):
     """A zeroed conv input buffer for a (c, side, side) input and kernel k,
@@ -101,7 +104,7 @@ def _col2im(dcols, shape, k):
     onto its run and return the gradient of the buffer's interior."""
     c, rows, wp = shape
     p, n = k // 2, (rows - k) * wp
-    dxp = np.zeros((c, rows * wp))
+    dxp = np.zeros((c, rows * wp), dtype=dcols.dtype)
     runs = dcols.reshape(c, k, k, n)
     for ki in range(k):
         for kj in range(k):
@@ -162,7 +165,8 @@ def _forward_batch(model, images, rng, backprop=False):
     runs one image at a time; for `backprop` the cache keeps, per image and
     layer, the padded layer input, pool indices and ReLU mask, and no
     columns: backprop rebuilds them. The conv stack runs in the conv
-    weights' dtype; the flat rows and the dense and head layers in float64."""
+    weights' dtype, float32 when training or extraction calls it; the flat
+    rows, dropout and the dense and head layers stay float64."""
     dtype = model.params["conv0_w"].dtype
     x = np.asarray(images, dtype=dtype)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
@@ -202,7 +206,8 @@ def _forward_batch(model, images, rng, backprop=False):
 
 def cnn_loss_and_grad(model, images, label_idx, rng=None):
     """Mean softmax cross-entropy and gradients for every parameter; an `rng`
-    trains with dropout."""
+    trains with dropout. The conv gradients come in the conv weights' dtype,
+    the dense and head ones in float64."""
     feats, logits, cache = _forward_batch(model, images, rng, backprop=True)
     n = logits.shape[0]
     loss, dlogits = softmax_cross_entropy(logits, label_idx)
@@ -216,7 +221,8 @@ def cnn_loss_and_grad(model, images, label_idx, rng=None):
     dflat = dfeats @ model.params["dense_w"].T
     if cache["drop_mask"] is not None:
         dflat = dflat * cache["drop_mask"]
-    dout = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE)
+    dtype = model.params["conv0_w"].dtype
+    dout = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE).astype(dtype, copy=False)
     for i in range(len(KERNELS)):
         grads[f"conv{i}_w"] = np.zeros_like(model.params[f"conv{i}_w"])
         grads[f"conv{i}_b"] = np.zeros_like(model.params[f"conv{i}_b"])
@@ -225,7 +231,7 @@ def cnn_loss_and_grad(model, images, label_idx, rng=None):
             xp, idx, relu = layers[i]
             k = KERNELS[i]
             side = xp.shape[1] - k
-            dz = np.zeros((CHANNELS[i], side, xp.shape[2]))  # junk columns stay 0
+            dz = np.zeros((CHANNELS[i], side, xp.shape[2]), dtype)  # junk columns stay 0
             _maxpool_back(da * relu, idx, dz[:, :, :side])
             dz = dz.reshape(CHANNELS[i], -1)
             # the columns live only for this image's weight gradient
@@ -236,10 +242,21 @@ def cnn_loss_and_grad(model, images, label_idx, rng=None):
     return loss, grads
 
 
+def _float32_convs(model):
+    """The model with float32 copies of its conv weights, which set the dtype
+    the conv stack runs in; the dense and head weights are shared."""
+    return replace(model, params={k: v.astype(np.float32) if k.startswith("conv") else v
+                                  for k, v in model.params.items()})
+
+
 def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum: float,
               weight_decay: float, seed: int = 0) -> CnnModel:
     """SGD with momentum and weight decay on base-task classes; returns a
-    frozen copy."""
+    frozen copy. Mixed precision: each step runs the conv stack, forward and
+    backward, on float32 copies of the conv weights, while the float64 master
+    weights, momentum, weight decay and update stay float64. A master weight
+    beyond float32 range casts to inf, so its step's loss is non-finite and
+    training stops with Divergence."""
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise InputError("base task must contain at least 2 classes")
@@ -255,12 +272,13 @@ def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum:
         order = rng.permutation(len(x))
         for start in range(0, len(x), TRAIN_BATCH):
             sel = order[start : start + TRAIN_BATCH]
-            loss, grads = cnn_loss_and_grad(model, x[sel], y[sel], rng=rng)
+            loss, grads = cnn_loss_and_grad(_float32_convs(model), x[sel], y[sel], rng=rng)
             if not np.isfinite(loss):
                 raise Divergence("training loss or weights", epoch)
             for k, g in grads.items():
+                g = g.astype(np.float64, copy=False)  # conv gradients come in float32
                 if k.endswith("_w"):
-                    g = g + weight_decay * model.params[k]
+                    g += weight_decay * model.params[k]
                 vel[k] = momentum * vel[k] - lr * g
                 model.params[k] += vel[k]
         if not all(np.isfinite(v).all() for v in model.params.values()):
@@ -276,8 +294,7 @@ def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
     relative."""
     if not model.frozen:
         raise InputError("cnn_extract requires a trained (frozen) model")
-    model = replace(model, params={k: v.astype(np.float32) if k.startswith("conv") else v
-                                   for k, v in model.params.items()})
+    model = _float32_convs(model)
     x = np.asarray(images, dtype=np.float64)
     rows = []
     for start in range(0, len(x), EXTRACT_BATCH):

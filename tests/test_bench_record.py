@@ -10,10 +10,10 @@ bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
 
 
-def fake_result(workload, run_s, sha, trace=0):
+def fake_result(workload, run_s, sha, trace=0, seed=1):
     e2e = {m: {"median": 1.0, "n": 3} for m in bench_record.METRICS}
     e2e["run_s"] = {"median": run_s, "n": 3, "tail_pct": 50.0, "tail": run_s}
-    return {"workload": workload, "seed": 1, "trace": trace, "seconds": 45.0,
+    return {"workload": workload, "seed": seed, "trace": trace, "seconds": 45.0,
             "env": {"nproc": 2}, "end_to_end": e2e,
             "accounting": {"attempted": 3, "failed": 0, "correct": True,
                            "output_fingerprint": {"metrics_sha256": sha}}}
@@ -82,3 +82,22 @@ def test_pairs_count_wins_and_claim_a_gain_only_past_the_parent_spread(
     assert pairs["pairs"] == 10 and run_s["parent"] == parent_runs
     assert run_s["change_wins"] == sum(c < p for p, c in zip(parent_runs, change_runs))
     assert run_s["gain"] is gain
+
+
+def test_pairs_at_a_held_out_seed_are_summarized_apart(tmp_path):
+    """Pairs of one workload at two seeds are never pooled: each seed gets its
+    own summary, named by seed; a workload run at one seed keeps its name."""
+    args = ["--parent", write(tmp_path, "p.json", fake_result("speckle-fusion", 2.0, "a")),
+            "--change", write(tmp_path, "c.json", fake_result("speckle-fusion", 1.0, "a")),
+            "--out", str(tmp_path / "BENCH.json")]
+    runs = [("speckle-fusion", 1, 2.0, 1.0)] * 3 + [("speckle-fusion", 2, 4.0, 3.0)] * 2
+    runs += [("blobs-sweep", 1, 0.1, 0.1)] * 2
+    for i, (workload, seed, p, c) in enumerate(runs):
+        args += ["--pair", write(tmp_path, f"p{i}.json", fake_result(workload, p, "a", seed=seed)),
+                 write(tmp_path, f"c{i}.json", fake_result(workload, c, "a", seed=seed))]
+    assert bench_record.main(args) == 0
+    pairs = json.loads((tmp_path / "BENCH.json").read_text())["pairs"]
+    assert sorted(pairs) == ["blobs-sweep", "speckle-fusion seed 1", "speckle-fusion seed 2"]
+    assert [pairs[k]["seed"] for k in sorted(pairs)] == [1, 1, 2]
+    assert pairs["speckle-fusion seed 2"]["metrics"]["run_s"]["parent"] == [4.0, 4.0]
+    assert pairs["speckle-fusion seed 1"]["pairs"] == 3

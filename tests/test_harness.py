@@ -596,7 +596,7 @@ SMALL_FUSION = {
 
 
 # the CNN branch alone on the default lambda grid: it scores [90.0, 86.7, 85.0]
-# with lambda picks [10, 1, 10], so a golden that an accuracy change can move
+# with lambda picks [10, 1, 1], so a golden that an accuracy change can move
 CNN_SINGLE = {**{k: v for k, v in SMALL_FUSION.items() if k != "lambda_grid"},
               "ingested_branch": False, "fusion": "single"}
 
@@ -608,7 +608,7 @@ BUNDLED = json.loads(CONFIG_PATH.read_text())
     ({**BUNDLED, "seed": 3}, "02c82b6826ead401ef01127b2a9dbadd23f73b5e9e9b63c76b5f3933970f4c74"),
     (SMALL_FUSION, "efd75330605b908f8aa7804774bced47c596c90289352c22d2d2f214ab5319b5"),
     (CSV_SOURCE, "5f5dd24c3f72e0281964797d3cf2b2c6e58c7a11bfcc8f4075c8139563433bde"),
-    (CNN_SINGLE, "41668253477a30bfc3155117a4940f651335d10c8c2fbe1eee77dbceda2451a4"),
+    (CNN_SINGLE, "d37d8b0ddd4732d5011d84cf3dd1746d38e974a63296106442b7496bb1d642b7"),
 ], ids=["bundled-seed1", "bundled-seed3", "cnn-rpca-ssf-late-fusion", "csv-source",
         "cnn-single-default-grid"])
 def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, sha256):

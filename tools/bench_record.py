@@ -16,13 +16,16 @@ the choosing-metrics rule for small sandboxes). Per workload and metric the
 record keeps each side's run medians and quartiles, the pairs the change won
 (ties count for neither side), and `gain`: the change won at least nine tenths
 of the pairs and its median run beats the parent's by more than the parent's
-interquartile range.
+interquartile range. Pairs of one workload at several seeds, a held-out
+seed beside the claimed one, are summarized per seed, under the key
+`<workload> seed <n>`; a workload with one seed keeps its plain name.
 """
 
 import argparse
 import json
 import statistics
 import sys
+from collections import Counter
 from pathlib import Path
 
 METRICS = ("setup_s", "run_s", "incr_task_s", "peak_rss_mb")  # lower is better
@@ -57,15 +60,18 @@ def load(paths) -> dict:
 
 
 def pair_summary(pairs) -> dict:
-    """workload -> metric -> both sides' run medians, quartiles, wins and gain."""
-    by_workload = {}
+    """workload (and seed, if it has several) -> metric -> both sides' run
+    medians, quartiles, wins and gain."""
+    by_run = {}
     for p, c in pairs:
         if p["workload"] != c["workload"] or p["seed"] != c["seed"]:
             raise ValueError(f"pair of {p['workload']} seed {p['seed']} and "
                              f"{c['workload']} seed {c['seed']}")
-        by_workload.setdefault(p["workload"], []).append((p, c))
+        by_run.setdefault((p["workload"], p["seed"]), []).append((p, c))
+    seeds = Counter(workload for workload, _ in by_run)
     out = {}
-    for name, runs in sorted(by_workload.items()):
+    for (workload, seed), runs in sorted(by_run.items()):
+        name = workload if seeds[workload] == 1 else f"{workload} seed {seed}"
         metrics = {}
         for m in METRICS:
             before = [p["end_to_end"][m]["median"] for p, _ in runs]
@@ -80,7 +86,7 @@ def pair_summary(pairs) -> dict:
                 "gain": wins >= 0.9 * len(runs)
                 and q["parent"][1] - q["change"][1] > q["parent"][2] - q["parent"][0],
             }
-        out[name] = {"seed": runs[0][0]["seed"], "pairs": len(runs), "metrics": metrics}
+        out[name] = {"seed": seed, "pairs": len(runs), "metrics": metrics}
     return out
 
 
