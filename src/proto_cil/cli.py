@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, denoise, train-backbone, extract, run, eval.
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success; 1 for a rejected flag, config or input file (an
+InputError, or an argparse usage error); 2 for any other failure, such as a
+run stage that diverged or an unreadable `eval` report.
 """
 
 import argparse
@@ -14,10 +16,11 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
-from .datahub import SYNTH_KINDS, DataError, load_dataset, save_dataset, synth_dataset
+from .datahub import SYNTH_KINDS, load_dataset, save_dataset, synth_dataset
 from .features import softmax_cross_entropy, write_features
-from .harness import (DEFAULTS, ConfigError, RunConfig, StageFailure, check_key, load_report,
-                      prepare_images, run_scenario, train_backbone, train_denoiser)
+from .errors import InputError
+from .harness import (DEFAULTS, RunConfig, check_key, load_report, prepare_images, run_scenario,
+                      train_backbone, train_denoiser)
 from .pgm import read_pgm
 
 USAGE_EXIT = 1
@@ -114,15 +117,15 @@ def cmd_denoise(args) -> int:
     train_paths = sorted(glob.glob(args.train_glob))
     apply_paths = sorted(glob.glob(args.apply_glob))
     if not train_paths:
-        raise ConfigError(f"no files match --train-glob {args.train_glob!r}")
+        raise InputError(f"no files match --train-glob {args.train_glob!r}")
     if not apply_paths:
-        raise ConfigError(f"no files match --apply-glob {args.apply_glob!r}")
+        raise InputError(f"no files match --apply-glob {args.apply_glob!r}")
     # every image is read and checked against the first before training
     images = {p: read_pgm(p) for p in train_paths + apply_paths}
     side = images[train_paths[0]].shape[0]
     for p, im in images.items():
         if im.shape != (side, side):
-            raise DataError(f"{p}: expected {side}x{side} square image, got {im.shape}")
+            raise InputError(f"{p}: expected {side}x{side} square image, got {im.shape}")
     flat = np.stack([images[p].ravel() for p in train_paths])
     model = train_denoiser(flat, vars(args), args.seed)  # args holds the rpca keys
     out = Path(args.out)
@@ -164,21 +167,16 @@ def cmd_extract(args) -> int:
 def cmd_run(args) -> int:
     cfg_path = Path(args.config)
     if not cfg_path.exists():
-        raise ConfigError(f"config not found: {cfg_path}")
+        raise InputError(f"config not found: {cfg_path}")
     try:
         raw = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise InputError(f"config is not valid JSON: {exc}") from exc
     overrides = {"seed": args.seed, "output_dir": args.out, "portion": args.portion}
     if type(raw) is dict:  # anything else is rejected by from_dict
         raw.update((key, value) for key, value in overrides.items() if value is not None)
     config = RunConfig.from_dict(raw)
-    try:
-        metrics = run_scenario(config)
-    except StageFailure as exc:
-        if exc.stage == "setup" and isinstance(exc.cause, (ConfigError, DataError)):
-            raise ConfigError(str(exc)) from exc  # rejected before any training
-        raise
+    metrics = run_scenario(config)
     print(f"tasks: {len(metrics.task_accuracies)}  "
           f"avg accuracy: {metrics.avg_accuracy:.2f}  perf drop: {metrics.perf_drop:.2f}")
     if config.output_dir:
@@ -221,7 +219,7 @@ def main(argv=None) -> int:
         for dest, path in FLAG_KEYS.get(args.command, {}).items():
             check_key(path, getattr(args, dest), "--" + dest.replace("_", "-"))
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"proto-cil {args.command}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # runtime failures map to exit 2

@@ -274,7 +274,7 @@ def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum:
             sel = order[start : start + TRAIN_BATCH]
             loss, grads = cnn_loss_and_grad(_float32_convs(model), x[sel], y[sel], rng=rng)
             if not np.isfinite(loss):
-                raise Divergence("training loss or weights", epoch)
+                raise Divergence(f"non-finite training loss or weights at epoch {epoch}", epoch)
             for k, g in grads.items():
                 g = g.astype(np.float64, copy=False)  # conv gradients come in float32
                 if k.endswith("_w"):
@@ -282,7 +282,7 @@ def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum:
                 vel[k] = momentum * vel[k] - lr * g
                 model.params[k] += vel[k]
         if not all(np.isfinite(v).all() for v in model.params.values()):
-            raise Divergence("training loss or weights", epoch)
+            raise Divergence(f"non-finite training loss or weights at epoch {epoch}", epoch)
     model.frozen = True
     return model
 

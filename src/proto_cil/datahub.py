@@ -17,10 +17,6 @@ CROP_SIZE = 32
 SYNTH_KINDS = ("blobs", "lowrank_speckle")  # what synth_dataset can generate
 
 
-class DataError(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class LabeledImage:
     pixels: np.ndarray  # 2-D float64, values in [0,1]
@@ -30,11 +26,11 @@ class LabeledImage:
     def __post_init__(self):
         px = self.pixels
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
-            raise DataError(f"image must be 2-D and non-empty, got shape {px.shape}")
+            raise InputError(f"image must be 2-D and non-empty, got shape {px.shape}")
         if not np.isfinite(px).all() or px.min() < 0 or px.max() > 1:
-            raise DataError("pixel values must be finite and in [0,1]")
+            raise InputError("pixel values must be finite and in [0,1]")
         if self.split not in ("train", "test"):
-            raise DataError(f"split must be train|test, got {self.split!r}")
+            raise InputError(f"split must be train|test, got {self.split!r}")
 
 
 @dataclass
@@ -48,11 +44,11 @@ class Dataset:
         seen = {(c, s): 0 for c in self.classes for s in ("train", "test")}
         for im in self.samples:
             if im.label not in known:
-                raise DataError(f"sample label {im.label!r} not in dataset classes")
+                raise InputError(f"sample label {im.label!r} not in dataset classes")
             seen[(im.label, im.split)] += 1
         missing = [k for k, v in seen.items() if v == 0]
         if missing:
-            raise DataError(f"classes missing samples for (class, split): {missing}")
+            raise InputError(f"classes missing samples for (class, split): {missing}")
 
     def by_class(self, split: str) -> dict:
         out = {c: [] for c in self.classes}
@@ -71,16 +67,16 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if any(int(k) < 1 for k in self.schedule):
-            raise DataError("every schedule entry must be >= 1")
+            raise InputError("every schedule entry must be >= 1")
         if sum(self.schedule) != len(self.class_order):
-            raise DataError(
+            raise InputError(
                 f"schedule sums to {sum(self.schedule)} but class_order has "
                 f"{len(self.class_order)} classes"
             )
         if len(set(self.class_order)) != len(self.class_order):
-            raise DataError("class_order contains duplicates")
+            raise InputError("class_order contains duplicates")
         if not (0 < self.portion <= 1):
-            raise DataError(f"portion must be in (0,1], got {self.portion}")
+            raise InputError(f"portion must be in (0,1], got {self.portion}")
 
 
 @dataclass(frozen=True)
@@ -109,47 +105,47 @@ def load_dataset(manifest_path) -> Dataset:
     """Load a dataset from a CSV manifest (`path,label,split`) + sibling JSON header."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
-        raise DataError(f"manifest not found: {manifest_path}")
+        raise InputError(f"manifest not found: {manifest_path}")
     header_path = manifest_path.with_suffix(".json")
     if not header_path.exists():
-        raise DataError(f"manifest header not found: {header_path}")
+        raise InputError(f"manifest header not found: {header_path}")
     try:
         header = json.loads(header_path.read_text())
         name = header["name"]
         classes = header["classes"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DataError(f"malformed manifest header {header_path}: {exc}") from exc
+        raise InputError(f"malformed manifest header {header_path}: {exc}") from exc
     if not (type(classes) is list and all(type(c) is str for c in classes)):
-        raise DataError(f"malformed manifest header {header_path}: classes must be a list "
-                        f"of strings, got {classes!r}")
+        raise InputError(f"malformed manifest header {header_path}: classes must be a list "
+                         f"of strings, got {classes!r}")
     repeated = sorted({c for c in classes if classes.count(c) > 1})
     if repeated:
-        raise DataError(f"malformed manifest header {header_path}: classes repeat {repeated}")
+        raise InputError(f"malformed manifest header {header_path}: classes repeat {repeated}")
     expect_size = header.get("image_size")  # optional [height, width]
     if expect_size is not None and not (type(expect_size) is list and len(expect_size) == 2
                                         and all(type(v) is int and v >= 1 for v in expect_size)):
-        raise DataError(f"malformed manifest header {header_path}: image_size must be null "
-                        f"or two integers >= 1, got {expect_size!r}")
+        raise InputError(f"malformed manifest header {header_path}: image_size must be null "
+                         f"or two integers >= 1, got {expect_size!r}")
 
     samples = []
     with open(manifest_path, newline="") as f:
         reader = csv.reader(f)
         rows = list(reader)
     if not rows or rows[0] != ["path", "label", "split"]:
-        raise DataError(f"{manifest_path}: first row must be header 'path,label,split'")
+        raise InputError(f"{manifest_path}: first row must be header 'path,label,split'")
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
-            raise DataError(f"{manifest_path}:{lineno}: expected 3 fields, got {len(row)}")
+            raise InputError(f"{manifest_path}:{lineno}: expected 3 fields, got {len(row)}")
         rel, label, split = row
         img_path = manifest_path.parent / rel
         if not img_path.exists():
-            raise DataError(f"{manifest_path}:{lineno}: image not found: {img_path}")
+            raise InputError(f"{manifest_path}:{lineno}: image not found: {img_path}")
         try:
             pixels = read_pgm(img_path)
         except InputError as exc:
-            raise DataError(f"{manifest_path}:{lineno}: {exc}") from exc
+            raise InputError(f"{manifest_path}:{lineno}: {exc}") from exc
         if expect_size is not None and list(pixels.shape) != list(expect_size):
-            raise DataError(
+            raise InputError(
                 f"{img_path}: image is {pixels.shape[0]}x{pixels.shape[1]}, "
                 f"manifest declares {expect_size[0]}x{expect_size[1]}"
             )
@@ -203,11 +199,11 @@ def synth_dataset(kind: str, num_classes: int, per_class_train: int,
     images) or `lowrank_speckle` (rank-2 class templates under multiplicative
     speckle plus sparse spikes)."""
     if kind not in SYNTH_KINDS:
-        raise DataError(f"unknown synthetic kind {kind!r}")
+        raise InputError(f"unknown synthetic kind {kind!r}")
     if num_classes < 2:
-        raise DataError("num_classes must be >= 2")
+        raise InputError("num_classes must be >= 2")
     if per_class_train < 1 or per_class_test < 1 or image_size < 1:
-        raise DataError("per-class counts and image_size must be >= 1")
+        raise InputError("per-class counts and image_size must be >= 1")
 
     rng = derive_rng(seed, "synth")
     classes = [f"c{i:02d}" for i in range(num_classes)]
@@ -243,7 +239,7 @@ def make_scenario(dataset: Dataset, spec: ScenarioSpec) -> TaskSequence:
     train_pool, test_pool = dataset.by_class("train"), dataset.by_class("test")
     unknown = [c for c in spec.class_order if c not in train_pool]
     if unknown:
-        raise DataError(f"classes in class_order not found in the dataset: {unknown}")
+        raise InputError(f"classes in class_order not found in the dataset: {unknown}")
 
     tasks = []
     cursor = 0
@@ -291,7 +287,7 @@ def augment_array(px: np.ndarray, flip_seed) -> np.ndarray:
     pass through unclamped."""
     h, w = px.shape
     if h < CROP_SIZE or w < CROP_SIZE:
-        raise DataError(f"image {h}x{w} smaller than {CROP_SIZE}x{CROP_SIZE} crop")
+        raise InputError(f"image {h}x{w} smaller than {CROP_SIZE}x{CROP_SIZE} crop")
     top, left = (h - CROP_SIZE) // 2, (w - CROP_SIZE) // 2
     px = px[top : top + CROP_SIZE, left : left + CROP_SIZE]
     px = bilinear_resize(px, INPUT_SIZE, INPUT_SIZE)

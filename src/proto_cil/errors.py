@@ -1,6 +1,6 @@
-"""The package's two error types: a rejected value, file or state raises
-InputError, and a trainer whose loss or weights go non-finite raises
-Divergence."""
+"""The package's error types, each with its own CLI exit code: a rejected
+value, file or state raises InputError (exit 1), and a computation that went
+non-finite or failed numerically raises Divergence (exit 2)."""
 
 
 class InputError(ValueError):
@@ -8,6 +8,8 @@ class InputError(ValueError):
 
 
 class Divergence(RuntimeError):
-    def __init__(self, what, epoch):
-        super().__init__(f"non-finite {what} at epoch {epoch}")
+    """`epoch` is the training epoch a trainer stopped at, else None."""
+
+    def __init__(self, message, epoch=None):
+        super().__init__(message)
         self.epoch = epoch

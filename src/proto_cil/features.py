@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import Divergence, InputError
 
 
 @dataclass
@@ -18,7 +18,7 @@ class FeatureMatrix:
         if self.rows.ndim != 2:
             raise InputError(f"rows must be 2-D, got shape {self.rows.shape}")
         if not np.isfinite(self.rows).all():
-            raise InputError("feature entries must be finite")
+            raise Divergence("feature entries must be finite")
         if len(self.labels) != self.rows.shape[0]:
             raise InputError(
                 f"{len(self.labels)} labels for {self.rows.shape[0]} feature rows")
@@ -65,9 +65,12 @@ def ingest_features(path) -> FeatureMatrix:
             raise InputError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
         labels.append(parts[0])
         try:
-            rows.append([float(v) for v in parts[1:]])
+            row = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: non-numeric cell") from exc
+        if not np.isfinite(row).all():
+            raise InputError(f"{path}:{lineno}: non-finite cell")
+        rows.append(row)
     return FeatureMatrix(rows=np.array(rows), labels=labels)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InputError
+from .errors import Divergence, InputError
 from .features import softmax
 from .projector import ScoreMatrix
 
@@ -15,7 +15,7 @@ def late_fuse(l1: ScoreMatrix, l2: ScoreMatrix) -> list:
     if l1.rows.shape != l2.rows.shape:
         raise InputError("branch score shapes differ")
     if not (np.isfinite(l1.rows).all() and np.isfinite(l2.rows).all()):
-        raise InputError("scores must be finite")
+        raise Divergence("scores must be finite")
     picks = (softmax(l1.rows) + softmax(l2.rows)).argmax(axis=1)  # first max: lowest index
     return [l1.classes[j] for j in picks]
 
@@ -23,5 +23,5 @@ def late_fuse(l1: ScoreMatrix, l2: ScoreMatrix) -> list:
 def single_predict(l: ScoreMatrix) -> list:
     """Per-row label of the largest raw score, same tie rule as late_fuse."""
     if not np.isfinite(l.rows).all():
-        raise InputError("scores must be finite")
+        raise Divergence("scores must be finite")
     return [l.classes[j] for j in l.rows.argmax(axis=1)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
-from .datahub import (CROP_SIZE, SYNTH_KINDS, DataError, Dataset, ScenarioSpec, augment_array,
+from .datahub import (CROP_SIZE, SYNTH_KINDS, Dataset, ScenarioSpec, augment_array,
                       load_dataset, make_scenario, synth_dataset)
 from .errors import InputError
 from .features import FeatureMatrix, ingest_features
@@ -30,10 +30,6 @@ from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, accumulate, empty_s
                         init_projection, project, score, select_lambda, solve_prototypes)
 from .seeding import derive_seed
 from .ssf import ssf_apply, ssf_train
-
-
-class ConfigError(InputError):
-    pass
 
 
 def _number(v) -> bool:
@@ -104,18 +100,18 @@ def _section(config, name) -> dict:
 
 
 def check_key(path, value, name=None) -> None:
-    """Raise ConfigError unless `value` obeys the rule of config key `path`
+    """Raise InputError unless `value` obeys the rule of config key `path`
     ("" is the whole config); a section must hold only its own keys, each
     obeying its rule. Errors name `name` (a CLI flag, say), else `path`."""
     section, _, key = path.rpartition(".")
     what, ok = RULES[section][key] if path else _OBJECT
     if not ok(value):
-        raise ConfigError(f"{name or path or 'the config'} must be {what}, got {value!r}")
+        raise InputError(f"{name or path or 'the config'} must be {what}, got {value!r}")
     if path in RULES:
         unknown = value.keys() - RULES[path].keys()
         if unknown:
-            raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)} "
-                              f"(allowed: {sorted(RULES[path])})")
+            raise InputError(f"unknown {path or 'config'} keys: {sorted(unknown)} "
+                             f"(allowed: {sorted(RULES[path])})")
         for key, item in value.items():
             check_key(f"{path}.{key}" if path else key, item)
 
@@ -150,19 +146,19 @@ class RunConfig:
     def __post_init__(self):
         check_key("", vars(self))
         if not (self.cnn_branch or self.ingested_branch):
-            raise ConfigError("at least one branch must be enabled")
+            raise InputError("at least one branch must be enabled")
         derived = "late" if self.cnn_branch and self.ingested_branch else "single"
         if self.fusion not in (None, derived):
-            raise ConfigError(f"fusion is {derived!r} for these branches (it may be omitted), "
-                              f"got {self.fusion!r}")
+            raise InputError(f"fusion is {derived!r} for these branches (it may be omitted), "
+                             f"got {self.fusion!r}")
         self.fusion = derived
         csv = self.ingested_branch and self.ingested_source.get("kind") == "csv"
         if csv and self.fusion == "late":
-            raise ConfigError("fusion=late requires ingested_source raw_pixels "
-                              "(csv rows do not align with image test samples)")
+            raise InputError("fusion=late requires ingested_source raw_pixels "
+                             "(csv rows do not align with image test samples)")
         if csv and self.portion < 1:
-            raise ConfigError(f"portion {self.portion} < 1 requires ingested_source raw_pixels "
-                              "(csv rows are not subsampled)")
+            raise InputError(f"portion {self.portion} < 1 requires ingested_source raw_pixels "
+                             "(csv rows are not subsampled)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -170,7 +166,7 @@ class RunConfig:
         missing = {f.name for f in fields(cls)
                    if f.default is MISSING and f.default_factory is MISSING} - d.keys()
         if missing:
-            raise ConfigError(f"config is missing {sorted(missing)}")
+            raise InputError(f"config is missing {sorted(missing)}")
         return cls(**d)
 
     def fingerprint(self) -> str:
@@ -350,7 +346,7 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
     synth = {"seed": config.seed, **config.dataset["synth"]}
     missing = RULES["dataset.synth"].keys() - set(synth)
     if missing:
-        raise ConfigError(f"dataset.synth is missing {sorted(missing)}")
+        raise InputError(f"dataset.synth is missing {sorted(missing)}")
     return synth_dataset(**synth)
 
 
@@ -363,30 +359,41 @@ def _ingest_csv(config: RunConfig, classes):
         return None
     missing = {"train", "test"} - set(source)
     if missing:
-        raise ConfigError(f"ingested_source csv is missing {sorted(missing)}")
+        raise InputError(f"ingested_source csv is missing {sorted(missing)}")
     try:
         csv = {split: ingest_features(source[split]) for split in ("train", "test")}
     except (OSError, InputError) as exc:
-        raise DataError(f"ingested_source csv: {exc}") from exc
+        raise InputError(f"ingested_source csv: {exc}") from exc
     if csv["train"].dim != csv["test"].dim:
-        raise DataError(f"ingested_source csv: train rows have {csv['train'].dim} features, "
-                        f"test rows {csv['test'].dim}")
+        raise InputError(f"ingested_source csv: train rows have {csv['train'].dim} features, "
+                         f"test rows {csv['test'].dim}")
     for split, fm in csv.items():
         labels = set(fm.labels)
         missing = [c for c in classes if c not in labels]
         if missing:
-            raise DataError(f"ingested_source csv: {source[split]} has no rows of "
-                            f"scenario classes {missing}")
+            raise InputError(f"ingested_source csv: {source[split]} has no rows of "
+                             f"scenario classes {missing}")
     return csv
 
 
-def _check_cnn_inputs(seq) -> None:
-    """The CNN branch center-crops every image to CROP_SIZE."""
-    shapes = {im.pixels.shape for task in seq.tasks for im in task.train + task.test}
-    small = sorted(s for s in shapes if min(s) < CROP_SIZE)
-    if small:
-        raise ConfigError(f"cnn_branch needs images of at least {CROP_SIZE}x{CROP_SIZE} px, "
-                          f"got {small[0][0]}x{small[0][1]}")
+def _check_images(config: RunConfig, seq) -> None:
+    """The CNN branch center-crops every image to CROP_SIZE. Its denoiser and
+    the raw-pixel branch flatten every image to one length, which the
+    denoiser's rank must stay below."""
+    shapes = sorted({im.pixels.shape for task in seq.tasks for im in task.train + task.test})
+    small = [s for s in shapes if min(s) < CROP_SIZE]
+    if config.cnn_branch and small:
+        raise InputError(f"cnn_branch needs images of at least {CROP_SIZE}x{CROP_SIZE} px, "
+                         f"got {small[0][0]}x{small[0][1]}")
+    denoised = config.cnn_branch and config.rpca.get("enabled")
+    raw = config.ingested_branch and config.ingested_source.get("kind") != "csv"
+    if (denoised or raw) and len(shapes) > 1:
+        (h0, w0), (h1, w1) = shapes[:2]
+        raise InputError(f"{'rpca' if denoised else 'ingested_source raw_pixels'} needs "
+                         f"images of one size, got {h0}x{w0} and {h1}x{w1}")
+    rank, pixels = _section(config, "rpca")["rank"], shapes[0][0] * shapes[0][1]
+    if denoised and rank >= pixels:
+        raise InputError(f"rpca.rank must be below the {pixels} pixels of an image, got {rank}")
 
 
 def _check_sweep_rows(config: RunConfig, seq, csv) -> None:
@@ -399,8 +406,8 @@ def _check_sweep_rows(config: RunConfig, seq, csv) -> None:
         else:
             rows = sum(c in task.classes for c in csv["train"].labels)
         if rows < MIN_SWEEP_ROWS:
-            raise ConfigError(f"task {t} has {rows} training rows; lambda selection "
-                              f"needs >= {MIN_SWEEP_ROWS}")
+            raise InputError(f"task {t} has {rows} training rows; lambda selection "
+                             f"needs >= {MIN_SWEEP_ROWS}")
 
 
 def _check_projection_size(config: RunConfig, base, csv) -> None:
@@ -411,31 +418,32 @@ def _check_projection_size(config: RunConfig, base, csv) -> None:
     need = 8 * sum(dims) * config.projection_dim
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ConfigError(f"projection_dim {config.projection_dim} needs {need / 2**30:.1f} GiB "
-                          f"of projection weights; this machine has {have / 2**30:.1f} GiB")
+        raise InputError(f"projection_dim {config.projection_dim} needs {need / 2**30:.1f} GiB "
+                         f"of projection weights; this machine has {have / 2**30:.1f} GiB")
 
 
 def run_scenario(config: RunConfig) -> MetricsReport:
-    """Execute the configured CIL run. Any stage failure raises StageFailure;
-    metrics for completed tasks are flushed to the output directory first."""
+    """Execute the configured CIL run. Setup reads the dataset, builds the
+    scenario and checks the inputs, raising InputError before any training.
+    A failure in a later stage raises StageFailure naming it; metrics for
+    completed tasks are flushed to the output directory first."""
     metrics = MetricsReport(task_accuracies=[], balanced_accuracies=[], eval_sizes=[],
                             lambdas={}, config_fingerprint=config.fingerprint())
-    clocks, stage = [], "setup"  # clocks: seconds per task, for timings.json
-    try:
-        dataset = _resolve_dataset(config)
-        order = config.class_order or list(dataset.classes)
-        seq = make_scenario(dataset, ScenarioSpec(
-            schedule=list(config.schedule), class_order=list(order),
-            portion=config.portion, seed=derive_seed(config.seed, "scenario")))
-        base = seq.tasks[0]
-        if len(base.classes) < 2:
-            raise ConfigError("base task needs >= 2 classes for backbone/probe training")
-        if config.cnn_branch:
-            _check_cnn_inputs(seq)
-        csv = _ingest_csv(config, order)
-        _check_sweep_rows(config, seq, csv)
-        _check_projection_size(config, base, csv)
+    dataset = _resolve_dataset(config)
+    order = config.class_order or list(dataset.classes)
+    seq = make_scenario(dataset, ScenarioSpec(
+        schedule=list(config.schedule), class_order=list(order),
+        portion=config.portion, seed=derive_seed(config.seed, "scenario")))
+    base = seq.tasks[0]
+    if len(base.classes) < 2:
+        raise InputError("base task needs >= 2 classes for backbone/probe training")
+    _check_images(config, seq)
+    csv = _ingest_csv(config, order)
+    _check_sweep_rows(config, seq, csv)
+    _check_projection_size(config, base, csv)
 
+    clocks = []  # seconds per task, for timings.json
+    try:
         branches = []
         if config.cnn_branch:
             stage = "base-training(cnn)"

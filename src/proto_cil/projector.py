@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
-from .errors import InputError
+from .errors import Divergence, InputError
 from .features import FeatureMatrix
 from .seeding import derive_rng
 
@@ -96,7 +96,7 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     try:
         w, U = eigh(X @ X.T)
     except LinAlgError as exc:
-        raise InputError(f"eigendecomposition of the factor kernel failed: {exc}") from exc
+        raise Divergence(f"eigendecomposition of the factor kernel failed: {exc}") from exc
     w, U = w[::-1], U[:, ::-1]
     r = min(int(np.count_nonzero(w > w[0] * max(X.shape) * np.finfo(float).eps)), state.M)
     s = np.sqrt(w[:r])
@@ -121,7 +121,7 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     s, Vt = state.s, state.Vt
     P = Vt.T @ ((Vt @ state.C) / (s * s + lam)[:, None])
     if not np.isfinite(P).all():
-        raise InputError("prototype solve produced non-finite entries")
+        raise Divergence("prototype solve produced non-finite entries")
     return P
 
 
@@ -174,7 +174,7 @@ def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAM
         if mse < best_mse:
             best_lam, best_mse = lam, mse
     if best_lam is None:
-        raise InputError(
+        raise Divergence(
             f"every lambda in the grid is at or below the Gram's rank tolerance {tol:.3g}")
     solve_prototypes(trial, best_lam)  # kept for its finiteness check; perfbench counts it
     return best_lam

@@ -101,3 +101,33 @@ def test_pairs_at_a_held_out_seed_are_summarized_apart(tmp_path):
     assert [pairs[k]["seed"] for k in sorted(pairs)] == [1, 1, 2]
     assert pairs["speckle-fusion seed 2"]["metrics"]["run_s"]["parent"] == [4.0, 4.0]
     assert pairs["speckle-fusion seed 1"]["pairs"] == 3
+
+
+def test_pairs_at_the_run_seed_set_the_workload_ratio_and_print_first(tmp_path, capsys):
+    """The single --parent/--change run (here an outlier, x0.5) does not set the
+    ratio of a workload paired at its seed: the medians of the pairs' run
+    medians do, and the pair wins are printed before it."""
+    args = ["--parent", write(tmp_path, "p.json", fake_result("blobs-sweep", 2.0, "a")),
+            "--change", write(tmp_path, "c.json", fake_result("blobs-sweep", 1.0, "a")),
+            "--out", str(tmp_path / "BENCH.json")]
+    runs = [(2.0, 1.0), (1.0, 1.1), (1.2, 1.2), (0.9, 1.0), (1.1, 1.3)]
+    for i, (p, c) in enumerate(runs):
+        args += ["--pair", write(tmp_path, f"p{i}.json", fake_result("blobs-sweep", p, "a")),
+                 write(tmp_path, f"c{i}.json", fake_result("blobs-sweep", c, "a"))]
+    assert bench_record.main(args) == 0
+    w = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["blobs-sweep"]
+    assert w["change_over_parent"]["run_s"] == pytest.approx(1.1 / 1.1)
+    assert w["ratio_of"] == "medians of the 5 pairs' run medians"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("blobs-sweep pairs: ") and "run_s 1/5" in lines[0]
+    assert lines[1].startswith("blobs-sweep: ") and "run_s x1.000" in lines[1]
+    # a workload paired only at another seed keeps the ratio of its single run
+    args = args[:6]
+    other_seed = fake_result("blobs-sweep", 1.0, "a", seed=2)
+    for i in range(2):
+        args += ["--pair", write(tmp_path, f"p{i}.json", other_seed),
+                 write(tmp_path, f"c{i}.json", other_seed)]
+    assert bench_record.main(args) == 0
+    w = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["blobs-sweep"]
+    assert w["change_over_parent"]["run_s"] == pytest.approx(0.5)
+    assert w["ratio_of"] == "the single --parent and --change runs"

@@ -114,24 +114,6 @@ def test_denoise_rejects_empty_apply_glob(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_denoise_checks_apply_images_before_training(tmp_path, capsys, monkeypatch):
-    import proto_cil.rpca as rpca_mod
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("the denoiser trained before the apply images were checked")
-
-    monkeypatch.setattr(rpca_mod, "rpca_train", no_training)
-    rank1_pgms(tmp_path / "train", n=4, size=8)
-    rank1_pgms(tmp_path / "apply", n=2, size=6)
-    rc = main(["denoise", "--train-glob", str(tmp_path / "train" / "*.pgm"),
-               "--apply-glob", str(tmp_path / "apply" / "*.pgm"),
-               "--rank", "1", "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "im000.pgm: expected 8x8 square image, got (6, 6)" in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_denoise_trains_the_run_denoiser(tmp_path, monkeypatch):
     """For one seed, `denoise` trains bit for bit the denoiser that the run's
     CNN branch trains on the same images in the same order."""
@@ -322,15 +304,6 @@ def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
     assert float(printed.group(2)) == float((logits.argmax(axis=1) == y).mean())
 
 
-def test_extract_missing_model_is_runtime_error(tmp_path):
-    ds = tmp_path / "ds"
-    assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "1",
-                 "--test", "1", "--size", "32", "--out", str(ds)]) == 0
-    rc = main(["extract", "--manifest", str(ds / "manifest.csv"),
-               "--model", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "f.csv")])
-    assert rc == 2
-
-
 # ---------------------------------------------------------------------------
 # run + eval
 
@@ -408,7 +381,7 @@ def test_run_too_few_sweep_rows_is_usage_error(tmp_path, capsys):
                "--portion", "0.1"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "'setup'" in err and "task 0 has 4 training rows" in err
+    assert "task 0 has 4 training rows" in err
     assert not (tmp_path / "report").exists()
 
 
@@ -494,7 +467,7 @@ def test_run_bad_manifest_header_is_usage_error(tmp_path, capsys, header_edits, 
     manifest = synth_manifest(tmp_path / "ds", header_edits)
     assert run_with(tmp_path, dataset={"manifest": manifest}, schedule=[2, 2]) == 1
     err = capsys.readouterr().err
-    assert "'setup'" in err and "manifest.json" in err and message in err
+    assert "manifest.json" in err and message in err
     assert not (tmp_path / "report").exists()
 
 
@@ -517,7 +490,7 @@ def test_run_malformed_pgm_is_usage_error(tmp_path, capsys, contents, message):
     (tmp_path / "ds" / "c00_train_0002.pgm").write_bytes(contents)  # manifest line 3
     assert run_with(tmp_path, dataset={"manifest": manifest}, schedule=[2, 2]) == 1
     err = capsys.readouterr().err
-    assert "'setup'" in err and "manifest.csv:3:" in err and message in err
+    assert "manifest.csv:3:" in err and message in err
     assert not (tmp_path / "report").exists()
 
 
@@ -540,7 +513,7 @@ def test_run_csv_width_mismatch_is_usage_error(tmp_path, capsys):
               "test": write_feature_csv(tmp_path / "test.csv", BUNDLED_CLASSES, width=5)}
     assert run_with(tmp_path, ingested_source=source) == 1
     err = capsys.readouterr().err
-    assert "'setup'" in err and "train rows have 4 features, test rows 5" in err
+    assert "train rows have 4 features, test rows 5" in err
     assert not (tmp_path / "report").exists()
 
 
@@ -552,7 +525,7 @@ def test_run_csv_without_a_scenario_class_is_usage_error(tmp_path, capsys, split
         source[name] = write_feature_csv(tmp_path / f"{name}.csv", classes)
     assert run_with(tmp_path, ingested_source=source) == 1
     err = capsys.readouterr().err
-    assert "'setup'" in err and f"{split}.csv has no rows of scenario classes ['c02']" in err
+    assert f"{split}.csv has no rows of scenario classes ['c02']" in err
     assert not (tmp_path / "report").exists()
 
 
@@ -605,7 +578,7 @@ def test_run_missing_csv_file_is_usage_error(tmp_path, capsys, splits, message):
     source = {"kind": "csv", **{split: str(tmp_path / "nope.csv") for split in splits}}
     assert run_with(tmp_path, ingested_source=source) == 1
     err = capsys.readouterr().err
-    assert "'setup'" in err and message in err
+    assert message in err
     assert not (tmp_path / "report").exists()
 
 
@@ -665,8 +638,111 @@ def test_run_projection_dim_beyond_memory_is_usage_error(tmp_path, capsys, monke
     assert run_with(tmp_path, dataset={"synth": synth}, projection_dim=10**11,
                     **branches) == 1
     err = capsys.readouterr().err
-    assert "'setup'" in err and "projection_dim 100000000000 needs" in err
+    assert "projection_dim 100000000000 needs" in err
     assert not (tmp_path / "report").exists()
+
+
+# ---------------------------------------------------------------------------
+# one rule for the exit code: a rejected input exits 1, any other failure 2
+
+def manifest_with_mixed_sizes(out, size):
+    """A 4-class blobs dataset of `size` px whose manifest.json declares no
+    image_size, with one train image a pixel larger; returns the manifest path."""
+    assert main(["synth", "--kind", "blobs", "--classes", "4", "--train", "3", "--test", "1",
+                 "--size", str(size), "--out", str(out)]) == 0
+    write_pgm(out / "c00_train_0002.pgm", np.full((size + 1, size + 1), 0.5))
+    return str(out / "manifest.csv")
+
+
+def rejection(case, tmp_path, manifest):
+    """(argv, message) of one rejected input; the command would write to
+    `tmp_path / "out"`. `manifest` is a 2-class, 32 px blobs dataset."""
+    out = str(tmp_path / "out")
+    missing = str(tmp_path / "nope.csv")
+    if case == "extract-missing-manifest":
+        return (["extract", "--manifest", missing, "--model", str(tmp_path / "cnn.bin"),
+                 "--out", out], f"manifest not found: {missing}")
+    if case == "train-backbone-missing-manifest":
+        return (["train-backbone", "--manifest", missing, "--out", out],
+                f"manifest not found: {missing}")
+    if case == "missing-checkpoint":
+        ckpt = str(tmp_path / "nope.bin")
+        return (["extract", "--manifest", manifest, "--model", ckpt, "--out", out],
+                f"checkpoint not found: {ckpt}")
+    if case == "malformed-checkpoint":
+        ckpt = tmp_path / "cnn.bin"
+        ckpt.write_bytes(b'{"meta": {"kind": "cnn"}, "blocks": [["w"]]}\n')
+        return (["extract", "--manifest", manifest, "--model", str(ckpt), "--out", out],
+                "bad block entry ['w']")
+    if case == "non-square-denoise":
+        rank1_pgms(tmp_path / "train", n=4, size=8)
+        rank1_pgms(tmp_path / "apply", n=2, size=6)
+        return (["denoise", "--train-glob", str(tmp_path / "train" / "*.pgm"),
+                 "--apply-glob", str(tmp_path / "apply" / "*.pgm"), "--rank", "1",
+                 "--out", out], "im000.pgm: expected 8x8 square image, got (6, 6)")
+    cfg = json.loads(CONFIG_PATH.read_text())
+    if case == "mixed-sizes-raw-pixels":
+        cfg.update(dataset={"manifest": manifest_with_mixed_sizes(tmp_path / "ds", 8)},
+                   schedule=[2, 2])
+        message = "ingested_source raw_pixels needs images of one size, got 8x8 and 9x9"
+    elif case == "mixed-sizes-rpca":
+        cfg.update(dataset={"manifest": manifest_with_mixed_sizes(tmp_path / "ds", 32)},
+                   schedule=[2, 2], cnn_branch=True, ingested_branch=False,
+                   rpca={"enabled": True})
+        message = "rpca needs images of one size, got 32x32 and 33x33"
+    elif case == "oversized-rpca-rank":
+        cfg.update(dataset={"manifest": manifest}, schedule=[2], cnn_branch=True,
+                   ingested_branch=False, rpca={"enabled": True, "rank": 5000})
+        message = "rpca.rank must be below the 1024 pixels of an image, got 5000"
+    else:
+        assert case == "inf-csv-cell"
+        train = write_feature_csv(tmp_path / "train.csv", BUNDLED_CLASSES)
+        lines = Path(train).read_text().splitlines()
+        lines[2] = "c00,inf,0.5,0.5,0.5"
+        Path(train).write_text("\n".join(lines) + "\n")
+        cfg["ingested_source"] = {"kind": "csv", "train": train,
+                                  "test": write_feature_csv(tmp_path / "test.csv",
+                                                            BUNDLED_CLASSES)}
+        message = "train.csv:3: non-finite cell"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return ["run", "--config", str(p), "--out", out], message
+
+
+@pytest.mark.parametrize("case", [
+    "extract-missing-manifest", "train-backbone-missing-manifest", "missing-checkpoint",
+    "malformed-checkpoint", "non-square-denoise", "mixed-sizes-raw-pixels", "mixed-sizes-rpca",
+    "oversized-rpca-rank", "inf-csv-cell"])
+def test_rejected_input_exits_1_before_any_work(tmp_path, capsys, monkeypatch, small_manifest,
+                                                case):
+    import proto_cil.cnn as cnn_mod
+    import proto_cil.rpca as rpca_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before the input was checked")
+
+    argv, message = rejection(case, tmp_path, small_manifest)
+    monkeypatch.setattr(rpca_mod, "rpca_train", no_training)
+    monkeypatch.setattr(cnn_mod, "cnn_train", no_training)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"proto-cil {argv[0]}: error: " in captured.err and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverging_trainer_exits_2_naming_its_stage(tmp_path, capsys, small_manifest):
+    cfg = {**json.loads(CONFIG_PATH.read_text()), "dataset": {"manifest": small_manifest},
+           "schedule": [2], "cnn_branch": True, "ingested_branch": False,
+           "cnn_train": {"d_cnn": 8, "epochs": 2, "lr": 1e30}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert ("proto-cil run: StageFailure: stage 'base-training(cnn)' failed: "
+            "non-finite training loss or weights at epoch 1") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fusion_flag_is_gone(tmp_path):

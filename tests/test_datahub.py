@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proto_cil.datahub import (DataError, Dataset, LabeledImage, ScenarioSpec, augment_array,
+from proto_cil.datahub import (Dataset, LabeledImage, ScenarioSpec, augment_array,
                                load_dataset, make_scenario, save_dataset, synth_dataset,
                                _lowrank_clean)
 from proto_cil.errors import InputError
@@ -70,12 +70,12 @@ def test_manifest_missing_image_names_path(tmp_path):
     manifest = save_dataset(ds, tmp_path)
     victim = next(tmp_path.glob("*.pgm"))
     victim.unlink()
-    with pytest.raises(DataError, match=victim.name):
+    with pytest.raises(InputError, match=victim.name):
         load_dataset(manifest)
 
 
 def test_manifest_missing_file():
-    with pytest.raises(DataError, match="not found"):
+    with pytest.raises(InputError, match="not found"):
         load_dataset("/nonexistent/manifest.csv")
 
 
@@ -87,7 +87,7 @@ def test_manifest_dimension_mismatch(tmp_path):
     header = json.loads((tmp_path / "manifest.json").read_text())
     header["image_size"] = [16, 16]
     (tmp_path / "manifest.json").write_text(json.dumps(header))
-    with pytest.raises(DataError, match="8x8"):
+    with pytest.raises(InputError, match="8x8"):
         load_dataset(manifest)
 
 
@@ -102,7 +102,7 @@ def test_manifest_dimension_mismatch(tmp_path):
 def test_manifest_rejections(tmp_path, edit, message):
     manifest = save_dataset(tiny_dataset(), tmp_path)
     edit(tmp_path)
-    with pytest.raises(DataError, match=re.escape(message)):
+    with pytest.raises(InputError, match=re.escape(message)):
         load_dataset(manifest)
 
 
@@ -152,9 +152,9 @@ def test_lowrank_speckle_dataset_valid():
 
 
 def test_synth_rejects_bad_sizes():
-    with pytest.raises(DataError):
+    with pytest.raises(InputError):
         synth_dataset("blobs", 1, 5, 5, 8, seed=0)
-    with pytest.raises(DataError):
+    with pytest.raises(InputError):
         synth_dataset("blobs", 2, 0, 5, 8, seed=0)
 
 
@@ -203,13 +203,13 @@ def test_portion_monotone_subset():
 
 def test_unknown_class_rejected():
     ds = tiny_dataset()
-    with pytest.raises(DataError, match="ghost"):
+    with pytest.raises(InputError, match="ghost"):
         make_scenario(ds, ScenarioSpec(schedule=[3], class_order=["ghost", *ds.classes[:2]]))
 
 
 def test_schedule_length_mismatch_rejected():
     ds = tiny_dataset()
-    with pytest.raises(DataError):
+    with pytest.raises(InputError):
         ScenarioSpec(schedule=[2], class_order=list(ds.classes))
 
 
@@ -272,7 +272,7 @@ def test_augment_symmetric_image_flip_invariant():
 
 
 def test_augment_rejects_small_image():
-    with pytest.raises(DataError, match="smaller"):
+    with pytest.raises(InputError, match="smaller"):
         augment_array(np.zeros((16, 16)), None)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proto_cil.errors import InputError
+from proto_cil.errors import Divergence, InputError
 from proto_cil.features import softmax
 from proto_cil.fusion import late_fuse, single_predict
 from proto_cil.projector import ScoreMatrix
@@ -36,9 +36,9 @@ def test_softmax_rejects_non_finite():
     """The fused softmax refuses non-finite scores from either branch."""
     ok = sm([[0.0, 1.0, 2.0]])
     for bad in (sm([[np.nan, 0.0, 0.0]]), sm([[0.0, np.inf, 0.0]])):
-        with pytest.raises(InputError, match="finite"):
+        with pytest.raises(Divergence, match="finite"):
             late_fuse(bad, ok)
-        with pytest.raises(InputError, match="finite"):
+        with pytest.raises(Divergence, match="finite"):
             late_fuse(ok, bad)
 
 
@@ -120,5 +120,5 @@ def test_single_predict_uses_raw_argmax():
 
 
 def test_single_predict_rejects_non_finite():
-    with pytest.raises(InputError, match="scores must be finite"):
+    with pytest.raises(Divergence, match="scores must be finite"):
         single_predict(sm(np.array([[np.inf, 0.0, 0.0]])))

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proto_cil.harness import (RULES, ConfigError, MetricsReport, RunConfig, StageFailure,
+from proto_cil.errors import InputError
+from proto_cil.harness import (RULES, MetricsReport, RunConfig, StageFailure,
                                accuracy, avg_acc, balanced_accuracy, load_report,
                                perf_drop, report, run_scenario)
 
@@ -74,22 +75,22 @@ def test_accuracy_and_balance():
 # configuration
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown"):
+    with pytest.raises(InputError, match="unknown"):
         RunConfig.from_dict({"dataset": {}, "schedule": [2], "mystery": 1})
 
 
 def test_config_branch_rules():
     base = {"dataset": {"synth": {}}, "schedule": [2]}
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         RunConfig.from_dict({**base, "ingested_branch": False})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         RunConfig.from_dict({**base, "fusion": "late"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         RunConfig.from_dict({**base, "cnn_branch": True, "fusion": "single"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         RunConfig.from_dict({**base, "cnn_branch": True, "fusion": "late",
                              "ingested_source": {"kind": "csv"}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         RunConfig.from_dict({**base, "fusion": "mean"})
 
 
@@ -119,7 +120,7 @@ def test_fusion_is_derived_from_branches():
     ({"dataset": {"manfest": "m.csv"}}, "exactly one of"),
 ])
 def test_config_rejects_unknown_section_keys(overrides, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(InputError, match=match):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], **overrides})
 
 
@@ -139,7 +140,7 @@ def test_config_rejects_unknown_section_keys(overrides, match):
     ("ingested_source", "test", ""), ("dataset", "manifest", 0), ("dataset", "manifest", ""),
 ])
 def test_config_rejects_bad_section_values(section, key, value):
-    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+    with pytest.raises(InputError, match=rf"{section}\.{key} must be"):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], section: {key: value}})
 
 
@@ -163,7 +164,7 @@ def test_config_rejects_bad_section_values(section, key, value):
     ("class_order", ["c0", 1], "class_order must be null or a list of strings"),
 ])
 def test_config_rejects_bad_top_level_values(key, value, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(InputError, match=match):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], key: value})
 
 
@@ -208,7 +209,7 @@ def test_config_rejects_bad_synth_values(tmp_path, key, value, match):
     cfg = json.loads(CONFIG_PATH.read_text())
     cfg["dataset"]["synth"][key] = value
     cfg["output_dir"] = str(tmp_path / "report")
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(InputError, match=match):
         RunConfig.from_dict(cfg)
     assert not (tmp_path / "report").exists()
 
@@ -223,16 +224,14 @@ def test_config_accepts_synth_values_at_their_bounds():
 def test_missing_synth_key_fails_in_setup():
     cfg = json.loads(CONFIG_PATH.read_text())
     del cfg["dataset"]["synth"]["image_size"]
-    with pytest.raises(StageFailure, match=r"missing \['image_size'\]") as exc:
+    with pytest.raises(InputError, match=r"missing \['image_size'\]"):
         run_scenario(RunConfig.from_dict(cfg))
-    assert exc.value.stage == "setup"
-    assert isinstance(exc.value.cause, ConfigError)
 
 
 @pytest.mark.parametrize("grid", [[], [0, 1], [-1.0], [1, float("nan")], [float("inf")],
                                   ["1"], [True], "1e-3"])
 def test_config_rejects_bad_lambda_grid(grid):
-    with pytest.raises(ConfigError, match="lambda_grid"):
+    with pytest.raises(InputError, match="lambda_grid"):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "lambda_grid": grid})
 
 
@@ -243,27 +242,27 @@ def test_config_accepts_positive_lambda_grid():
 
 @pytest.mark.parametrize("schedule", [[], ["2", 2], [True, 1], [0, 2], [2.0], "22", None])
 def test_config_rejects_bad_schedule(schedule):
-    with pytest.raises(ConfigError, match="schedule"):
+    with pytest.raises(InputError, match="schedule"):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": schedule})
 
 
 @pytest.mark.parametrize("portion", [0, 0.0, -0.5, 1.5, float("nan"), "0.5", True, None])
 def test_config_rejects_bad_portion(portion):
-    with pytest.raises(ConfigError, match="portion"):
+    with pytest.raises(InputError, match="portion"):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "portion": portion})
 
 
 def test_config_names_missing_required_keys():
-    with pytest.raises(ConfigError, match=re.escape("config is missing ['schedule']")):
+    with pytest.raises(InputError, match=re.escape("config is missing ['schedule']")):
         RunConfig.from_dict({"dataset": {"synth": {}}})
-    with pytest.raises(ConfigError, match=re.escape("config is missing ['dataset', 'schedule']")):
+    with pytest.raises(InputError, match=re.escape("config is missing ['dataset', 'schedule']")):
         RunConfig.from_dict({})
 
 
 def test_config_rejects_portion_with_csv_source():
     csv = {"kind": "csv", "train": "train.csv", "test": "test.csv"}
     base = {"dataset": {"synth": {}}, "schedule": [2], "ingested_source": csv}
-    with pytest.raises(ConfigError, match="portion 0.5 < 1 requires ingested_source raw_pixels"):
+    with pytest.raises(InputError, match="portion 0.5 < 1 requires ingested_source raw_pixels"):
         RunConfig.from_dict({**base, "portion": 0.5})
     assert RunConfig.from_dict({**base, "portion": 1}).portion == 1
     # with the ingested branch off the source is unused, and portion subsamples the images
@@ -298,18 +297,18 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=15, deadline=None)
 @given(value=_JSON_VALUES)
 def test_config_fuzz_rejects_only_with_config_error(section, key, value):
-    """Any JSON value at any key: from_dict raises nothing but ConfigError, and
+    """Any JSON value at any key: from_dict raises nothing but InputError, and
     raises it, naming the key, whenever the key's rule rejects the value."""
     cfg = json.loads(CONFIG_PATH.read_text())
     _put(cfg, section, key, value)
     path = f"{section}.{key}" if section else key
     if not RULES[section][key][1](value):
-        with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be"):
+        with pytest.raises(InputError, match=rf"^{re.escape(path)} must be"):
             RunConfig.from_dict(cfg)
         return
     try:
         RunConfig.from_dict(cfg)
-    except ConfigError:
+    except InputError:
         pass  # a nested key, or a rule across keys, may still reject it
 
 
@@ -368,9 +367,8 @@ def test_freeze_lambda_repeats_base_choice():
 
 def test_single_class_base_task_fails_in_setup():
     cfg = blob_config(schedule=[1, 9])
-    with pytest.raises(StageFailure) as exc:
+    with pytest.raises(InputError):
         run_scenario(cfg)
-    assert isinstance(exc.value.cause, ConfigError)
 
 
 def write_csv_features(dir_path, train_per_class, test_per_class=5):
@@ -432,19 +430,15 @@ def test_too_few_sweep_rows_fails_in_setup(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "ssf_train", no_training)
     # portion 0.1 leaves 2 images per class: 4 rows per task
     cfg = blob_config(portion=0.1, ssf={"enabled": True}, output_dir=str(tmp_path / "r"))
-    with pytest.raises(StageFailure) as exc:
+    with pytest.raises(InputError, match="task 0 has 4 training rows"):
         run_scenario(cfg)
-    assert exc.value.stage == "setup"
-    assert isinstance(exc.value.cause, ConfigError)
-    assert "task 0 has 4 training rows" in str(exc.value.cause)
     assert not (tmp_path / "r").exists()
 
 
 def test_too_few_sweep_rows_counts_only_sweeping_tasks():
     small = {"per_class_train": 3, "per_class_test": 2}
-    with pytest.raises(StageFailure, match="task 1 has 3 training rows") as exc:
+    with pytest.raises(InputError, match="task 1 has 3 training rows"):
         run_scenario(blob_config(schedule=[2, 1, 7], synth=small))
-    assert exc.value.stage == "setup"
     # with lambda frozen after task 0 only the base task sweeps
     m = run_scenario(blob_config(schedule=[2, 1, 7], synth=small, freeze_lambda=True))
     assert len(m.task_accuracies) == 3
@@ -452,10 +446,8 @@ def test_too_few_sweep_rows_counts_only_sweeping_tasks():
 
 def test_too_few_sweep_rows_counts_csv_rows(tmp_path):
     # the images are plentiful, but task 1 has only 4 feature rows
-    with pytest.raises(StageFailure, match="task 1 has 4 training rows") as exc:
+    with pytest.raises(InputError, match="task 1 has 4 training rows"):
         run_scenario(csv_config(tmp_path, [10, 10, 2, 2], output_dir=str(tmp_path / "report")))
-    assert exc.value.stage == "setup"
-    assert isinstance(exc.value.cause, ConfigError)
     assert not (tmp_path / "report").exists()
 
 

@@ -155,11 +155,11 @@ def test_no_function_defaults_a_run_default():
     assert defaulted == []
 
 
-ERROR_CLASSES = {"InputError", "Divergence", "ConfigError", "DataError", "StageFailure"}
+ERROR_CLASSES = {"InputError", "Divergence", "StageFailure"}
 
 
 def test_one_error_hierarchy():
-    """The package defines five exception classes, and every `raise` in `src/`
+    """The package defines three exception classes, and every `raise` in `src/`
     names one of them or OSError, or re-raises."""
     program = [(path, tree) for path, tree in _program() if ROOT / "src" in path.parents]
     defined = {cls.name for path, cls in _package_classes(program) if issubclass(

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from scipy.linalg import cho_factor, cho_solve
 
 from proto_cil import projector
-from proto_cil.errors import InputError
+from proto_cil.errors import Divergence, InputError
 from proto_cil.features import FeatureMatrix
 from proto_cil.harness import RunConfig, run_scenario
 from proto_cil.projector import (DEFAULT_LAMBDA_GRID, accumulate, empty_state, init_projection,
@@ -450,7 +450,7 @@ def test_select_lambda_skips_grid_below_rank_tolerance():
 
 def test_select_lambda_grid_wholly_below_rank_tolerance_raises():
     prior, task = rank_deficient_case()
-    with pytest.raises(InputError, match="rank tolerance"):
+    with pytest.raises(Divergence, match="rank tolerance"):
         select_lambda(prior, task, grid=[1e-8, 1e-7, 1e-6], seed=0)
 
 

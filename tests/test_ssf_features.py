@@ -24,7 +24,7 @@ def make_fm(n=20, d=6, seed=0, classes=("a", "b")):
 def test_feature_matrix_validation():
     with pytest.raises(InputError, match="rows must be 2-D"):
         FeatureMatrix(rows=np.zeros(3), labels=["a"] * 3)
-    with pytest.raises(InputError, match="entries must be finite"):
+    with pytest.raises(Divergence, match="entries must be finite"):
         FeatureMatrix(rows=np.array([[np.nan]]), labels=["a"])
     with pytest.raises(InputError, match="labels"):
         FeatureMatrix(rows=np.zeros((2, 3)), labels=["a"])

@@ -14,11 +14,14 @@ workload.
 `--pair PARENT CHANGE`, repeated, adds runs made in alternating order (see
 the choosing-metrics rule for small sandboxes). Per workload and metric the
 record keeps each side's run medians and quartiles, the pairs the change won
-(ties count for neither side), and `gain`: the change won at least nine tenths
-of the pairs and its median run beats the parent's by more than the parent's
-interquartile range. Pairs of one workload at several seeds, a held-out
-seed beside the claimed one, are summarized per seed, under the key
-`<workload> seed <n>`; a workload with one seed keeps its plain name.
+(ties count for neither side), the ratio of the two sides' medians of their
+run medians, and `gain`: the change won at least nine tenths of the pairs and
+its median run beats the parent's by more than the parent's interquartile
+range. Pairs of one workload at several seeds, a held-out seed beside the
+claimed one, are summarized per seed, under the key `<workload> seed <n>`; a
+workload with one seed keeps its plain name. A workload with pairs at the
+seed of its `--parent`/`--change` runs takes its ratios from the pairs, not
+from that single run, and the pair wins are printed first.
 """
 
 import argparse
@@ -83,6 +86,7 @@ def pair_summary(pairs) -> dict:
                 "parent": before, "change": after,
                 "parent_quartiles": q["parent"], "change_quartiles": q["change"],
                 "change_wins": wins,
+                "change_over_parent": statistics.median(after) / statistics.median(before),
                 "gain": wins >= 0.9 * len(runs)
                 and q["parent"][1] - q["change"][1] > q["parent"][2] - q["parent"][0],
             }
@@ -94,19 +98,28 @@ def record(parent: dict, change: dict, pairs=(), gated=()) -> dict:
     if parent.keys() != change.keys():
         raise ValueError(f"parent workloads {sorted(parent)} differ from change "
                          f"workloads {sorted(change)}")
+    paired = pair_summary(pairs)
     workloads = {}
     for name in sorted(parent):
         p, c = parent[name], change[name]
         if p["seed"] != c["seed"]:
             raise ValueError(f"{name}: parent seed {p['seed']} differs from change seed {c['seed']}")
         before, after = summarize(p), summarize(c)
+        runs = paired.get(name, paired.get(f"{name} seed {p['seed']}"))
+        if runs is not None and runs["seed"] == p["seed"]:
+            ratio_of = f"medians of the {runs['pairs']} pairs' run medians"
+            ratios = {m: v["change_over_parent"] for m, v in runs["metrics"].items()}
+        else:
+            ratio_of = "the single --parent and --change runs"
+            ratios = {m: after[m]["median"] / before[m]["median"]
+                      for m in METRICS if m in before and m in after}
         workloads[name] = {
             "seed": p["seed"],
             "seconds": {"parent": p["seconds"], "change": c["seconds"]},
             "parent": before,
             "change": after,
-            "change_over_parent": {m: after[m]["median"] / before[m]["median"]
-                                   for m in METRICS if m in before and m in after},
+            "change_over_parent": ratios,
+            "ratio_of": ratio_of,
             "metrics_identical": before["metrics_sha256"] == after["metrics_sha256"],
             "gated": name in gated,
         }
@@ -116,7 +129,7 @@ def record(parent: dict, change: dict, pairs=(), gated=()) -> dict:
                         "(incr_task_s pools tasks t >= 1 of every sample)",
            "workloads": workloads}
     if pairs:
-        out["pairs"] = pair_summary(pairs)
+        out["pairs"] = paired
     return out
 
 
@@ -136,13 +149,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
-    for name, w in rec["workloads"].items():
-        ratios = "  ".join(f"{m} x{r:.3f}" for m, r in w["change_over_parent"].items())
-        print(f"{name}: {ratios}  metrics identical: {w['metrics_identical']}")
     for name, w in rec.get("pairs", {}).items():
         wins = "  ".join(f"{m} {v['change_wins']}/{w['pairs']} gain={v['gain']}"
                          for m, v in w["metrics"].items())
         print(f"{name} pairs: {wins}")
+    for name, w in rec["workloads"].items():
+        ratios = "  ".join(f"{m} x{r:.3f}" for m, r in w["change_over_parent"].items())
+        print(f"{name}: {ratios} (of {w['ratio_of']})  "
+              f"metrics identical: {w['metrics_identical']}")
     return 0
 
 
