@@ -146,8 +146,8 @@ def cmd_train_backbone(args) -> int:
     cnn_mod.save_cnn(model, args.out)
     # eval-mode fit of the training head on the training images
     y = np.array([sorted(set(labels)).index(c) for c in labels])
-    logits = cnn_mod.cnn_extract(model, imgs, labels).rows @ model.params["head_w"]
-    logits += model.params["head_b"]
+    logits = cnn_mod.cnn_extract(model, imgs, labels).rows @ model["head_w"]
+    logits += model["head_b"]
     loss, acc = softmax_cross_entropy(logits, y)[0], float((logits.argmax(axis=1) == y).mean())
     print(f"saved checkpoint {args.out} (final loss {loss}, accuracy {acc})")
     return 0

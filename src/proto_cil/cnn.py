@@ -2,11 +2,10 @@
 
 Four conv+relu+maxpool stages (kernels 7/5/3/3, channels 16/32/64/128),
 dropout, then a dense feature layer plus a throwaway classifier head used
-only while training on the base task. Backprop is hand-written so parameter
-gradients can be verified against finite differences.
+only while training on the base task. A model is its parameters, a dict of
+name -> float64 array. Backprop is hand-written so parameter gradients can
+be verified against finite differences.
 """
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -38,30 +37,16 @@ def _param_shapes(d_cnn, num_classes):
 PARAM_NAMES = tuple(_param_shapes(1, 2))  # the parameters cnn_init creates
 
 
-@dataclass
-class CnnModel:
-    params: dict  # name -> float64 array; dense_w is (FLAT_SIZE, d_cnn), head_w (d_cnn, classes)
-    dropout: float
-    frozen: bool = False
-
-    def copy(self):
-        return CnnModel(params={k: v.copy() for k, v in self.params.items()},
-                        dropout=self.dropout, frozen=self.frozen)
-
-
-def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> CnnModel:
+def cnn_init(d_cnn: int, seed: int, num_classes: int = 2) -> dict:
     """He fan-in Gaussian init for conv/dense weights, zero biases."""
     if d_cnn < 1:
         raise InputError("d_cnn must be >= 1")
-    if not 0 <= dropout < 1:
-        raise InputError(f"dropout must be in [0,1), got {dropout}")
     if num_classes < 2:
         raise InputError("num_classes must be >= 2")
     rng = derive_rng(seed, "cnn")
-    params = {name: rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)  # shape[0] is fan-in
-                    if name.endswith("_w") else np.zeros(shape)
-              for name, shape in _param_shapes(d_cnn, num_classes).items()}
-    return CnnModel(params=params, dropout=dropout)
+    return {name: rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)  # shape[0] is fan-in
+                  if name.endswith("_w") else np.zeros(shape)
+            for name, shape in _param_shapes(d_cnn, num_classes).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +62,7 @@ def cnn_init(d_cnn: int, dropout: float, seed: int, num_classes: int = 2) -> Cnn
 # weight gradient. Weight rows stay in (c, ki, kj) order. Every buffer, column
 # and gradient here takes the conv weights' dtype: float32 in training and
 # extraction, which hand the stack float32 copies of the float64 weights, and
-# float64 for a float64 model given straight to cnn_loss_and_grad, as the grad
+# float64 for float64 weights given straight to cnn_loss_and_grad, as the grad
 # checks do. The largest columns are the second conv's, 400 x 35*39: 2.2 MB in
 # float32, 4.4 MB in float64.
 
@@ -159,15 +144,16 @@ def apply_dropout(x, p, rng):
     return x * mask, mask
 
 
-def _forward_batch(model, images, rng, backprop=False):
-    """images: (N, 70, 70). Returns (features, logits, cache). An `rng` makes
-    it a train-mode forward: dropout is its only randomness. The conv stack
-    runs one image at a time; for `backprop` the cache keeps, per image and
-    layer, the padded layer input, pool indices and ReLU mask, and no
-    columns: backprop rebuilds them. The conv stack runs in the conv
+def _forward_batch(params, images, drop, backprop=False):
+    """images: (N, 70, 70). Returns (features, logits, cache). `drop` is None
+    for an eval-mode forward, or a (rate, rng) pair for a train-mode one:
+    dropout is its only randomness. The conv stack runs one image at a time;
+    for `backprop` the cache keeps, per image and layer, the padded layer
+    input, pool indices and ReLU mask, and no columns: backprop rebuilds
+    them. The conv stack runs in the conv
     weights' dtype, float32 when training or extraction calls it; the flat
     rows, dropout and the dense and head layers stay float64."""
-    dtype = model.params["conv0_w"].dtype
+    dtype = params["conv0_w"].dtype
     x = np.asarray(images, dtype=dtype)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
         raise InputError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
@@ -179,8 +165,8 @@ def _forward_batch(model, images, rng, backprop=False):
         layers = []
         for i, k in enumerate(KERNELS):
             side = inner.shape[-1]
-            z = model.params[f"conv{i}_w"].T @ _im2col(xp, k)
-            z += model.params[f"conv{i}_b"][:, None]
+            z = params[f"conv{i}_w"].T @ _im2col(xp, k)
+            z += params[f"conv{i}_b"][:, None]
             z = z.reshape(CHANNELS[i], side, -1)[:, :, :side]  # drop the junk columns
             # ReLU after the pool: it is monotone, so this equals pooling the ReLU
             if backprop:
@@ -196,36 +182,37 @@ def _forward_batch(model, images, rng, backprop=False):
         if backprop:
             cache["images"].append(layers)
     cache["drop_mask"] = None
-    if rng is not None and model.dropout > 0:
-        flat, cache["drop_mask"] = apply_dropout(flat, model.dropout, rng)
+    if drop is not None and drop[0] > 0:
+        flat, cache["drop_mask"] = apply_dropout(flat, *drop)
     cache["flat"] = flat
-    feats = flat @ model.params["dense_w"] + model.params["dense_b"]
-    logits = feats @ model.params["head_w"] + model.params["head_b"]
+    feats = flat @ params["dense_w"] + params["dense_b"]
+    logits = feats @ params["head_w"] + params["head_b"]
     return feats, logits, cache
 
 
-def cnn_loss_and_grad(model, images, label_idx, rng=None):
-    """Mean softmax cross-entropy and gradients for every parameter; an `rng`
-    trains with dropout. The conv gradients come in the conv weights' dtype,
-    the dense and head ones in float64."""
-    feats, logits, cache = _forward_batch(model, images, rng, backprop=True)
+def cnn_loss_and_grad(params, images, label_idx, drop):
+    """Mean softmax cross-entropy and gradients for every parameter; `drop`
+    is None (eval mode) or the (rate, rng) of the step's dropout. The conv
+    gradients come in the conv weights' dtype, the dense and head ones in
+    float64."""
+    feats, logits, cache = _forward_batch(params, images, drop, backprop=True)
     n = logits.shape[0]
     loss, dlogits = softmax_cross_entropy(logits, label_idx)
 
     grads = {}
     grads["head_w"] = feats.T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
-    dfeats = dlogits @ model.params["head_w"].T
+    dfeats = dlogits @ params["head_w"].T
     grads["dense_w"] = cache["flat"].T @ dfeats
     grads["dense_b"] = dfeats.sum(axis=0)
-    dflat = dfeats @ model.params["dense_w"].T
+    dflat = dfeats @ params["dense_w"].T
     if cache["drop_mask"] is not None:
         dflat = dflat * cache["drop_mask"]
-    dtype = model.params["conv0_w"].dtype
+    dtype = params["conv0_w"].dtype
     dout = dflat.reshape(n, CHANNELS[-1], POOLED_SIDE, POOLED_SIDE).astype(dtype, copy=False)
     for i in range(len(KERNELS)):
-        grads[f"conv{i}_w"] = np.zeros_like(model.params[f"conv{i}_w"])
-        grads[f"conv{i}_b"] = np.zeros_like(model.params[f"conv{i}_b"])
+        grads[f"conv{i}_w"] = np.zeros_like(params[f"conv{i}_w"])
+        grads[f"conv{i}_b"] = np.zeros_like(params[f"conv{i}_b"])
     for da, layers in zip(dout, cache["images"]):
         for i in reversed(range(len(KERNELS))):
             xp, idx, relu = layers[i]
@@ -238,67 +225,65 @@ def cnn_loss_and_grad(model, images, label_idx, rng=None):
             grads[f"conv{i}_w"] += _im2col(xp, k) @ dz.T
             grads[f"conv{i}_b"] += dz.sum(axis=1)
             if i > 0:
-                da = _col2im(model.params[f"conv{i}_w"] @ dz, xp.shape, k)
+                da = _col2im(params[f"conv{i}_w"] @ dz, xp.shape, k)
     return loss, grads
 
 
-def _float32_convs(model):
-    """The model with float32 copies of its conv weights, which set the dtype
+def _float32_convs(params):
+    """`params` with float32 copies of the conv weights, which set the dtype
     the conv stack runs in; the dense and head weights are shared."""
-    return replace(model, params={k: v.astype(np.float32) if k.startswith("conv") else v
-                                  for k, v in model.params.items()})
+    return {k: v.astype(np.float32) if k.startswith("conv") else v for k, v in params.items()}
 
 
-def cnn_train(model: CnnModel, images, labels, epochs: int, lr: float, momentum: float,
-              weight_decay: float, seed: int = 0) -> CnnModel:
-    """SGD with momentum and weight decay on base-task classes; returns a
-    frozen copy. Mixed precision: each step runs the conv stack, forward and
-    backward, on float32 copies of the conv weights, while the float64 master
-    weights, momentum, weight decay and update stay float64. A master weight
-    beyond float32 range casts to inf, so its step's loss is non-finite and
-    training stops with Divergence."""
+def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
+              momentum: float, weight_decay: float, seed: int = 0) -> dict:
+    """SGD with momentum, weight decay and `dropout` on base-task classes;
+    returns trained copies of `params`. Mixed precision: each step runs the
+    conv stack, forward and backward, on float32 copies of the conv weights,
+    while the float64 master weights, momentum, weight decay and update stay
+    float64. A master weight beyond float32 range casts to inf, so its step's
+    loss is non-finite and training stops with Divergence."""
+    if not 0 <= dropout < 1:
+        raise InputError(f"dropout must be in [0,1), got {dropout}")
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise InputError("base task must contain at least 2 classes")
-    heads = model.params["head_w"].shape[1]
+    heads = params["head_w"].shape[1]
     if heads != len(classes):
         raise InputError(f"model head has {heads} classes, labels have {len(classes)}")
-    model = model.copy()
+    params = {k: v.copy() for k, v in params.items()}
     x = np.asarray(images, dtype=np.float64)
     y = np.array([classes.index(c) for c in labels])
     rng = derive_rng(seed, "cnn", 3)
-    vel = {k: np.zeros_like(v) for k, v in model.params.items()}
+    vel = {k: np.zeros_like(v) for k, v in params.items()}
     for epoch in range(epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), TRAIN_BATCH):
             sel = order[start : start + TRAIN_BATCH]
-            loss, grads = cnn_loss_and_grad(_float32_convs(model), x[sel], y[sel], rng=rng)
+            loss, grads = cnn_loss_and_grad(_float32_convs(params), x[sel], y[sel],
+                                            (dropout, rng))
             if not np.isfinite(loss):
-                raise Divergence(f"non-finite training loss or weights at epoch {epoch}", epoch)
+                raise Divergence(f"non-finite training loss or weights at epoch {epoch}")
             for k, g in grads.items():
                 g = g.astype(np.float64, copy=False)  # conv gradients come in float32
                 if k.endswith("_w"):
-                    g += weight_decay * model.params[k]
+                    g += weight_decay * params[k]
                 vel[k] = momentum * vel[k] - lr * g
-                model.params[k] += vel[k]
-        if not all(np.isfinite(v).all() for v in model.params.values()):
-            raise Divergence(f"non-finite training loss or weights at epoch {epoch}", epoch)
-    model.frozen = True
-    return model
+                params[k] += vel[k]
+        if not all(np.isfinite(v).all() for v in params.values()):
+            raise Divergence(f"non-finite training loss or weights at epoch {epoch}")
+    return params
 
 
-def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
-    """Eval-mode dense features for a frozen model: the conv stack runs on
-    float32 copies of the conv weights, the dense layer in float64, so the
-    rows are float64 and differ from a float64 forward at about 1e-6
-    relative."""
-    if not model.frozen:
-        raise InputError("cnn_extract requires a trained (frozen) model")
-    model = _float32_convs(model)
+def cnn_extract(params, images, labels) -> FeatureMatrix:
+    """Eval-mode dense features: the conv stack runs on float32 copies of the
+    conv weights, the dense layer in float64, so the rows are float64 and
+    differ from a float64 forward at about 1e-6 relative."""
+    params = _float32_convs(params)
     x = np.asarray(images, dtype=np.float64)
     rows = []
     for start in range(0, len(x), EXTRACT_BATCH):
-        feats, _, _ = _forward_batch(model, x[start : start + EXTRACT_BATCH], None)
+        feats, _, _ = _forward_batch(params, x[start : start + EXTRACT_BATCH], None)
         rows.append(feats)
     return FeatureMatrix(rows=np.concatenate(rows, axis=0), labels=list(labels))
 
@@ -306,28 +291,27 @@ def cnn_extract(model: CnnModel, images, labels) -> FeatureMatrix:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_cnn(model: CnnModel, path) -> None:
+def save_cnn(params, path) -> None:
     from .binio import save_blocks
 
-    save_blocks(path, {"kind": "cnn", "dropout": model.dropout, "frozen": model.frozen},
-                model.params)
+    save_blocks(path, {"kind": "cnn"}, params)
 
 
-def load_cnn(path) -> CnnModel:
+def load_cnn(path) -> dict:
     from .binio import load_blocks
 
     meta, arrays = load_blocks(path)
     if meta.get("kind") != "cnn":
         raise InputError(f"{path}: not a cnn checkpoint")
-    missing = [k for k in ("dropout", "frozen") if k not in meta]
-    missing += [k for k in PARAM_NAMES if k not in arrays]
+    missing = [k for k in PARAM_NAMES if k not in arrays]
     if missing:
         raise InputError(f"{path}: cnn checkpoint is missing {missing}")
-    # the widths come from the weights; a header's d_cnn and num_classes, if any, are ignored
+    # the widths come from the weights; header keys beside kind, which older
+    # checkpoints carry, are ignored
     widths = [arrays[k].shape[1] if arrays[k].ndim == 2 else 0 for k in ("dense_w", "head_w")]
     wrong = [f"{k} {arrays[k].shape} (expected {shape})"
              for k, shape in _param_shapes(*widths).items() if arrays[k].shape != shape]
     if wrong:
         raise InputError(f"{path}: cnn checkpoint has parameters of the wrong shape: "
                          + ", ".join(wrong))
-    return CnnModel(params=arrays, dropout=meta["dropout"], frozen=meta["frozen"])
+    return arrays

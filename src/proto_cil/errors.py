@@ -1,6 +1,7 @@
 """The package's error types, each with its own CLI exit code: a rejected
 value, file or state raises InputError (exit 1), and a computation that went
-non-finite or failed numerically raises Divergence (exit 2)."""
+non-finite or failed numerically raises Divergence (exit 2). A run stage
+that fails raises StageFailure (exit 2), naming the stage and its cause."""
 
 
 class InputError(ValueError):
@@ -8,8 +9,11 @@ class InputError(ValueError):
 
 
 class Divergence(RuntimeError):
-    """`epoch` is the training epoch a trainer stopped at, else None."""
+    pass
 
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
+
+class StageFailure(RuntimeError):
+    def __init__(self, stage, cause):
+        super().__init__(f"stage {stage!r} failed: {cause}")
+        self.stage = stage
+        self.cause = cause

@@ -23,7 +23,7 @@ from . import cnn as cnn_mod
 from . import rpca as rpca_mod
 from .datahub import (CROP_SIZE, SYNTH_KINDS, Dataset, ScenarioSpec, augment_array,
                       load_dataset, make_scenario, synth_dataset)
-from .errors import InputError
+from .errors import InputError, StageFailure
 from .features import FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict
 from .projector import (DEFAULT_LAMBDA_GRID, MIN_SWEEP_ROWS, accumulate, empty_state,
@@ -114,13 +114,6 @@ def check_key(path, value, name=None) -> None:
                              f"(allowed: {sorted(RULES[path])})")
         for key, item in value.items():
             check_key(f"{path}.{key}" if path else key, item)
-
-
-class StageFailure(RuntimeError):
-    def __init__(self, stage, cause):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 @dataclass
@@ -256,11 +249,11 @@ def perf_drop(a0: float, a_t: float) -> float:
 # branch feature pipelines
 #
 # A branch has a `name`, a feature width `dim` and one method,
-# `features(samples, split) -> FeatureMatrix`, which turns `samples` of
-# `split` ("train" or "test") into feature rows. At projection init,
-# `run_scenario` gives each branch its frozen projection `layer`, its
-# prototype `state`, the prototypes `P` solved from it, and `tested`, the
-# projected rows of the test images scored so far.
+# `features(samples) -> FeatureMatrix`, which turns `samples`, all of one
+# split, into feature rows. At projection init, `run_scenario` gives each
+# branch its frozen projection `layer`, its prototype `state`, the prototypes
+# `P` solved from it, and `tested`, the projected rows of the test images
+# scored so far.
 
 def prepare_images(samples, seed, rpca_model=None) -> np.ndarray:
     """Network inputs for `samples`: the RPCA sparse part when a model is given,
@@ -283,15 +276,15 @@ def train_denoiser(flat, hp, seed) -> rpca_mod.RpcaModel:
                                seed=derive_seed(seed, "rpca"))
 
 
-def train_backbone(images, labels, hp, seed) -> cnn_mod.CnnModel:
-    """The frozen CNN trained on `images` from prepare_images, with the
+def train_backbone(images, labels, hp, seed) -> dict:
+    """The CNN's parameters trained on `images` from prepare_images, with the
     cnn_train hyperparameters `hp`: the run's CNN branch and `train-backbone`
     both train it this way."""
-    model = cnn_mod.cnn_init(d_cnn=hp["d_cnn"], dropout=hp["dropout"],
-                             seed=derive_seed(seed, "cnn"), num_classes=len(set(labels)))
-    return cnn_mod.cnn_train(model, images, labels, epochs=hp["epochs"], lr=hp["lr"],
-                             momentum=hp["momentum"], weight_decay=hp["weight_decay"],
-                             seed=derive_seed(seed, "cnn", 1))
+    params = cnn_mod.cnn_init(d_cnn=hp["d_cnn"], seed=derive_seed(seed, "cnn"),
+                              num_classes=len(set(labels)))
+    return cnn_mod.cnn_train(params, images, labels, dropout=hp["dropout"],
+                             epochs=hp["epochs"], lr=hp["lr"], momentum=hp["momentum"],
+                             weight_decay=hp["weight_decay"], seed=derive_seed(seed, "cnn", 1))
 
 
 class _CnnBranch:
@@ -305,9 +298,9 @@ class _CnnBranch:
         train_imgs = prepare_images(base_task.train, config.seed, self.rpca_model)
         self.model = train_backbone(train_imgs, [im.label for im in base_task.train],
                                     _section(config, "cnn_train"), config.seed)
-        self.dim = self.model.params["dense_w"].shape[1]
+        self.dim = self.model["dense_w"].shape[1]
 
-    def features(self, samples, split) -> FeatureMatrix:
+    def features(self, samples) -> FeatureMatrix:
         imgs = prepare_images(samples, None, self.rpca_model)
         return cnn_mod.cnn_extract(self.model, imgs, [im.label for im in samples])
 
@@ -321,17 +314,17 @@ class _IngestedBranch:
         self.adapter = None
         if config.ssf.get("enabled"):
             ssf = _section(config, "ssf")
-            self.adapter = ssf_train(self.features(base_task.train, "train"),
+            self.adapter = ssf_train(self.features(base_task.train),
                                      epochs=ssf["epochs"], lr=ssf["lr"],
                                      seed=derive_seed(config.seed, "ssf"))
 
-    def features(self, samples, split) -> FeatureMatrix:
+    def features(self, samples) -> FeatureMatrix:
         if self.csv is None:
             fm = FeatureMatrix(rows=np.stack([im.pixels.ravel() for im in samples]),
                                labels=[im.label for im in samples])
         else:
             # every class has images in both splits, so these are the classes asked for
-            src, wanted = self.csv[split], {im.label for im in samples}
+            src, wanted = self.csv[samples[0].split], {im.label for im in samples}
             keep = [i for i, c in enumerate(src.labels) if c in wanted]
             fm = FeatureMatrix(rows=src.rows[keep], labels=[src.labels[i] for i in keep])
         return fm if self.adapter is None else ssf_apply(self.adapter, fm)
@@ -475,7 +468,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             t0 = time.perf_counter()
             stage = f"task{t}-train"
             for br in branches:
-                H = project(br.layer, br.features(task.train, "train"))
+                H = project(br.layer, br.features(task.train))
                 picks = metrics.lambdas[br.name]
                 if config.freeze_lambda and t > 0:
                     lam = picks[0]
@@ -491,7 +484,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             done += len(task.test)
             scores = []
             for br in branches:
-                He = project(br.layer, br.features(new, "test"))
+                He = project(br.layer, br.features(new))
                 br.tested = FeatureMatrix(rows=np.concatenate((br.tested.rows, He.rows)),
                                           labels=br.tested.labels + He.labels)
                 scores.append(score(br.P, br.state.registry, br.tested))

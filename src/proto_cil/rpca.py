@@ -96,7 +96,7 @@ def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> RpcaMod
             B /= s
         loss = bilinear_loss_and_grad(A, B, X)[0]
         if not np.isfinite(loss):
-            raise Divergence(f"non-finite denoiser loss at epoch {epoch}", epoch)
+            raise Divergence(f"non-finite denoiser loss at epoch {epoch}")
         losses.append(loss)
     return RpcaModel(A=A, B=B, epoch_losses=losses)
 

@@ -61,7 +61,7 @@ def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 
             sel = order[start : start + BATCH_SIZE]
             loss, gg, gd, gw, gb = probe_loss_and_grad(gamma, delta, w, b, X[sel], y[sel])
             if not np.isfinite(loss):
-                raise Divergence(f"non-finite adapter loss at epoch {epoch}", epoch)
+                raise Divergence(f"non-finite adapter loss at epoch {epoch}")
             gamma -= lr * gg
             delta -= lr * gd
             w -= lr * gw

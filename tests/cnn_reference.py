@@ -64,15 +64,16 @@ def maxpool_back(dout, idx, shape):
     return dx
 
 
-def forward(model, images, train_mode, rng):
-    """images: (N, 70, 70). Returns (features, logits, cache)."""
+def forward(params, images, drop):
+    """images: (N, 70, 70); `drop` is None (eval mode) or a dropout
+    (rate, rng). Returns (features, logits, cache)."""
     x = np.asarray(images, dtype=np.float64)
     assert x.shape[1:] == (INPUT_SIZE, INPUT_SIZE)
     a = x[:, None, :, :]
     cache = {"x_shapes": [], "cols": [], "relu": [], "pool_idx": []}
     for i, k in enumerate(KERNELS):
         cols = im2col(a, k)
-        z = cols @ model.params[f"conv{i}_w"] + model.params[f"conv{i}_b"]
+        z = cols @ params[f"conv{i}_w"] + params[f"conv{i}_b"]
         n, hw, f = z.shape
         side = a.shape[2]
         z = z.reshape(n, side, side, f).transpose(0, 3, 1, 2)
@@ -85,31 +86,31 @@ def forward(model, images, train_mode, rng):
         cache["pool_idx"].append(idx)
         a = pooled
     flat = a.reshape(a.shape[0], -1)
-    if train_mode and model.dropout > 0:
-        flat, mask = apply_dropout(flat, model.dropout, rng)
+    if drop is not None and drop[0] > 0:
+        flat, mask = apply_dropout(flat, *drop)
         cache["drop_mask"] = mask
     else:
         cache["drop_mask"] = None
     cache["flat"] = flat
-    feats = flat @ model.params["dense_w"] + model.params["dense_b"]
-    logits = feats @ model.params["head_w"] + model.params["head_b"]
+    feats = flat @ params["dense_w"] + params["dense_b"]
+    logits = feats @ params["head_w"] + params["head_b"]
     cache["feats"] = feats
     return feats, logits, cache
 
 
-def loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
+def loss_and_grad(params, images, label_idx, drop):
     """Mean softmax cross-entropy and gradients for every parameter."""
-    _, logits, cache = forward(model, images, train_mode, rng)
+    _, logits, cache = forward(params, images, drop)
     n = logits.shape[0]
     loss, dlogits = softmax_cross_entropy(logits, label_idx)
 
     grads = {}
     grads["head_w"] = cache["feats"].T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
-    dfeats = dlogits @ model.params["head_w"].T
+    dfeats = dlogits @ params["head_w"].T
     grads["dense_w"] = cache["flat"].T @ dfeats
     grads["dense_b"] = dfeats.sum(axis=0)
-    dflat = dfeats @ model.params["dense_w"].T
+    dflat = dfeats @ params["dense_w"].T
     if cache["drop_mask"] is not None:
         dflat = dflat * cache["drop_mask"]
     da = dflat.reshape(n, CHANNELS[-1], 4, 4)
@@ -121,6 +122,6 @@ def loss_and_grad(model, images, label_idx, train_mode=False, rng=None):
         grads[f"conv{i}_w"] = np.einsum("nid,nif->df", cache["cols"][i], dzm)
         grads[f"conv{i}_b"] = dzm.sum(axis=(0, 1))
         if i > 0:
-            dcols = dzm @ model.params[f"conv{i}_w"].T
+            dcols = dzm @ params[f"conv{i}_w"].T
             da = col2im(dcols, a_shape, KERNELS[i])
     return loss, grads

@@ -52,30 +52,31 @@ def grad_check_fn(loss_fn, grad_fn, theta0, epsilon, rng, num_params=64):
 def grad_check(target, sample, epsilon: float, seed: int = 0, num_params: int = 64) -> float:
     """Dispatch on the trainable object; `sample` supplies the loss's data.
 
-    - CnnModel: sample = (image 70x70, label index); eval-mode loss (no dropout).
+    - CNN parameters dict: sample = (image 70x70, label index); eval-mode loss
+      (no dropout).
     - SsfAdapter: sample = (probe_w, probe_b, X, y_idx); joint adapter+probe loss.
     - RpcaModel: sample = (n, m) batch of flattened images.
     """
     rng = np.random.default_rng(seed)
 
-    if isinstance(target, cnn_mod.CnnModel):
+    if isinstance(target, dict):
         image, label = sample
-        names = sorted(target.params)
-        templates = [target.params[k] for k in names]
-        model = target.copy()
+        names = sorted(target)
+        templates = [target[k] for k in names]
+        params = dict(target)
 
         def set_theta(theta):
             for k, arr in zip(names, _unflatten(theta, templates)):
-                model.params[k] = arr
+                params[k] = arr
 
         def loss_fn(theta):
             set_theta(theta)
-            loss, _ = cnn_mod.cnn_loss_and_grad(model, np.asarray(image)[None], [label])
+            loss, _ = cnn_mod.cnn_loss_and_grad(params, np.asarray(image)[None], [label], None)
             return loss
 
         def grad_fn(theta):
             set_theta(theta)
-            _, grads = cnn_mod.cnn_loss_and_grad(model, np.asarray(image)[None], [label])
+            _, grads = cnn_mod.cnn_loss_and_grad(params, np.asarray(image)[None], [label], None)
             return _flatten([grads[k] for k in names])
 
         return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)

@@ -105,7 +105,7 @@ def test_criterion_4_gradient_correctness():
     with _Gate(4, "finite-difference gradient checks", 120.0):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            model = cnn_init(8, 0.0, seed=seed, num_classes=3)
+            model = cnn_init(8, seed=seed, num_classes=3)
             img = rng.random((INPUT_SIZE, INPUT_SIZE))
             assert grad_check(model, (img, seed % 3), epsilon=1e-6, seed=seed,
                               num_params=64) <= 1e-3

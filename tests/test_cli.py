@@ -199,13 +199,16 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, monkeypatch, small_mani
 # train-backbone + extract
 
 def test_backbone_and_extract_roundtrip(tmp_path):
+    """The checkpoint's header holds only its kind; extract reads it back."""
+    from proto_cil.binio import load_blocks
+
     ds = tmp_path / "ds"
     assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "3",
                  "--test", "2", "--size", "32", "--out", str(ds)]) == 0
     ckpt = tmp_path / "cnn.bin"
     rc = main(["train-backbone", "--manifest", str(ds / "manifest.csv"),
                "--out", str(ckpt), "--epochs", "1", "--d-cnn", "8"])
-    assert rc == 0 and ckpt.exists()
+    assert rc == 0 and load_blocks(ckpt)[0] == {"kind": "cnn"}
     feats = tmp_path / "feats.csv"
     rc = main(["extract", "--manifest", str(ds / "manifest.csv"), "--model", str(ckpt),
                "--split", "test", "--out", str(feats)])
@@ -259,9 +262,9 @@ def test_train_backbone_trains_the_run_cnn_branch(tmp_path, monkeypatch):
         "cnn_branch": True, "ingested_branch": False, "rpca": {"enabled": False},
         "cnn_train": {"d_cnn": 8, "epochs": 2}, "projection_dim": 8, "seed": 5}))
     saved, run = load_cnn(ckpt), branches[0].model
-    assert saved.params.keys() == run.params.keys()
-    for k in run.params:
-        assert np.array_equal(saved.params[k], run.params[k]), k
+    assert saved.keys() == run.keys()
+    for k in run:
+        assert np.array_equal(saved[k], run[k]), k
 
 
 @pytest.mark.parametrize("command, section, argv", [
@@ -298,7 +301,7 @@ def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
     labels = [im.label for im in train]
     y = np.array([sorted(set(labels)).index(c) for c in labels])
     rows = cnn_extract(model, prepare_images(train, 3), labels).rows  # what the CLI prints from
-    logits = rows @ model.params["head_w"] + model.params["head_b"]
+    logits = rows @ model["head_w"] + model["head_b"]
     assert float(printed.group(1)) == pytest.approx(softmax_cross_entropy(logits, y)[0],
                                                     rel=1e-12)
     assert float(printed.group(2)) == float((logits.argmax(axis=1) == y).mean())

@@ -51,41 +51,39 @@ def test_architecture_arithmetic():
 
 
 def test_init_shapes_and_determinism():
-    a = cnn_init(64, 0.5, seed=1, num_classes=3)
-    b = cnn_init(64, 0.5, seed=1, num_classes=3)
-    assert a.params["dense_w"].shape == (FLAT_SIZE, 64)
-    assert a.params["head_w"].shape == (64, 3)
-    assert a.params["conv0_w"].shape == (1 * 7 * 7, 16)
-    for k in a.params:
-        assert np.array_equal(a.params[k], b.params[k])
-    assert np.all(a.params["conv0_b"] == 0)
-    assert np.all(a.params["dense_b"] == 0)
+    a = cnn_init(64, seed=1, num_classes=3)
+    b = cnn_init(64, seed=1, num_classes=3)
+    assert a["dense_w"].shape == (FLAT_SIZE, 64)
+    assert a["head_w"].shape == (64, 3)
+    assert a["conv0_w"].shape == (1 * 7 * 7, 16)
+    for k in a:
+        assert np.array_equal(a[k], b[k])
+    assert np.all(a["conv0_b"] == 0)
+    assert np.all(a["dense_b"] == 0)
 
 
 def test_init_validation():
     with pytest.raises(InputError, match="d_cnn must be >= 1"):
-        cnn_init(0, 0.5, seed=0)
-    with pytest.raises(InputError, match=r"dropout must be in \[0,1\), got 1.0"):
-        cnn_init(8, 1.0, seed=0)
+        cnn_init(0, seed=0)
     with pytest.raises(InputError, match="num_classes must be >= 2"):
-        cnn_init(8, 0.5, seed=0, num_classes=1)
+        cnn_init(8, seed=0, num_classes=1)
 
 
 def test_zero_image_gives_zero_features():
-    model = cnn_init(16, 0.0, seed=0)
+    model = cnn_init(16, seed=0)
     feats, logits, _ = _forward_batch(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), None)
     assert np.allclose(feats, 0.0)  # zero activations, zero biases
     assert np.allclose(logits, 0.0)
 
 
 def test_forward_rejects_wrong_size():
-    model = cnn_init(8, 0.0, seed=0)
+    model = cnn_init(8, seed=0)
     with pytest.raises(InputError, match="70x70"):
         _forward_batch(model, np.zeros((1, 64, 64)), None)
 
 
 def test_eval_forward_deterministic():
-    model = cnn_init(16, 0.5, seed=0)
+    model = cnn_init(16, seed=0)
     img = np.random.default_rng(1).random((1, INPUT_SIZE, INPUT_SIZE))
     f1, l1, _ = _forward_batch(model, img, None)
     f2, l2, _ = _forward_batch(model, img, None)
@@ -162,7 +160,7 @@ def test_eval_forward_keeps_no_layer_cache():
     image and layer: the padded layer input, the uint8 pool argmax and the
     ReLU mask, and no im2col columns. The padding stays zero, and the ReLU'd
     pool output is what the next layer's buffer (or the flat row) holds."""
-    model = cnn_init(8, 0.5, seed=0)
+    model = cnn_init(8, seed=0)
     n = 3
     imgs = np.random.default_rng(4).random((n, INPUT_SIZE, INPUT_SIZE))
     _, _, cache = _forward_batch(model, imgs, None)
@@ -192,14 +190,14 @@ def test_eval_forward_keeps_no_layer_cache():
 def test_gradients_match_reference_layout(train_mode):
     """Per-image weight gradients summed over one image, two, five and a full
     train batch."""
-    model = cnn_init(16, 0.5, seed=2, num_classes=3)
+    model = cnn_init(16, seed=2, num_classes=3)
     for n in (1, 2, 5, cnn.TRAIN_BATCH):
         rng = np.random.default_rng(5)
         imgs, y = rng.random((n, INPUT_SIZE, INPUT_SIZE)), rng.integers(0, 3, n)
-        loss, grads = cnn_loss_and_grad(model, imgs, y,
-                                        derive_rng(1, "cnn", 3) if train_mode else None)
-        ref_loss, ref_grads = cnn_reference.loss_and_grad(model, imgs, y, train_mode,
-                                                          derive_rng(1, "cnn", 3))
+        loss, grads = cnn_loss_and_grad(
+            model, imgs, y, (0.5, derive_rng(1, "cnn", 3)) if train_mode else None)
+        ref_loss, ref_grads = cnn_reference.loss_and_grad(
+            model, imgs, y, (0.5, derive_rng(1, "cnn", 3)) if train_mode else None)
         assert loss == pytest.approx(ref_loss, rel=1e-12), n
         assert grads.keys() == ref_grads.keys()
         for name in grads:
@@ -209,14 +207,15 @@ def test_gradients_match_reference_layout(train_mode):
 
 def trained_blobs_model():
     imgs, labels = augmented_blobs(per_class=3)
-    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=1, **SGD)
+    model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=1,
+                      **SGD)
     return model, imgs, labels
 
 
 def test_eval_forward_matches_reference_forward():
     """The float64 forward that training uses."""
     model, imgs, _ = trained_blobs_model()
-    ref_feats, _, _ = cnn_reference.forward(model, imgs, False, None)
+    ref_feats, _, _ = cnn_reference.forward(model, imgs, None)
     feats, _, _ = _forward_batch(model, imgs, None)
     assert max_rel(feats, ref_feats) <= 1e-12
 
@@ -227,12 +226,11 @@ def test_extract_matches_reference_forward():
     reference."""
     model, imgs, labels = trained_blobs_model()
     rows = cnn_extract(model, imgs, labels).rows
-    f32 = {k: v.astype(np.float32) if k.startswith("conv") else v
-           for k, v in model.params.items()}
-    feats, _, _ = _forward_batch(cnn.CnnModel(f32, model.dropout, frozen=True), imgs, None)
+    f32 = {k: v.astype(np.float32) if k.startswith("conv") else v for k, v in model.items()}
+    feats, _, _ = _forward_batch(f32, imgs, None)
     assert rows.dtype == np.float64
     assert np.array_equal(rows, feats)
-    ref_feats, _, _ = cnn_reference.forward(model, imgs, False, None)
+    ref_feats, _, _ = cnn_reference.forward(model, imgs, None)
     assert max_rel(rows, ref_feats) <= 1e-5
 
 
@@ -251,11 +249,11 @@ def test_extract_and_train_columns_are_float32(monkeypatch):
     cnn_extract(model, imgs[:2], labels[:2])
     assert seen == [np.float32] * 2 * len(KERNELS)
     seen.clear()
-    out = cnn_train(model, imgs, labels, epochs=1, **SGD)  # one batch
+    out = cnn_train(model, imgs, labels, dropout=0.5, epochs=1, **SGD)  # one batch
     assert seen == [np.float32] * 2 * len(imgs) * len(KERNELS)  # forward and backprop
-    assert all(v.dtype == np.float64 for v in out.params.values())
+    assert all(v.dtype == np.float64 for v in out.values())
     seen.clear()
-    cnn_loss_and_grad(model, imgs[:2], np.array([0, 1]), rng=derive_rng(0, "cnn", 3))
+    cnn_loss_and_grad(model, imgs[:2], np.array([0, 1]), (0.5, derive_rng(0, "cnn", 3)))
     assert seen == [np.float64] * 2 * 2 * len(KERNELS)
 
 
@@ -319,10 +317,10 @@ def test_train_step_releases_columns_during_backprop():
     copies of one image's columns (22.7 MB) bound the lot. Columns built for
     four images at a time (29.5 MB) break it."""
     n, bound = cnn.TRAIN_BATCH, memory_bound(3)
-    model = cnn_init(256, 0.5, seed=0)
+    model = cnn_init(256, seed=0)
     rng = np.random.default_rng(6)
     imgs = rng.random((n, INPUT_SIZE, INPUT_SIZE))
-    peak = traced_peak(lambda: cnn_loss_and_grad(model, imgs, np.arange(n) % 2, rng=rng))
+    peak = traced_peak(lambda: cnn_loss_and_grad(model, imgs, np.arange(n) % 2, (0.5, rng)))
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
 
@@ -340,7 +338,7 @@ def test_train_step_as_cnn_train_runs_it_fits_two_column_copies(monkeypatch):
 
     monkeypatch.setattr(cnn, "cnn_loss_and_grad", traced_step)
     imgs = np.random.default_rng(6).random((n, INPUT_SIZE, INPUT_SIZE))
-    cnn_train(cnn_init(256, 0.5, seed=0), imgs, ["a", "b"] * (n // 2), epochs=1, **SGD)
+    cnn_train(cnn_init(256, seed=0), imgs, ["a", "b"] * (n // 2), dropout=0.5, epochs=1, **SGD)
     assert len(peaks) == 1
     assert peaks[0] <= bound, f"peak {peaks[0] / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
@@ -351,8 +349,7 @@ def test_extract_builds_columns_one_image_at_a_time():
     of all four layers (5.7 MB). Float64 columns (6.0 MB) break it, and so do
     columns built for four images at a time."""
     n, bound = cnn.EXTRACT_BATCH, memory_bound(0.75)
-    model = cnn_init(256, 0.5, seed=0)
-    model.frozen = True
+    model = cnn_init(256, seed=0)
     imgs = np.random.default_rng(7).random((n, INPUT_SIZE, INPUT_SIZE))
     peak = traced_peak(lambda: cnn_extract(model, imgs, ["a"] * n))
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
@@ -364,11 +361,12 @@ def test_float32_step_matches_float64_step(seed):
     step at the same weights, images and dropout draws: the loss within 1e-6
     and every gradient within 1e-5 relative (at most 2.6e-7 and 1.1e-6 measured)."""
     n = cnn.TRAIN_BATCH
-    model = cnn_init(64, 0.5, seed=seed, num_classes=3)
+    model = cnn_init(64, seed=seed, num_classes=3)
     rng = np.random.default_rng(seed)
     imgs, y = rng.random((n, INPUT_SIZE, INPUT_SIZE)), rng.integers(0, 3, n)
-    loss, grads = cnn_loss_and_grad(cnn._float32_convs(model), imgs, y, derive_rng(seed, "cnn", 3))
-    ref_loss, ref_grads = cnn_loss_and_grad(model, imgs, y, derive_rng(seed, "cnn", 3))
+    loss, grads = cnn_loss_and_grad(cnn._float32_convs(model), imgs, y,
+                                    (0.5, derive_rng(seed, "cnn", 3)))
+    ref_loss, ref_grads = cnn_loss_and_grad(model, imgs, y, (0.5, derive_rng(seed, "cnn", 3)))
     assert loss == pytest.approx(ref_loss, rel=1e-6)
     for name in grads:
         assert grads[name].dtype == (np.float32 if name.startswith("conv") else np.float64)
@@ -376,44 +374,52 @@ def test_float32_step_matches_float64_step(seed):
 
 
 def test_gradients_match_finite_differences():
-    model = cnn_init(4, 0.0, seed=0, num_classes=2)
+    model = cnn_init(4, seed=0, num_classes=2)
     img = np.random.default_rng(2).random((INPUT_SIZE, INPUT_SIZE))
     err = grad_check(model, (img, 1), epsilon=1e-6, seed=0, num_params=32)
     assert err <= 1e-3
 
 
 def test_loss_is_cross_entropy_at_init_scale():
-    model = cnn_init(8, 0.0, seed=0, num_classes=4)
+    model = cnn_init(8, seed=0, num_classes=4)
     img = np.zeros((INPUT_SIZE, INPUT_SIZE))
-    loss, _ = cnn_loss_and_grad(model, img[None], [0])
+    loss, _ = cnn_loss_and_grad(model, img[None], [0], None)
     assert loss == pytest.approx(np.log(4.0))  # zero logits -> uniform softmax
 
 
 def test_train_zero_epochs_is_bitwise_noop():
     imgs, labels = augmented_blobs(per_class=2)
-    model = cnn_init(8, 0.5, seed=0, num_classes=2)
-    out = cnn_train(model, imgs, labels, epochs=0, **SGD)
-    assert out.frozen and not model.frozen
-    for k in model.params:
-        assert np.array_equal(out.params[k], model.params[k])
+    model = cnn_init(8, seed=0, num_classes=2)
+    out = cnn_train(model, imgs, labels, dropout=0.5, epochs=0, **SGD)
+    assert out.keys() == model.keys()
+    for k in model:
+        assert out[k] is not model[k]  # trained copies
+        assert np.array_equal(out[k], model[k])
 
 
 def test_train_rejects_head_class_count_mismatch():
     imgs, labels = augmented_blobs(num_classes=3, per_class=2)
-    model = cnn_init(8, 0.0, seed=0, num_classes=2)
+    model = cnn_init(8, seed=0, num_classes=2)
     with pytest.raises(InputError, match="head has 2 classes, labels have 3"):
-        cnn_train(model, imgs, labels, epochs=0, **SGD)
+        cnn_train(model, imgs, labels, dropout=0.0, epochs=0, **SGD)
+
+
+@pytest.mark.parametrize("dropout", [1.0, -0.1, float("nan")])
+def test_train_rejects_dropout_outside_unit_interval(dropout):
+    imgs, labels = augmented_blobs(per_class=2)
+    with pytest.raises(InputError, match=re.escape(f"dropout must be in [0,1), got {dropout}")):
+        cnn_train(cnn_init(8, seed=0), imgs, labels, dropout=dropout, epochs=0, **SGD)
 
 
 def test_train_learns_two_blob_classes():
     imgs, labels = augmented_blobs(num_classes=2, per_class=8, seed=1)
-    model = cnn_init(64, 0.1, seed=0, num_classes=2)
-    first_loss, _ = eval_fit(cnn_train(model, imgs, labels, epochs=1, **SGD, seed=0), imgs, labels)
-    out = cnn_train(model, imgs, labels, epochs=20, **SGD, seed=0)
+    model = cnn_init(64, seed=0, num_classes=2)
+    first_loss, _ = eval_fit(cnn_train(model, imgs, labels, dropout=0.1, epochs=1, **SGD, seed=0),
+                             imgs, labels)
+    out = cnn_train(model, imgs, labels, dropout=0.1, epochs=20, **SGD, seed=0)
     loss, acc = eval_fit(out, imgs, labels)
     assert loss < first_loss
     assert acc >= 0.95
-    assert out.frozen
 
 
 @pytest.mark.parametrize("lr, epoch", [(1e30, 1), (np.inf, 0)])
@@ -421,32 +427,26 @@ def test_train_divergence_is_reported_with_epoch(lr, epoch):
     # 1e30 overflows the float32 conv stack of a later epoch's batch; inf
     # leaves non-finite weights behind the first epoch's finite loss
     imgs, labels = augmented_blobs(per_class=2)
-    model = cnn_init(8, 0.0, seed=0, num_classes=2)
-    with np.errstate(all="ignore"), pytest.raises(Divergence, match="non-finite training loss or weights at epoch") as exc:
-        cnn_train(model, imgs, labels, epochs=5, lr=lr, momentum=0.9, weight_decay=0.0005,
-                  seed=0)
-    assert exc.value.epoch == epoch
+    model = cnn_init(8, seed=0, num_classes=2)
+    with np.errstate(all="ignore"), pytest.raises(
+            Divergence, match=f"^non-finite training loss or weights at epoch {epoch}$"):
+        cnn_train(model, imgs, labels, dropout=0.0, epochs=5, lr=lr, momentum=0.9,
+                  weight_decay=0.0005, seed=0)
 
 
 def test_train_requires_two_classes():
     imgs, _ = augmented_blobs(per_class=2)
     with pytest.raises(InputError, match="at least 2 classes"):
-        cnn_train(cnn_init(8, 0.0, seed=0), imgs, ["a"] * len(imgs), epochs=1, **SGD)
+        cnn_train(cnn_init(8, seed=0), imgs, ["a"] * len(imgs), dropout=0.0, epochs=1, **SGD)
 
 
 # ---------------------------------------------------------------------------
 # extraction + checkpoints
 
-def test_extract_requires_frozen_model():
-    model = cnn_init(8, 0.0, seed=0)
-    with pytest.raises(InputError, match="frozen"):
-        cnn_extract(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), ["a"])
-
-
 def test_extract_shapes_and_batching(monkeypatch):
     imgs, labels = augmented_blobs(per_class=3)
-    model = cnn_init(16, 0.5, seed=0, num_classes=2)
-    model = cnn_train(model, imgs, labels, epochs=0, **SGD)
+    model = cnn_init(16, seed=0, num_classes=2)
+    model = cnn_train(model, imgs, labels, dropout=0.5, epochs=0, **SGD)
     whole = cnn_extract(model, imgs, labels)
     monkeypatch.setattr(cnn, "EXTRACT_BATCH", 2)
     small = cnn_extract(model, imgs, labels)
@@ -460,7 +460,8 @@ def test_extract_rows_do_not_depend_on_batch_composition():
     for these batch sizes, not for every one (see the tail-batch test); the
     run's eval cache needs only that each task extracts a fixed slice."""
     imgs, labels = augmented_blobs(per_class=30)
-    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0, **SGD)
+    model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=0,
+                      **SGD)
     whole = cnn_extract(model, imgs, labels)
     part = cnn_extract(model, imgs[7:47], labels[7:47])
     assert 7 % cnn.EXTRACT_BATCH and len(imgs) == 60
@@ -475,7 +476,8 @@ def test_extract_tail_batch_agrees_to_rounding(tail):
     16 + 4); the conv stack runs one image at a time, so its part of a row is
     the same in any batch. The rows agree to rounding, not always bit for bit."""
     imgs, labels = augmented_blobs(per_class=8)
-    model = cnn_train(cnn_init(16, 0.5, seed=0, num_classes=2), imgs, labels, epochs=0, **SGD)
+    model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=0,
+                      **SGD)
     whole = cnn_extract(model, imgs, labels).rows
     part = cnn_extract(model, imgs[:tail], labels[:tail]).rows
     assert len(imgs) == cnn.EXTRACT_BATCH
@@ -483,34 +485,42 @@ def test_extract_tail_batch_agrees_to_rounding(tail):
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
+    from proto_cil.binio import load_blocks
+
     imgs, labels = augmented_blobs(per_class=2)
-    model = cnn_train(cnn_init(8, 0.25, seed=3, num_classes=2), imgs, labels, epochs=1, **SGD)
+    model = cnn_train(cnn_init(8, seed=3, num_classes=2), imgs, labels, dropout=0.25, epochs=1,
+                      **SGD)
     save_cnn(model, tmp_path / "cnn.bin")
+    assert load_blocks(tmp_path / "cnn.bin")[0] == {"kind": "cnn"}
     back = load_cnn(tmp_path / "cnn.bin")
-    assert back.params["dense_w"].shape[1] == model.params["dense_w"].shape[1]
-    assert back.dropout == model.dropout
-    assert back.frozen
-    for k in model.params:
-        assert np.array_equal(back.params[k], model.params[k])
+    assert back.keys() == model.keys()
+    for k in model:
+        assert np.array_equal(back[k], model[k])
     a = cnn_extract(model, imgs[:2], labels[:2]).rows
     b = cnn_extract(back, imgs[:2], labels[:2]).rows
     assert np.array_equal(a, b)
 
 
 def test_checkpoint_with_widths_in_header_loads(tmp_path):
-    """Checkpoint headers that also carry d_cnn and num_classes, as they once
-    did, still load; the widths come from the weights."""
+    """Checkpoint headers that also carry d_cnn, num_classes, dropout and
+    frozen, as they once did, still load, even one that says the model is not
+    frozen: the header's keys beyond kind are ignored, and the widths come
+    from the weights."""
     from proto_cil.binio import save_blocks
 
     imgs, labels = augmented_blobs(per_class=2)
-    model = cnn_train(cnn_init(8, 0.25, seed=3, num_classes=2), imgs, labels, epochs=0, **SGD)
-    save_blocks(tmp_path / "old.bin", {"kind": "cnn", "d_cnn": 8, "dropout": 0.25,
-                                       "num_classes": 2, "frozen": True}, model.params)
-    back = load_cnn(tmp_path / "old.bin")
-    assert back.dropout == 0.25 and back.frozen
-    assert back.params["dense_w"].shape[1] == 8 and back.params["head_w"].shape[1] == 2
-    for k in model.params:
-        assert np.array_equal(back.params[k], model.params[k])
+    model = cnn_train(cnn_init(8, seed=3, num_classes=2), imgs, labels, dropout=0.25, epochs=0,
+                      **SGD)
+    rows = cnn_extract(model, imgs, labels).rows
+    for old in ({"d_cnn": 8, "num_classes": 2}, {"dropout": 0.25, "frozen": True},
+                {"d_cnn": 8, "dropout": 0.25, "num_classes": 2, "frozen": True},
+                {"dropout": 0.5, "frozen": False}):
+        save_blocks(tmp_path / "old.bin", {"kind": "cnn", **old}, model)
+        back = load_cnn(tmp_path / "old.bin")
+        assert back.keys() == model.keys(), old
+        for k in model:
+            assert np.array_equal(back[k], model[k])
+        assert np.array_equal(cnn_extract(back, imgs, labels).rows, rows)
 
 
 def _checkpoint(header, payload=b""):
@@ -547,22 +557,18 @@ def test_checkpoint_rejects_malformed_file(tmp_path, contents, message):
         load_cnn(path)
 
 
-@pytest.mark.parametrize("meta_drop, param_drop, missing", [
-    ("dropout", None, ["dropout"]),
-    ("frozen", None, ["frozen"]),
-    (None, "head_b", ["head_b"]),
-    (None, "all", list(cnn.PARAM_NAMES)),
+@pytest.mark.parametrize("param_drop, missing", [
+    ("head_b", ["head_b"]),
+    ("all", list(cnn.PARAM_NAMES)),
 ])
-def test_checkpoint_rejects_missing_fields(tmp_path, meta_drop, param_drop, missing):
+def test_checkpoint_rejects_missing_fields(tmp_path, param_drop, missing):
     from proto_cil.binio import save_blocks
 
-    params = cnn_init(4, 0.0, seed=0).params
+    params = cnn_init(4, seed=0)
     assert set(params) == set(cnn.PARAM_NAMES)
-    meta = {k: v for k, v in {"kind": "cnn", "dropout": 0.0, "frozen": True}.items()
-            if k != meta_drop}
     params = {k: v for k, v in params.items() if param_drop not in (k, "all")}
     path = tmp_path / "x.bin"
-    save_blocks(path, meta, params)
+    save_blocks(path, {"kind": "cnn"}, params)
     with pytest.raises(InputError, match=re.escape(f"{path}: cnn checkpoint is missing {missing}")):
         load_cnn(path)
 
@@ -590,9 +596,9 @@ def test_checkpoint_rejects_wrong_parameter_shape(tmp_path, name, shape):
     dense_w and head_w before any extraction uses it."""
     from proto_cil.binio import save_blocks
 
-    params = {**cnn_init(8, 0.0, seed=0).params, name: np.zeros(shape)}
+    params = {**cnn_init(8, seed=0), name: np.zeros(shape)}
     path = tmp_path / "x.bin"
-    save_blocks(path, {"kind": "cnn", "dropout": 0.0, "frozen": True}, params)
+    save_blocks(path, {"kind": "cnn"}, params)
     with pytest.raises(InputError, match=re.escape(f"{path}: cnn checkpoint has parameters of "
                                                    f"the wrong shape: ")) as exc:
         load_cnn(path)

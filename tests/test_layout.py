@@ -64,11 +64,29 @@ def _package_classes(program):
                     yield path, stmt
 
 
+def _self_attributes(method):
+    """(name, assignment) of each `self.name = ...` in `method`."""
+    for node in ast.walk(method):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
+                    and target.value.id == "self":
+                yield target.attr, node
+
+
 def _members(cls: ast.ClassDef):
-    """(name, statement) of each method, property and field a class body defines."""
+    """(name, statement) of each method, property and field a class body
+    defines, and of each attribute its methods assign (`self.x = ...`), at
+    its first assignment."""
+    seen = set()
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield stmt.name, stmt
+            for name, node in _self_attributes(stmt):
+                if name not in seen:
+                    seen.add(name)
+                    yield name, node
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             yield stmt.target.id, stmt
         elif isinstance(stmt, ast.Assign):

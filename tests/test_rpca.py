@@ -136,9 +136,8 @@ def test_train_validates_inputs():
 def test_train_divergence_is_reported_with_epoch(monkeypatch):
     X = rank1_images(n=20, m=16, seed=6)
     monkeypatch.setattr(rpca, "GRAD_CLIP", np.inf)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Divergence, match="non-finite denoiser loss at epoch") as exc:
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Divergence, match=r"^non-finite denoiser loss at epoch \d+$"):
         rpca_train(X, r=1, epochs=50, lr=1e12, seed=0)
-    assert exc.value.epoch >= 0
 
 
 def test_apply_rejects_wrong_length():

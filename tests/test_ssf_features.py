@@ -120,9 +120,8 @@ def test_ssf_train_deterministic():
 def test_ssf_train_divergence_is_reported_with_epoch():
     # one batch per epoch: epoch 0's loss is finite, its step overflows the weights
     with np.errstate(all="ignore"), pytest.raises(
-            Divergence, match="non-finite adapter loss at epoch 1") as exc:
+            Divergence, match="^non-finite adapter loss at epoch 1$"):
         ssf_train(make_fm(), epochs=5, lr=1e300, seed=0)
-    assert exc.value.epoch == 1
 
 
 def test_ssf_train_requires_two_classes():
