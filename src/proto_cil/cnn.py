@@ -66,7 +66,7 @@ def cnn_init(d_cnn: int, seed: int, num_classes: int = 2) -> dict:
 # checks do. The largest columns are the second conv's, 400 x 35*39: 2.2 MB in
 # float32, 4.4 MB in float64.
 
-def _pad_buffer(c, side, k, dtype=np.float64):
+def _pad_buffer(c, side, k, dtype):
     """A zeroed conv input buffer for a (c, side, side) input and kernel k,
     and the view of its interior the input is written into."""
     p = k // 2
@@ -97,44 +97,13 @@ def _col2im(dcols, shape, k):
     return dxp.reshape(shape)[:, p : rows - p - 1, p : wp - p]
 
 
-def _pool_views(x):
-    """The four strided views of 2x2 stride-2 floor pooling, in (di, dj) order."""
-    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
-    return [x[..., di : 2 * h2 : 2, dj : 2 * w2 : 2] for di in (0, 1) for dj in (0, 1)]
-
-
-def _pool_left_right(x):
-    """First pass of 2x2 floor pooling: the (left, right) column pairs."""
-    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
-    return x[..., : 2 * h2, 0 : 2 * w2 : 2], x[..., : 2 * h2, 1 : 2 * w2 : 2]
-
-
-def _maxpool(x):
-    """Eval-mode pooling: the max of each column pair, then of each row pair,
-    with no indices kept."""
-    rows = np.maximum(*_pool_left_right(x))
-    return np.maximum(rows[..., 0::2, :], rows[..., 1::2, :])
-
-
-def _maxpool_argmax(x):
-    """Train-mode pooling; returns (out, idx) for backprop, idx being the
-    uint8 index 2*di + dj of the first view in (di, dj) order that holds the
-    max: the bottom row only if it beats the top, the right column likewise."""
-    left, right = _pool_left_right(x)
-    rows = np.maximum(left, right)
-    right_wins = right > left
-    top, bottom = rows[..., 0::2, :], rows[..., 1::2, :]
-    down = bottom > top
-    idx = 2 * down.astype(np.uint8)
-    idx += np.where(down, right_wins[..., 1::2, :], right_wins[..., 0::2, :])
-    return np.maximum(top, bottom), idx
-
-
-def _maxpool_back(dout, idx, dx):
-    """Write each pooled gradient into the window position idx names, in a
-    zeroed dx of the pooling input's shape."""
-    for q, view in enumerate(_pool_views(dx)):
-        view[...] = dout * (idx == q)
+def _windows(x):
+    """The 2x2 floor-pooling windows of a (C, h, w) array as a (2, 2, C, h//2,
+    w//2) view, [di, dj, c, i, j] being x[c, 2i+di, 2j+dj]: the forward reads
+    the four members, the backward writes its routed gradient into them."""
+    c, h, w = x.shape
+    x = x[:, : h - h % 2, : w - w % 2]
+    return x.reshape(c, h // 2, 2, w // 2, 2).transpose(2, 4, 0, 1, 3)
 
 
 def apply_dropout(x, p, rng):
@@ -149,10 +118,11 @@ def _forward_batch(params, images, drop, backprop=False):
     for an eval-mode forward, or a (rate, rng) pair for a train-mode one:
     dropout is its only randomness. The conv stack runs one image at a time;
     for `backprop` the cache keeps, per image and layer, the padded layer
-    input, pool indices and ReLU mask, and no columns: backprop rebuilds
-    them. The conv stack runs in the conv
-    weights' dtype, float32 when training or extraction calls it; the flat
-    rows, dropout and the dense and head layers stay float64."""
+    input and the uint8 pool argmax, and no columns: backprop rebuilds them,
+    and reads the ReLU mask off the next layer's input or the flat row. The
+    conv stack runs in the conv weights' dtype, float32 when training or
+    extraction calls it; the flat rows, dropout and the dense and head layers
+    stay float64."""
     dtype = params["conv0_w"].dtype
     x = np.asarray(images, dtype=dtype)
     if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
@@ -167,13 +137,18 @@ def _forward_batch(params, images, drop, backprop=False):
             side = inner.shape[-1]
             z = params[f"conv{i}_w"].T @ _im2col(xp, k)
             z += params[f"conv{i}_b"][:, None]
-            z = z.reshape(CHANNELS[i], side, -1)[:, :, :side]  # drop the junk columns
-            # ReLU after the pool: it is monotone, so this equals pooling the ReLU
+            win = _windows(z.reshape(CHANNELS[i], side, -1)[:, :, :side])  # no junk columns
             if backprop:
-                pooled, idx = _maxpool_argmax(z)
-                layers.append((xp, idx, pooled > 0))
-            else:
-                pooled = _maxpool(z)
+                win = win.copy()  # the argmax compares run on unit-stride arrays
+            # the max of each column pair, then of each row pair; ReLU after the
+            # pool: it is monotone, so this equals pooling the ReLU
+            rows = np.maximum(win[:, 0], win[:, 1])
+            pooled = np.maximum(rows[0], rows[1])
+            if backprop:
+                # idx = 2*di + dj of the first member in (di, dj) order holding the max
+                down = rows[1] > rows[0]
+                right = np.where(down, win[1, 1] > win[1, 0], win[0, 1] > win[0, 0])
+                layers.append((xp, 2 * down.astype(np.uint8) + right))
             if i + 1 < len(KERNELS):
                 xp, inner = _pad_buffer(CHANNELS[i], side // 2, KERNELS[i + 1], dtype)
             else:
@@ -213,13 +188,17 @@ def cnn_loss_and_grad(params, images, label_idx, drop):
     for i in range(len(KERNELS)):
         grads[f"conv{i}_w"] = np.zeros_like(params[f"conv{i}_w"])
         grads[f"conv{i}_b"] = np.zeros_like(params[f"conv{i}_b"])
-    for da, layers in zip(dout, cache["images"]):
+    members = np.arange(4, dtype=np.uint8).reshape(2, 2, 1, 1, 1)  # idx of each member
+    for da, a, layers in zip(dout, cache["flat"].reshape(dout.shape), cache["images"]):
         for i in reversed(range(len(KERNELS))):
-            xp, idx, relu = layers[i]
-            k = KERNELS[i]
+            xp, idx = layers[i]
+            k, p = KERNELS[i], KERNELS[i] // 2
             side = xp.shape[1] - k
             dz = np.zeros((CHANNELS[i], side, xp.shape[2]), dtype)  # junk columns stay 0
-            _maxpool_back(da * relu, idx, dz[:, :, :side])
+            # the ReLU mask is `a` > 0, `a` being the next layer's input or the
+            # flat row, where units that dropout zeroed already have a 0 in da
+            np.multiply(da * (a > 0), idx == members, out=_windows(dz[:, :, :side]))
+            a = xp[:, p : p + side, p : p + side]
             dz = dz.reshape(CHANNELS[i], -1)
             # the columns live only for this image's weight gradient
             grads[f"conv{i}_w"] += _im2col(xp, k) @ dz.T
@@ -270,6 +249,7 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
                     g += weight_decay * params[k]
                 vel[k] = momentum * vel[k] - lr * g
                 params[k] += vel[k]
+            del grads  # not held through the next step
         if not all(np.isfinite(v).all() for v in params.values()):
             raise Divergence(f"non-finite training loss or weights at epoch {epoch}")
     return params

@@ -7,8 +7,8 @@ import pytest
 
 from proto_cil import cnn
 from proto_cil.cnn import (CHANNELS, FLAT_SIZE, INPUT_SIZE, KERNELS,
-                           _col2im, _forward_batch, _im2col, _maxpool, _maxpool_argmax,
-                           _pad_buffer, _pool_views, apply_dropout, cnn_extract, cnn_init,
+                           _col2im, _forward_batch, _im2col, _pad_buffer, _windows,
+                           apply_dropout, cnn_extract, cnn_init,
                            cnn_loss_and_grad, cnn_train, load_cnn, save_cnn)
 from proto_cil.datahub import augment_array, synth_dataset
 from proto_cil.errors import Divergence, InputError
@@ -117,49 +117,114 @@ def test_im2col_valid_columns_match_sliding_window(k, side):
     """Dropping each output row's junk columns leaves the sliding-window
     columns bit for bit, at odd sides as the stack meets them."""
     x = np.random.default_rng(side * k).standard_normal((3, side, side))
-    xp, inner = _pad_buffer(3, side, k)
+    xp, inner = _pad_buffer(3, side, k, np.float64)
     inner[...] = x
     cols = _im2col(xp, k).reshape(3 * k * k, side, side + k - 1)[:, :, :side]
     ref = cnn_reference.channel_major_im2col(x[:, None], k)
     assert np.array_equal(cols.reshape(ref.shape), ref)
 
 
-def test_eval_pooling_equals_argmax_pooling_bitwise():
-    z = np.random.default_rng(3).standard_normal((4, 3, 17, 17))  # odd size: floor pooling
-    win = np.stack(_pool_views(z))
-    argmax = win.argmax(axis=0)
-    gathered = np.take_along_axis(win, argmax[None], axis=0)[0]
-    out, idx = _maxpool_argmax(z)
-    assert _maxpool(z).shape == (4, 3, 8, 8)
-    assert np.array_equal(_maxpool(z), gathered)
-    assert np.array_equal(out, gathered)
-    assert np.array_equal(idx, argmax)
-    assert idx.dtype == np.uint8  # cached until backprop: one byte per pooled unit
+def interior(xp, k):
+    """The interior of a padded layer buffer: the layer's input."""
+    p, side = k // 2, xp.shape[1] - k
+    return xp[:, p : p + side, p : p + side]
+
+
+def four_member_max(win):
+    return np.maximum(np.maximum(win[0, 0], win[0, 1]), np.maximum(win[1, 0], win[1, 1]))
+
+
+def pooled_layers(model, images):
+    """Per image and layer of a backprop forward: the junk-free conv output,
+    recomputed from the cached layer input as the forward computes it, the
+    cached pool argmax, and the ReLU'd pool output that the next layer's
+    buffer interior (or the image's flat row) holds."""
+    _, _, cache = _forward_batch(model, images, None, backprop=True)
+    for layers, flat in zip(cache["images"], cache["flat"]):
+        outs = [interior(xp, k) for (xp, _), k in zip(layers[1:], KERNELS[1:])]
+        outs.append(flat.reshape(CHANNELS[-1], cnn.POOLED_SIDE, cnn.POOLED_SIDE))
+        for i, ((xp, idx), out) in enumerate(zip(layers, outs)):
+            side = xp.shape[1] - KERNELS[i]
+            z = model[f"conv{i}_w"].T @ _im2col(xp, KERNELS[i])
+            z += model[f"conv{i}_b"][:, None]
+            yield z.reshape(CHANNELS[i], side, -1)[:, :, :side], idx, out
+
+
+@pytest.mark.parametrize("side, k, c", zip([70, 35, 17, 8], KERNELS, CHANNELS))
+def test_windows_is_a_view_of_the_junk_sliced_conv_output(side, k, c):
+    """_windows must not copy a layer's (C, side, wp)[:, :, :side] conv output:
+    the backward writes the pool gradient through it."""
+    z = np.arange(c * side * (side + k - 1), dtype=np.float32).reshape(c, side, -1)[:, :, :side]
+    win, h = _windows(z), side // 2
+    assert np.shares_memory(win, z)
+    assert win.shape == (2, 2, c, h, h)
+    for di in (0, 1):
+        for dj in (0, 1):
+            assert np.array_equal(win[di, dj], z[:, di : 2 * h : 2, dj : 2 * h : 2])
+
+
+def test_eval_pooling_equals_argmax_pooling_bitwise(monkeypatch):
+    """At every layer, the odd sides 35 and 17 (floor pooling) among them, the
+    train forward's pool output is the ReLU of the four-member max to the bit
+    and its uint8 argmax names a member holding that max; the eval forward
+    hands every layer the same input bits and gives the same features."""
+    model = cnn_init(8, seed=0)
+    imgs = np.random.default_rng(3).standard_normal((2, INPUT_SIZE, INPUT_SIZE))
+    sides = []
+    for z, idx, out in pooled_layers(model, imgs):
+        win = _windows(z)
+        members, four = win.reshape(4, *idx.shape), four_member_max(win)
+        assert idx.dtype == np.uint8  # cached until backprop: one byte per pooled unit
+        assert np.array_equal(idx, members.argmax(axis=0))
+        assert np.array_equal(np.take_along_axis(members, idx[None], axis=0)[0], four)
+        assert np.array_equal(out, np.maximum(four, 0))
+        sides.append(z.shape[-1])
+    assert sides == [70, 35, 17, 8] * len(imgs)
+    seen = []
+
+    def spy(xp, k):
+        seen.append(xp.copy())
+        return _im2col(xp, k)
+
+    monkeypatch.setattr(cnn, "_im2col", spy)
+    feats, _, _ = _forward_batch(model, imgs, None)
+    monkeypatch.undo()
+    train_feats, _, cache = _forward_batch(model, imgs, None, backprop=True)
+    assert np.array_equal(feats, train_feats)
+    cached = [xp for layers in cache["images"] for xp, _ in layers]
+    assert len(seen) == len(cached)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, cached))
 
 
 @pytest.mark.parametrize("side", [70, 35, 17, 8])
 def test_pooling_ties_pick_the_first_view(side):
-    """Values rounded to one decimal tie often inside a 2x2 window. Two-pass
-    pooling must give the bits and argmax of the max over the four views, the
-    first view in (di, dj) order winning a tie, and the reference's argmax."""
-    z = np.round(np.random.default_rng(side).standard_normal((3, 2, side, side)), 1)
-    win = np.stack(_pool_views(z))
-    argmax = win.argmax(axis=0)
-    assert (win == win.max(axis=0)).sum(axis=0).max() > 1  # the data has ties
-    out, idx = _maxpool_argmax(z)
-    four_view = np.maximum(np.maximum(win[0], win[1]), np.maximum(win[2], win[3]))
-    assert np.array_equal(_maxpool(z), four_view)
-    assert np.array_equal(out, four_view)
-    assert np.array_equal(idx, argmax)
-    _, ref_idx = cnn_reference.maxpool(z.transpose(1, 0, 2, 3))
-    assert np.array_equal(idx, ref_idx.transpose(1, 0, 2, 3))
+    """The images are zero outside their top-left 20x20 corner, so every
+    layer's conv output has windows of four tied zeros. At the layer whose conv output is side x side, the pool gives the
+    bits of the four-member max in eval and train alike, the first member in
+    (di, dj) order wins a tie, and the argmax is the reference's."""
+    imgs = np.zeros((2, INPUT_SIZE, INPUT_SIZE))
+    imgs[:, :20, :20] = np.random.default_rng(side).standard_normal((2, 20, 20))
+    model = cnn_init(8, seed=side)
+    layers = [layer for layer in pooled_layers(model, imgs) if layer[0].shape[-1] == side]
+    assert len(layers) == len(imgs)
+    for z, idx, out in layers:
+        win = _windows(z)
+        members = win.reshape(4, *idx.shape)
+        assert (members == members.max(axis=0)).sum(axis=0).max() > 1  # the data has ties
+        assert np.array_equal(idx, members.argmax(axis=0))
+        assert np.array_equal(out, np.maximum(four_member_max(win), 0))
+        _, ref_idx = cnn_reference.maxpool(z[None])
+        assert np.array_equal(idx, ref_idx[0])
+    eval_feats, _, _ = _forward_batch(model, imgs, None)
+    assert np.array_equal(eval_feats, _forward_batch(model, imgs, None, backprop=True)[0])
 
 
 def test_eval_forward_keeps_no_layer_cache():
     """Without backprop the cache holds no layer data; with it, one entry per
-    image and layer: the padded layer input, the uint8 pool argmax and the
-    ReLU mask, and no im2col columns. The padding stays zero, and the ReLU'd
-    pool output is what the next layer's buffer (or the flat row) holds."""
+    image and layer: the padded layer input and the uint8 pool argmax, and no
+    im2col columns or ReLU mask. The padding stays zero, and the ReLU mask
+    backprop reads off the next layer's input (or the flat row) is the pool
+    output > 0."""
     model = cnn_init(8, seed=0)
     n = 3
     imgs = np.random.default_rng(4).random((n, INPUT_SIZE, INPUT_SIZE))
@@ -167,23 +232,19 @@ def test_eval_forward_keeps_no_layer_cache():
     assert cache["images"] == []
     _, _, cache = _forward_batch(model, imgs, None, backprop=True)
     assert len(cache["images"]) == n
-    for image, layers, flat in zip(imgs, cache["images"], cache["flat"]):
+    for image, layers in zip(imgs, cache["images"]):
         assert len(layers) == len(KERNELS)
-        inners = []
         in_ch, side = 1, INPUT_SIZE
-        for i, (xp, idx, relu) in enumerate(layers):
-            k, p = KERNELS[i], KERNELS[i] // 2
+        for i, (xp, idx) in enumerate(layers):
+            k = KERNELS[i]
             assert xp.shape == (in_ch, side + k, side + k - 1)
-            inner = xp[:, p : p + side, p : p + side]
-            assert np.count_nonzero(xp) == np.count_nonzero(inner)  # padding is zero
-            assert idx.dtype == np.uint8 and relu.dtype == bool
-            assert idx.shape == relu.shape == (CHANNELS[i], side // 2, side // 2)
-            inners.append(inner)
+            assert np.count_nonzero(xp) == np.count_nonzero(interior(xp, k))  # zero padding
+            assert idx.dtype == np.uint8
+            assert idx.shape == (CHANNELS[i], side // 2, side // 2)
             in_ch, side = CHANNELS[i], side // 2
-        assert np.array_equal(inners[0][0], image)
-        outputs = inners[1:] + [flat.reshape(CHANNELS[-1], side, side)]
-        for (_, _, relu), out in zip(layers, outputs):
-            assert np.array_equal(out > 0, relu)
+        assert np.array_equal(interior(layers[0][0], KERNELS[0])[0], image)
+    for z, _, out in pooled_layers(model, imgs):
+        assert np.array_equal(out > 0, four_member_max(_windows(z)) > 0)
 
 
 @pytest.mark.parametrize("train_mode", [True, False])
@@ -312,8 +373,8 @@ def test_train_step_releases_columns_during_backprop():
     """The forward pass caches no im2col columns: backprop rebuilds one
     image's columns of one layer at a time and drops them after the weight
     gradient, so no more than one layer's columns and their gradient live.
-    Beside them live the batch's cached layer inputs and masks (7.5 MB for
-    16 images) and the dense weight gradient (4.2 MB at d_cnn 256); three
+    Beside them live the batch's cached layer inputs and pool argmaxes (7.0 MB
+    for 16 images) and the dense weight gradient (4.2 MB at d_cnn 256); three
     copies of one image's columns (22.7 MB) bound the lot. Columns built for
     four images at a time (29.5 MB) break it."""
     n, bound = cnn.TRAIN_BATCH, memory_bound(3)
@@ -326,8 +387,8 @@ def test_train_step_releases_columns_during_backprop():
 
 def test_train_step_as_cnn_train_runs_it_fits_two_column_copies(monkeypatch):
     """The step cnn_train takes, on float32 copies of the conv weights, peaks
-    at about 12.6 MB for 16 images at d_cnn 256: under two copies of one
-    image's float64 columns (15.2 MB). The float64 step (18.7 MB) breaks it."""
+    at about 12.4 MB for 16 images at d_cnn 256: under two copies of one
+    image's float64 columns (15.2 MB). The float64 step (18.1 MB) breaks it."""
     n, bound = cnn.TRAIN_BATCH, memory_bound(2)
     peaks = []
 
@@ -343,9 +404,34 @@ def test_train_step_as_cnn_train_runs_it_fits_two_column_copies(monkeypatch):
     assert peaks[0] <= bound, f"peak {peaks[0] / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
 
+def test_train_step_2_starts_no_higher_than_step_1(monkeypatch):
+    """cnn_train drops a step's gradients before the next step: in a two-step
+    run at d_cnn 256 the traced memory entering step 2 is no higher than
+    entering step 1 (11.2 MB), give or take 64 KB of small objects: the last
+    step's loss and the caches of small numpy allocations that step 1 fills
+    (13 KB measured). Step 1's gradients held through step 2, the 4.2 MB
+    dense weight gradient among them, put it at 15.8 MB."""
+    n, entering = 2 * cnn.TRAIN_BATCH, []
+
+    def traced_step(*args, **kwargs):
+        entering.append(tracemalloc.get_traced_memory()[0])
+        return cnn_loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(cnn, "cnn_loss_and_grad", traced_step)
+    model = cnn_init(256, seed=0)
+    imgs = np.random.default_rng(6).random((n, INPUT_SIZE, INPUT_SIZE))
+    tracemalloc.start()
+    try:
+        cnn_train(model, imgs, ["a", "b"] * (n // 2), dropout=0.5, epochs=1, **SGD)
+    finally:
+        tracemalloc.stop()
+    assert len(entering) == 2
+    assert entering[1] <= entering[0] + 64_000, [f"{m / 1e6:.2f} MB" for m in entering]
+
+
 def test_extract_builds_columns_one_image_at_a_time():
     """Extraction holds one image's float32 columns of one layer at a time,
-    so it peaks (3.9 MB) below three quarters of one image's float64 columns
+    so it peaks (4.0 MB) below three quarters of one image's float64 columns
     of all four layers (5.7 MB). Float64 columns (6.0 MB) break it, and so do
     columns built for four images at a time."""
     n, bound = cnn.EXTRACT_BATCH, memory_bound(0.75)
