@@ -1,8 +1,8 @@
 """Minimal PGM (P2/P5) reader/writer.
 
-Pixels are normalized to [0,1] on read by the file's max gray level and
-quantized back on write. 8-bit files use one byte per pixel, 16-bit files
-two bytes big-endian, per the netpbm convention.
+Pixels are normalized to [0,1] on read by the file's max gray level. Files
+are read at 8 bits (one byte per pixel) or 16 bits (two bytes big-endian, per
+the netpbm convention) and written at 8 bits.
 """
 
 import numpy as np
@@ -68,17 +68,14 @@ def read_pgm(path) -> np.ndarray:
     return (pixels / maxval).reshape(height, width)
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
-    """Write a [0,1] float array as a binary (P5) PGM."""
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a [0,1] float array as an 8-bit binary (P5) PGM."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise InputError("image must be 2-D")
     if not np.isfinite(img).all() or img.min() < 0 or img.max() > 1:
         raise InputError("image values must be finite and in [0,1]")
-    if not (0 < maxval < 65536):
-        raise InputError(f"bad maxval {maxval}")
-    quant = np.rint(img * maxval).astype(np.dtype(">u2") if maxval > 255 else np.uint8)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
+    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(quant.tobytes())
+        f.write(np.rint(img * 255).astype(np.uint8).tobytes())

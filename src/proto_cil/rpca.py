@@ -29,10 +29,9 @@ class RpcaModel:
     def __post_init__(self):
         if self.A.ndim != 2 or self.B.shape != self.A.shape[::-1]:
             raise InputError("A/B shapes inconsistent with (m, rank)")
-        # r == m is allowed only so tests can build the square identity map;
-        # training itself rejects r >= m.
-        if self.A.shape[1] > self.A.shape[0]:
-            raise InputError("rank must not exceed window length")
+        m, r = self.A.shape
+        if not 0 < r < m:
+            raise InputError(f"rank must satisfy 0 < r < m, got r={r}, m={m}")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise InputError("model weights must be finite")
 

@@ -2,10 +2,9 @@
 
 The adapter applies gamma * x + delta elementwise. It is trained on base-task
 features jointly with a disposable linear probe (softmax cross-entropy); the
-probe is discarded and the adapter frozen afterwards.
+probe is discarded and the adapter frozen afterwards. A trained adapter is its
+arrays, `{"gamma": (d,), "delta": (d,)}`.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,18 +15,11 @@ from .seeding import derive_rng
 BATCH_SIZE = 32
 
 
-@dataclass
-class SsfAdapter:
-    gamma: np.ndarray
-    delta: np.ndarray
-
-
-def ssf_apply(adapter: SsfAdapter, features: FeatureMatrix) -> FeatureMatrix:
-    if features.dim != adapter.gamma.size:
-        raise InputError(
-            f"adapter dimension {adapter.gamma.size} != feature dimension {features.dim}")
-    return FeatureMatrix(rows=features.rows * adapter.gamma + adapter.delta,
-                         labels=list(features.labels))
+def ssf_apply(adapter: dict, features: FeatureMatrix) -> FeatureMatrix:
+    gamma, delta = adapter["gamma"], adapter["delta"]
+    if features.dim != gamma.size:
+        raise InputError(f"adapter dimension {gamma.size} != feature dimension {features.dim}")
+    return FeatureMatrix(rows=features.rows * gamma + delta, labels=list(features.labels))
 
 
 def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
@@ -43,7 +35,7 @@ def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
     return loss, ggamma, gdelta, gw, gb
 
 
-def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 0) -> SsfAdapter:
+def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 0) -> dict:
     """Train gamma/delta with a throwaway linear probe on base-task features."""
     classes = sorted(set(base_features.labels))
     if len(classes) < 2:
@@ -66,5 +58,5 @@ def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 
             delta -= lr * gd
             w -= lr * gw
             b -= lr * gb
-    return SsfAdapter(gamma=gamma, delta=delta)
+    return {"gamma": gamma, "delta": delta}
 

@@ -52,12 +52,27 @@ def grad_check_fn(loss_fn, grad_fn, theta0, epsilon, rng, num_params=64):
 def grad_check(target, sample, epsilon: float, seed: int = 0, num_params: int = 64) -> float:
     """Dispatch on the trainable object; `sample` supplies the loss's data.
 
-    - CNN parameters dict: sample = (image 70x70, label index); eval-mode loss
-      (no dropout).
-    - SsfAdapter: sample = (probe_w, probe_b, X, y_idx); joint adapter+probe loss.
+    - SSF adapter dict (keys "gamma", "delta"): sample = (probe_w, probe_b, X,
+      y_idx); joint adapter+probe loss.
+    - CNN parameters dict (any other keys): sample = (image 70x70, label index);
+      eval-mode loss (no dropout).
     - RpcaModel: sample = (n, m) batch of flattened images.
     """
     rng = np.random.default_rng(seed)
+
+    if isinstance(target, dict) and target.keys() == {"gamma", "delta"}:
+        w, b, X, y = sample
+        templates = [target["gamma"], target["delta"], w, b]
+
+        def loss_fn(theta):
+            g, d, wv, bv = _unflatten(theta, templates)
+            return ssf_mod.probe_loss_and_grad(g, d, wv, bv, X, y)[0]
+
+        def grad_fn(theta):
+            g, d, wv, bv = _unflatten(theta, templates)
+            return _flatten(ssf_mod.probe_loss_and_grad(g, d, wv, bv, X, y)[1:])
+
+        return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)
 
     if isinstance(target, dict):
         image, label = sample
@@ -78,20 +93,6 @@ def grad_check(target, sample, epsilon: float, seed: int = 0, num_params: int = 
             set_theta(theta)
             _, grads = cnn_mod.cnn_loss_and_grad(params, np.asarray(image)[None], [label], None)
             return _flatten([grads[k] for k in names])
-
-        return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)
-
-    if isinstance(target, ssf_mod.SsfAdapter):
-        w, b, X, y = sample
-        templates = [target.gamma, target.delta, w, b]
-
-        def loss_fn(theta):
-            g, d, wv, bv = _unflatten(theta, templates)
-            return ssf_mod.probe_loss_and_grad(g, d, wv, bv, X, y)[0]
-
-        def grad_fn(theta):
-            g, d, wv, bv = _unflatten(theta, templates)
-            return _flatten(ssf_mod.probe_loss_and_grad(g, d, wv, bv, X, y)[1:])
 
         return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)
 

@@ -19,7 +19,6 @@ from proto_cil.fusion import late_fuse
 from proto_cil.harness import DEFAULTS, RunConfig, avg_acc, perf_drop, run_scenario, train_denoiser
 from proto_cil.projector import ScoreMatrix, accumulate, empty_state, solve_prototypes
 from proto_cil.rpca import RpcaModel, rpca_train
-from proto_cil.ssf import SsfAdapter
 
 from factor_views import gram
 from gradcheck import grad_check
@@ -111,7 +110,7 @@ def test_criterion_4_gradient_correctness():
                               num_params=64) <= 1e-3
 
             d, k = 6, 3
-            adapter = SsfAdapter(gamma=rng.uniform(0.5, 1.5, d), delta=rng.normal(size=d))
+            adapter = {"gamma": rng.uniform(0.5, 1.5, d), "delta": rng.normal(size=d)}
             sample = (rng.normal(size=(d, k)), rng.normal(size=k),
                       rng.normal(size=(10, d)), rng.integers(0, k, size=10))
             assert grad_check(adapter, sample, epsilon=1e-6, seed=seed) <= 1e-6

@@ -14,6 +14,8 @@ from proto_cil.harness import MetricsReport, RunConfig, report, run_scenario
 from proto_cil.pgm import read_pgm, write_pgm
 from proto_cil.seeding import derive_seed
 
+from pgm16 import write_pgm16
+
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
 
 
@@ -73,7 +75,7 @@ def rank1_pgms(dir_path, n=40, size=8, seed=0):
     u /= u.max()
     dir_path.mkdir(parents=True, exist_ok=True)
     for i in range(n):
-        write_pgm(dir_path / f"im{i:03d}.pgm", u * rng.uniform(0.5, 1.0), maxval=65535)
+        write_pgm16(dir_path / f"im{i:03d}.pgm", u * rng.uniform(0.5, 1.0))
 
 
 def test_denoise_pipeline(tmp_path):

@@ -12,6 +12,8 @@ from proto_cil.datahub import (Dataset, LabeledImage, ScenarioSpec, augment_arra
 from proto_cil.errors import InputError
 from proto_cil.pgm import read_pgm, write_pgm
 
+from pgm16 import write_pgm16
+
 
 def tiny_dataset(num_classes=3, size=8, train=2, test=1):
     return synth_dataset("blobs", num_classes, train, test, size, seed=0)
@@ -30,7 +32,7 @@ def test_pgm_roundtrip_8bit(tmp_path):
 
 def test_pgm_roundtrip_16bit(tmp_path):
     img = np.linspace(0, 1, 64).reshape(8, 8)
-    write_pgm(tmp_path / "a.pgm", img, maxval=65535)
+    write_pgm16(tmp_path / "a.pgm", img)
     back = read_pgm(tmp_path / "a.pgm")
     assert np.abs(back - img).max() <= 0.5 / 65535
 

@@ -595,20 +595,31 @@ CNN_SINGLE = {**{k: v for k, v in SMALL_FUSION.items() if k != "lambda_grid"},
 BUNDLED = json.loads(CONFIG_PATH.read_text())
 
 
-@pytest.mark.parametrize("config, sha256", [
-    ({**BUNDLED, "seed": 1}, "0bb1d56624c46a32ee4d8d47c9e3cb8f0584410d97fbc5fe9739b3be19361366"),
-    ({**BUNDLED, "seed": 3}, "02c82b6826ead401ef01127b2a9dbadd23f73b5e9e9b63c76b5f3933970f4c74"),
-    (SMALL_FUSION, "efd75330605b908f8aa7804774bced47c596c90289352c22d2d2f214ab5319b5"),
-    (CSV_SOURCE, "5f5dd24c3f72e0281964797d3cf2b2c6e58c7a11bfcc8f4075c8139563433bde"),
-    (CNN_SINGLE, "d37d8b0ddd4732d5011d84cf3dd1746d38e974a63296106442b7496bb1d642b7"),
+# each golden names what a change of its bytes moved: lambda picks per branch,
+# task accuracies (percent, to 0.01) and eval sizes, checked before the hash
+@pytest.mark.parametrize("config, lambdas, accuracies, eval_sizes, sha256", [
+    ({**BUNDLED, "seed": 1}, {"ingested": [10, 100, 10, 100, 10]}, [100.0] * 5,
+     [20, 40, 60, 80, 100], "0bb1d56624c46a32ee4d8d47c9e3cb8f0584410d97fbc5fe9739b3be19361366"),
+    ({**BUNDLED, "seed": 3}, {"ingested": [100, 100, 100, 10, 100]}, [100.0] * 5,
+     [20, 40, 60, 80, 100], "02c82b6826ead401ef01127b2a9dbadd23f73b5e9e9b63c76b5f3933970f4c74"),
+    (SMALL_FUSION, {"cnn": [1, 1, 1], "ingested": [1, 1, 1]}, [100.0] * 3,
+     [10, 15, 20], "efd75330605b908f8aa7804774bced47c596c90289352c22d2d2f214ab5319b5"),
+    (CSV_SOURCE, {"ingested": [0.01, 1]}, [100.0] * 2,
+     [10, 20], "5f5dd24c3f72e0281964797d3cf2b2c6e58c7a11bfcc8f4075c8139563433bde"),
+    (CNN_SINGLE, {"cnn": [10, 1, 1]}, [90.0, 86.67, 85.0],
+     [10, 15, 20], "d37d8b0ddd4732d5011d84cf3dd1746d38e974a63296106442b7496bb1d642b7"),
 ], ids=["bundled-seed1", "bundled-seed3", "cnn-rpca-ssf-late-fusion", "csv-source",
         "cnn-single-default-grid"])
-def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, sha256):
+def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, lambdas, accuracies,
+                                    eval_sizes, sha256):
     """metrics.json bytes are pinned: any change to them is a change of results."""
     # CSV_SOURCE reads relative paths, which keep its config fingerprint fixed
     monkeypatch.chdir(tmp_path)
     write_csv_features(tmp_path, [10] * 4)
-    run_scenario(RunConfig.from_dict({**config, "output_dir": str(tmp_path)}))
+    metrics = run_scenario(RunConfig.from_dict({**config, "output_dir": str(tmp_path)}))
+    assert metrics.lambdas == lambdas
+    assert metrics.task_accuracies == pytest.approx(accuracies, abs=0.005)
+    assert metrics.eval_sizes == eval_sizes
     assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == sha256
 
 

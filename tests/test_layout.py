@@ -1,6 +1,7 @@
 """Layout guard: every module-level function and class in `src/proto_cil`, and
 every method, property and field of those classes, has a reader in the
-program itself (`src/` or `perfbench/`), so code that only tests use does not
+program itself (`src/` or `perfbench/`), and every parameter default is
+overridden by some call there, so code and cases that only tests use do not
 linger in the package."""
 
 import ast
@@ -16,6 +17,13 @@ MEMBER_EXEMPTIONS = {
     # the denoiser's per-epoch training curve: acceptance criterion 5 checks that
     # it falls, and the run diagnostics of ROADMAP item 5 are to report it
     "rpca.RpcaModel.epoch_losses",
+}
+
+
+# parameter defaults kept though no call in the program overrides them, with the reason
+DEFAULT_EXEMPTIONS = {
+    # the entry point tests call with arguments; the console script calls main()
+    "cli.main(argv)",
 }
 
 
@@ -135,6 +143,65 @@ def unread_members() -> list:
             if reads[is_field][name] <= _reads(stmt, is_field)[name]:
                 unread.append(qualified)
     return unread
+
+
+def _package_functions(program):
+    """(path, statement) of every function and method defined in `src/proto_cil`."""
+    for path, tree in program:
+        if path.parent == PACKAGE:
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield path, node
+
+
+def _defaulted_parameters(func):
+    """(name, index of its slot in a call's positional arguments, or None) of
+    each parameter of `func` with a default; a method's `self` takes no slot."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    out = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+    return out + [(arg.arg, None) for arg, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
+                  if d is not None]
+
+
+def _overrides(call: ast.Call, name: str, slot) -> bool:
+    """Whether `call` passes parameter `name` (positional `slot`) by position,
+    by keyword or through an unpacked sequence or mapping."""
+    return any(k.arg in (name, None) for k in call.keywords) \
+        or any(isinstance(a, ast.Starred) for a in call.args) \
+        or (slot is not None and len(call.args) > slot)
+
+
+def unoverridden_defaults() -> list:
+    """`module.function(parameter)` of each parameter default in `src/proto_cil`
+    that no call in the program overrides; calls are matched by the callee's
+    name (`f(...)` or `x.f(...)`)."""
+    program = _program()
+    calls = {}
+    for _, tree in program:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [f"{path.stem}.{func.name}({name})"
+            for path, func in _package_functions(program)
+            for name, slot in _defaulted_parameters(func)
+            if f"{path.stem}.{func.name}({name})" not in DEFAULT_EXEMPTIONS
+            and not any(_overrides(call, name, slot) for call in calls.get(func.name, []))]
+
+
+def test_every_parameter_default_is_overridden_in_the_program():
+    """A default that no call in `src/` or `perfbench/` overrides is a case only
+    tests take: drop the parameter, or list it with its reason."""
+    assert unoverridden_defaults() == []
+
+
+def test_default_exemptions_name_existing_parameters():
+    params = {f"{path.stem}.{func.name}({name})" for path, func in _package_functions(_program())
+              for name, _ in _defaulted_parameters(func)}
+    assert DEFAULT_EXEMPTIONS <= params
 
 
 def test_every_definition_has_a_reader_outside_tests():

@@ -35,9 +35,15 @@ def rel_l1(model, X):
 # ---------------------------------------------------------------------------
 # bilinear loss and model basics
 
+def span_of(x):
+    """A rank-1 model projecting onto the span of `x`: it is the identity on `x`."""
+    u = x / np.linalg.norm(x)
+    return RpcaModel(A=u[:, None], B=u[None, :])
+
+
 def test_identity_map_gives_zero_sparse():
-    model = RpcaModel(A=np.eye(4), B=np.eye(4))
     x = np.arange(4.0)
+    model = span_of(x)
     assert np.allclose(model.A @ (model.B @ x), x)
     assert np.allclose(rpca_apply(model, x), 0.0)
 
@@ -61,8 +67,12 @@ def test_zero_batch_loss_is_smoothing_floor():
 def test_model_rejects_bad_shapes_and_rank():
     with pytest.raises(InputError, match="A/B shapes inconsistent"):
         RpcaModel(A=np.zeros((4, 2)), B=np.zeros((2, 5)))
-    with pytest.raises(InputError, match="rank must not exceed window length"):
+    with pytest.raises(InputError, match=r"rank must satisfy 0 < r < m, got r=4, m=4"):
+        RpcaModel(A=np.eye(4), B=np.eye(4))
+    with pytest.raises(InputError, match=r"rank must satisfy 0 < r < m, got r=5, m=4"):
         RpcaModel(A=np.zeros((4, 5)), B=np.zeros((5, 4)))
+    with pytest.raises(InputError, match=r"rank must satisfy 0 < r < m, got r=0, m=4"):
+        RpcaModel(A=np.zeros((4, 0)), B=np.zeros((0, 4)))
     with pytest.raises(InputError, match="weights must be finite"):
         RpcaModel(A=np.full((4, 2), np.nan), B=np.zeros((2, 4)))
 
@@ -141,7 +151,7 @@ def test_train_divergence_is_reported_with_epoch(monkeypatch):
 
 
 def test_apply_rejects_wrong_length():
-    model = RpcaModel(A=np.eye(4), B=np.eye(4))
+    model = span_of(np.arange(4.0))
     with pytest.raises(InputError, match="length"):
         rpca_apply(model, np.zeros(5))
 

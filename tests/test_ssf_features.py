@@ -4,7 +4,7 @@ import pytest
 from proto_cil.errors import Divergence, InputError
 from proto_cil.features import FeatureMatrix, ingest_features, write_features
 from proto_cil.seeding import derive_rng
-from proto_cil.ssf import SsfAdapter, probe_loss_and_grad, ssf_apply, ssf_train
+from proto_cil.ssf import probe_loss_and_grad, ssf_apply, ssf_train
 
 from gradcheck import grad_check
 
@@ -68,27 +68,27 @@ def test_ingest_error_messages(tmp_path):
 
 def test_identity_adapter_is_noop():
     fm = make_fm()
-    out = ssf_apply(SsfAdapter(gamma=np.ones(fm.dim), delta=np.zeros(fm.dim)), fm)
+    out = ssf_apply({"gamma": np.ones(fm.dim), "delta": np.zeros(fm.dim)}, fm)
     assert np.array_equal(out.rows, fm.rows)
     assert out.labels == fm.labels
 
 
 def test_ssf_apply_formula():
     fm = make_fm(n=5, d=3)
-    adapter = SsfAdapter(gamma=np.array([2.0, 0.5, 1.0]), delta=np.array([1.0, 0.0, -1.0]))
+    adapter = {"gamma": np.array([2.0, 0.5, 1.0]), "delta": np.array([1.0, 0.0, -1.0])}
     out = ssf_apply(adapter, fm)
-    assert np.allclose(out.rows, fm.rows * adapter.gamma + adapter.delta)
+    assert np.allclose(out.rows, fm.rows * adapter["gamma"] + adapter["delta"])
 
 
 def test_ssf_apply_dimension_mismatch():
     with pytest.raises(InputError, match="adapter dimension 4 != feature dimension 6"):
-        ssf_apply(SsfAdapter(gamma=np.ones(4), delta=np.zeros(4)), make_fm(d=6))
+        ssf_apply({"gamma": np.ones(4), "delta": np.zeros(4)}, make_fm(d=6))
 
 
 def test_probe_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     d, k, n = 5, 3, 12
-    adapter = SsfAdapter(gamma=rng.uniform(0.5, 1.5, d), delta=rng.normal(size=d))
+    adapter = {"gamma": rng.uniform(0.5, 1.5, d), "delta": rng.normal(size=d)}
     w = rng.normal(size=(d, k))
     b = rng.normal(size=k)
     X = rng.normal(size=(n, d))
@@ -107,14 +107,15 @@ def test_probe_loss_is_cross_entropy():
 
 def test_ssf_train_zero_epochs_is_identity():
     adapter = ssf_train(make_fm(), epochs=0, lr=0.1)
-    assert np.array_equal(adapter.gamma, np.ones(6))
-    assert np.array_equal(adapter.delta, np.zeros(6))
+    assert adapter.keys() == {"gamma", "delta"}
+    assert np.array_equal(adapter["gamma"], np.ones(6))
+    assert np.array_equal(adapter["delta"], np.zeros(6))
 
 
 def test_ssf_train_deterministic():
     a = ssf_train(make_fm(seed=2), epochs=5, lr=0.1, seed=7)
     b = ssf_train(make_fm(seed=2), epochs=5, lr=0.1, seed=7)
-    assert np.array_equal(a.gamma, b.gamma) and np.array_equal(a.delta, b.delta)
+    assert np.array_equal(a["gamma"], b["gamma"]) and np.array_equal(a["delta"], b["delta"])
 
 
 def test_ssf_train_divergence_is_reported_with_epoch():
@@ -130,11 +131,11 @@ def test_ssf_train_requires_two_classes():
         ssf_train(fm, epochs=50, lr=0.1)
 
 
-def probe_accuracy(adapter: SsfAdapter, features: FeatureMatrix, epochs: int = 50,
+def probe_accuracy(adapter: dict, features: FeatureMatrix, epochs: int = 50,
                    lr: float = 0.1, seed: int = 0) -> float:
     """Train-set accuracy of a fresh probe on adapted features; used to compare
     adapter settings on equal footing."""
-    adapted = ssf_apply(SsfAdapter(adapter.gamma, adapter.delta), features)
+    adapted = ssf_apply(adapter, features)
     classes = sorted(set(features.labels))
     X = adapted.rows
     y = np.array([classes.index(c) for c in features.labels])
@@ -157,5 +158,5 @@ def test_ssf_train_keeps_separable_features_separable():
     fm = make_fm(n=40, d=8, seed=5)
     adapter = ssf_train(fm, epochs=30, lr=0.1, seed=0)
     assert probe_accuracy(adapter, fm, seed=0) >= 0.95
-    identity = SsfAdapter(gamma=np.ones(fm.dim), delta=np.zeros(fm.dim))
+    identity = {"gamma": np.ones(fm.dim), "delta": np.zeros(fm.dim)}
     assert probe_accuracy(identity, fm, seed=0) >= 0.95
