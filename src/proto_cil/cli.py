@@ -120,6 +120,11 @@ def cmd_denoise(args) -> int:
         raise InputError(f"no files match --train-glob {args.train_glob!r}")
     if not apply_paths:
         raise InputError(f"no files match --apply-glob {args.apply_glob!r}")
+    outputs = {}  # output name -> the first --apply-glob file of that name
+    for p in apply_paths:
+        if outputs.setdefault(Path(p).name, p) != p:
+            raise InputError(f"--apply-glob files {outputs[Path(p).name]} and {p} share "
+                             f"the output name {Path(p).name}")
     # every image is read and checked against the first before training
     images = {p: read_pgm(p) for p in train_paths + apply_paths}
     side = images[train_paths[0]].shape[0]

@@ -250,10 +250,7 @@ def perf_drop(a0: float, a_t: float) -> float:
 #
 # A branch has a `name`, a feature width `dim` and one method,
 # `features(samples) -> FeatureMatrix`, which turns `samples`, all of one
-# split, into feature rows. At projection init, `run_scenario` gives each
-# branch its frozen projection `layer`, its prototype `state`, the prototypes
-# `P` solved from it, and `tested`, the projected rows of the test images
-# scored so far.
+# split, into feature rows.
 
 def prepare_images(samples, seed, rpca_model=None) -> np.ndarray:
     """Network inputs for `samples`: the RPCA sparse part when a model is given,
@@ -447,12 +444,12 @@ def run_scenario(config: RunConfig) -> MetricsReport:
 
         stage = "projection-init"
         grid = config.lambda_grid or list(DEFAULT_LAMBDA_GRID)
+        layers, states, tested = [], [], []  # per branch; tested: the scored test rows
         for bi, br in enumerate(branches):
-            br.layer = init_projection(br.dim, config.projection_dim,
-                                       seed=derive_seed(config.seed, "projection_a", bi))
-            br.state = empty_state(config.projection_dim)
-            br.tested = FeatureMatrix(rows=np.empty((0, config.projection_dim)), labels=[])
-            metrics.lambdas[br.name] = []
+            layers.append(init_projection(br.dim, config.projection_dim,
+                                          seed=derive_seed(config.seed, "projection_a", bi)))
+            states.append(empty_state(config.projection_dim))
+            tested.append(FeatureMatrix(rows=np.empty((0, config.projection_dim)), labels=[]))
 
         # Branches are frozen after the base task, so each task projects only
         # its own test images and scores them with the cached rows of earlier
@@ -467,28 +464,26 @@ def run_scenario(config: RunConfig) -> MetricsReport:
         for t, task in enumerate(seq.tasks):
             t0 = time.perf_counter()
             stage = f"task{t}-train"
-            for br in branches:
-                H = project(br.layer, br.features(task.train))
-                picks = metrics.lambdas[br.name]
-                if config.freeze_lambda and t > 0:
-                    lam = picks[0]
-                else:
-                    lam = select_lambda(br.state, H, grid=grid,
-                                        seed=derive_seed(config.seed, "lambda_split", t))
+            protos = []  # per branch, the prototypes solved at this task
+            for bi, br in enumerate(branches):
+                H = project(layers[bi], br.features(task.train))
+                picks = metrics.lambdas.setdefault(br.name, [])
+                lam = picks[0] if config.freeze_lambda and t > 0 else select_lambda(
+                    states[bi], H, grid=grid, seed=derive_seed(config.seed, "lambda_split", t))
                 picks.append(lam)
-                br.state = accumulate(br.state, H)
-                br.P = solve_prototypes(br.state, lam)
+                states[bi] = accumulate(states[bi], H)
+                protos.append(solve_prototypes(states[bi], lam))
 
             stage = f"task{t}-eval"
             new = eval_all[done : done + len(task.test)]
             done += len(task.test)
             scores = []
-            for br in branches:
-                He = project(br.layer, br.features(new))
-                br.tested = FeatureMatrix(rows=np.concatenate((br.tested.rows, He.rows)),
-                                          labels=br.tested.labels + He.labels)
-                scores.append(score(br.P, br.state.registry, br.tested))
-            true_labels = br.tested.labels
+            for bi, br in enumerate(branches):
+                He = project(layers[bi], br.features(new))
+                tested[bi] = FeatureMatrix(rows=np.concatenate((tested[bi].rows, He.rows)),
+                                           labels=tested[bi].labels + He.labels)
+                scores.append(score(protos[bi], states[bi].registry, tested[bi]))
+            true_labels = tested[-1].labels
             pred_labels = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
             metrics.task_accuracies.append(accuracy(pred_labels, true_labels))
             metrics.balanced_accuracies.append(balanced_accuracy(pred_labels, true_labels))
@@ -549,10 +544,10 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig, per_task_seconds:
 
 
 def load_report(out_dir) -> MetricsReport:
-    """The report in `out_dir`'s metrics.json; InputError if the file holds
-    no object with a nonempty `task_accuracies` list."""
+    """The report in `out_dir`'s metrics.json; InputError if the file holds no
+    object whose `task_accuracies` is a nonempty list of numbers in [0, 100]."""
     body = json.loads((Path(out_dir) / "metrics.json").read_text())
-    if not (isinstance(body, dict) and isinstance(body.get("task_accuracies"), list)
-            and body["task_accuracies"]):
-        raise InputError("metrics.json is not a report with a nonempty task_accuracies list")
+    accs = body.get("task_accuracies") if isinstance(body, dict) else None
+    if not (isinstance(accs, list) and accs and all(_number(a) and 0 <= a <= 100 for a in accs)):
+        raise InputError("metrics.json is not a report with task accuracies, all in [0, 100]")
     return MetricsReport(**{f.name: body[f.name] for f in fields(MetricsReport)})

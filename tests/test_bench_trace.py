@@ -1,11 +1,14 @@
 """Guard for the benchmark's traced run: one traced sample of each gated
 workload yields a value for every per-layer metric BENCHMARK.json lists.
 
-A listed metric reads None when the call it counts is gone, for example
-`select_lambda`'s trial `solve_prototypes` (`projector.sweep_useful_ratio`)
-or `run_scenario`'s `TaskSequence.eval_set` (`harness.eval_useful_ratio`),
-and the benchmark's last line then holds no result even though the run
-itself succeeds."""
+The tracer counts three internal calls of the package by name:
+`select_lambda`'s trial `solve_prototypes` (`projector.sweep_useful_ratio`),
+`run_scenario`'s `TaskSequence.eval_set` (`harness.eval_useful_ratio`) and
+its `late_fuse` or `single_predict` (`fusion.predict_s`). When one of the
+first two is gone, its metric reads None and the benchmark's last line holds
+no result even though the run itself succeeds. When the run predicts without
+`single_predict` or `late_fuse`, `fusion.predict_s` reads 0, so it must be
+above 0."""
 
 import importlib.util
 import json
@@ -46,3 +49,4 @@ def test_traced_sample_yields_every_listed_layer_metric(tmp_path, workload):
     dump = json.loads((tmp_path / "spans.json").read_text())
     values = metrics.layer_values(dump)["metrics"]
     assert [name for name in LISTED if values.get(name) is None] == []
+    assert values["fusion.predict_s"] > 0

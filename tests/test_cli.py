@@ -116,6 +116,26 @@ def test_denoise_rejects_empty_apply_glob(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_denoise_rejects_apply_files_sharing_a_name(tmp_path, capsys, monkeypatch):
+    """Two --apply-glob files with one basename would write one output (and
+    its sidecar) over the other: exit 1, naming both, before any training and
+    before anything is written."""
+    import proto_cil.cli as cli
+
+    for d in ("d1", "d2"):
+        rank1_pgms(tmp_path / d, n=4)
+    trained = []
+    monkeypatch.setattr(cli, "train_denoiser", lambda *args: trained.append(args))
+    rc = main(["denoise", "--train-glob", str(tmp_path / "d1" / "*.pgm"),
+               "--apply-glob", str(tmp_path / "d*" / "im000.pgm"),
+               "--rank", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{tmp_path / 'd1' / 'im000.pgm'} and {tmp_path / 'd2' / 'im000.pgm'}" in err
+    assert trained == [] and not (tmp_path / "out").exists()
+
+
 def test_denoise_trains_the_run_denoiser(tmp_path, monkeypatch):
     """For one seed, `denoise` trains bit for bit the denoiser that the run's
     CNN branch trains on the same images in the same order."""
@@ -827,6 +847,25 @@ def test_eval_corrupt_metrics_is_runtime_error(tmp_path, capsys):
     (d / "metrics.json").write_text("{broken")
     rc = main(["eval", str(d)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("accuracy", [150.0, -0.5, "97", True, None],
+                         ids=["above-100", "below-0", "string", "bool", "null"])
+def test_eval_rejects_accuracies_that_are_not_percentages(tmp_path, capsys, accuracy):
+    """A report whose task accuracies are not all numbers in [0, 100] is
+    refused like an unreadable one: exit 2, nothing on stdout."""
+    d = tmp_path / "r"
+    report(MetricsReport(task_accuracies=[100.0, 75.0], balanced_accuracies=[100.0, 75.0],
+                         eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
+                         config_fingerprint="f" * 64),
+           d, RunConfig.from_dict(json.loads(CONFIG_PATH.read_text())), [0.0, 0.0])
+    body = json.loads((d / "metrics.json").read_text())
+    body["task_accuracies"][1] = accuracy
+    (d / "metrics.json").write_text(json.dumps(body))
+    assert main(["eval", str(d)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"cannot read report {d}: metrics.json is not a report" in err
 
 
 @pytest.mark.parametrize("body", ["[]", '{"task_accuracies": []}'])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proto_cil.datahub import synth_dataset
 from proto_cil.errors import InputError
 from proto_cil.harness import (RULES, MetricsReport, RunConfig, StageFailure,
                                accuracy, avg_acc, balanced_accuracy, load_report,
@@ -594,6 +595,20 @@ CNN_SINGLE = {**{k: v for k, v in SMALL_FUSION.items() if k != "lambda_grid"},
 
 BUNDLED = json.loads(CONFIG_PATH.read_text())
 
+# raw pixels at 6 px: a golden below 100 % that the lambda picks move; its
+# task 0 and task 2 sweeps are near-ties (6.6e-12 and 6.7e-10 relative,
+# ROADMAP item 4), so a moved pick there may be rounding alone
+SPECKLE_6PX = {"kind": "lowrank_speckle", "num_classes": 8, "per_class_train": 12,
+               "per_class_test": 7, "image_size": 6}
+SIX_PX = {
+    "dataset": {"synth": SPECKLE_6PX},
+    "schedule": [3, 2, 1, 2],
+    "portion": 0.5,
+    "class_order": synth_dataset(**SPECKLE_6PX, seed=4).classes[::-1],
+    "projection_dim": 300,
+    "seed": 4,
+}
+
 
 # each golden names what a change of its bytes moved: lambda picks per branch,
 # task accuracies (percent, to 0.01) and eval sizes, checked before the hash
@@ -608,8 +623,10 @@ BUNDLED = json.loads(CONFIG_PATH.read_text())
      [10, 20], "5f5dd24c3f72e0281964797d3cf2b2c6e58c7a11bfcc8f4075c8139563433bde"),
     (CNN_SINGLE, {"cnn": [10, 1, 1]}, [90.0, 86.67, 85.0],
      [10, 15, 20], "d37d8b0ddd4732d5011d84cf3dd1746d38e974a63296106442b7496bb1d642b7"),
+    (SIX_PX, {"ingested": [1e-8, 1, 1e-8, 100]}, [100.0, 97.14, 92.86, 98.21],
+     [21, 35, 42, 56], "84ce51df406f36fd10a0c690a2e9fd5c81ad28275229af369d6bf8e2ff4a3ca0"),
 ], ids=["bundled-seed1", "bundled-seed3", "cnn-rpca-ssf-late-fusion", "csv-source",
-        "cnn-single-default-grid"])
+        "cnn-single-default-grid", "raw-pixels-6px"])
 def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, lambdas, accuracies,
                                     eval_sizes, sha256):
     """metrics.json bytes are pinned: any change to them is a change of results."""
