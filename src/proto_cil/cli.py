@@ -125,6 +125,13 @@ def cmd_denoise(args) -> int:
         if outputs.setdefault(Path(p).name, p) != p:
             raise InputError(f"--apply-glob files {outputs[Path(p).name]} and {p} share "
                              f"the output name {Path(p).name}")
+    out = Path(args.out)
+    inputs = {Path(p).resolve(): p for p in train_paths + apply_paths}
+    for name in outputs:
+        for written in (out / name, out / f"{name}.json"):
+            if written.resolve() in inputs:
+                raise InputError(f"--out would write {written} over the input "
+                                 f"{inputs[written.resolve()]}")
     # every image is read and checked against the first before training
     images = {p: read_pgm(p) for p in train_paths + apply_paths}
     side = images[train_paths[0]].shape[0]
@@ -133,7 +140,6 @@ def cmd_denoise(args) -> int:
             raise InputError(f"{p}: expected {side}x{side} square image, got {im.shape}")
     flat = np.stack([images[p].ravel() for p in train_paths])
     model = train_denoiser(flat, vars(args), args.seed)  # args holds the rpca keys
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for p in apply_paths:
         rpca_mod.export_sparse_pgm(rpca_mod.rpca_apply(model, images[p].ravel()), side,

@@ -1,6 +1,7 @@
 """Feature matrices, CSV ingestion of externally computed features, and the
 softmax/cross-entropy kernel shared by every classifier head."""
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,20 +48,21 @@ def softmax_cross_entropy(logits: np.ndarray, y_idx):
 
 
 def ingest_features(path) -> FeatureMatrix:
-    """Parse a feature CSV with header `label,f0,..,f{d-1}`."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    """Parse a feature CSV with header `label,f0,..,f{d-1}`; a label may be
+    quoted as the csv module quotes it."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        lines = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not lines:
         raise InputError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = lines[0][1]
     if header[0] != "label" or len(header) < 2:
         raise InputError(f"{path}: header must be 'label,f0,..'")
     d = len(header) - 1
     if not lines[1:]:
         raise InputError(f"{path}: no rows")
     labels, rows = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
+    for lineno, parts in lines[1:]:
         if len(parts) != d + 1:
             raise InputError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
         labels.append(parts[0])
@@ -75,7 +77,8 @@ def ingest_features(path) -> FeatureMatrix:
 
 
 def write_features(fm: FeatureMatrix, path) -> None:
-    with open(path, "w") as f:
-        f.write("label," + ",".join(f"f{i}" for i in range(fm.dim)) + "\n")
-        for label, row in zip(fm.labels, fm.rows):
-            f.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["label"] + [f"f{i}" for i in range(fm.dim)])
+        writer.writerows([label] + [repr(float(v)) for v in row]
+                         for label, row in zip(fm.labels, fm.rows))

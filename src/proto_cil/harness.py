@@ -265,7 +265,7 @@ def prepare_images(samples, seed, rpca_model=None) -> np.ndarray:
     return np.stack(out)
 
 
-def train_denoiser(flat, hp, seed) -> rpca_mod.RpcaModel:
+def train_denoiser(flat, hp, seed) -> dict:
     """The RPCA denoiser trained on the rows of `flat` (one flattened image
     each) with the rpca hyperparameters `hp`: the run's CNN branch and
     `denoise` both train it this way."""

@@ -1,12 +1,13 @@
 """Low-rank + sparse decomposition for speckle filtering.
 
 A trainable bilinear map L = A B x is the denoiser; the sparse residual
-x - L is the filtered image. The classical principal-component-pursuit
-solver that verifies it lives in tests/pcp_oracle.py.
+x - L is the filtered image. A trained denoiser is its arrays,
+`{"A": (m, r), "B": (r, m)}`, m the image length and r the rank. The
+classical principal-component-pursuit solver that verifies it lives in
+tests/pcp_oracle.py.
 """
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,22 +19,6 @@ SMOOTH_EPS = 1e-4  # |u| ~ sqrt(u^2 + eps^2)
 BATCH_SIZE = 16
 LR_DECAY = 0.01    # step size lr / (1 + LR_DECAY * epoch)
 GRAD_CLIP = 1.0    # largest norm of a batch gradient
-
-
-@dataclass
-class RpcaModel:
-    A: np.ndarray  # m x r; m is the window length, r the rank
-    B: np.ndarray  # r x m
-    epoch_losses: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.A.ndim != 2 or self.B.shape != self.A.shape[::-1]:
-            raise InputError("A/B shapes inconsistent with (m, rank)")
-        m, r = self.A.shape
-        if not 0 < r < m:
-            raise InputError(f"rank must satisfy 0 < r < m, got r={r}, m={m}")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
-            raise InputError("model weights must be finite")
 
 
 def bilinear_loss_and_grad(A, B, batch):
@@ -50,7 +35,7 @@ def bilinear_loss_and_grad(A, B, batch):
     return float(S.sum()), gA, gB
 
 
-def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> RpcaModel:
+def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> dict:
     """Fit the bilinear denoiser by mini-batch subgradient descent on the
     smoothed-L1 objective.
 
@@ -73,7 +58,6 @@ def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> RpcaMod
     A = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, r))
     B = rng.normal(0.0, 1.0 / np.sqrt(m), size=(r, m))
 
-    losses = [bilinear_loss_and_grad(A, B, X)[0]]
     for epoch in range(epochs):
         step = lr / (1.0 + LR_DECAY * epoch)
         order = rng.permutation(n)
@@ -96,16 +80,16 @@ def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> RpcaMod
         loss = bilinear_loss_and_grad(A, B, X)[0]
         if not np.isfinite(loss):
             raise Divergence(f"non-finite denoiser loss at epoch {epoch}")
-        losses.append(loss)
-    return RpcaModel(A=A, B=B, epoch_losses=losses)
+    return {"A": A, "B": B}
 
 
-def rpca_apply(model: RpcaModel, image) -> np.ndarray:
+def rpca_apply(model: dict, image) -> np.ndarray:
     """The filtered (sparse) part x - A B x of one flattened image."""
+    A, B = model["A"], model["B"]
     x = np.asarray(image, dtype=np.float64).ravel()
-    if x.size != len(model.A):
-        raise InputError(f"image length {x.size} != model window length {len(model.A)}")
-    return x - model.A @ (model.B @ x)
+    if x.size != len(A):
+        raise InputError(f"image length {x.size} != model window length {len(A)}")
+    return x - A @ (B @ x)
 
 
 def export_sparse_pgm(sparse: np.ndarray, side: int, path) -> None:

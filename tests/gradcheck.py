@@ -54,9 +54,10 @@ def grad_check(target, sample, epsilon: float, seed: int = 0, num_params: int = 
 
     - SSF adapter dict (keys "gamma", "delta"): sample = (probe_w, probe_b, X,
       y_idx); joint adapter+probe loss.
+    - RPCA denoiser dict (keys "A", "B"): sample = (n, m) batch of flattened
+      images.
     - CNN parameters dict (any other keys): sample = (image 70x70, label index);
       eval-mode loss (no dropout).
-    - RpcaModel: sample = (n, m) batch of flattened images.
     """
     rng = np.random.default_rng(seed)
 
@@ -71,6 +72,20 @@ def grad_check(target, sample, epsilon: float, seed: int = 0, num_params: int = 
         def grad_fn(theta):
             g, d, wv, bv = _unflatten(theta, templates)
             return _flatten(ssf_mod.probe_loss_and_grad(g, d, wv, bv, X, y)[1:])
+
+        return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)
+
+    if isinstance(target, dict) and target.keys() == {"A", "B"}:
+        batch = np.asarray(sample, dtype=np.float64)
+        templates = [target["A"], target["B"]]
+
+        def loss_fn(theta):
+            A, B = _unflatten(theta, templates)
+            return rpca_mod.bilinear_loss_and_grad(A, B, batch)[0]
+
+        def grad_fn(theta):
+            A, B = _unflatten(theta, templates)
+            return _flatten(rpca_mod.bilinear_loss_and_grad(A, B, batch)[1:])
 
         return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)
 
@@ -93,20 +108,6 @@ def grad_check(target, sample, epsilon: float, seed: int = 0, num_params: int = 
             set_theta(theta)
             _, grads = cnn_mod.cnn_loss_and_grad(params, np.asarray(image)[None], [label], None)
             return _flatten([grads[k] for k in names])
-
-        return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)
-
-    if isinstance(target, rpca_mod.RpcaModel):
-        batch = np.asarray(sample, dtype=np.float64)
-        templates = [target.A, target.B]
-
-        def loss_fn(theta):
-            A, B = _unflatten(theta, templates)
-            return rpca_mod.bilinear_loss_and_grad(A, B, batch)[0]
-
-        def grad_fn(theta):
-            A, B = _unflatten(theta, templates)
-            return _flatten(rpca_mod.bilinear_loss_and_grad(A, B, batch)[1:])
 
         return grad_check_fn(loss_fn, grad_fn, _flatten(templates), epsilon, rng, num_params)
 

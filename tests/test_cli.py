@@ -136,6 +136,34 @@ def test_denoise_rejects_apply_files_sharing_a_name(tmp_path, capsys, monkeypatc
     assert trained == [] and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("apply_dir", ["data", "elsewhere"])
+def test_denoise_refuses_to_write_over_its_inputs(tmp_path, capsys, monkeypatch, apply_dir):
+    """An --out directory where an output (`<name>` or `<name>.json`) would
+    land on a --train-glob or --apply-glob file: exit 1, naming both paths,
+    before any image is read, with every input unchanged."""
+    import hashlib
+
+    import proto_cil.cli as cli
+
+    rank1_pgms(tmp_path / "data", n=6)
+    rank1_pgms(tmp_path / apply_dir, n=1, seed=1)
+    pgms = sorted((tmp_path / "data").iterdir()) + sorted((tmp_path / apply_dir).iterdir())
+    before = {p: hashlib.md5(p.read_bytes()).hexdigest() for p in pgms}
+
+    def no_reading(path):
+        raise AssertionError(f"{path} read before --out was checked")
+
+    monkeypatch.setattr(cli, "read_pgm", no_reading)
+    rc = main(["denoise", "--train-glob", str(tmp_path / "data" / "*.pgm"),
+               "--apply-glob", str(tmp_path / apply_dir / "im000.pgm"),
+               "--rank", "1", "--out", str(tmp_path / "data")])
+    assert rc == 1
+    target = tmp_path / "data" / "im000.pgm"  # an output path and a --train-glob file
+    assert f"--out would write {target} over the input {target}" in capsys.readouterr().err
+    assert {p: hashlib.md5(p.read_bytes()).hexdigest() for p in pgms} == before
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_denoise_trains_the_run_denoiser(tmp_path, monkeypatch):
     """For one seed, `denoise` trains bit for bit the denoiser that the run's
     CNN branch trains on the same images in the same order."""
@@ -159,8 +187,8 @@ def test_denoise_trains_the_run_denoiser(tmp_path, monkeypatch):
         "cnn_branch": True, "ingested_branch": False, "rpca": {"enabled": True, "epochs": 3},
         "cnn_train": {"d_cnn": 8, "epochs": 0}, "projection_dim": 8, "seed": 5}))
     cli_model, run_model = models
-    assert np.array_equal(cli_model.A, run_model.A)
-    assert np.array_equal(cli_model.B, run_model.B)
+    assert cli_model.keys() == run_model.keys() == {"A", "B"}
+    assert all(np.array_equal(cli_model[k], run_model[k]) for k in cli_model)
 
 
 def test_denoise_rejects_bad_rank(tmp_path):

@@ -1,10 +1,12 @@
 """Layout guard: every module-level function and class in `src/proto_cil`, and
-every method, property and field of those classes, has a reader in the
-program itself (`src/` or `perfbench/`), and every parameter default is
-overridden by some call there, so code and cases that only tests use do not
-linger in the package. An object's attributes are set only by its own
-methods (`self.name = ...`), and the package root binds only `__version__`:
-callers import each name from its own module."""
+every method, property, field and `self.name = ...` attribute of those
+classes, has a reader in the program itself (`src/` or `perfbench/`), with no
+exemption, and every parameter default is overridden by some call there, so
+code and cases that only tests use do not linger in the package. An object's
+attributes are set only by its own methods (`self.name = ...`), and the
+package root binds only `__version__`: callers import each name from its own
+module. The parameter defaults and attribute writes kept anyway are listed
+below, each with its reason."""
 
 import ast
 import importlib
@@ -13,14 +15,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "proto_cil"
-
-# class members kept without a reader in the program, with the reason
-MEMBER_EXEMPTIONS = {
-    # the denoiser's per-epoch training curve: acceptance criterion 5 checks that
-    # it falls, and the run diagnostics of ROADMAP item 5 are to report it
-    "rpca.RpcaModel.epoch_losses",
-}
-
 
 # attribute assignments other than `self.name = ...` in a method, with the reason
 ASSIGNMENT_EXEMPTIONS = {
@@ -145,14 +139,13 @@ def unread_members() -> list:
     for path, cls in _package_classes(program):
         bases = importlib.import_module(f"proto_cil.{path.stem}").__dict__[cls.name].__mro__[1:]
         for name, stmt in _members(cls):
-            qualified = f"{path.stem}.{cls.name}.{name}"
-            if (name.startswith("__") and name.endswith("__")) or qualified in MEMBER_EXEMPTIONS:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if any(hasattr(base, name) for base in bases):
                 continue
             is_field = not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             if reads[is_field][name] <= _reads(stmt, is_field)[name]:
-                unread.append(qualified)
+                unread.append(f"{path.stem}.{cls.name}.{name}")
     return unread
 
 
@@ -249,12 +242,6 @@ def test_every_definition_has_a_reader_outside_tests():
 
 def test_every_class_member_has_a_reader_outside_tests():
     assert unread_members() == []
-
-
-def test_member_exemptions_name_existing_members():
-    members = {f"{path.stem}.{cls.name}.{name}"
-               for path, cls in _package_classes(_program()) for name, _ in _members(cls)}
-    assert MEMBER_EXEMPTIONS <= members
 
 
 def test_only_methods_set_attributes():

@@ -3,8 +3,8 @@ import pytest
 
 from proto_cil import rpca
 from proto_cil.errors import Divergence, InputError
-from proto_cil.rpca import (SMOOTH_EPS, RpcaModel, bilinear_loss_and_grad, export_sparse_pgm,
-                            rpca_apply, rpca_train)
+from proto_cil.rpca import (SMOOTH_EPS, bilinear_loss_and_grad, export_sparse_pgm, rpca_apply,
+                            rpca_train)
 
 from gradcheck import grad_check
 from pcp_oracle import pcp_oracle
@@ -27,8 +27,13 @@ def rank2_spiked(size=64, spike_frac=0.05, seed=0):
     return L0, S0
 
 
+def denoiser_loss(model, X):
+    """The smoothed-L1 loss that `rpca_train` minimises, at `model`."""
+    return bilinear_loss_and_grad(model["A"], model["B"], X)[0]
+
+
 def rel_l1(model, X):
-    recon = X @ model.B.T @ model.A.T
+    recon = X @ model["B"].T @ model["A"].T
     return np.abs(X - recon).sum() / np.abs(X).sum()
 
 
@@ -38,21 +43,21 @@ def rel_l1(model, X):
 def span_of(x):
     """A rank-1 model projecting onto the span of `x`: it is the identity on `x`."""
     u = x / np.linalg.norm(x)
-    return RpcaModel(A=u[:, None], B=u[None, :])
+    return {"A": u[:, None], "B": u[None, :]}
 
 
 def test_identity_map_gives_zero_sparse():
     x = np.arange(4.0)
     model = span_of(x)
-    assert np.allclose(model.A @ (model.B @ x), x)
+    assert np.allclose(model["A"] @ (model["B"] @ x), x)
     assert np.allclose(rpca_apply(model, x), 0.0)
 
 
 def test_decomposition_additive_exactly():
     rng = np.random.default_rng(0)
-    model = RpcaModel(A=rng.normal(size=(6, 2)), B=rng.normal(size=(2, 6)))
+    model = {"A": rng.normal(size=(6, 2)), "B": rng.normal(size=(2, 6))}
     x = rng.random(6)
-    assert np.array_equal(rpca_apply(model, x), x - model.A @ (model.B @ x))
+    assert np.array_equal(rpca_apply(model, x), x - model["A"] @ (model["B"] @ x))
 
 
 def test_zero_batch_loss_is_smoothing_floor():
@@ -64,22 +69,9 @@ def test_zero_batch_loss_is_smoothing_floor():
     assert np.allclose(gA, 0.0) and np.allclose(gB, 0.0)
 
 
-def test_model_rejects_bad_shapes_and_rank():
-    with pytest.raises(InputError, match="A/B shapes inconsistent"):
-        RpcaModel(A=np.zeros((4, 2)), B=np.zeros((2, 5)))
-    with pytest.raises(InputError, match=r"rank must satisfy 0 < r < m, got r=4, m=4"):
-        RpcaModel(A=np.eye(4), B=np.eye(4))
-    with pytest.raises(InputError, match=r"rank must satisfy 0 < r < m, got r=5, m=4"):
-        RpcaModel(A=np.zeros((4, 5)), B=np.zeros((5, 4)))
-    with pytest.raises(InputError, match=r"rank must satisfy 0 < r < m, got r=0, m=4"):
-        RpcaModel(A=np.zeros((4, 0)), B=np.zeros((0, 4)))
-    with pytest.raises(InputError, match="weights must be finite"):
-        RpcaModel(A=np.full((4, 2), np.nan), B=np.zeros((2, 4)))
-
-
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    model = RpcaModel(A=rng.normal(size=(8, 2)), B=rng.normal(size=(2, 8)))
+    model = {"A": rng.normal(size=(8, 2)), "B": rng.normal(size=(2, 8))}
     batch = rng.normal(size=(5, 8)) + 2.0  # residuals well away from the L1 kink
     err = grad_check(model, batch, epsilon=1e-6, seed=0)
     assert err <= 1e-6
@@ -96,14 +88,14 @@ def test_train_fits_rank1_data():
 
 def test_train_loss_decreases():
     X = rank1_images(seed=2)
-    model = rpca_train(X, r=1, epochs=50, lr=0.5, seed=0)
-    assert model.epoch_losses[-1] <= 0.5 * model.epoch_losses[0]
+    init, model = (rpca_train(X, r=1, epochs=epochs, lr=0.5, seed=0) for epochs in (0, 50))
+    assert denoiser_loss(model, X) <= 0.5 * denoiser_loss(init, X)
 
 
 def test_trained_low_rank_batch_has_bounded_rank():
     X = rank1_images(n=40, seed=1)
     model = rpca_train(X, r=2, epochs=100, lr=0.5, seed=0)
-    lows = np.stack([model.A @ (model.B @ x) for x in X])
+    lows = np.stack([model["A"] @ (model["B"] @ x) for x in X])
     sv = np.linalg.svd(lows, compute_uv=False)
     assert sv[2] <= 1e-8 * sv[0]
 
@@ -124,7 +116,7 @@ def test_train_subspace_matches_pcp_oracle():
     model = rpca_train(X, r=1, epochs=800, lr=0.5, seed=0)
     L, _ = pcp_oracle(X, tol=1e-6)
     _, _, Vt = np.linalg.svd(L)
-    a = model.A[:, 0] / np.linalg.norm(model.A[:, 0])
+    a = model["A"][:, 0] / np.linalg.norm(model["A"][:, 0])
     # A spans the image of the low-rank map; compare against the oracle's
     # principal right-singular direction (the map acts on image space)
     cos = abs(float(a @ Vt[0]))

@@ -37,11 +37,18 @@ def test_feature_matrix_casts_to_float64():
 
 
 def test_feature_csv_roundtrip_is_exact(tmp_path):
-    fm = make_fm(n=7, d=4, seed=3)
+    fm = make_fm(n=7, d=4, seed=3, classes=("a", "a,b", 'say "hi"', "two\nlines", " c "))
     write_features(fm, tmp_path / "f.csv")
     back = ingest_features(tmp_path / "f.csv")
     assert np.array_equal(back.rows, fm.rows)  # repr() round-trips float64
     assert back.labels == fm.labels
+
+
+def test_feature_csv_leaves_plain_labels_unquoted(tmp_path):
+    fm = make_fm(n=3, d=2)
+    write_features(fm, tmp_path / "f.csv")
+    rows = [f"{c},{float(r[0])!r},{float(r[1])!r}\n" for c, r in zip(fm.labels, fm.rows)]
+    assert (tmp_path / "f.csv").read_text() == "label,f0,f1\n" + "".join(rows)
 
 
 def test_ingest_error_messages(tmp_path):
