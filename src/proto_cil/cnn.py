@@ -221,7 +221,8 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
     conv stack, forward and backward, on float32 copies of the conv weights,
     while the float64 master weights, momentum, weight decay and update stay
     float64. A master weight beyond float32 range casts to inf, so its step's
-    loss is non-finite and training stops with Divergence."""
+    loss is non-finite and training stops with Divergence; so does training
+    whose closing eval-mode forward of the first image, extraction's, overflows."""
     if not 0 <= dropout < 1:
         raise InputError(f"dropout must be in [0,1), got {dropout}")
     classes = sorted(set(labels))
@@ -252,6 +253,8 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
             del grads  # not held through the next step
         if not all(np.isfinite(v).all() for v in params.values()):
             raise Divergence(f"non-finite training loss or weights at epoch {epoch}")
+    if not np.isfinite(_forward_batch(_float32_convs(params), x[:1], None)[0]).all():
+        raise Divergence("the trained weights give non-finite float32 features")
     return params
 
 

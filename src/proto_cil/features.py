@@ -76,9 +76,14 @@ def ingest_features(path) -> FeatureMatrix:
     return FeatureMatrix(rows=np.array(rows), labels=labels)
 
 
+def _csv_cell(text: str) -> str:
+    """`text` as csv reads it back: quoted, quotes doubled, if it holds a comma, a
+    quote or a line break (csv.writer misses a bare \r under "\n" line ends)."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def write_features(fm: FeatureMatrix, path) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["label"] + [f"f{i}" for i in range(fm.dim)])
-        writer.writerows([label] + [repr(float(v)) for v in row]
-                         for label, row in zip(fm.labels, fm.rows))
+        f.write(",".join(["label"] + [f"f{i}" for i in range(fm.dim)]) + "\n")
+        f.writelines(",".join([_csv_cell(str(label))] + [repr(float(v)) for v in row]) + "\n"
+                     for label, row in zip(fm.labels, fm.rows))

@@ -4,24 +4,21 @@ import numpy as np
 
 from .errors import Divergence, InputError
 from .features import softmax
-from .projector import ScoreMatrix
 
 
-def late_fuse(l1: ScoreMatrix, l2: ScoreMatrix) -> list:
+def late_fuse(s1: np.ndarray, s2: np.ndarray, classes) -> list:
     """Per row, the label with the largest sum of branch softmaxes; ties break
     toward the lowest registry index."""
-    if l1.classes != l2.classes:
-        raise InputError("branch class registries differ")
-    if l1.rows.shape != l2.rows.shape:
+    if s1.shape != s2.shape:
         raise InputError("branch score shapes differ")
-    if not (np.isfinite(l1.rows).all() and np.isfinite(l2.rows).all()):
+    if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
         raise Divergence("scores must be finite")
-    picks = (softmax(l1.rows) + softmax(l2.rows)).argmax(axis=1)  # first max: lowest index
-    return [l1.classes[j] for j in picks]
+    picks = (softmax(s1) + softmax(s2)).argmax(axis=1)  # first max: lowest index
+    return [classes[j] for j in picks]
 
 
-def single_predict(l: ScoreMatrix) -> list:
+def single_predict(s: np.ndarray, classes) -> list:
     """Per-row label of the largest raw score, same tie rule as late_fuse."""
-    if not np.isfinite(l.rows).all():
+    if not np.isfinite(s).all():
         raise Divergence("scores must be finite")
-    return [l.classes[j] for j in l.rows.argmax(axis=1)]
+    return [classes[j] for j in s.argmax(axis=1)]

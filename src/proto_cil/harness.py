@@ -444,12 +444,12 @@ def run_scenario(config: RunConfig) -> MetricsReport:
 
         stage = "projection-init"
         grid = config.lambda_grid or list(DEFAULT_LAMBDA_GRID)
-        layers, states, tested = [], [], []  # per branch; tested: the scored test rows
-        for bi, br in enumerate(branches):
-            layers.append(init_projection(br.dim, config.projection_dim,
-                                          seed=derive_seed(config.seed, "projection_a", bi)))
-            states.append(empty_state(config.projection_dim))
-            tested.append(FeatureMatrix(rows=np.empty((0, config.projection_dim)), labels=[]))
+        layers = [init_projection(br.dim, config.projection_dim,
+                                  seed=derive_seed(config.seed, "projection_a", bi))
+                  for bi, br in enumerate(branches)]
+        states = [empty_state(config.projection_dim)] * len(branches)  # replaced, never written
+        tested = [np.empty((0, config.projection_dim))] * len(branches)  # projected test rows
+        true_labels = []  # of the scored rows, as the last branch (a CSV source) reads them
 
         # Branches are frozen after the base task, so each task projects only
         # its own test images and scores them with the cached rows of earlier
@@ -477,14 +477,14 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             stage = f"task{t}-eval"
             new = eval_all[done : done + len(task.test)]
             done += len(task.test)
-            scores = []
             for bi, br in enumerate(branches):
                 He = project(layers[bi], br.features(new))
-                tested[bi] = FeatureMatrix(rows=np.concatenate((tested[bi].rows, He.rows)),
-                                           labels=tested[bi].labels + He.labels)
-                scores.append(score(protos[bi], states[bi].registry, tested[bi]))
-            true_labels = tested[-1].labels
-            pred_labels = late_fuse(*scores) if len(scores) == 2 else single_predict(scores[0])
+                tested[bi] = np.concatenate((tested[bi], He.rows))
+            true_labels.extend(He.labels)
+            scores = [score(P, rows) for P, rows in zip(protos, tested)]
+            classes = states[-1].registry  # shared: every branch sees the same task labels
+            pred_labels = (late_fuse(*scores, classes) if len(scores) == 2
+                           else single_predict(scores[0], classes))
             metrics.task_accuracies.append(accuracy(pred_labels, true_labels))
             metrics.balanced_accuracies.append(balanced_accuracy(pred_labels, true_labels))
             metrics.eval_sizes.append(len(true_labels))

@@ -37,12 +37,6 @@ class ProjectionLayer:
         return self.W.shape[1]
 
 
-@dataclass
-class ScoreMatrix:
-    rows: np.ndarray  # (N, K)
-    classes: list     # registry order
-
-
 @dataclass(frozen=True)
 class PrototypeState:
     s: np.ndarray     # (r,) descending; read-only
@@ -125,11 +119,11 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
     return P
 
 
-def score(P: np.ndarray, classes, H_test: FeatureMatrix) -> ScoreMatrix:
-    """Scores of H_test's rows against prototypes P, whose columns are `classes`."""
-    if H_test.dim != P.shape[0]:
-        raise InputError(f"projected dimension {H_test.dim} != prototype dimension {P.shape[0]}")
-    return ScoreMatrix(rows=H_test.rows @ P, classes=list(classes))
+def score(P: np.ndarray, H_test: np.ndarray) -> np.ndarray:
+    """The (N, K) scores of the projected rows H_test against prototypes P (M, K)."""
+    if (d := H_test.shape[1]) != P.shape[0]:
+        raise InputError(f"projected dimension {d} != prototype dimension {P.shape[0]}")
+    return H_test @ P
 
 
 def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAMBDA_GRID,

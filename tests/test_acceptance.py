@@ -17,7 +17,7 @@ from proto_cil.datahub import ScenarioSpec, make_scenario, synth_dataset
 from proto_cil.features import FeatureMatrix, softmax
 from proto_cil.fusion import late_fuse
 from proto_cil.harness import DEFAULTS, RunConfig, avg_acc, perf_drop, run_scenario, train_denoiser
-from proto_cil.projector import ScoreMatrix, accumulate, empty_state, solve_prototypes
+from proto_cil.projector import accumulate, empty_state, solve_prototypes
 from proto_cil.rpca import bilinear_loss_and_grad, rpca_train
 
 from factor_views import gram
@@ -209,11 +209,11 @@ def test_criterion_8_fusion_properties():
         r2 = rng.normal(size=(n, k)) * 3.0
         shifts = rng.normal(size=(n, 1)) * 100.0
 
-        ab = late_fuse(ScoreMatrix(r1, classes), ScoreMatrix(r2, classes))
-        ba = late_fuse(ScoreMatrix(r2, classes), ScoreMatrix(r1, classes))
+        ab = late_fuse(r1, r2, classes)
+        ba = late_fuse(r2, r1, classes)
         assert ab == ba
-        sh = late_fuse(ScoreMatrix(r1 + shifts, classes), ScoreMatrix(r2, classes))
+        sh = late_fuse(r1 + shifts, r2, classes)
         assert ab == sh
-        flat = late_fuse(ScoreMatrix(r1, classes), ScoreMatrix(np.zeros((n, k)), classes))
+        flat = late_fuse(r1, np.zeros((n, k)), classes)
         solo = softmax(r1).argmax(axis=1)
         assert flat == [classes[j] for j in solo]

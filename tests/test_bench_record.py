@@ -8,10 +8,11 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
 bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
+END_TO_END = json.loads(bench_record.BENCHMARK.read_text())["end_to_end"]
 
 
 def fake_result(workload, run_s, sha, trace=0, seed=1):
-    e2e = {m: {"median": 1.0, "n": 3} for m in bench_record.METRICS}
+    e2e = {m["name"]: {"median": 1.0, "n": 3} for m in END_TO_END}
     e2e["run_s"] = {"median": run_s, "n": 3, "tail_pct": 50.0, "tail": run_s}
     return {"workload": workload, "seed": seed, "trace": trace, "seconds": 45.0,
             "env": {"nproc": 2}, "end_to_end": e2e,
@@ -130,5 +131,33 @@ def test_pairs_set_the_workload_ratio_and_its_printed_line(tmp_path, capsys):
     assert "ratio_of" not in w
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("blobs-sweep: ")
-    assert "run_s 1/5 x1.000 gain=False" in lines[0]
+    assert "run_s 1/5 x1.000 gain=False regressed=False" in lines[0]
     assert lines[0].endswith("metrics identical: True")
+
+
+@pytest.mark.parametrize("change_run_s, regressed", [
+    (1.25, True),   # 25 % slower than the parent, past run_s's 0.24 bound
+    (1.2, False),   # 20 % slower, within it
+])
+def test_a_median_worse_than_its_bound_is_flagged_as_regressed(
+        tmp_path, change_run_s, regressed):
+    """Each metric's bound and direction come from BENCHMARK.json."""
+    assert {m["name"]: (m["better"], m["bound"]) for m in END_TO_END}["run_s"] == \
+        ("lower", 0.24)
+    runs = [(fake_result("blobs-sweep", 1.0, "a"), fake_result("blobs-sweep", change_run_s, "a"))
+            for _ in range(3)]
+    metrics = record_of(tmp_path, runs)["blobs-sweep"]["metrics"]
+    assert metrics["run_s"]["regressed"] is regressed
+    assert not any(metrics[m]["regressed"] for m in metrics if m != "run_s")
+
+
+def test_a_higher_is_better_metric_regresses_when_it_falls():
+    """A metric's `better` direction sets what wins and what worsens."""
+    pairs = [(fake_result("blobs-sweep", 1.0, "a"), fake_result("blobs-sweep", 0.85, "a"))] * 2
+
+    def run_s(bound):
+        metric = {"name": "run_s", "better": "higher", "bound": bound}
+        return bench_record.record(pairs, [metric])["workloads"]["blobs-sweep"]["metrics"]["run_s"]
+
+    assert run_s(0.1)["regressed"] and run_s(0.1)["change_wins"] == 0
+    assert not run_s(0.2)["regressed"]

@@ -798,6 +798,22 @@ def test_diverging_trainer_exits_2_naming_its_stage(tmp_path, capsys, small_mani
     assert not (tmp_path / "out").exists()
 
 
+def test_float32_overflow_after_training_exits_2_at_base_training(tmp_path, capsys,
+                                                                   small_manifest):
+    """One epoch at lr 1e30 leaves finite float64 weights whose float32 conv
+    forward overflows: the trainer's stage fails, not the first extraction."""
+    cfg = {**json.loads(CONFIG_PATH.read_text()), "dataset": {"manifest": small_manifest},
+           "schedule": [2], "cnn_branch": True, "ingested_branch": False,
+           "cnn_train": {"d_cnn": 8, "epochs": 1, "lr": 1e30}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert ("proto-cil run: StageFailure: stage 'base-training(cnn)' failed: "
+            "the trained weights give non-finite float32 features") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fusion_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(CONFIG_PATH), "--fusion", "late"])

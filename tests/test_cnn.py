@@ -311,7 +311,8 @@ def test_extract_and_train_columns_are_float32(monkeypatch):
     assert seen == [np.float32] * 2 * len(KERNELS)
     seen.clear()
     out = cnn_train(model, imgs, labels, dropout=0.5, epochs=1, **SGD)  # one batch
-    assert seen == [np.float32] * 2 * len(imgs) * len(KERNELS)  # forward and backprop
+    # forward and backprop of each image, then the overflow check's forward of one
+    assert seen == [np.float32] * (2 * len(imgs) + 1) * len(KERNELS)
     assert all(v.dtype == np.float64 for v in out.values())
     seen.clear()
     cnn_loss_and_grad(model, imgs[:2], np.array([0, 1]), (0.5, derive_rng(0, "cnn", 3)))

@@ -4,11 +4,8 @@ import pytest
 from proto_cil.errors import Divergence, InputError
 from proto_cil.features import softmax
 from proto_cil.fusion import late_fuse, single_predict
-from proto_cil.projector import ScoreMatrix
 
-
-def sm(rows, classes=("a", "b", "c")):
-    return ScoreMatrix(rows=np.asarray(rows, dtype=np.float64), classes=list(classes))
+ABC = ("a", "b", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -34,12 +31,12 @@ def test_softmax_handles_large_magnitudes():
 
 def test_softmax_rejects_non_finite():
     """The fused softmax refuses non-finite scores from either branch."""
-    ok = sm([[0.0, 1.0, 2.0]])
-    for bad in (sm([[np.nan, 0.0, 0.0]]), sm([[0.0, np.inf, 0.0]])):
+    ok = np.array([[0.0, 1.0, 2.0]])
+    for bad in (np.array([[np.nan, 0.0, 0.0]]), np.array([[0.0, np.inf, 0.0]])):
         with pytest.raises(Divergence, match="finite"):
-            late_fuse(bad, ok)
+            late_fuse(bad, ok, ABC)
         with pytest.raises(Divergence, match="finite"):
-            late_fuse(ok, bad)
+            late_fuse(ok, bad, ABC)
 
 
 # ---------------------------------------------------------------------------
@@ -48,39 +45,35 @@ def test_softmax_rejects_non_finite():
 def test_late_fuse_hand_example():
     # branch 1 confidently says class 0, branch 2 weakly says class 1:
     # the confident branch wins the average
-    l1 = sm([[5.0, 0.0, 0.0]])
-    l2 = sm([[0.0, 0.4, 0.0]])
-    assert late_fuse(l1, l2) == ["a"]
+    l1 = np.array([[5.0, 0.0, 0.0]])
+    l2 = np.array([[0.0, 0.4, 0.0]])
+    assert late_fuse(l1, l2, ABC) == ["a"]
 
 
 def test_late_fuse_tie_breaks_to_lowest_index():
-    l = sm([[1.0, 1.0, 1.0]])
-    assert late_fuse(l, l) == ["a"]
-    assert single_predict(l) == ["a"]
+    l = np.array([[1.0, 1.0, 1.0]])
+    assert late_fuse(l, l, ABC) == ["a"]
+    assert single_predict(l, ABC) == ["a"]
 
 
 def test_late_fuse_symmetric():
     rng = np.random.default_rng(2)
-    l1 = sm(rng.normal(size=(200, 5)), classes=list("abcde"))
-    l2 = sm(rng.normal(size=(200, 5)), classes=list("abcde"))
-    assert late_fuse(l1, l2) == late_fuse(l2, l1)
+    l1, l2 = rng.normal(size=(200, 5)), rng.normal(size=(200, 5))
+    assert late_fuse(l1, l2, "abcde") == late_fuse(l2, l1, "abcde")
 
 
 def test_late_fuse_shift_invariant():
     rng = np.random.default_rng(3)
-    l1 = sm(rng.normal(size=(100, 4)), classes=list("abcd"))
-    l2 = sm(rng.normal(size=(100, 4)), classes=list("abcd"))
-    shifted = sm(l1.rows + 42.0, classes=list("abcd"))
-    assert late_fuse(l1, l2) == late_fuse(shifted, l2)
+    l1, l2 = rng.normal(size=(100, 4)), rng.normal(size=(100, 4))
+    assert late_fuse(l1, l2, "abcd") == late_fuse(l1 + 42.0, l2, "abcd")
 
 
 def test_late_fuse_uninformative_branch_reduces_to_other():
     rng = np.random.default_rng(4)
-    l1 = sm(rng.normal(size=(100, 6)), classes=list("abcdef"))
-    flat = sm(np.zeros((100, 6)), classes=list("abcdef"))
-    fused = late_fuse(l1, flat)
-    solo = [np.argmax(softmax(r)) for r in l1.rows]
-    assert fused == [l1.classes[j] for j in solo]
+    l1 = rng.normal(size=(100, 6))
+    fused = late_fuse(l1, np.zeros((100, 6)), "abcdef")
+    solo = [np.argmax(softmax(r)) for r in l1]
+    assert fused == ["abcdef"[j] for j in solo]
 
 
 def test_late_fuse_property_sweep():
@@ -92,10 +85,10 @@ def test_late_fuse_property_sweep():
     r1 = rng.normal(size=(n, k)) * rng.uniform(0.1, 10)
     r2 = rng.normal(size=(n, k)) * rng.uniform(0.1, 10)
     shifts = rng.normal(size=(n, 1)) * 50
-    ab = late_fuse(sm(r1, classes), sm(r2, classes))
-    ba = late_fuse(sm(r2, classes), sm(r1, classes))
-    sh = late_fuse(sm(r1 + shifts, classes), sm(r2, classes))
-    flat = late_fuse(sm(r1, classes), sm(np.full((n, k), 7.0), classes))
+    ab = late_fuse(r1, r2, classes)
+    ba = late_fuse(r2, r1, classes)
+    sh = late_fuse(r1 + shifts, r2, classes)
+    flat = late_fuse(r1, np.full((n, k), 7.0), classes)
     solo = softmax(r1).argmax(axis=1)
     assert ab == ba
     assert ab == sh
@@ -103,11 +96,8 @@ def test_late_fuse_property_sweep():
 
 
 def test_late_fuse_rejects_mismatches():
-    l1 = sm(np.zeros((2, 3)))
-    with pytest.raises(InputError, match="registries"):
-        late_fuse(l1, sm(np.zeros((2, 3)), classes=("x", "y", "z")))
     with pytest.raises(InputError, match="shapes"):
-        late_fuse(l1, sm(np.zeros((3, 3))))
+        late_fuse(np.zeros((2, 3)), np.zeros((3, 3)), ABC)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +106,9 @@ def test_late_fuse_rejects_mismatches():
 def test_single_predict_uses_raw_argmax():
     rng = np.random.default_rng(6)
     rows = rng.normal(size=(50, 3))
-    assert single_predict(sm(rows)) == [("a", "b", "c")[j] for j in rows.argmax(axis=1)]
+    assert single_predict(rows, ABC) == [ABC[j] for j in rows.argmax(axis=1)]
 
 
 def test_single_predict_rejects_non_finite():
     with pytest.raises(Divergence, match="scores must be finite"):
-        single_predict(sm(np.array([[np.inf, 0.0, 0.0]])))
+        single_predict(np.array([[np.inf, 0.0, 0.0]]), ABC)

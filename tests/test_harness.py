@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proto_cil.datahub import synth_dataset
+from proto_cil.datahub import Dataset, LabeledImage, save_dataset, synth_dataset
 from proto_cil.errors import InputError
 from proto_cil.harness import (RULES, MetricsReport, RunConfig, StageFailure,
                                accuracy, avg_acc, balanced_accuracy, load_report,
@@ -638,6 +638,28 @@ def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, lambdas, accu
     assert metrics.task_accuracies == pytest.approx(accuracies, abs=0.005)
     assert metrics.eval_sizes == eval_sizes
     assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == sha256
+
+
+def test_renaming_classes_changes_no_raw_pixel_result(tmp_path):
+    """The 6 px case from two manifests, its class names as they are and
+    reversed in place (c00 <-> c07, ...; no order-keeping map): the raw-pixel
+    branch reads labels only as names, so accuracies and lambda picks agree."""
+    ds = synth_dataset(**SPECKLE_6PX, seed=SIX_PX["seed"])
+    runs = []
+    for name, rename in (("same", dict(zip(ds.classes, ds.classes))),
+                         ("reversed", dict(zip(ds.classes, ds.classes[::-1])))):
+        renamed = Dataset(name=ds.name, classes=[rename[c] for c in ds.classes],
+                          samples=[LabeledImage(im.pixels, rename[im.label], im.split)
+                                   for im in ds.samples])
+        manifest = save_dataset(renamed, tmp_path / name)
+        runs.append(run_scenario(RunConfig.from_dict({
+            **SIX_PX, "dataset": {"manifest": str(manifest)},
+            "class_order": [rename[c] for c in SIX_PX["class_order"]]})))
+    same, reversed_ = runs
+    assert reversed_.task_accuracies == same.task_accuracies
+    assert reversed_.balanced_accuracies == same.balanced_accuracies
+    assert reversed_.lambdas == same.lambdas
+    assert same.eval_sizes == [21, 35, 42, 56]
 
 
 def test_each_image_is_extracted_and_projected_once(monkeypatch):

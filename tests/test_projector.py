@@ -301,18 +301,16 @@ def test_solve_requires_positive_lambda():
 def test_score_checks_prototype_width():
     st = accumulate(empty_state(4), random_fm(10, 4, seed=1))
     P = solve_prototypes(st, 1.0)
-    sm = score(P, st.registry, random_fm(2, 4, seed=2))
-    assert sm.rows.shape == (2, len(st.registry))
-    assert sm.classes == list(st.registry)
+    assert score(P, random_fm(2, 4, seed=2).rows).shape == (2, len(st.registry))
     with pytest.raises(InputError, match="projected dimension 5 != prototype dimension 4"):
-        score(P, st.registry, random_fm(2, 5, seed=2))
+        score(P, random_fm(2, 5, seed=2).rows)
 
 
 def test_scores_are_feature_prototype_products():
     st = accumulate(empty_state(4), random_fm(10, 4, seed=1))
     P = solve_prototypes(st, 0.5)
     Ht = random_fm(6, 4, seed=9)
-    assert np.allclose(score(P, st.registry, Ht).rows, Ht.rows @ P)
+    assert np.allclose(score(P, Ht.rows), Ht.rows @ P)
 
 
 def relu_rows(n, M, seed, k):

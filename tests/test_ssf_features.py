@@ -51,6 +51,13 @@ def test_feature_csv_leaves_plain_labels_unquoted(tmp_path):
     assert (tmp_path / "f.csv").read_text() == "label,f0,f1\n" + "".join(rows)
 
 
+def test_feature_csv_quotes_a_bare_carriage_return(tmp_path):
+    fm = FeatureMatrix(rows=np.ones((2, 2)), labels=["a\rb", "c"])
+    write_features(fm, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == b'label,f0,f1\n"a\rb",1.0,1.0\nc,1.0,1.0\n'
+    assert ingest_features(tmp_path / "f.csv").labels == ["a\rb", "c"]
+
+
 def test_ingest_error_messages(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("")

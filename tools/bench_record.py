@@ -16,12 +16,15 @@ are summarized per seed, under the key `<workload> seed <n>`; a workload with
 one seed keeps its plain name. Each record keeps, from its pairs alone: the
 seed; for each side, every run's seconds, sample and failure counts and
 correctness, and the distinct environment stamps and `metrics.json` sha256s;
-per end-to-end metric, each side's run medians and quartiles, the pairs the
-change won (ties count for neither side), the ratio of the two sides' medians
-of their run medians, and `gain`: the change won at least nine tenths of the
-pairs and its median run beats the parent's by more than the parent's
-interquartile range; then `metrics_identical` (every run of both sides wrote
-the same `metrics.json`) and whether `BENCHMARK.json` gates the workload.
+per end-to-end metric that `BENCHMARK.json` lists, each side's run medians and
+quartiles, the pairs the change won (ties count for neither side), the ratio
+of the two sides' medians of their run medians, `gain`: the change won at
+least nine tenths of the pairs and its median run beats the parent's by more
+than the parent's interquartile range, and `regressed`: the change's median
+is worse than the parent's by more than the metric's `bound`, a fraction of
+the parent's median; then `metrics_identical` (every run of both sides wrote
+the same `metrics.json`) and whether `BENCHMARK.json` gates the workload. A
+metric's `better` direction ("lower" or "higher") sets what wins and worsens.
 """
 
 import argparse
@@ -31,7 +34,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-METRICS = ("setup_s", "run_s", "incr_task_s", "peak_rss_mb")  # lower is better
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
@@ -66,7 +68,9 @@ def side(runs) -> dict:
     }
 
 
-def record(pairs, gated=()) -> dict:
+def record(pairs, end_to_end, gated=()) -> dict:
+    """`end_to_end`: BENCHMARK.json's metric entries, each with its `name`,
+    `better` direction and `bound`."""
     by_run = {}
     for p, c in pairs:
         if p["workload"] != c["workload"] or p["seed"] != c["seed"]:
@@ -81,19 +85,22 @@ def record(pairs, gated=()) -> dict:
             raise ValueError(f"{name}: one pair; quartiles need at least two")
         parent, change = side([p for p, _ in runs]), side([c for _, c in runs])
         metrics = {}
-        for m in METRICS:
-            before = [p["end_to_end"][m]["median"] for p, _ in runs]
-            after = [c["end_to_end"][m]["median"] for _, c in runs]
+        for m in end_to_end:
+            key, sign = m["name"], 1 if m["better"] == "lower" else -1  # sign * x: lower wins
+            before = [p["end_to_end"][key]["median"] for p, _ in runs]
+            after = [c["end_to_end"][key]["median"] for _, c in runs]
             q = {s: statistics.quantiles(v, n=4, method="inclusive")
                  for s, v in (("parent", before), ("change", after))}
-            wins = sum(a < b for a, b in zip(after, before))
-            metrics[m] = {
+            wins = sum(sign * a < sign * b for a, b in zip(after, before))
+            ratio = statistics.median(after) / statistics.median(before)
+            metrics[key] = {
                 "parent": before, "change": after,
                 "parent_quartiles": q["parent"], "change_quartiles": q["change"],
                 "change_wins": wins,
-                "change_over_parent": statistics.median(after) / statistics.median(before),
+                "change_over_parent": ratio,
                 "gain": wins >= 0.9 * len(runs)
-                and q["parent"][1] - q["change"][1] > q["parent"][2] - q["parent"][0],
+                and sign * (q["parent"][1] - q["change"][1]) > q["parent"][2] - q["parent"][0],
+                "regressed": sign * (ratio - 1) > m["bound"],
             }
         shas = parent["metrics_sha256"] + change["metrics_sha256"]
         workloads[name] = {
@@ -120,15 +127,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         pairs = [(load(p), load(c)) for p, c in args.pair]
-        gated = {w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]}
-        rec = record(pairs, gated)
+        bench = json.loads(BENCHMARK.read_text())
+        rec = record(pairs, bench["end_to_end"], {w["name"] for w in bench["workloads"]})
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
     for name, w in rec["workloads"].items():
         wins = "  ".join(f"{m} {v['change_wins']}/{w['pairs']} x{v['change_over_parent']:.3f} "
-                         f"gain={v['gain']}" for m, v in w["metrics"].items())
+                         f"gain={v['gain']} regressed={v['regressed']}"
+                         for m, v in w["metrics"].items())
         print(f"{name}: {wins}  metrics identical: {w['metrics_identical']}")
     return 0
 
