@@ -25,7 +25,7 @@ def save_blocks(path, meta: dict, arrays: dict) -> None:
 
 
 def load_blocks(path):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise InputError(f"checkpoint not found: {path}")
     with open(path, "rb") as f:
         line = f.readline()

@@ -177,12 +177,12 @@ def cmd_extract(args) -> int:
 
 def cmd_run(args) -> int:
     cfg_path = Path(args.config)
-    if not cfg_path.exists():
+    if not cfg_path.is_file():
         raise InputError(f"config not found: {cfg_path}")
     try:
         raw = json.loads(cfg_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"config {cfg_path} is not valid JSON: {exc}") from exc
     overrides = {"seed": args.seed, "output_dir": args.out, "portion": args.portion}
     if type(raw) is dict:  # anything else is rejected by from_dict
         raw.update((key, value) for key, value in overrides.items() if value is not None)

@@ -39,10 +39,6 @@ PARAM_NAMES = tuple(_param_shapes(1, 2))  # the parameters cnn_init creates
 
 def cnn_init(d_cnn: int, seed: int, num_classes: int = 2) -> dict:
     """He fan-in Gaussian init for conv/dense weights, zero biases."""
-    if d_cnn < 1:
-        raise InputError("d_cnn must be >= 1")
-    if num_classes < 2:
-        raise InputError("num_classes must be >= 2")
     rng = derive_rng(seed, "cnn")
     return {name: rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)  # shape[0] is fan-in
                   if name.endswith("_w") else np.zeros(shape)
@@ -223,8 +219,6 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
     float64. A master weight beyond float32 range casts to inf, so its step's
     loss is non-finite and training stops with Divergence; so does training
     whose closing eval-mode forward of the first image, extraction's, overflows."""
-    if not 0 <= dropout < 1:
-        raise InputError(f"dropout must be in [0,1), got {dropout}")
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise InputError("base task must contain at least 2 classes")

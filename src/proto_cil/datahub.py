@@ -66,8 +66,6 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if any(int(k) < 1 for k in self.schedule):
-            raise InputError("every schedule entry must be >= 1")
         if sum(self.schedule) != len(self.class_order):
             raise InputError(
                 f"schedule sums to {sum(self.schedule)} but class_order has "
@@ -75,8 +73,6 @@ class ScenarioSpec:
             )
         if len(set(self.class_order)) != len(self.class_order):
             raise InputError("class_order contains duplicates")
-        if not (0 < self.portion <= 1):
-            raise InputError(f"portion must be in (0,1], got {self.portion}")
 
 
 @dataclass(frozen=True)
@@ -104,16 +100,16 @@ class TaskSequence:
 def load_dataset(manifest_path) -> Dataset:
     """Load a dataset from a CSV manifest (`path,label,split`) + sibling JSON header."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise InputError(f"manifest not found: {manifest_path}")
     header_path = manifest_path.with_suffix(".json")
-    if not header_path.exists():
+    if not header_path.is_file():
         raise InputError(f"manifest header not found: {header_path}")
     try:
         header = json.loads(header_path.read_text())
         name = header["name"]
         classes = header["classes"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed manifest header {header_path}: {exc}") from exc
     if not (type(classes) is list and all(type(c) is str for c in classes)):
         raise InputError(f"malformed manifest header {header_path}: classes must be a list "
@@ -128,9 +124,11 @@ def load_dataset(manifest_path) -> Dataset:
                          f"or two integers >= 1, got {expect_size!r}")
 
     samples = []
-    with open(manifest_path, newline="") as f:
-        reader = csv.reader(f)
-        rows = list(reader)
+    try:
+        with open(manifest_path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{manifest_path}: unreadable CSV: {exc}") from exc
     if not rows or rows[0] != ["path", "label", "split"]:
         raise InputError(f"{manifest_path}: first row must be header 'path,label,split'")
     for lineno, row in enumerate(rows[1:], start=2):
@@ -138,7 +136,7 @@ def load_dataset(manifest_path) -> Dataset:
             raise InputError(f"{manifest_path}:{lineno}: expected 3 fields, got {len(row)}")
         rel, label, split = row
         img_path = manifest_path.parent / rel
-        if not img_path.exists():
+        if not img_path.is_file():
             raise InputError(f"{manifest_path}:{lineno}: image not found: {img_path}")
         try:
             pixels = read_pgm(img_path)
@@ -198,13 +196,6 @@ def synth_dataset(kind: str, num_classes: int, per_class_train: int,
     """Deterministic synthetic dataset: `blobs` (Gaussian clusters rendered as
     images) or `lowrank_speckle` (rank-2 class templates under multiplicative
     speckle plus sparse spikes)."""
-    if kind not in SYNTH_KINDS:
-        raise InputError(f"unknown synthetic kind {kind!r}")
-    if num_classes < 2:
-        raise InputError("num_classes must be >= 2")
-    if per_class_train < 1 or per_class_test < 1 or image_size < 1:
-        raise InputError("per-class counts and image_size must be >= 1")
-
     rng = derive_rng(seed, "synth")
     classes = [f"c{i:02d}" for i in range(num_classes)]
     samples = []

@@ -50,9 +50,12 @@ def softmax_cross_entropy(logits: np.ndarray, y_idx):
 def ingest_features(path) -> FeatureMatrix:
     """Parse a feature CSV with header `label,f0,..,f{d-1}`; a label may be
     quoted as the csv module quotes it."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        lines = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            lines = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: unreadable CSV: {exc}") from exc
     if not lines:
         raise InputError(f"{path}: empty file")
     header = lines[0][1]

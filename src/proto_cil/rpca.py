@@ -46,13 +46,9 @@ def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> dict:
     safeguards are needed for the L1 objective to actually converge.
     """
     X = np.asarray(images, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InputError("images must be a non-empty (n, m) array")
     n, m = X.shape
     if not 0 < r < m:
         raise InputError(f"rank must satisfy 0 < r < m, got r={r}, m={m}")
-    if lr <= 0:
-        raise InputError("lr must be positive")
 
     rng = derive_rng(seed, "rpca")
     A = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, r))

@@ -94,15 +94,16 @@ PARENT_RUNS = [2.0, 2.2, 1.8, 2.1, 1.9, 2.0, 2.2, 1.8, 2.1, 1.9]  # interquartil
     ([1.0] * 9 + [3.0], True),                    # nine wins of ten, far below the parent
     ([1.0] * 8 + [3.0, 3.0], False),              # eight wins are too few
     ([p - 0.01 for p in PARENT_RUNS], False),     # every pair won, within the parent's spread
+    ([1.0] * 3, False),                           # every pair won by half, but only 3 pairs
 ])
 def test_pairs_count_wins_and_claim_a_gain_only_past_the_parent_spread(
         tmp_path, change_runs, gain):
-    parent_runs = PARENT_RUNS
+    parent_runs = PARENT_RUNS[:len(change_runs)]
     runs = [(fake_result("speckle-fusion", p, "a"), fake_result("speckle-fusion", c, "a"))
             for p, c in zip(parent_runs, change_runs)]
     w = record_of(tmp_path, runs)["speckle-fusion"]
     run_s = w["metrics"]["run_s"]
-    assert w["pairs"] == 10 and run_s["parent"] == parent_runs
+    assert w["pairs"] == len(change_runs) and run_s["parent"] == parent_runs
     assert run_s["change_wins"] == sum(c < p for p, c in zip(parent_runs, change_runs))
     assert run_s["gain"] is gain
 

@@ -217,6 +217,11 @@ def small_manifest(tmp_path_factory):
     ("train-backbone", "--epochs", "-1"),
     ("denoise", "--lr", "0"),
     ("denoise", "--epochs", "-1"),
+    ("synth", "--classes", "1"),
+    ("synth", "--train", "0"),
+    ("synth", "--test", "0"),
+    ("synth", "--size", "0"),
+    ("train-backbone", "--dropout", "1"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, monkeypatch, small_manifest,
                                        command, flag, value):
@@ -783,6 +788,67 @@ def test_rejected_input_exits_1_before_any_work(tmp_path, capsys, monkeypatch, s
     assert f"proto-cil {argv[0]}: error: " in captured.err and message in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+LONG_FIELD = b'"' + b"x" * 200_000 + b'"'  # past the csv module's field size limit
+
+
+@pytest.mark.parametrize("target, contents, message", [
+    ("cfg.json", b"\xff", "is not valid JSON"),
+    ("manifest.json", b"\xff", "malformed manifest header"),
+    ("manifest.csv", b"path,label,split\n\xff,c00,train\n", "unreadable CSV"),
+    ("manifest.csv", b"path,label,split\n" + LONG_FIELD + b",c00,train\n",
+     "unreadable CSV: field larger than field limit"),
+    ("train.csv", b"label,f0\n\xff,0.5\n", "unreadable CSV"),
+    ("train.csv", b"label,f0\n" + LONG_FIELD + b",0.5\n",
+     "unreadable CSV: field larger than field limit"),
+    ("cfg.json", None, "config not found"),
+    ("manifest.csv", None, "manifest not found"),
+    ("manifest.json", None, "manifest header not found"),
+    ("c00_train_0002.pgm", None, "image not found"),
+    ("cnn.bin", None, "checkpoint not found"),
+], ids=["config-not-utf8", "manifest-header-not-utf8", "manifest-not-utf8",
+        "manifest-long-field", "feature-csv-not-utf8", "feature-csv-long-field",
+        "config-dir", "manifest-dir", "manifest-header-dir", "image-dir", "checkpoint-dir"])
+def test_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, target, contents, message):
+    """A text input that is not UTF-8 or that csv cannot parse, or an input
+    file that is a directory (contents None), is rejected like a malformed one."""
+    classes = [f"c{i:02d}" for i in range(4)]
+    manifest = synth_manifest(tmp_path, {})
+    cfg = {**json.loads(CONFIG_PATH.read_text()), "schedule": [2, 2],
+           "dataset": {"manifest": manifest},
+           "ingested_source": {"kind": "csv",
+                               "train": write_feature_csv(tmp_path / "train.csv", classes),
+                               "test": write_feature_csv(tmp_path / "test.csv", classes)}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    if contents is None:
+        (tmp_path / target).unlink(missing_ok=True)
+        (tmp_path / target).mkdir()
+    else:
+        (tmp_path / target).write_bytes(contents)
+    argv = (["extract", "--manifest", manifest, "--model", str(tmp_path / "cnn.bin")]
+            if target == "cnn.bin" else ["run", "--config", str(tmp_path / "cfg.json")])
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"proto-cil {argv[0]}: error: " in err and message in err
+    assert str(tmp_path / target) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_backbone_on_one_class_manifest_exits_1_without_a_checkpoint(tmp_path, capsys):
+    rows = []
+    for split in ("train", "test"):
+        for i in range(2):
+            write_pgm(tmp_path / f"{split}{i}.pgm", np.full((32, 32), 0.5))
+            rows.append(f"{split}{i}.pgm,a,{split}")
+    (tmp_path / "manifest.csv").write_text("\n".join(["path,label,split", *rows]) + "\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"name": "one", "classes": ["a"]}))
+    ckpt = tmp_path / "cnn.bin"
+    assert main(["train-backbone", "--manifest", str(tmp_path / "manifest.csv"),
+                 "--out", str(ckpt), "--epochs", "1", "--d-cnn", "8"]) == 1
+    assert "base task must contain at least 2 classes" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_diverging_trainer_exits_2_naming_its_stage(tmp_path, capsys, small_manifest):

@@ -153,13 +153,6 @@ def test_lowrank_speckle_dataset_valid():
         assert 0 <= im.pixels.min() and im.pixels.max() <= 1
 
 
-def test_synth_rejects_bad_sizes():
-    with pytest.raises(InputError):
-        synth_dataset("blobs", 1, 5, 5, 8, seed=0)
-    with pytest.raises(InputError):
-        synth_dataset("blobs", 2, 0, 5, 8, seed=0)
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 

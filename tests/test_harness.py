@@ -367,8 +367,8 @@ def test_freeze_lambda_repeats_base_choice():
 
 
 def test_single_class_base_task_fails_in_setup():
-    cfg = blob_config(schedule=[1, 9])
-    with pytest.raises(InputError):
+    cfg = blob_config(schedule=[1, 9], ssf={"enabled": True})
+    with pytest.raises(InputError, match="base task needs >= 2"):
         run_scenario(cfg)
 
 

@@ -129,10 +129,6 @@ def test_train_validates_inputs():
         rpca_train(X, r=9, epochs=1, lr=0.5)
     with pytest.raises(InputError, match="got r=0"):
         rpca_train(X, r=0, epochs=1, lr=0.5)
-    with pytest.raises(InputError, match="lr must be positive"):
-        rpca_train(X, r=1, epochs=1, lr=0.0)
-    with pytest.raises(InputError, match="non-empty"):
-        rpca_train(np.zeros((0, 9)), r=1, epochs=1, lr=0.5)
 
 
 def test_train_divergence_is_reported_with_epoch(monkeypatch):

@@ -139,12 +139,6 @@ def test_ssf_train_divergence_is_reported_with_epoch():
         ssf_train(make_fm(), epochs=5, lr=1e300, seed=0)
 
 
-def test_ssf_train_requires_two_classes():
-    fm = FeatureMatrix(rows=np.zeros((4, 3)), labels=["a"] * 4)
-    with pytest.raises(InputError, match="at least 2 base classes"):
-        ssf_train(fm, epochs=50, lr=0.1)
-
-
 def probe_accuracy(adapter: dict, features: FeatureMatrix, epochs: int = 50,
                    lr: float = 0.1, seed: int = 0) -> float:
     """Train-set accuracy of a fresh probe on adapted features; used to compare

@@ -18,13 +18,14 @@ seed; for each side, every run's seconds, sample and failure counts and
 correctness, and the distinct environment stamps and `metrics.json` sha256s;
 per end-to-end metric that `BENCHMARK.json` lists, each side's run medians and
 quartiles, the pairs the change won (ties count for neither side), the ratio
-of the two sides' medians of their run medians, `gain`: the change won at
-least nine tenths of the pairs and its median run beats the parent's by more
-than the parent's interquartile range, and `regressed`: the change's median
-is worse than the parent's by more than the metric's `bound`, a fraction of
-the parent's median; then `metrics_identical` (every run of both sides wrote
-the same `metrics.json`) and whether `BENCHMARK.json` gates the workload. A
-metric's `better` direction ("lower" or "higher") sets what wins and worsens.
+of the two sides' medians of their run medians, `gain`: there are at least
+ten pairs, the change won at least nine tenths of them, and its median run
+beats the parent's by more than the parent's interquartile range, and
+`regressed`: the change's median is worse than the parent's by more than the
+metric's `bound`, a fraction of the parent's median; then `metrics_identical`
+(every run of both sides wrote the same `metrics.json`) and whether
+`BENCHMARK.json` gates the workload. A metric's `better` direction ("lower" or
+"higher") sets what wins and worsens.
 """
 
 import argparse
@@ -35,6 +36,7 @@ from collections import Counter
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+GAIN_PAIRS = 10  # fewest pairs a gain may be claimed from
 
 
 def load(path) -> dict:
@@ -98,7 +100,7 @@ def record(pairs, end_to_end, gated=()) -> dict:
                 "parent_quartiles": q["parent"], "change_quartiles": q["change"],
                 "change_wins": wins,
                 "change_over_parent": ratio,
-                "gain": wins >= 0.9 * len(runs)
+                "gain": len(runs) >= GAIN_PAIRS and wins >= 0.9 * len(runs)
                 and sign * (q["parent"][1] - q["change"][1]) > q["parent"][2] - q["parent"][0],
                 "regressed": sign * (ratio - 1) > m["bound"],
             }
