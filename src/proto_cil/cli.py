@@ -19,8 +19,8 @@ from . import rpca as rpca_mod
 from .datahub import SYNTH_KINDS, load_dataset, save_dataset, synth_dataset
 from .features import softmax_cross_entropy, write_features
 from .errors import InputError
-from .harness import (DEFAULTS, RunConfig, check_key, load_report, prepare_images, run_scenario,
-                      train_backbone, train_denoiser)
+from .harness import (DEFAULTS, RunConfig, check_key, check_output, load_report, prepare_images,
+                      run_scenario, train_backbone, train_denoiser)
 from .pgm import read_pgm
 
 USAGE_EXIT = 1
@@ -107,6 +107,7 @@ def _build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
+    check_output(args.out, directory=True)
     ds = synth_dataset(args.kind, args.classes, args.train, args.test, args.size, args.seed)
     manifest = save_dataset(ds, args.out)
     print(f"wrote {len(ds.samples)} images and {manifest}")
@@ -120,6 +121,10 @@ def cmd_denoise(args) -> int:
         raise InputError(f"no files match --train-glob {args.train_glob!r}")
     if not apply_paths:
         raise InputError(f"no files match --apply-glob {args.apply_glob!r}")
+    for p in train_paths + apply_paths:
+        if not Path(p).is_file():
+            raise InputError(f"glob match {p} is not a file")
+    check_output(args.out, directory=True)
     outputs = {}  # output name -> the first --apply-glob file of that name
     for p in apply_paths:
         if outputs.setdefault(Path(p).name, p) != p:
@@ -129,6 +134,8 @@ def cmd_denoise(args) -> int:
     inputs = {Path(p).resolve(): p for p in train_paths + apply_paths}
     for name in outputs:
         for written in (out / name, out / f"{name}.json"):
+            if written.is_dir():
+                raise InputError(f"output file {written} is a directory")
             if written.resolve() in inputs:
                 raise InputError(f"--out would write {written} over the input "
                                  f"{inputs[written.resolve()]}")
@@ -149,6 +156,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_train_backbone(args) -> int:
+    check_output(args.out)
     ds = load_dataset(args.manifest)
     train = [im for im in ds.samples if im.split == "train"]
     labels = [im.label for im in train]
@@ -165,6 +173,7 @@ def cmd_train_backbone(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    check_output(args.out)
     ds = load_dataset(args.manifest)
     model = cnn_mod.load_cnn(args.model)
     samples = [im for im in ds.samples if im.split == args.split]
@@ -188,8 +197,8 @@ def cmd_run(args) -> int:
         raw.update((key, value) for key, value in overrides.items() if value is not None)
     config = RunConfig.from_dict(raw)
     metrics = run_scenario(config)
-    print(f"tasks: {len(metrics.task_accuracies)}  "
-          f"avg accuracy: {metrics.avg_accuracy:.2f}  perf drop: {metrics.perf_drop:.2f}")
+    print(f"tasks: {len(metrics['task_accuracies'])}  "
+          f"avg accuracy: {metrics['avg_accuracy']:.2f}  perf drop: {metrics['perf_drop']:.2f}")
     if config.output_dir:
         print(f"report written to {config.output_dir}")
     return 0
@@ -200,18 +209,18 @@ def cmd_eval(args) -> int:
     for d in args.dirs:
         try:
             reports.append((d, load_report(d)))
-        except (OSError, ValueError, KeyError) as exc:  # ValueError: bad JSON too
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON too
             print(f"cannot read report {d}: {exc}", file=sys.stderr)
             return RUNTIME_EXIT
     width = max(len(str(d)) for d, _ in reports)
-    ntasks = max(len(m.task_accuracies) for _, m in reports)
+    ntasks = max(len(m["task_accuracies"]) for _, m in reports)
     header = " | ".join(f"{t:>6d}" for t in range(ntasks))
     print(f"{'run':<{width}} | {header} |     PD |   Aavg")
     for d, m in reports:
         # a run with fewer tasks gets blank cells, so PD and Aavg stay in their columns
-        cells = " | ".join([f"{a:6.2f}" for a in m.task_accuracies]
-                           + [" " * 6] * (ntasks - len(m.task_accuracies)))
-        print(f"{str(d):<{width}} | {cells} | {m.perf_drop:6.2f} | {m.avg_accuracy:6.2f}")
+        cells = " | ".join([f"{a:6.2f}" for a in m["task_accuracies"]]
+                           + [" " * 6] * (ntasks - len(m["task_accuracies"])))
+        print(f"{str(d):<{width}} | {cells} | {m['perf_drop']:6.2f} | {m['avg_accuracy']:6.2f}")
     return 0
 
 

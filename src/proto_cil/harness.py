@@ -137,7 +137,6 @@ class RunConfig:
     threads: int = 1  # ignored; kept so configs that set it still load
 
     def __post_init__(self):
-        check_key("", vars(self))
         if not (self.cnn_branch or self.ingested_branch):
             raise InputError("at least one branch must be enabled")
         derived = "late" if self.cnn_branch and self.ingested_branch else "single"
@@ -168,40 +167,6 @@ class RunConfig:
         d.pop("threads")
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class MetricsReport:
-    task_accuracies: list        # A_t, percent
-    balanced_accuracies: list
-    eval_sizes: list
-    lambdas: dict                # branch name -> per-task lambda
-    config_fingerprint: str
-
-    @property
-    def base_accuracy(self) -> float:
-        return self.task_accuracies[0]
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.task_accuracies[-1]
-
-    @property
-    def avg_accuracy(self) -> float:
-        return avg_acc(self.task_accuracies)
-
-    @property
-    def perf_drops(self) -> list:
-        return [perf_drop(self.base_accuracy, a) for a in self.task_accuracies]
-
-    @property
-    def perf_drop(self) -> float:
-        return self.perf_drops[-1]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "base_accuracy": self.base_accuracy,
-                "avg_accuracy": self.avg_accuracy, "final_accuracy": self.final_accuracy,
-                "perf_drop": self.perf_drop, "perf_drops": self.perf_drops}
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +208,14 @@ def perf_drop(a0: float, a_t: float) -> float:
         if not 0 <= v <= 100:
             raise InputError(f"accuracy {v} outside [0,100]")
     return a0 - a_t
+
+
+def summary(accuracies) -> dict:
+    """The metrics derived from per-task accuracies: base, average and final
+    accuracy, and the drop from the base task at every task and at the last."""
+    drops = [perf_drop(accuracies[0], a) for a in accuracies]
+    return {"base_accuracy": accuracies[0], "avg_accuracy": avg_acc(accuracies),
+            "final_accuracy": accuracies[-1], "perf_drop": drops[-1], "perf_drops": drops}
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +385,16 @@ def _check_projection_size(config: RunConfig, base, csv) -> None:
                          f"of projection weights; this machine has {have / 2**30:.1f} GiB")
 
 
-def run_scenario(config: RunConfig) -> MetricsReport:
-    """Execute the configured CIL run. Setup reads the dataset, builds the
-    scenario and checks the inputs, raising InputError before any training.
-    A failure in a later stage raises StageFailure naming it; metrics for
-    completed tasks are flushed to the output directory first."""
-    metrics = MetricsReport(task_accuracies=[], balanced_accuracies=[], eval_sizes=[],
-                            lambdas={}, config_fingerprint=config.fingerprint())
+def run_scenario(config: RunConfig) -> dict:
+    """Execute the configured CIL run and return its metrics.json body. Setup
+    checks the output directory, reads the dataset, builds the scenario and
+    checks the inputs, raising InputError before any training. A failure in a
+    later stage raises StageFailure naming it; metrics for completed tasks are
+    flushed to the output directory first."""
+    metrics = {"task_accuracies": [], "balanced_accuracies": [], "eval_sizes": [],
+               "lambdas": {}, "config_fingerprint": config.fingerprint()}
+    if config.output_dir:
+        check_output(config.output_dir, directory=True)
     dataset = _resolve_dataset(config)
     order = config.class_order or list(dataset.classes)
     seq = make_scenario(dataset, ScenarioSpec(
@@ -467,7 +443,7 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             protos = []  # per branch, the prototypes solved at this task
             for bi, br in enumerate(branches):
                 H = project(layers[bi], br.features(task.train))
-                picks = metrics.lambdas.setdefault(br.name, [])
+                picks = metrics["lambdas"].setdefault(br.name, [])
                 lam = picks[0] if config.freeze_lambda and t > 0 else select_lambda(
                     states[bi], H, grid=grid, seed=derive_seed(config.seed, "lambda_split", t))
                 picks.append(lam)
@@ -485,17 +461,19 @@ def run_scenario(config: RunConfig) -> MetricsReport:
             classes = states[-1].registry  # shared: every branch sees the same task labels
             pred_labels = (late_fuse(*scores, classes) if len(scores) == 2
                            else single_predict(scores[0], classes))
-            metrics.task_accuracies.append(accuracy(pred_labels, true_labels))
-            metrics.balanced_accuracies.append(balanced_accuracy(pred_labels, true_labels))
-            metrics.eval_sizes.append(len(true_labels))
+            metrics["task_accuracies"].append(accuracy(pred_labels, true_labels))
+            metrics["balanced_accuracies"].append(balanced_accuracy(pred_labels, true_labels))
+            metrics["eval_sizes"].append(len(true_labels))
             clocks.append(time.perf_counter() - t0)
     except Exception as exc:
-        if config.output_dir and metrics.task_accuracies:
+        if config.output_dir and metrics["task_accuracies"]:
             try:
-                report(metrics, config.output_dir, config, clocks, partial_after_stage=stage)
+                report({**metrics, **summary(metrics["task_accuracies"]),
+                        "partial_after_stage": stage}, config.output_dir, config, clocks)
             except OSError:
                 pass  # a partial report is best effort; the stage failure wins
         raise StageFailure(stage, exc) from exc
+    metrics.update(summary(metrics["task_accuracies"]))
     if config.output_dir:
         report(metrics, config.output_dir, config, clocks)
     return metrics
@@ -503,6 +481,21 @@ def run_scenario(config: RunConfig) -> MetricsReport:
 
 # ---------------------------------------------------------------------------
 # reporting
+
+def check_output(path, directory=False) -> None:
+    """Raise InputError naming `path` unless it can be written: a file that is
+    not a directory and whose parent is one, or (`directory`) a directory whose
+    nearest existing ancestor, itself included, is a directory."""
+    path = Path(path)
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise InputError(f"output directory {path}: {existing} is not a directory")
+    elif path.is_dir():
+        raise InputError(f"output file {path} is a directory")
+    elif not path.parent.is_dir():
+        raise InputError(f"output file {path}: {path.parent} is not a directory")
+
 
 def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -516,9 +509,9 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def report(metrics: MetricsReport, out_dir, config: RunConfig, per_task_seconds: list,
-           partial_after_stage: str = None) -> None:
-    """Write metrics.json, accuracy_curve.csv, config.json and timings.json.
+def report(metrics: dict, out_dir, config: RunConfig, per_task_seconds: list) -> None:
+    """Write metrics.json (`metrics`, with its summary), accuracy_curve.csv,
+    config.json and timings.json.
 
     metrics.json is fully deterministic for a fixed config+seed; wall-clock
     (`per_task_seconds`) goes to timings.json so reruns stay byte-identical.
@@ -526,13 +519,10 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig, per_task_seconds:
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        body = metrics.to_dict()
-        if partial_after_stage is not None:
-            body["partial_after_stage"] = partial_after_stage
         _atomic_write(out_dir / "metrics.json",
-                      json.dumps(body, sort_keys=True, indent=2) + "\n")
+                      json.dumps(metrics, sort_keys=True, indent=2) + "\n")
         rows = ["task,accuracy,perf_drop"]
-        for t, (a, pd) in enumerate(zip(metrics.task_accuracies, metrics.perf_drops)):
+        for t, (a, pd) in enumerate(zip(metrics["task_accuracies"], metrics["perf_drops"])):
             rows.append(f"{t},{a!r},{pd!r}")
         _atomic_write(out_dir / "accuracy_curve.csv", "\n".join(rows) + "\n")
         _atomic_write(out_dir / "config.json",
@@ -543,11 +533,11 @@ def report(metrics: MetricsReport, out_dir, config: RunConfig, per_task_seconds:
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
 
 
-def load_report(out_dir) -> MetricsReport:
-    """The report in `out_dir`'s metrics.json; InputError if the file holds no
-    object whose `task_accuracies` is a nonempty list of numbers in [0, 100]."""
+def load_report(out_dir) -> dict:
+    """`out_dir`'s metrics.json body with the summary of its `task_accuracies`;
+    InputError unless those are a nonempty list of numbers in [0, 100]."""
     body = json.loads((Path(out_dir) / "metrics.json").read_text())
     accs = body.get("task_accuracies") if isinstance(body, dict) else None
     if not (isinstance(accs, list) and accs and all(_number(a) and 0 <= a <= 100 for a in accs)):
         raise InputError("metrics.json is not a report with task accuracies, all in [0, 100]")
-    return MetricsReport(**{f.name: body[f.name] for f in fields(MetricsReport)})
+    return {**body, **summary(accs)}

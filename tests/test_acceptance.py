@@ -164,9 +164,9 @@ def test_criterion_6_end_to_end_cil():
     with _Gate(6, "end-to-end class-incremental run", 60.0):
         cfg = RunConfig.from_dict(json.loads(CONFIG_PATH.read_text()))
         metrics = run_scenario(cfg)
-        assert len(metrics.task_accuracies) == 5
-        assert metrics.avg_accuracy >= 95.0
-        assert metrics.perf_drop <= 2.0
+        assert len(metrics["task_accuracies"]) == 5
+        assert metrics["avg_accuracy"] >= 95.0
+        assert metrics["perf_drop"] <= 2.0
 
         # independent oracle: a whole-dataset ridge classifier separates the
         # same synthetic construction almost perfectly

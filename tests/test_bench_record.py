@@ -132,24 +132,33 @@ def test_pairs_set_the_workload_ratio_and_its_printed_line(tmp_path, capsys):
     assert "ratio_of" not in w
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("blobs-sweep: ")
-    assert "run_s 1/5 x1.000 gain=False regressed=False" in lines[0]
+    assert "run_s 1/5 x1.000 gain=False regressed=False unresolved=False" in lines[0]
     assert lines[0].endswith("metrics identical: True")
 
 
-@pytest.mark.parametrize("change_run_s, regressed", [
-    (1.25, True),   # 25 % slower than the parent, past run_s's 0.24 bound
-    (1.2, False),   # 20 % slower, within it
-])
+@pytest.mark.parametrize("parent_runs, change_runs, regressed, unresolved", [
+    ([1.0] * 3, [1.25] * 3, True, False),  # 25 % slower, past run_s's 0.24 bound
+    ([1.0] * 3, [1.2] * 3, False, False),  # 20 % slower, within it
+    # a parent spread of 30 %, past the bound: unresolved unless every change
+    # run beats every parent run
+    ([0.7, 1.0, 1.3], [1.0] * 3, False, True),
+    ([0.7, 1.0, 1.3], [0.6] * 3, False, False),
+    ([0.7, 1.0, 1.3], [0.6, 0.6, 0.8], False, True),
+], ids=["1.25-True", "1.2-False", "wide-spread", "wide-spread-all-better",
+        "wide-spread-not-all-better"])
 def test_a_median_worse_than_its_bound_is_flagged_as_regressed(
-        tmp_path, change_run_s, regressed):
-    """Each metric's bound and direction come from BENCHMARK.json."""
+        tmp_path, parent_runs, change_runs, regressed, unresolved):
+    """Each metric's bound and direction come from BENCHMARK.json. A parent
+    spread wider than the bound leaves the metric unresolved."""
     assert {m["name"]: (m["better"], m["bound"]) for m in END_TO_END}["run_s"] == \
         ("lower", 0.24)
-    runs = [(fake_result("blobs-sweep", 1.0, "a"), fake_result("blobs-sweep", change_run_s, "a"))
-            for _ in range(3)]
+    runs = [(fake_result("blobs-sweep", p, "a"), fake_result("blobs-sweep", c, "a"))
+            for p, c in zip(parent_runs, change_runs)]
     metrics = record_of(tmp_path, runs)["blobs-sweep"]["metrics"]
     assert metrics["run_s"]["regressed"] is regressed
-    assert not any(metrics[m]["regressed"] for m in metrics if m != "run_s")
+    assert metrics["run_s"]["unresolved"] is unresolved
+    assert not any(metrics[m]["regressed"] or metrics[m]["unresolved"]
+                   for m in metrics if m != "run_s")
 
 
 def test_a_higher_is_better_metric_regresses_when_it_falls():

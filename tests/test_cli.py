@@ -10,7 +10,7 @@ import pytest
 
 from proto_cil.cli import main
 from proto_cil.features import ingest_features
-from proto_cil.harness import MetricsReport, RunConfig, report, run_scenario
+from proto_cil.harness import RunConfig, report, run_scenario, summary
 from proto_cil.pgm import read_pgm, write_pgm
 from proto_cil.seeding import derive_seed
 
@@ -162,6 +162,25 @@ def test_denoise_refuses_to_write_over_its_inputs(tmp_path, capsys, monkeypatch,
     assert f"--out would write {target} over the input {target}" in capsys.readouterr().err
     assert {p: hashlib.md5(p.read_bytes()).hexdigest() for p in pgms} == before
     assert not list(tmp_path.rglob("*.json"))
+
+
+@pytest.mark.parametrize("flag", ["--train-glob", "--apply-glob"])
+def test_denoise_rejects_a_glob_match_that_is_not_a_file(tmp_path, capsys, monkeypatch, flag):
+    """A directory that a glob matches is a rejected input: exit 1, naming
+    it, before any training."""
+    import proto_cil.cli as cli
+
+    rank1_pgms(tmp_path / "ds", n=4)
+    (tmp_path / "ds" / "sub.pgm").mkdir()
+    trained = []
+    monkeypatch.setattr(cli, "train_denoiser", lambda *args: trained.append(args))
+    every, pgms = str(tmp_path / "ds" / "*.pgm"), str(tmp_path / "ds" / "im*.pgm")
+    train, apply = (every, pgms) if flag == "--train-glob" else (pgms, every)
+    rc = main(["denoise", "--train-glob", train, "--apply-glob", apply, "--rank", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"glob match {tmp_path / 'ds' / 'sub.pgm'} is not a file" in capsys.readouterr().err
+    assert trained == [] and not (tmp_path / "out").exists()
 
 
 def test_denoise_trains_the_run_denoiser(tmp_path, monkeypatch):
@@ -836,6 +855,80 @@ def test_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, target, conte
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def paths_but_no_data(tmp_path, monkeypatch):
+    """`tmp_path` holding an empty file `file` and a directory `dir`; reading
+    a dataset or an image fails the test."""
+    import proto_cil.cli as cli
+    import proto_cil.harness as harness
+
+    def loading(*args, **kwargs):
+        raise AssertionError("data loaded before the output path was checked")
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "load_dataset", loading)
+        monkeypatch.setattr(module, "synth_dataset", loading)
+    monkeypatch.setattr(cli, "read_pgm", loading)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    return tmp_path
+
+
+def rejects_output(capsys, argv, path):
+    """`argv` exits 1 before any work, with an error that names the output `path`."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"proto-cil {argv[0]}: error: output" in captured.err and str(path) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/cnn.bin", "file/cnn.bin"])
+def test_train_backbone_checks_its_out_before_loading_data(paths_but_no_data, capsys, out):
+    out = paths_but_no_data / out
+    rejects_output(capsys, ["train-backbone", "--manifest", str(paths_but_no_data / "m.csv"),
+                            "--out", str(out)], out)
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/f.csv"])
+def test_extract_checks_its_out_before_loading_data(paths_but_no_data, capsys, out):
+    out = paths_but_no_data / out
+    rejects_output(capsys, ["extract", "--manifest", str(paths_but_no_data / "m.csv"),
+                            "--model", str(paths_but_no_data / "cnn.bin"), "--out", str(out)],
+                   out)
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub/deeper", "dir"])
+def test_denoise_checks_its_out_before_reading_images(paths_but_no_data, capsys, out):
+    """`--out` must be a directory, or be missing under one; an image's
+    output (here `dir/im000.pgm`) must not be a directory."""
+    rank1_pgms(paths_but_no_data / "in", n=2)
+    pgms, out = str(paths_but_no_data / "in" / "*.pgm"), paths_but_no_data / out
+    (paths_but_no_data / "dir" / "im000.pgm").mkdir()
+    rejects_output(capsys, ["denoise", "--train-glob", pgms, "--apply-glob", pgms,
+                            "--rank", "1", "--out", str(out)], out)
+
+
+@pytest.mark.parametrize("source", ["--out", "output_dir"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_run_checks_its_output_dir_before_loading_data(paths_but_no_data, capsys, out, source):
+    """Setup checks the output directory, from the flag or the config file."""
+    out, cfg = paths_but_no_data / out, paths_but_no_data / "cfg.json"
+    config, argv = json.loads(CONFIG_PATH.read_text()), ["run", "--config", str(cfg)]
+    if source == "--out":
+        argv += ["--out", str(out)]
+    else:
+        config["output_dir"] = str(out)
+    cfg.write_text(json.dumps(config))
+    rejects_output(capsys, argv, out)
+
+
+def test_synth_checks_its_out_before_generating(paths_but_no_data, capsys):
+    out = paths_but_no_data / "file"
+    rejects_output(capsys, ["synth", "--kind", "blobs", "--classes", "2", "--train", "1",
+                            "--test", "1", "--size", "8", "--out", str(out)], out)
+
+
 def test_train_backbone_on_one_class_manifest_exits_1_without_a_checkpoint(tmp_path, capsys):
     rows = []
     for split in ("train", "test"):
@@ -923,11 +1016,28 @@ def test_eval_unreadable_dir_is_runtime_error(tmp_path, capsys):
 def test_eval_reads_only_metrics_json(tmp_path, capsys, timings):
     """`eval` prints from metrics.json; timings.json is not its input."""
     d = tmp_path / "r"
-    report(MetricsReport(task_accuracies=[100.0, 75.0], balanced_accuracies=[100.0, 75.0],
-                         eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
-                         config_fingerprint="f" * 64),
+    report({"task_accuracies": [100.0, 75.0], "balanced_accuracies": [100.0, 75.0],
+            "eval_sizes": [4, 8], "lambdas": {"ingested": [1.0, 1.0]},
+            "config_fingerprint": "f" * 64, **summary([100.0, 75.0])},
            d, RunConfig.from_dict(json.loads(CONFIG_PATH.read_text())), [0.0, 0.0])
     (d / "timings.json").write_text(timings)
+    assert main(["eval", str(d)]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"\|\s+100\.00 \|\s+75\.00 \|\s+25\.00 \|\s+87\.50$", printed, re.M)
+
+
+STALE_REPORT = {"balanced_accuracies": [100.0, 75.0], "eval_sizes": [4, 8],
+                "lambdas": {"ingested": [1.0, 1.0]}, "config_fingerprint": "f" * 64,
+                "avg_accuracy": 1.0, "perf_drop": 99.0}
+
+
+@pytest.mark.parametrize("stored", [STALE_REPORT, {}], ids=["stale-summary", "accuracies-only"])
+def test_eval_derives_pd_and_aavg_from_task_accuracies(tmp_path, capsys, stored):
+    """PD and Aavg come from `task_accuracies`, never from the stored fields,
+    and a report needs no other key."""
+    d = tmp_path / "r"
+    d.mkdir()
+    (d / "metrics.json").write_text(json.dumps({"task_accuracies": [100.0, 75.0], **stored}))
     assert main(["eval", str(d)]) == 0
     printed = capsys.readouterr().out
     assert re.search(r"\|\s+100\.00 \|\s+75\.00 \|\s+25\.00 \|\s+87\.50$", printed, re.M)
@@ -940,8 +1050,9 @@ def test_eval_aligns_runs_with_fewer_tasks(tmp_path, capsys):
     dirs = []
     for name, accs in (("long", [100.0, 80.0, 60.0]), ("short", [100.0, 90.0])):
         n = len(accs)
-        report(MetricsReport(task_accuracies=accs, balanced_accuracies=accs, eval_sizes=[4] * n,
-                             lambdas={"ingested": [1.0] * n}, config_fingerprint="f" * 64),
+        report({"task_accuracies": accs, "balanced_accuracies": accs, "eval_sizes": [4] * n,
+                "lambdas": {"ingested": [1.0] * n}, "config_fingerprint": "f" * 64,
+                **summary(accs)},
                tmp_path / name, config, [0.0] * n)
         dirs.append(str(tmp_path / name))
     assert main(["eval", *dirs]) == 0
@@ -965,9 +1076,9 @@ def test_eval_rejects_accuracies_that_are_not_percentages(tmp_path, capsys, accu
     """A report whose task accuracies are not all numbers in [0, 100] is
     refused like an unreadable one: exit 2, nothing on stdout."""
     d = tmp_path / "r"
-    report(MetricsReport(task_accuracies=[100.0, 75.0], balanced_accuracies=[100.0, 75.0],
-                         eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
-                         config_fingerprint="f" * 64),
+    report({"task_accuracies": [100.0, 75.0], "balanced_accuracies": [100.0, 75.0],
+            "eval_sizes": [4, 8], "lambdas": {"ingested": [1.0, 1.0]},
+            "config_fingerprint": "f" * 64, **summary([100.0, 75.0])},
            d, RunConfig.from_dict(json.loads(CONFIG_PATH.read_text())), [0.0, 0.0])
     body = json.loads((d / "metrics.json").read_text())
     body["task_accuracies"][1] = accuracy

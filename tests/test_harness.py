@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from proto_cil.datahub import Dataset, LabeledImage, save_dataset, synth_dataset
 from proto_cil.errors import InputError
-from proto_cil.harness import (RULES, MetricsReport, RunConfig, StageFailure,
+from proto_cil.harness import (RULES, RunConfig, StageFailure,
                                accuracy, avg_acc, balanced_accuracy, load_report,
-                               perf_drop, report, run_scenario)
+                               perf_drop, report, run_scenario, summary)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_PATH = REPO / "configs" / "b2inc2_blobs.json"
@@ -330,16 +330,16 @@ def blob_metrics():
 
 def test_blob_run_task_count_and_quality(blob_metrics):
     m = blob_metrics
-    assert len(m.task_accuracies) == 5
-    assert m.avg_accuracy >= 95.0
-    assert m.perf_drop <= 2.0
-    assert m.eval_sizes == [20, 40, 60, 80, 100]
-    assert len(m.lambdas["ingested"]) == 5
-    assert all(l in [10.0 ** k for k in range(-8, 9)] for l in m.lambdas["ingested"])
+    assert len(m["task_accuracies"]) == 5
+    assert m["avg_accuracy"] >= 95.0
+    assert m["perf_drop"] <= 2.0
+    assert m["eval_sizes"] == [20, 40, 60, 80, 100]
+    assert len(m["lambdas"]["ingested"]) == 5
+    assert all(l in [10.0 ** k for k in range(-8, 9)] for l in m["lambdas"]["ingested"])
 
 
 def test_eval_sets_grow_monotonically(blob_metrics):
-    sizes = blob_metrics.eval_sizes
+    sizes = blob_metrics["eval_sizes"]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
@@ -356,13 +356,13 @@ def test_b4inc1_schedule_produces_seven_tasks():
     cfg = blob_config(schedule=[4, 1, 1, 1, 1, 1, 1],
                       synth={"per_class_train": 10, "per_class_test": 5})
     m = run_scenario(cfg)
-    assert len(m.task_accuracies) == 7
+    assert len(m["task_accuracies"]) == 7
 
 
 def test_freeze_lambda_repeats_base_choice():
     m = run_scenario(blob_config(freeze_lambda=True,
                                  synth={"per_class_train": 10, "per_class_test": 5}))
-    lams = m.lambdas["ingested"]
+    lams = m["lambdas"]["ingested"]
     assert len(set(lams)) == 1
 
 
@@ -411,15 +411,15 @@ def csv_config(tmp_path, train_per_class, test_per_class=5, **overrides):
 
 def test_csv_branch_run(tmp_path):
     m = run_scenario(csv_config(tmp_path, [10] * 4))
-    assert len(m.task_accuracies) == 2
-    assert m.final_accuracy >= 95.0
+    assert len(m["task_accuracies"]) == 2
+    assert m["final_accuracy"] >= 95.0
 
 
 def test_csv_source_scores_each_class_once(tmp_path):
     """Each task scores the CSV test rows of its own classes once, however
     many test images those classes have (5 here, against 3 rows)."""
     m = run_scenario(csv_config(tmp_path, [10] * 4, test_per_class=3, schedule=[2, 1, 1]))
-    assert m.eval_sizes == [6, 9, 12]
+    assert m["eval_sizes"] == [6, 9, 12]
 
 
 def test_too_few_sweep_rows_fails_in_setup(tmp_path, monkeypatch):
@@ -442,7 +442,7 @@ def test_too_few_sweep_rows_counts_only_sweeping_tasks():
         run_scenario(blob_config(schedule=[2, 1, 7], synth=small))
     # with lambda frozen after task 0 only the base task sweeps
     m = run_scenario(blob_config(schedule=[2, 1, 7], synth=small, freeze_lambda=True))
-    assert len(m.task_accuracies) == 3
+    assert len(m["task_accuracies"]) == 3
 
 
 def test_too_few_sweep_rows_counts_csv_rows(tmp_path):
@@ -467,8 +467,8 @@ def test_despeckling_ablation_keeps_pipeline_usable():
     with_rpca = run_scenario(RunConfig.from_dict(
         {**base, "rpca": {"enabled": True, "rank": 2, "epochs": 150, "lr": 0.5}}))
     without = run_scenario(RunConfig.from_dict(base))
-    assert with_rpca.avg_accuracy >= 70.0  # chance averages ~37.5 over the two tasks
-    assert without.avg_accuracy >= 70.0
+    assert with_rpca["avg_accuracy"] >= 70.0  # chance averages ~37.5 over the two tasks
+    assert without["avg_accuracy"] >= 70.0
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +488,14 @@ def test_report_files_and_roundtrip(tmp_path):
 
 
 def test_report_overwrite_is_atomic_replace(tmp_path):
-    m = MetricsReport(task_accuracies=[100.0, 90.0], balanced_accuracies=[100.0, 90.0],
-                      eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
-                      config_fingerprint="f" * 64)
+    m = {"task_accuracies": [100.0, 90.0], "balanced_accuracies": [100.0, 90.0],
+         "eval_sizes": [4, 8], "lambdas": {"ingested": [1.0, 1.0]},
+         "config_fingerprint": "f" * 64, **summary([100.0, 90.0])}
     report(m, tmp_path, blob_config(), [0.0, 0.0])
     first = (tmp_path / "metrics.json").read_text()
-    m2 = MetricsReport(task_accuracies=[100.0, 95.0], balanced_accuracies=[100.0, 95.0],
-                       eval_sizes=[4, 8], lambdas={"ingested": [1.0, 1.0]},
-                       config_fingerprint="f" * 64)
+    m2 = {"task_accuracies": [100.0, 95.0], "balanced_accuracies": [100.0, 95.0],
+          "eval_sizes": [4, 8], "lambdas": {"ingested": [1.0, 1.0]},
+          "config_fingerprint": "f" * 64, **summary([100.0, 95.0])}
     report(m2, tmp_path, blob_config(), [0.0, 0.0])
     second = (tmp_path / "metrics.json").read_text()
     assert first != second
@@ -634,9 +634,9 @@ def test_metrics_json_golden_sha256(tmp_path, monkeypatch, config, lambdas, accu
     monkeypatch.chdir(tmp_path)
     write_csv_features(tmp_path, [10] * 4)
     metrics = run_scenario(RunConfig.from_dict({**config, "output_dir": str(tmp_path)}))
-    assert metrics.lambdas == lambdas
-    assert metrics.task_accuracies == pytest.approx(accuracies, abs=0.005)
-    assert metrics.eval_sizes == eval_sizes
+    assert metrics["lambdas"] == lambdas
+    assert metrics["task_accuracies"] == pytest.approx(accuracies, abs=0.005)
+    assert metrics["eval_sizes"] == eval_sizes
     assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == sha256
 
 
@@ -656,10 +656,10 @@ def test_renaming_classes_changes_no_raw_pixel_result(tmp_path):
             **SIX_PX, "dataset": {"manifest": str(manifest)},
             "class_order": [rename[c] for c in SIX_PX["class_order"]]})))
     same, reversed_ = runs
-    assert reversed_.task_accuracies == same.task_accuracies
-    assert reversed_.balanced_accuracies == same.balanced_accuracies
-    assert reversed_.lambdas == same.lambdas
-    assert same.eval_sizes == [21, 35, 42, 56]
+    assert reversed_["task_accuracies"] == same["task_accuracies"]
+    assert reversed_["balanced_accuracies"] == same["balanced_accuracies"]
+    assert reversed_["lambdas"] == same["lambdas"]
+    assert same["eval_sizes"] == [21, 35, 42, 56]
 
 
 def test_each_image_is_extracted_and_projected_once(monkeypatch):
@@ -686,7 +686,7 @@ def test_each_image_is_extracted_and_projected_once(monkeypatch):
     images = synth["num_classes"] * (synth["per_class_train"] + synth["per_class_test"])
     assert sum(extracted) == images
     assert list(projected.values()) == [images, images]
-    assert metrics.eval_sizes == [10, 15, 20]
+    assert metrics["eval_sizes"] == [10, 15, 20]
 
 
 @pytest.mark.parametrize("config, target, fail_on_call, stage", [

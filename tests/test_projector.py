@@ -438,5 +438,5 @@ def test_bundled_config_lambda_picks(seed, picks):
     """Picks of the bundled config as the per-lambda Cholesky sweep made them."""
     cfg = json.loads(CONFIG_PATH.read_text())
     cfg["seed"] = seed
-    assert run_scenario(RunConfig.from_dict(cfg)).lambdas == {"ingested": picks}
+    assert run_scenario(RunConfig.from_dict(cfg))["lambdas"] == {"ingested": picks}
 

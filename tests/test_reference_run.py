@@ -74,12 +74,12 @@ def test_run_matches_the_naive_reference(tmp_path, monkeypatch, make_config, tie
     ref = reference_run(config, models)
 
     assert {branch: near_ties(sweeps) for branch, sweeps in ref.sweeps.items()} == ties
-    assert run.eval_sizes == ref.eval_sizes == eval_sizes
-    for branch, picks in run.lambdas.items():
+    assert run["eval_sizes"] == ref.eval_sizes == eval_sizes
+    for branch, picks in run["lambdas"].items():
         assert [lam for t, lam in enumerate(picks) if t not in ties[branch]] == \
             [lam for t, lam in enumerate(ref.lambdas[branch]) if t not in ties[branch]]
-    assert run.lambdas == lambdas
-    assert run.task_accuracies == pytest.approx(accuracies, abs=0.005)
-    assert run.task_accuracies == ref.task_accuracies
-    assert run.balanced_accuracies == ref.balanced_accuracies
+    assert run["lambdas"] == lambdas
+    assert run["task_accuracies"] == pytest.approx(accuracies, abs=0.005)
+    assert run["task_accuracies"] == ref.task_accuracies
+    assert run["balanced_accuracies"] == ref.balanced_accuracies
     assert predicted == ref.predictions

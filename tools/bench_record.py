@@ -20,9 +20,12 @@ per end-to-end metric that `BENCHMARK.json` lists, each side's run medians and
 quartiles, the pairs the change won (ties count for neither side), the ratio
 of the two sides' medians of their run medians, `gain`: there are at least
 ten pairs, the change won at least nine tenths of them, and its median run
-beats the parent's by more than the parent's interquartile range, and
+beats the parent's by more than the parent's interquartile range,
 `regressed`: the change's median is worse than the parent's by more than the
-metric's `bound`, a fraction of the parent's median; then `metrics_identical`
+metric's `bound`, a fraction of the parent's median, and `unresolved`: the
+parent's interquartile range is wider than that bound, a fraction of the
+parent's median, and not every change run beats every parent run, so an
+unchanged median shows nothing; then `metrics_identical`
 (every run of both sides wrote the same `metrics.json`) and whether
 `BENCHMARK.json` gates the workload. A metric's `better` direction ("lower" or
 "higher") sets what wins and worsens.
@@ -95,14 +98,18 @@ def record(pairs, end_to_end, gated=()) -> dict:
                  for s, v in (("parent", before), ("change", after))}
             wins = sum(sign * a < sign * b for a, b in zip(after, before))
             ratio = statistics.median(after) / statistics.median(before)
+            iqr = q["parent"][2] - q["parent"][0]
+            every_run_better = max(sign * a for a in after) < min(sign * b for b in before)
             metrics[key] = {
                 "parent": before, "change": after,
                 "parent_quartiles": q["parent"], "change_quartiles": q["change"],
                 "change_wins": wins,
                 "change_over_parent": ratio,
                 "gain": len(runs) >= GAIN_PAIRS and wins >= 0.9 * len(runs)
-                and sign * (q["parent"][1] - q["change"][1]) > q["parent"][2] - q["parent"][0],
+                and sign * (q["parent"][1] - q["change"][1]) > iqr,
                 "regressed": sign * (ratio - 1) > m["bound"],
+                "unresolved": iqr / statistics.median(before) > m["bound"]
+                and not every_run_better,
             }
         shas = parent["metrics_sha256"] + change["metrics_sha256"]
         workloads[name] = {
@@ -137,7 +144,8 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
     for name, w in rec["workloads"].items():
         wins = "  ".join(f"{m} {v['change_wins']}/{w['pairs']} x{v['change_over_parent']:.3f} "
-                         f"gain={v['gain']} regressed={v['regressed']}"
+                         f"gain={v['gain']} regressed={v['regressed']} "
+                         f"unresolved={v['unresolved']}"
                          for m, v in w["metrics"].items())
         print(f"{name}: {wins}  metrics identical: {w['metrics_identical']}")
     return 0
