@@ -23,32 +23,12 @@ class LabeledImage:
     label: str
     split: str  # "train" | "test"
 
-    def __post_init__(self):
-        px = self.pixels
-        if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
-            raise InputError(f"image must be 2-D and non-empty, got shape {px.shape}")
-        if not np.isfinite(px).all() or px.min() < 0 or px.max() > 1:
-            raise InputError("pixel values must be finite and in [0,1]")
-        if self.split not in ("train", "test"):
-            raise InputError(f"split must be train|test, got {self.split!r}")
-
 
 @dataclass
 class Dataset:
     name: str
     classes: list  # ordered class identifiers
-    samples: list  # of LabeledImage
-
-    def __post_init__(self):
-        known = set(self.classes)
-        seen = {(c, s): 0 for c in self.classes for s in ("train", "test")}
-        for im in self.samples:
-            if im.label not in known:
-                raise InputError(f"sample label {im.label!r} not in dataset classes")
-            seen[(im.label, im.split)] += 1
-        missing = [k for k, v in seen.items() if v == 0]
-        if missing:
-            raise InputError(f"classes missing samples for (class, split): {missing}")
+    samples: list  # of LabeledImage; every class has train and test images
 
     def by_class(self, split: str) -> dict:
         out = {c: [] for c in self.classes}
@@ -131,23 +111,36 @@ def load_dataset(manifest_path) -> Dataset:
         raise InputError(f"{manifest_path}: unreadable CSV: {exc}") from exc
     if not rows or rows[0] != ["path", "label", "split"]:
         raise InputError(f"{manifest_path}: first row must be header 'path,label,split'")
+    listed = {}  # resolved image path -> the manifest line that lists it
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise InputError(f"{manifest_path}:{lineno}: expected 3 fields, got {len(row)}")
         rel, label, split = row
+        if split not in ("train", "test"):
+            raise InputError(f"{manifest_path}:{lineno}: split {split!r} is not train or test")
+        if label not in classes:
+            raise InputError(f"{manifest_path}:{lineno}: label {label!r} is not a header class")
         img_path = manifest_path.parent / rel
         if not img_path.is_file():
             raise InputError(f"{manifest_path}:{lineno}: image not found: {img_path}")
+        first = listed.setdefault(img_path.resolve(), lineno)
+        if first != lineno:
+            raise InputError(f"{manifest_path}:{lineno}: {img_path} is already listed at "
+                             f"line {first}")
         try:
             pixels = read_pgm(img_path)
         except InputError as exc:
             raise InputError(f"{manifest_path}:{lineno}: {exc}") from exc
         if expect_size is not None and list(pixels.shape) != list(expect_size):
-            raise InputError(
-                f"{img_path}: image is {pixels.shape[0]}x{pixels.shape[1]}, "
-                f"manifest declares {expect_size[0]}x{expect_size[1]}"
-            )
+            raise InputError(f"{manifest_path}:{lineno}: {img_path}: image is "
+                             f"{pixels.shape[0]}x{pixels.shape[1]}, manifest declares "
+                             f"{expect_size[0]}x{expect_size[1]}")
         samples.append(LabeledImage(pixels=pixels, label=label, split=split))
+    covered = {(im.label, im.split) for im in samples}
+    for c in classes:
+        for split in ("train", "test"):
+            if (c, split) not in covered:
+                raise InputError(f"{manifest_path}: class {c!r} has no {split} images")
     return Dataset(name=name, classes=classes, samples=samples)
 
 

@@ -108,6 +108,19 @@ def test_pairs_count_wins_and_claim_a_gain_only_past_the_parent_spread(
     assert run_s["gain"] is gain
 
 
+@pytest.mark.parametrize("parent_failed, gain", [(0, False), (2, True)])
+def test_a_gain_does_not_count_when_the_change_fails_a_larger_share(
+        tmp_path, parent_failed, gain):
+    """Ten pairs at half the parent's run_s, with 2 of 3 samples failed in
+    every change run: a gain only when the parent failed as large a share."""
+    runs = [(fake_result("speckle-fusion", p, "a"), fake_result("speckle-fusion", p / 2, "a"))
+            for p in PARENT_RUNS]
+    for p, c in runs:
+        p["accounting"]["failed"], c["accounting"]["failed"] = parent_failed, 2
+    run_s = record_of(tmp_path, runs)["speckle-fusion"]["metrics"]["run_s"]
+    assert run_s["change_wins"] == 10 and run_s["gain"] is gain
+
+
 def test_pairs_at_a_held_out_seed_are_summarized_apart(tmp_path):
     """Pairs of one workload at two seeds are never pooled: each seed gets its
     own summary, named by seed; a workload run at one seed keeps its name."""

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proto_cil.datahub import (Dataset, LabeledImage, ScenarioSpec, augment_array,
-                               load_dataset, make_scenario, save_dataset, synth_dataset,
-                               _lowrank_clean)
+from proto_cil.datahub import (SYNTH_KINDS, Dataset, LabeledImage, ScenarioSpec,
+                               augment_array, load_dataset, make_scenario, save_dataset,
+                               synth_dataset, _lowrank_clean)
 from proto_cil.errors import InputError
 from proto_cil.pgm import read_pgm, write_pgm
 
@@ -93,6 +93,14 @@ def test_manifest_dimension_mismatch(tmp_path):
         load_dataset(manifest)
 
 
+def edit_rows(d, edit):
+    """Rewrite `d`'s manifest.csv as `edit` maps its list of lines. The lines
+    of `tiny_dataset()` are the header, then each class's 2 train rows and 1
+    test row, so line 2 is `c00_train_0001.pgm,c00,train` and line 11 is new."""
+    path = d / "manifest.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: (d / "manifest.json").unlink(), "manifest header not found: "),
     (lambda d: (d / "manifest.json").write_text("{"), "malformed manifest header "),
@@ -100,11 +108,20 @@ def test_manifest_dimension_mismatch(tmp_path):
      "manifest.csv: first row must be header 'path,label,split'"),
     (lambda d: (d / "manifest.csv").write_text("path,label,split\na.pgm,c00\n"),
      "manifest.csv:2: expected 3 fields, got 2"),
-], ids=["no-header", "header-not-json", "wrong-first-row", "two-fields"])
+    (lambda d: edit_rows(d, lambda lines: lines[:1] + ["c00_train_0001.pgm,c00,val"] + lines[2:]),
+     "manifest.csv:2: split 'val' is not train or test"),
+    (lambda d: edit_rows(d, lambda lines: lines[:1] + ["c00_train_0001.pgm,zz,train"] + lines[2:]),
+     "manifest.csv:2: label 'zz' is not a header class"),
+    (lambda d: edit_rows(d, lambda lines: [ln for ln in lines if ",c01,test" not in ln]),
+     "manifest.csv: class 'c01' has no test images"),
+    (lambda d: edit_rows(d, lambda lines: lines + ["./c00_train_0001.pgm,c00,test"]),
+     "manifest.csv:11: {d}/c00_train_0001.pgm is already listed at line 2"),
+], ids=["no-header", "header-not-json", "wrong-first-row", "two-fields", "val-split",
+        "label-not-a-header-class", "class-without-test-rows", "image-listed-twice"])
 def test_manifest_rejections(tmp_path, edit, message):
     manifest = save_dataset(tiny_dataset(), tmp_path)
     edit(tmp_path)
-    with pytest.raises(InputError, match=re.escape(message)):
+    with pytest.raises(InputError, match=re.escape(message.format(d=tmp_path))):
         load_dataset(manifest)
 
 
@@ -146,11 +163,17 @@ def test_lowrank_clean_rank_two():
         assert sv[3] <= 1e-10 * sv[0]
 
 
-def test_lowrank_speckle_dataset_valid():
-    ds = synth_dataset("lowrank_speckle", 3, 10, 5, 64, seed=7)
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_lowrank_speckle_dataset_valid(kind):
+    """What a dataset's users rely on and nothing re-checks: every image is 2-D,
+    finite and in [0,1], and every class has train and test images."""
+    ds = synth_dataset(kind, 3, 10, 5, 64, seed=7)
     assert len(ds.samples) == 3 * 15
     for im in ds.samples:
+        assert im.pixels.ndim == 2 and np.isfinite(im.pixels).all()
         assert 0 <= im.pixels.min() and im.pixels.max() <= 1
+    assert {(im.label, im.split) for im in ds.samples} == \
+        {(c, s) for c in ds.classes for s in ("train", "test")}
 
 
 # ---------------------------------------------------------------------------

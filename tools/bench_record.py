@@ -19,8 +19,9 @@ correctness, and the distinct environment stamps and `metrics.json` sha256s;
 per end-to-end metric that `BENCHMARK.json` lists, each side's run medians and
 quartiles, the pairs the change won (ties count for neither side), the ratio
 of the two sides' medians of their run medians, `gain`: there are at least
-ten pairs, the change won at least nine tenths of them, and its median run
-beats the parent's by more than the parent's interquartile range,
+ten pairs, the change won at least nine tenths of them, its median run
+beats the parent's by more than the parent's interquartile range, and its
+share of failed samples (summed over its runs) is no higher than the parent's,
 `regressed`: the change's median is worse than the parent's by more than the
 metric's `bound`, a fraction of the parent's median, and `unresolved`: the
 parent's interquartile range is wider than that bound, a fraction of the
@@ -89,6 +90,9 @@ def record(pairs, end_to_end, gated=()) -> dict:
         if len(runs) < 2:
             raise ValueError(f"{name}: one pair; quartiles need at least two")
         parent, change = side([p for p, _ in runs]), side([c for _, c in runs])
+        # the change's failed share <= the parent's, cross-multiplied: a side may attempt 0
+        fails_no_more = (sum(change["failed"]) * sum(parent["attempted"])
+                         <= sum(parent["failed"]) * sum(change["attempted"]))
         metrics = {}
         for m in end_to_end:
             key, sign = m["name"], 1 if m["better"] == "lower" else -1  # sign * x: lower wins
@@ -106,7 +110,7 @@ def record(pairs, end_to_end, gated=()) -> dict:
                 "change_wins": wins,
                 "change_over_parent": ratio,
                 "gain": len(runs) >= GAIN_PAIRS and wins >= 0.9 * len(runs)
-                and sign * (q["parent"][1] - q["change"][1]) > iqr,
+                and sign * (q["parent"][1] - q["change"][1]) > iqr and fails_no_more,
                 "regressed": sign * (ratio - 1) > m["bound"],
                 "unresolved": iqr / statistics.median(before) > m["bound"]
                 and not every_run_better,
