@@ -17,7 +17,7 @@ import numpy as np
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
 from .datahub import SYNTH_KINDS, load_dataset, save_dataset, synth_dataset
-from .features import softmax_cross_entropy, write_features
+from .features import FeatureMatrix, softmax_cross_entropy, write_features
 from .errors import InputError
 from .harness import (DEFAULTS, RunConfig, check_key, check_output, load_report, prepare_images,
                       run_scenario, train_backbone, train_denoiser)
@@ -165,7 +165,7 @@ def cmd_train_backbone(args) -> int:
     cnn_mod.save_cnn(model, args.out)
     # eval-mode fit of the training head on the training images
     y = np.array([sorted(set(labels)).index(c) for c in labels])
-    logits = cnn_mod.cnn_extract(model, imgs, labels).rows @ model["head_w"]
+    logits = cnn_mod.cnn_extract(model, imgs) @ model["head_w"]
     logits += model["head_b"]
     loss, acc = softmax_cross_entropy(logits, y)[0], float((logits.argmax(axis=1) == y).mean())
     print(f"saved checkpoint {args.out} (final loss {loss}, accuracy {acc})")
@@ -178,7 +178,8 @@ def cmd_extract(args) -> int:
     model = cnn_mod.load_cnn(args.model)
     samples = [im for im in ds.samples if im.split == args.split]
     imgs = prepare_images(samples, None)
-    fm = cnn_mod.cnn_extract(model, imgs, [im.label for im in samples])
+    fm = FeatureMatrix(rows=cnn_mod.cnn_extract(model, imgs),
+                       labels=[im.label for im in samples])
     write_features(fm, args.out)
     print(f"wrote {fm.rows.shape[0]}x{fm.dim} features to {args.out}")
     return 0

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import Divergence, InputError
-from .features import FeatureMatrix, softmax_cross_entropy
+from .features import softmax_cross_entropy
 from .seeding import derive_rng
 
 KERNELS = (7, 5, 3, 3)
@@ -252,17 +252,18 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
     return params
 
 
-def cnn_extract(params, images, labels) -> FeatureMatrix:
-    """Eval-mode dense features: the conv stack runs on float32 copies of the
-    conv weights, the dense layer in float64, so the rows are float64 and
-    differ from a float64 forward at about 1e-6 relative."""
+def cnn_extract(params, images) -> np.ndarray:
+    """Eval-mode dense features, one float64 row per image: the conv stack runs
+    on float32 copies of the conv weights, the dense layer in float64, so rows
+    differ from a float64 forward at about 1e-6 relative; Divergence if the
+    float32 stack overflows, which finite weights can make it do."""
     params = _float32_convs(params)
     x = np.asarray(images, dtype=np.float64)
-    rows = []
-    for start in range(0, len(x), EXTRACT_BATCH):
-        feats, _, _ = _forward_batch(params, x[start : start + EXTRACT_BATCH], None)
-        rows.append(feats)
-    return FeatureMatrix(rows=np.concatenate(rows, axis=0), labels=list(labels))
+    rows = np.concatenate([_forward_batch(params, x[start : start + EXTRACT_BATCH], None)[0]
+                           for start in range(0, len(x), EXTRACT_BATCH)], axis=0)
+    if not np.isfinite(rows).all():
+        raise Divergence("feature entries must be finite")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -291,4 +292,8 @@ def load_cnn(path) -> dict:
     if wrong:
         raise InputError(f"{path}: cnn checkpoint has parameters of the wrong shape: "
                          + ", ".join(wrong))
+    nonfinite = [k for k in PARAM_NAMES if not np.isfinite(arrays[k]).all()]
+    if nonfinite:
+        raise InputError(f"{path}: cnn checkpoint has non-finite parameters: "
+                         + ", ".join(nonfinite))
     return arrays

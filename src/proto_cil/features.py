@@ -6,23 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence, InputError
+from .errors import InputError
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureMatrix:
-    rows: np.ndarray  # (N, d) float64
-    labels: list      # N class identifiers
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2:
-            raise InputError(f"rows must be 2-D, got shape {self.rows.shape}")
-        if not np.isfinite(self.rows).all():
-            raise Divergence("feature entries must be finite")
-        if len(self.labels) != self.rows.shape[0]:
-            raise InputError(
-                f"{len(self.labels)} labels for {self.rows.shape[0]} feature rows")
+    rows: np.ndarray  # (N, d) float64, finite: each producer makes them so
+    labels: list      # N class identifiers, one per row
 
     @property
     def dim(self) -> int:

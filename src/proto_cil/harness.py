@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -272,7 +271,8 @@ class _CnnBranch:
 
     def features(self, samples) -> FeatureMatrix:
         imgs = prepare_images(samples, None, self.rpca_model)
-        return cnn_mod.cnn_extract(self.model, imgs, [im.label for im in samples])
+        return FeatureMatrix(rows=cnn_mod.cnn_extract(self.model, imgs),
+                             labels=[im.label for im in samples])
 
 
 class _IngestedBranch:
@@ -498,14 +498,14 @@ def check_output(path, directory=False) -> None:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    """`text` into `path` by a sibling file and a rename, so `path` is never
+    half written; the file gets open()'s mode, 0666 less the umask."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        tmp.write_text(text)
         os.replace(tmp, path)
     except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -5,28 +5,18 @@ are read at 8 bits (one byte per pixel) or 16 bits (two bytes big-endian, per
 the netpbm convention) and written at 8 bits.
 """
 
+import re
+
 import numpy as np
 
 from .errors import InputError
 
 
 def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            yield i, data[i:j]
-            i = j
+    """Yield (offset, token) for each whitespace-separated header token,
+    skipping '#' comments, which run to the end of their line."""
+    return ((m.start(), m.group()) for m in re.finditer(rb"#[^\n]*|[^\s#]+", data)
+            if not m.group().startswith(b"#"))
 
 
 def read_pgm(path) -> np.ndarray:

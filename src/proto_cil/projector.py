@@ -69,7 +69,7 @@ def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
             f"feature dimension {features.dim} != projection input {layer.W.shape[0]}")
     H = features.rows @ layer.W
     np.maximum(H, 0.0, out=H)
-    return FeatureMatrix(rows=H, labels=list(features.labels))
+    return FeatureMatrix(rows=H, labels=features.labels)
 
 
 def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:

@@ -19,7 +19,7 @@ def ssf_apply(adapter: dict, features: FeatureMatrix) -> FeatureMatrix:
     gamma, delta = adapter["gamma"], adapter["delta"]
     if features.dim != gamma.size:
         raise InputError(f"adapter dimension {gamma.size} != feature dimension {features.dim}")
-    return FeatureMatrix(rows=features.rows * gamma + delta, labels=list(features.labels))
+    return FeatureMatrix(rows=features.rows * gamma + delta, labels=features.labels)
 
 
 def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):

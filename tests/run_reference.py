@@ -94,8 +94,7 @@ def _cnn_rows(models):
     def rows(task, split):
         samples = getattr(task, split)
         imgs = prepare_images(samples, None, models["rpca"])
-        return cnn_extract(models["cnn"], imgs, [im.label for im in samples]).rows, \
-            [im.label for im in samples]
+        return cnn_extract(models["cnn"], imgs), [im.label for im in samples]
     return rows
 
 

@@ -292,6 +292,22 @@ def test_backbone_and_extract_roundtrip(tmp_path):
     assert sorted(set(fm.labels)) == ["c00", "c01"]
 
 
+def test_extract_of_overflowing_weights_exits_2(tmp_path, capsys, small_manifest):
+    """Finite weights that overflow the float32 conv stack pass the checkpoint
+    check; extraction then fails at run time and writes no CSV."""
+    from proto_cil.cnn import cnn_init, save_cnn
+
+    model = cnn_init(8, seed=0, num_classes=2)
+    model["conv0_w"][:] = 1e37
+    save_cnn(model, tmp_path / "cnn.bin")
+    out = tmp_path / "feats.csv"
+    capsys.readouterr()
+    assert main(["extract", "--manifest", small_manifest, "--model", str(tmp_path / "cnn.bin"),
+                 "--out", str(out)]) == 2
+    assert "Divergence: feature entries must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_backbone_seeds_flips_from_seed(tmp_path, monkeypatch):
     import proto_cil.harness as harness
 
@@ -374,7 +390,7 @@ def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):
     train = [im for im in load_dataset(ds / "manifest.csv").samples if im.split == "train"]
     labels = [im.label for im in train]
     y = np.array([sorted(set(labels)).index(c) for c in labels])
-    rows = cnn_extract(model, prepare_images(train, 3), labels).rows  # what the CLI prints from
+    rows = cnn_extract(model, prepare_images(train, 3))  # what the CLI prints from
     logits = rows @ model["head_w"] + model["head_b"]
     assert float(printed.group(1)) == pytest.approx(softmax_cross_entropy(logits, y)[0],
                                                     rel=1e-12)
@@ -751,6 +767,14 @@ def rejection(case, tmp_path, manifest):
         ckpt.write_bytes(b'{"meta": {"kind": "cnn"}, "blocks": [["w"]]}\n')
         return (["extract", "--manifest", manifest, "--model", str(ckpt), "--out", out],
                 "bad block entry ['w']")
+    if case == "non-finite-checkpoint":
+        from proto_cil.cnn import cnn_init, save_cnn
+
+        model, ckpt = cnn_init(8, seed=0, num_classes=2), tmp_path / "cnn.bin"
+        model["dense_w"][0, 0] = np.nan
+        save_cnn(model, ckpt)
+        return (["extract", "--manifest", manifest, "--model", str(ckpt), "--out", out],
+                f"{ckpt}: cnn checkpoint has non-finite parameters: dense_w")
     if case == "non-square-denoise":
         rank1_pgms(tmp_path / "train", n=4, size=8)
         rank1_pgms(tmp_path / "apply", n=2, size=6)
@@ -788,8 +812,8 @@ def rejection(case, tmp_path, manifest):
 
 @pytest.mark.parametrize("case", [
     "extract-missing-manifest", "train-backbone-missing-manifest", "missing-checkpoint",
-    "malformed-checkpoint", "non-square-denoise", "mixed-sizes-raw-pixels", "mixed-sizes-rpca",
-    "oversized-rpca-rank", "inf-csv-cell"])
+    "malformed-checkpoint", "non-finite-checkpoint", "non-square-denoise",
+    "mixed-sizes-raw-pixels", "mixed-sizes-rpca", "oversized-rpca-rank", "inf-csv-cell"])
 def test_rejected_input_exits_1_before_any_work(tmp_path, capsys, monkeypatch, small_manifest,
                                                 case):
     import proto_cil.cnn as cnn_mod

@@ -279,7 +279,7 @@ def test_extract_matches_reference_forward():
     to the bit, with float64 rows about 5e-7 relative from the float64
     reference."""
     model, imgs, labels = trained_blobs_model()
-    rows = cnn_extract(model, imgs, labels).rows
+    rows = cnn_extract(model, imgs)
     f32 = {k: v.astype(np.float32) if k.startswith("conv") else v for k, v in model.items()}
     feats, _, _ = _forward_batch(f32, imgs, None)
     assert rows.dtype == np.float64
@@ -300,7 +300,7 @@ def test_extract_and_train_columns_are_float32(monkeypatch):
 
     model, imgs, labels = trained_blobs_model()
     monkeypatch.setattr(cnn, "_im2col", spy)
-    cnn_extract(model, imgs[:2], labels[:2])
+    cnn_extract(model, imgs[:2])
     assert seen == [np.float32] * 2 * len(KERNELS)
     seen.clear()
     out = cnn_train(model, imgs, labels, dropout=0.5, epochs=1, **SGD)  # one batch
@@ -431,7 +431,7 @@ def test_extract_builds_columns_one_image_at_a_time():
     n, bound = cnn.EXTRACT_BATCH, memory_bound(0.75)
     model = cnn_init(256, seed=0)
     imgs = np.random.default_rng(7).random((n, INPUT_SIZE, INPUT_SIZE))
-    peak = traced_peak(lambda: cnn_extract(model, imgs, ["a"] * n))
+    peak = traced_peak(lambda: cnn_extract(model, imgs))
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
 
@@ -520,11 +520,11 @@ def test_extract_shapes_and_batching(monkeypatch):
     imgs, labels = augmented_blobs(per_class=3)
     model = cnn_init(16, seed=0, num_classes=2)
     model = cnn_train(model, imgs, labels, dropout=0.5, epochs=0, **SGD)
-    whole = cnn_extract(model, imgs, labels)
+    whole = cnn_extract(model, imgs)
     monkeypatch.setattr(cnn, "EXTRACT_BATCH", 2)
-    small = cnn_extract(model, imgs, labels)
-    assert whole.rows.shape == (len(imgs), 16)
-    assert np.allclose(whole.rows, small.rows)
+    small = cnn_extract(model, imgs)
+    assert whole.shape == (len(imgs), 16)
+    assert np.allclose(whole, small)
 
 
 def test_extract_rows_do_not_depend_on_batch_composition():
@@ -535,10 +535,10 @@ def test_extract_rows_do_not_depend_on_batch_composition():
     imgs, labels = augmented_blobs(per_class=30)
     model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=0,
                       **SGD)
-    whole = cnn_extract(model, imgs, labels)
-    part = cnn_extract(model, imgs[7:47], labels[7:47])
+    whole = cnn_extract(model, imgs)
+    part = cnn_extract(model, imgs[7:47])
     assert 7 % cnn.EXTRACT_BATCH and len(imgs) == 60
-    assert np.array_equal(part.rows, whole.rows[7:47])
+    assert np.array_equal(part, whole[7:47])
 
 
 @pytest.mark.parametrize("tail", range(1, 7))
@@ -551,10 +551,20 @@ def test_extract_tail_batch_agrees_to_rounding(tail):
     imgs, labels = augmented_blobs(per_class=8)
     model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=0,
                       **SGD)
-    whole = cnn_extract(model, imgs, labels).rows
-    part = cnn_extract(model, imgs[:tail], labels[:tail]).rows
+    whole = cnn_extract(model, imgs)
+    part = cnn_extract(model, imgs[:tail])
     assert len(imgs) == cnn.EXTRACT_BATCH
     assert max_rel(part, whole[:tail]) <= 1e-12
+
+
+def test_extract_rejects_rows_that_overflow_float32():
+    """Finite float64 weights can overflow the float32 conv stack: extraction,
+    the one producer of feature rows that can make them non-finite, says so."""
+    imgs, _ = augmented_blobs()
+    model = cnn_init(8, seed=0, num_classes=2)
+    model["conv0_w"][:] = 1e37  # finite in float32 too
+    with pytest.raises(Divergence, match="^feature entries must be finite$"):
+        cnn_extract(model, imgs)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -569,8 +579,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert back.keys() == model.keys()
     for k in model:
         assert np.array_equal(back[k], model[k])
-    a = cnn_extract(model, imgs[:2], labels[:2]).rows
-    b = cnn_extract(back, imgs[:2], labels[:2]).rows
+    a = cnn_extract(model, imgs[:2])
+    b = cnn_extract(back, imgs[:2])
     assert np.array_equal(a, b)
 
 
@@ -584,7 +594,7 @@ def test_checkpoint_with_widths_in_header_loads(tmp_path):
     imgs, labels = augmented_blobs(per_class=2)
     model = cnn_train(cnn_init(8, seed=3, num_classes=2), imgs, labels, dropout=0.25, epochs=0,
                       **SGD)
-    rows = cnn_extract(model, imgs, labels).rows
+    rows = cnn_extract(model, imgs)
     for old in ({"d_cnn": 8, "num_classes": 2}, {"dropout": 0.25, "frozen": True},
                 {"d_cnn": 8, "dropout": 0.25, "num_classes": 2, "frozen": True},
                 {"dropout": 0.5, "frozen": False}):
@@ -593,7 +603,7 @@ def test_checkpoint_with_widths_in_header_loads(tmp_path):
         assert back.keys() == model.keys(), old
         for k in model:
             assert np.array_equal(back[k], model[k])
-        assert np.array_equal(cnn_extract(back, imgs, labels).rows, rows)
+        assert np.array_equal(cnn_extract(back, imgs), rows)
 
 
 def _checkpoint(header, payload=b""):
@@ -676,3 +686,20 @@ def test_checkpoint_rejects_wrong_parameter_shape(tmp_path, name, shape):
                                                    f"the wrong shape: ")) as exc:
         load_cnn(path)
     assert f"{name} {shape} (expected " in str(exc.value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dense_w", np.nan),
+    ("conv0_w", np.inf),
+    ("head_b", -np.inf),
+])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, name, value):
+    from proto_cil.binio import save_blocks
+
+    params = cnn_init(8, seed=0)
+    params[name].flat[0] = value
+    path = tmp_path / "x.bin"
+    save_blocks(path, {"kind": "cnn"}, params)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: cnn checkpoint has non-finite parameters: {name}")):
+        load_cnn(path)

@@ -504,6 +504,22 @@ def test_report_overwrite_is_atomic_replace(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=["022", "002", "077"])
+def test_report_files_get_the_umask_mode(tmp_path, umask):
+    """Report files get the mode open() gives a new file, 0666 less the umask,
+    as the dataset and checkpoint files do."""
+    m = {"task_accuracies": [100.0], "balanced_accuracies": [100.0], "eval_sizes": [4],
+         "lambdas": {"ingested": [1.0]}, "config_fingerprint": "f" * 64, **summary([100.0])}
+    old = os.umask(umask)
+    try:
+        report(m, tmp_path, blob_config(), [0.0])
+    finally:
+        os.umask(old)
+    names = ("metrics.json", "accuracy_curve.csv", "config.json", "timings.json")
+    assert {n: (tmp_path / n).stat().st_mode & 0o777 for n in names} == \
+        dict.fromkeys(names, 0o666 & ~umask)
+
+
 def test_metrics_json_excludes_wall_clock(tmp_path):
     run_scenario(blob_config(output_dir=str(tmp_path),
                              synth={"per_class_train": 10, "per_class_test": 5}))
@@ -671,9 +687,9 @@ def test_each_image_is_extracted_and_projected_once(monkeypatch):
     extracted, projected = [], {}
     real_extract, real_project = harness.cnn_mod.cnn_extract, harness.project
 
-    def counting_extract(model, images, labels):
+    def counting_extract(model, images):
         extracted.append(len(images))
-        return real_extract(model, images, labels)
+        return real_extract(model, images)
 
     def counting_project(layer, fm):
         projected[id(layer)] = projected.get(id(layer), 0) + fm.rows.shape[0]

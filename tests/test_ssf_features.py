@@ -21,21 +21,6 @@ def make_fm(n=20, d=6, seed=0, classes=("a", "b")):
 # ---------------------------------------------------------------------------
 # feature matrices
 
-def test_feature_matrix_validation():
-    with pytest.raises(InputError, match="rows must be 2-D"):
-        FeatureMatrix(rows=np.zeros(3), labels=["a"] * 3)
-    with pytest.raises(Divergence, match="entries must be finite"):
-        FeatureMatrix(rows=np.array([[np.nan]]), labels=["a"])
-    with pytest.raises(InputError, match="labels"):
-        FeatureMatrix(rows=np.zeros((2, 3)), labels=["a"])
-
-
-def test_feature_matrix_casts_to_float64():
-    fm = FeatureMatrix(rows=np.ones((2, 2), dtype=np.float32), labels=["a", "b"])
-    assert fm.rows.dtype == np.float64
-    assert fm.dim == 2
-
-
 def test_feature_csv_roundtrip_is_exact(tmp_path):
     fm = make_fm(n=7, d=4, seed=3, classes=("a", "a,b", 'say "hi"', "two\nlines", " c "))
     write_features(fm, tmp_path / "f.csv")
