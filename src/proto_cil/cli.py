@@ -155,8 +155,18 @@ def cmd_denoise(args) -> int:
     return 0
 
 
+def _check_out_is_not_an_input(out, *inputs) -> None:
+    """InputError if the file `out` is one of the files `inputs`, through any
+    symlink or hard link."""
+    out = Path(out)
+    for p in inputs:
+        if out.exists() and Path(p).exists() and out.samefile(p):
+            raise InputError(f"--out would write {out} over the input {p}")
+
+
 def cmd_train_backbone(args) -> int:
     check_output(args.out)
+    _check_out_is_not_an_input(args.out, args.manifest, Path(args.manifest).with_suffix(".json"))
     ds = load_dataset(args.manifest)
     train = [im for im in ds.samples if im.split == "train"]
     labels = [im.label for im in train]
@@ -174,6 +184,8 @@ def cmd_train_backbone(args) -> int:
 
 def cmd_extract(args) -> int:
     check_output(args.out)
+    _check_out_is_not_an_input(args.out, args.manifest, Path(args.manifest).with_suffix(".json"),
+                               args.model)
     ds = load_dataset(args.manifest)
     model = cnn_mod.load_cnn(args.model)
     samples = [im for im in ds.samples if im.split == args.split]

@@ -121,8 +121,6 @@ def _forward_batch(params, images, drop, backprop=False):
     stay float64."""
     dtype = params["conv0_w"].dtype
     x = np.asarray(images, dtype=dtype)
-    if x.shape[1:] != (INPUT_SIZE, INPUT_SIZE):
-        raise InputError(f"expected {INPUT_SIZE}x{INPUT_SIZE} images, got {x.shape[1:]}")
     cache = {"images": []}
     flat = np.empty((len(x), FLAT_SIZE))
     for n, image in enumerate(x):
@@ -222,9 +220,6 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise InputError("base task must contain at least 2 classes")
-    heads = params["head_w"].shape[1]
-    if heads != len(classes):
-        raise InputError(f"model head has {heads} classes, labels have {len(classes)}")
     params = {k: v.copy() for k, v in params.items()}
     x = np.asarray(images, dtype=np.float64)
     y = np.array([classes.index(c) for c in labels])

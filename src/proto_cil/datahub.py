@@ -180,8 +180,8 @@ def _lowrank_clean(rng: np.random.Generator, size: int) -> np.ndarray:
     u2 = np.sin(2 * np.pi * freqs[2] * t + phases[2])
     v2 = np.cos(2 * np.pi * freqs[3] * t + phases[3])
     img = np.outer(u1, v1) + 0.5 * np.outer(u2, v2)
-    img = (img - img.min()) / (img.max() - img.min())
-    return img
+    lo, span = img.min(), img.max() - img.min()
+    return (img - lo) / span if span > 0 else np.zeros_like(img)  # a 1x1 template is constant
 
 
 def synth_dataset(kind: str, num_classes: int, per_class_train: int,

@@ -2,15 +2,13 @@
 
 import numpy as np
 
-from .errors import Divergence, InputError
+from .errors import Divergence
 from .features import softmax
 
 
 def late_fuse(s1: np.ndarray, s2: np.ndarray, classes) -> list:
     """Per row, the label with the largest sum of branch softmaxes; ties break
     toward the lowest registry index."""
-    if s1.shape != s2.shape:
-        raise InputError("branch score shapes differ")
     if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
         raise Divergence("scores must be finite")
     picks = (softmax(s1) + softmax(s2)).argmax(axis=1)  # first max: lowest index

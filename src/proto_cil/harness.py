@@ -173,22 +173,14 @@ class RunConfig:
 
 def accuracy(predicted_labels, true_labels) -> float:
     """Top-1 accuracy in percent."""
-    if len(predicted_labels) != len(true_labels):
-        raise InputError("prediction/label length mismatch")
-    if len(true_labels) == 0:
-        raise InputError("accuracy of empty input is undefined")
-    correct = sum(p == t for p, t in zip(predicted_labels, true_labels))
+    correct = sum(p == t for p, t in zip(predicted_labels, true_labels, strict=True))
     return 100.0 * correct / len(true_labels)
 
 
 def balanced_accuracy(predicted_labels, true_labels) -> float:
     """Mean of per-class recalls, percent."""
-    if len(predicted_labels) != len(true_labels):
-        raise InputError("prediction/label length mismatch")
-    if len(true_labels) == 0:
-        raise InputError("accuracy of empty input is undefined")
     per_class = {}
-    for p, t in zip(predicted_labels, true_labels):
+    for p, t in zip(predicted_labels, true_labels, strict=True):
         hits, total = per_class.get(t, (0, 0))
         per_class[t] = (hits + (p == t), total + 1)
     return 100.0 * float(np.mean([h / n for h, n in per_class.values()]))
@@ -196,16 +188,11 @@ def balanced_accuracy(predicted_labels, true_labels) -> float:
 
 def avg_acc(accuracies) -> float:
     """Arithmetic mean of per-task accuracies (base task included)."""
-    if len(accuracies) == 0:
-        raise InputError("avg_acc of empty list is undefined")
     return float(np.mean(accuracies))
 
 
 def perf_drop(a0: float, a_t: float) -> float:
     """Accuracy lost relative to the base task; may be negative."""
-    for v in (a0, a_t):
-        if not 0 <= v <= 100:
-            raise InputError(f"accuracy {v} outside [0,100]")
     return a0 - a_t
 
 
@@ -485,14 +472,17 @@ def run_scenario(config: RunConfig) -> dict:
 def check_output(path, directory=False) -> None:
     """Raise InputError naming `path` unless it can be written: a file that is
     not a directory and whose parent is one, or (`directory`) a directory whose
-    nearest existing ancestor, itself included, is a directory."""
+    nearest existing ancestor, itself included, is a directory. A symlink
+    exists; one that leads nowhere is neither a file nor a directory."""
     path = Path(path)
     if directory:
-        existing = next(p for p in (path, *path.parents) if p.exists())
+        existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
         if not existing.is_dir():
             raise InputError(f"output directory {path}: {existing} is not a directory")
     elif path.is_dir():
         raise InputError(f"output file {path} is a directory")
+    elif path.is_symlink() and not path.exists():
+        raise InputError(f"output file {path} is a symlink that leads nowhere")
     elif not path.parent.is_dir():
         raise InputError(f"output file {path}: {path.parent} is not a directory")
 

@@ -12,10 +12,13 @@ import numpy as np
 from .errors import InputError
 
 
+_COMMENT = re.compile(rb"#[^\r\n]*")  # a '#' comment runs to the next CR or LF
+
+
 def _tokens(data: bytes):
     """Yield (offset, token) for each whitespace-separated header token,
-    skipping '#' comments, which run to the end of their line."""
-    return ((m.start(), m.group()) for m in re.finditer(rb"#[^\n]*|[^\s#]+", data)
+    skipping '#' comments."""
+    return ((m.start(), m.group()) for m in re.finditer(_COMMENT.pattern + rb"|[^\s#]+", data)
             if not m.group().startswith(b"#"))
 
 
@@ -34,9 +37,12 @@ def read_pgm(path) -> np.ndarray:
         raise InputError(f"{path}: malformed PGM header") from exc
     if width <= 0 or height <= 0 or not (0 < maxval < 65536):
         raise InputError(f"{path}: bad PGM dimensions {width}x{height} maxval {maxval}")
+    end += len(maxval_tok)
+    if comment := _COMMENT.match(data, end):  # right after maxval: its CR or LF ends the header
+        end = comment.end()
 
     if magic == b"P2":
-        rest = data[end + len(maxval_tok) :].split()
+        rest = data[end:].split()
         if len(rest) != width * height:
             raise InputError(f"{path}: expected {width * height} pixels, got {len(rest)}")
         bad = [t for t in rest if not t.isdigit()]
@@ -45,8 +51,8 @@ def read_pgm(path) -> np.ndarray:
                              f"is not a non-negative integer")
         pixels = np.array([int(t) for t in rest], dtype=np.float64)
     else:
-        # single whitespace byte separates maxval from raster
-        start = end + len(maxval_tok) + 1
+        # a single whitespace byte separates the header from the raster
+        start = end + 1
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
         count = width * height
         raster = data[start : start + count * dtype.itemsize]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
-from .errors import Divergence, InputError
+from .errors import Divergence
 from .features import FeatureMatrix
 from .seeding import derive_rng
 
@@ -64,9 +64,6 @@ def init_projection(d: int, M: int, seed: int) -> ProjectionLayer:
 
 
 def project(layer: ProjectionLayer, features: FeatureMatrix) -> FeatureMatrix:
-    if features.dim != layer.W.shape[0]:
-        raise InputError(
-            f"feature dimension {features.dim} != projection input {layer.W.shape[0]}")
     H = features.rows @ layer.W
     np.maximum(H, 0.0, out=H)
     return FeatureMatrix(rows=H, labels=features.labels)
@@ -79,8 +76,6 @@ def accumulate(state: PrototypeState, H: FeatureMatrix) -> PrototypeState:
     eigenvalues, those above w_max * max(X.shape) * eps (eigh's accuracy)."""
     if H.rows.shape[0] == 0:
         return state
-    if H.dim != state.M:
-        raise InputError(f"projected dimension {H.dim} != state dimension {state.M}")
     r0 = state.s.size
     X = np.empty((r0 + H.rows.shape[0], state.M))
     np.multiply(state.s[:, None], state.Vt, out=X[:r0])
@@ -117,8 +112,6 @@ def solve_prototypes(state: PrototypeState, lam: float) -> np.ndarray:
 
 def score(P: np.ndarray, H_test: np.ndarray) -> np.ndarray:
     """The (N, K) scores of the projected rows H_test against prototypes P (M, K)."""
-    if (d := H_test.shape[1]) != P.shape[0]:
-        raise InputError(f"projected dimension {d} != prototype dimension {P.shape[0]}")
     return H_test @ P
 
 

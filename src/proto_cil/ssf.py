@@ -8,7 +8,7 @@ arrays, `{"gamma": (d,), "delta": (d,)}`.
 
 import numpy as np
 
-from .errors import Divergence, InputError
+from .errors import Divergence
 from .features import FeatureMatrix, softmax_cross_entropy
 from .seeding import derive_rng
 
@@ -17,8 +17,6 @@ BATCH_SIZE = 32
 
 def ssf_apply(adapter: dict, features: FeatureMatrix) -> FeatureMatrix:
     gamma, delta = adapter["gamma"], adapter["delta"]
-    if features.dim != gamma.size:
-        raise InputError(f"adapter dimension {gamma.size} != feature dimension {features.dim}")
     return FeatureMatrix(rows=features.rows * gamma + delta, labels=features.labels)
 
 

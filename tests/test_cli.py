@@ -59,6 +59,19 @@ def test_synth_deterministic_bytes(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_synth_and_run_at_one_pixel(tmp_path, capsys):
+    """image_size 1 passes the config rules: its constant lowrank_speckle
+    template maps to 0, so synth writes the images and a run completes."""
+    assert main(["synth", "--kind", "lowrank_speckle", "--classes", "2", "--train", "5",
+                 "--test", "1", "--size", "1", "--out", str(tmp_path / "ds")]) == 0
+    assert len(list((tmp_path / "ds").glob("*.pgm"))) == 2 * 6
+    cfg = {"dataset": {"synth": {"kind": "lowrank_speckle", "num_classes": 4,
+                                 "per_class_train": 5, "per_class_test": 2, "image_size": 1}},
+           "schedule": [2, 2], "projection_dim": 20}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+
+
 def test_synth_rejects_bad_counts(tmp_path, capsys):
     rc = main(["synth", "--kind", "blobs", "--classes", "1", "--train", "2",
                "--test", "1", "--size", "8", "--out", str(tmp_path)])
@@ -290,6 +303,40 @@ def test_backbone_and_extract_roundtrip(tmp_path):
     fm = ingest_features(feats)
     assert fm.rows.shape == (4, 8)
     assert sorted(set(fm.labels)) == ["c00", "c01"]
+
+
+@pytest.mark.parametrize("command, target", [
+    ("extract", "manifest.csv"), ("extract", "manifest.json"), ("extract", "cnn.bin"),
+    ("extract", "link"), ("train-backbone", "manifest.csv"), ("train-backbone", "manifest.json"),
+])
+def test_extract_and_train_backbone_refuse_to_write_over_their_inputs(tmp_path, capsys,
+                                                                      monkeypatch, command,
+                                                                      target):
+    """An --out that is the manifest, its header, the checkpoint or a symlink
+    to one of them: exit 1, naming both paths, before any image is read, with
+    every input unchanged."""
+    import proto_cil.datahub as datahub
+    from proto_cil.cnn import cnn_init, save_cnn
+
+    assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "1", "--test", "1",
+                 "--size", "32", "--out", str(tmp_path)]) == 0
+    save_cnn(cnn_init(8, seed=0, num_classes=2), tmp_path / "cnn.bin")
+    (tmp_path / "link").symlink_to(tmp_path / "manifest.json")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def no_reading(path):
+        raise AssertionError(f"{path} read before --out was checked")
+
+    monkeypatch.setattr(datahub, "read_pgm", no_reading)
+    manifest, out = tmp_path / "manifest.csv", tmp_path / target
+    argv = [command, "--manifest", str(manifest), "--out", str(out)]
+    if command == "extract":
+        argv += ["--model", str(tmp_path / "cnn.bin")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    named = tmp_path / ("manifest.json" if target == "link" else target)
+    assert f"--out would write {out} over the input {named}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_extract_of_overflowing_weights_exits_2(tmp_path, capsys, small_manifest):
@@ -945,6 +992,23 @@ def test_run_checks_its_output_dir_before_loading_data(paths_but_no_data, capsys
         config["output_dir"] = str(out)
     cfg.write_text(json.dumps(config))
     rejects_output(capsys, argv, out)
+
+
+@pytest.mark.parametrize("command", ["run", "synth", "train-backbone", "extract"])
+def test_a_symlink_that_leads_nowhere_is_a_rejected_out(paths_but_no_data, capsys, command):
+    """`--out` a symlink to a missing path: writing through it would fail
+    after the work, so it exits 1 before any."""
+    out = paths_but_no_data / "link"
+    out.symlink_to(paths_but_no_data / "missing" / "target")
+    cfg = paths_but_no_data / "cfg.json"
+    cfg.write_text(CONFIG_PATH.read_text())
+    manifest, model = str(paths_but_no_data / "m.csv"), str(paths_but_no_data / "cnn.bin")
+    argv = {"run": ["run", "--config", str(cfg)],
+            "synth": ["synth", "--kind", "blobs", "--classes", "2", "--train", "1",
+                      "--test", "1", "--size", "8"],
+            "train-backbone": ["train-backbone", "--manifest", manifest],
+            "extract": ["extract", "--manifest", manifest, "--model", model]}[command]
+    rejects_output(capsys, argv + ["--out", str(out)], out)
 
 
 def test_synth_checks_its_out_before_generating(paths_but_no_data, capsys):

@@ -51,6 +51,21 @@ def test_pgm_header_comments(tmp_path):
         assert back.shape == (1, 2) and back[0, 0] == 1.0 and back[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("eol", [b"\n", b"\r"], ids=["LF", "CR"])
+@pytest.mark.parametrize("magic, raster", [(b"P5", bytes([10, 20, 30, 40])),
+                                           (b"P2", b"10 20 30 40")], ids=["P5", "P2"])
+def test_pgm_comment_after_maxval_ends_at_the_raster_delimiter(tmp_path, magic, raster, eol):
+    """A comment right after maxval runs to the CR or LF that then delimits
+    the raster, as netpbm reads it."""
+    (tmp_path / "a.pgm").write_bytes(magic + b" 2 2 255#comment" + eol + raster)
+    assert np.array_equal(read_pgm(tmp_path / "a.pgm") * 255, [[10, 20], [30, 40]])
+
+
+def test_pgm_header_comment_ends_at_a_carriage_return(tmp_path):
+    (tmp_path / "a.pgm").write_bytes(b"P5 #comment\r2 1 255\n" + bytes([255, 0]))
+    assert np.array_equal(read_pgm(tmp_path / "a.pgm"), [[1.0, 0.0]])
+
+
 @pytest.mark.parametrize("sample", ["x", "-1", "1.5"])
 def test_pgm_ascii_rejects_non_integer_samples(tmp_path, sample):
     (tmp_path / "a.pgm").write_text(f"P2\n2 1\n255\n{sample} 0\n")

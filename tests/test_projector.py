@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from scipy.linalg import cho_factor, cho_solve
 
 from proto_cil import projector
-from proto_cil.errors import Divergence, InputError
+from proto_cil.errors import Divergence
 from proto_cil.features import FeatureMatrix
 from proto_cil.harness import RunConfig, run_scenario
 from proto_cil.projector import (DEFAULT_LAMBDA_GRID, accumulate, empty_state, init_projection,
@@ -75,12 +75,6 @@ def test_project_rows_do_not_depend_on_batch_composition():
     assert np.array_equal(project(layer, part).rows, whole[7:47])
     one = project(layer, FeatureMatrix(rows=fm.rows[7:8], labels=fm.labels[7:8])).rows
     assert np.abs(one - whole[7:8]).max() <= 1e-12 * np.abs(whole[7:8]).max()
-
-
-def test_project_dimension_mismatch():
-    layer = init_projection(4, 16, seed=1)
-    with pytest.raises(InputError, match="dimension"):
-        project(layer, random_fm(5, 6, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +238,6 @@ def test_solve_after_accumulate_refreshes_cached_svd():
     assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_accumulate_dimension_mismatch():
-    with pytest.raises(InputError, match="projected dimension 5 != state dimension 4"):
-        accumulate(empty_state(4), random_fm(3, 5, seed=0))
-
-
 # ---------------------------------------------------------------------------
 # prototype solve + scoring
 
@@ -281,14 +270,6 @@ def test_solve_matches_dense_shift_cholesky():
         P = solve_prototypes(st, lam)
         assert np.linalg.norm(P - dense) <= 1e-8 * np.linalg.norm(dense)
     assert np.array_equal(root(st), R0) and np.array_equal(st.C, C0)
-
-
-def test_score_checks_prototype_width():
-    st = accumulate(empty_state(4), random_fm(10, 4, seed=1))
-    P = solve_prototypes(st, 1.0)
-    assert score(P, random_fm(2, 4, seed=2).rows).shape == (2, len(st.registry))
-    with pytest.raises(InputError, match="projected dimension 5 != prototype dimension 4"):
-        score(P, random_fm(2, 5, seed=2).rows)
 
 
 def test_scores_are_feature_prototype_products():

@@ -138,12 +138,6 @@ def test_train_divergence_is_reported_with_epoch(monkeypatch):
         rpca_train(X, r=1, epochs=50, lr=1e12, seed=0)
 
 
-def test_apply_rejects_wrong_length():
-    model = span_of(np.arange(4.0))
-    with pytest.raises(InputError, match="length"):
-        rpca_apply(model, np.zeros(5))
-
-
 def test_export_sparse_pgm_sidecar_roundtrip(tmp_path):
     import json
 

@@ -79,11 +79,6 @@ def test_ssf_apply_formula():
     assert np.allclose(out.rows, fm.rows * adapter["gamma"] + adapter["delta"])
 
 
-def test_ssf_apply_dimension_mismatch():
-    with pytest.raises(InputError, match="adapter dimension 4 != feature dimension 6"):
-        ssf_apply({"gamma": np.ones(4), "delta": np.zeros(4)}, make_fm(d=6))
-
-
 def test_probe_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     d, k, n = 5, 3, 12
