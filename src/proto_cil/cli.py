@@ -16,11 +16,11 @@ import numpy as np
 
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
-from .datahub import SYNTH_KINDS, load_dataset, save_dataset, synth_dataset
+from .datahub import SYNTH_KINDS, file_identity, load_dataset, save_dataset, synth_dataset
 from .features import FeatureMatrix, softmax_cross_entropy, write_features
 from .errors import InputError
-from .harness import (DEFAULTS, RunConfig, check_key, check_output, load_report, prepare_images,
-                      run_scenario, train_backbone, train_denoiser)
+from .harness import (DEFAULTS, REPORT_FILES, RunConfig, check_key, check_output, load_report,
+                      prepare_images, run_scenario, train_backbone, train_denoiser)
 from .pgm import read_pgm
 
 USAGE_EXIT = 1
@@ -121,9 +121,10 @@ def cmd_denoise(args) -> int:
         raise InputError(f"no files match --train-glob {args.train_glob!r}")
     if not apply_paths:
         raise InputError(f"no files match --apply-glob {args.apply_glob!r}")
-    for p in train_paths + apply_paths:
-        if not Path(p).is_file():
-            raise InputError(f"glob match {p} is not a file")
+    matches = train_paths + apply_paths
+    inputs = {file_identity(p): p for p in reversed(matches)}  # a file's first match names it
+    if None in inputs:
+        raise InputError(f"glob match {inputs[None]} is not a file")
     check_output(args.out, directory=True)
     outputs = {}  # output name -> the first --apply-glob file of that name
     for p in apply_paths:
@@ -131,16 +132,11 @@ def cmd_denoise(args) -> int:
             raise InputError(f"--apply-glob files {outputs[Path(p).name]} and {p} share "
                              f"the output name {Path(p).name}")
     out = Path(args.out)
-    inputs = {Path(p).resolve(): p for p in train_paths + apply_paths}
-    for name in outputs:
+    for name in outputs if out.is_dir() else ():  # a missing --out holds no outputs yet
         for written in (out / name, out / f"{name}.json"):
-            if written.is_dir():
-                raise InputError(f"output file {written} is a directory")
-            if written.resolve() in inputs:
-                raise InputError(f"--out would write {written} over the input "
-                                 f"{inputs[written.resolve()]}")
+            check_output(written, inputs=inputs)
     # every image is read and checked against the first before training
-    images = {p: read_pgm(p) for p in train_paths + apply_paths}
+    images = {p: read_pgm(p) for p in matches}
     side = images[train_paths[0]].shape[0]
     for p, im in images.items():
         if im.shape != (side, side):
@@ -155,18 +151,9 @@ def cmd_denoise(args) -> int:
     return 0
 
 
-def _check_out_is_not_an_input(out, *inputs) -> None:
-    """InputError if the file `out` is one of the files `inputs`, through any
-    symlink or hard link."""
-    out = Path(out)
-    for p in inputs:
-        if out.exists() and Path(p).exists() and out.samefile(p):
-            raise InputError(f"--out would write {out} over the input {p}")
-
-
 def cmd_train_backbone(args) -> int:
-    check_output(args.out)
-    _check_out_is_not_an_input(args.out, args.manifest, Path(args.manifest).with_suffix(".json"))
+    inputs = (args.manifest, Path(args.manifest).with_suffix(".json"))
+    check_output(args.out, inputs={file_identity(p): p for p in inputs})
     ds = load_dataset(args.manifest)
     train = [im for im in ds.samples if im.split == "train"]
     labels = [im.label for im in train]
@@ -183,9 +170,8 @@ def cmd_train_backbone(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    check_output(args.out)
-    _check_out_is_not_an_input(args.out, args.manifest, Path(args.manifest).with_suffix(".json"),
-                               args.model)
+    inputs = (args.manifest, Path(args.manifest).with_suffix(".json"), args.model)
+    check_output(args.out, inputs={file_identity(p): p for p in inputs})
     ds = load_dataset(args.manifest)
     model = cnn_mod.load_cnn(args.model)
     samples = [im for im in ds.samples if im.split == args.split]
@@ -209,6 +195,14 @@ def cmd_run(args) -> int:
     if type(raw) is dict:  # anything else is rejected by from_dict
         raw.update((key, value) for key, value in overrides.items() if value is not None)
     config = RunConfig.from_dict(raw)
+    # no report file may be the config or a file it names: the manifest, its header or a CSV
+    manifest, source = config.dataset.get("manifest"), config.ingested_source
+    named = (cfg_path, manifest, manifest and Path(manifest).with_suffix(".json"),
+             source.get("train"), source.get("test"))
+    read = {file_identity(p): p for p in named if p}
+    if config.output_dir and Path(config.output_dir).is_dir():  # a missing one holds no report
+        for name in REPORT_FILES:
+            check_output(Path(config.output_dir) / name, inputs=read)
     metrics = run_scenario(config)
     print(f"tasks: {len(metrics['task_accuracies'])}  "
           f"avg accuracy: {metrics['avg_accuracy']:.2f}  perf drop: {metrics['perf_drop']:.2f}")

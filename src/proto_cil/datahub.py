@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,6 +79,17 @@ class TaskSequence:
 # ---------------------------------------------------------------------------
 # manifest I/O
 
+def file_identity(path):
+    """`(st_dev, st_ino)` of the regular file `path` leads to, by one stat: two
+    paths are one file, through any link, when these are equal. None if the
+    stat fails (a missing path or link target, a symlink loop) or finds no file."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def load_dataset(manifest_path) -> Dataset:
     """Load a dataset from a CSV manifest (`path,label,split`) + sibling JSON header."""
     manifest_path = Path(manifest_path)
@@ -111,7 +124,7 @@ def load_dataset(manifest_path) -> Dataset:
         raise InputError(f"{manifest_path}: unreadable CSV: {exc}") from exc
     if not rows or rows[0] != ["path", "label", "split"]:
         raise InputError(f"{manifest_path}: first row must be header 'path,label,split'")
-    listed = {}  # resolved image path -> the manifest line that lists it
+    listed = {}  # file identity of an image -> the manifest line that lists it
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise InputError(f"{manifest_path}:{lineno}: expected 3 fields, got {len(row)}")
@@ -121,9 +134,9 @@ def load_dataset(manifest_path) -> Dataset:
         if label not in classes:
             raise InputError(f"{manifest_path}:{lineno}: label {label!r} is not a header class")
         img_path = manifest_path.parent / rel
-        if not img_path.is_file():
+        if (identity := file_identity(img_path)) is None:
             raise InputError(f"{manifest_path}:{lineno}: image not found: {img_path}")
-        first = listed.setdefault(img_path.resolve(), lineno)
+        first = listed.setdefault(identity, lineno)
         if first != lineno:
             raise InputError(f"{manifest_path}:{lineno}: {img_path} is already listed at "
                              f"line {first}")

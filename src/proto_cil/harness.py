@@ -21,7 +21,7 @@ import numpy as np
 from . import cnn as cnn_mod
 from . import rpca as rpca_mod
 from .datahub import (CROP_SIZE, SYNTH_KINDS, Dataset, ScenarioSpec, augment_array,
-                      load_dataset, make_scenario, synth_dataset)
+                      file_identity, load_dataset, make_scenario, synth_dataset)
 from .errors import InputError, StageFailure
 from .features import FeatureMatrix, ingest_features
 from .fusion import late_fuse, single_predict
@@ -469,9 +469,13 @@ def run_scenario(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # reporting
 
-def check_output(path, directory=False) -> None:
+REPORT_FILES = ("metrics.json", "accuracy_curve.csv", "config.json", "timings.json")
+
+
+def check_output(path, directory=False, inputs={}) -> None:
     """Raise InputError naming `path` unless it can be written: a file that is
-    not a directory and whose parent is one, or (`directory`) a directory whose
+    not a directory, whose parent is one, and that is no input (`inputs` maps
+    a file_identity to its input's path); or (`directory`) a directory whose
     nearest existing ancestor, itself included, is a directory. A symlink
     exists; one that leads nowhere is neither a file nor a directory."""
     path = Path(path)
@@ -485,42 +489,33 @@ def check_output(path, directory=False) -> None:
         raise InputError(f"output file {path} is a symlink that leads nowhere")
     elif not path.parent.is_dir():
         raise InputError(f"output file {path}: {path.parent} is not a directory")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """`text` into `path` by a sibling file and a rename, so `path` is never
-    half written; the file gets open()'s mode, 0666 less the umask."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
+    elif (identity := file_identity(path)) is not None and identity in inputs:
+        raise InputError(f"--out would write {path} over the input {inputs[identity]}")
 
 
 def report(metrics: dict, out_dir, config: RunConfig, per_task_seconds: list) -> None:
-    """Write metrics.json (`metrics`, with its summary), accuracy_curve.csv,
-    config.json and timings.json.
+    """Write the REPORT_FILES (metrics.json is `metrics`, with its summary), each
+    by a sibling file and a rename so none is half written, with open()'s mode.
 
     metrics.json is fully deterministic for a fixed config+seed; wall-clock
     (`per_task_seconds`) goes to timings.json so reruns stay byte-identical.
     """
+    curve = [f"{t},{a!r},{pd!r}"
+             for t, (a, pd) in enumerate(zip(metrics["task_accuracies"], metrics["perf_drops"]))]
+    texts = (json.dumps(metrics, sort_keys=True, indent=2),  # in REPORT_FILES order
+             "\n".join(["task,accuracy,perf_drop", *curve]),
+             json.dumps(asdict(config), sort_keys=True, indent=2),
+             json.dumps({"per_task_seconds": per_task_seconds}, indent=2))
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_dir / "metrics.json",
-                      json.dumps(metrics, sort_keys=True, indent=2) + "\n")
-        rows = ["task,accuracy,perf_drop"]
-        for t, (a, pd) in enumerate(zip(metrics["task_accuracies"], metrics["perf_drops"])):
-            rows.append(f"{t},{a!r},{pd!r}")
-        _atomic_write(out_dir / "accuracy_curve.csv", "\n".join(rows) + "\n")
-        _atomic_write(out_dir / "config.json",
-                      json.dumps(asdict(config), sort_keys=True, indent=2) + "\n")
-        _atomic_write(out_dir / "timings.json",
-                      json.dumps({"per_task_seconds": per_task_seconds}, indent=2) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in zip(REPORT_FILES, texts):
+        tmp = out_dir / f"{name}.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(text + "\n")
+            os.replace(tmp, out_dir / name)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
 
 
 def load_report(out_dir) -> dict:

@@ -16,9 +16,9 @@ _COMMENT = re.compile(rb"#[^\r\n]*")  # a '#' comment runs to the next CR or LF
 
 
 def _tokens(data: bytes):
-    """Yield (offset, token) for each whitespace-separated header token,
-    skipping '#' comments."""
-    return ((m.start(), m.group()) for m in re.finditer(_COMMENT.pattern + rb"|[^\s#]+", data)
+    """Yield (end offset, token) for each whitespace-separated token, skipping
+    '#' comments."""
+    return ((m.end(), m.group()) for m in re.finditer(_COMMENT.pattern + rb"|[^\s#]+", data)
             if not m.group().startswith(b"#"))
 
 
@@ -37,12 +37,8 @@ def read_pgm(path) -> np.ndarray:
         raise InputError(f"{path}: malformed PGM header") from exc
     if width <= 0 or height <= 0 or not (0 < maxval < 65536):
         raise InputError(f"{path}: bad PGM dimensions {width}x{height} maxval {maxval}")
-    end += len(maxval_tok)
-    if comment := _COMMENT.match(data, end):  # right after maxval: its CR or LF ends the header
-        end = comment.end()
-
     if magic == b"P2":
-        rest = data[end:].split()
+        rest = [t for _, t in toks]  # the raster, '#' comments skipped as in the header
         if len(rest) != width * height:
             raise InputError(f"{path}: expected {width * height} pixels, got {len(rest)}")
         bad = [t for t in rest if not t.isdigit()]
@@ -51,7 +47,9 @@ def read_pgm(path) -> np.ndarray:
                              f"is not a non-negative integer")
         pixels = np.array([int(t) for t in rest], dtype=np.float64)
     else:
-        # a single whitespace byte separates the header from the raster
+        # one whitespace byte, after any comment right after maxval, ends the header
+        if comment := _COMMENT.match(data, end):
+            end = comment.end()
         start = end + 1
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
         count = width * height

@@ -177,6 +177,32 @@ def test_denoise_refuses_to_write_over_its_inputs(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.rglob("*.json"))
 
 
+@pytest.mark.parametrize("output, target", [("im000.pgm", "missing/x"),
+                                            ("im000.pgm", "im000.pgm"),
+                                            ("im000.pgm.json", "missing/x")],
+                         ids=["dangling", "loop", "dangling-sidecar"])
+def test_denoise_rejects_an_output_symlink_that_leads_nowhere(tmp_path, capsys, monkeypatch,
+                                                              output, target):
+    """An output `<out>/<name>` or `<out>/<name>.json` that is a symlink to a
+    missing path, or a symlink loop, cannot be written: exit 1, naming it,
+    before any training, with nothing written."""
+    import proto_cil.cli as cli
+
+    rank1_pgms(tmp_path / "in", n=4)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / output).symlink_to(target)
+    trained = []
+    monkeypatch.setattr(cli, "train_denoiser", lambda *args: trained.append(args))
+    rc = main(["denoise", "--train-glob", str(tmp_path / "in" / "*.pgm"),
+               "--apply-glob", str(tmp_path / "in" / "im000.pgm"),
+               "--rank", "1", "--out", str(out)])
+    assert rc == 1
+    assert f"output file {out / output} is a symlink that leads nowhere" in \
+        capsys.readouterr().err
+    assert trained == [] and [p.name for p in out.iterdir()] == [output]
+
+
 @pytest.mark.parametrize("flag", ["--train-glob", "--apply-glob"])
 def test_denoise_rejects_a_glob_match_that_is_not_a_file(tmp_path, capsys, monkeypatch, flag):
     """A directory that a glob matches is a rejected input: exit 1, naming
@@ -667,6 +693,51 @@ def test_run_csv_without_a_scenario_class_is_usage_error(tmp_path, capsys, split
     err = capsys.readouterr().err
     assert f"{split}.csv has no rows of scenario classes ['c02']" in err
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("case", ["config", "manifest-header", "csv-source", "symlink",
+                                  "hard-link"])
+def test_run_refuses_to_write_its_report_over_its_inputs(tmp_path, capsys, monkeypatch, case):
+    """A report file under the output directory that is the config file, the
+    manifest's header or a CSV source, by its own name or through a symlink or
+    hard link: exit 1, naming both paths, before the dataset is read, with
+    every file's bytes unchanged."""
+    import proto_cil.harness as harness
+
+    d, cfg = tmp_path / "d", json.loads(CONFIG_PATH.read_text())
+    d.mkdir()
+    config = tmp_path / "cfg.json"  # read from outside d, but for the "config" case
+    if case == "config":
+        config = d / "config.json"
+        written, read = config, config
+    elif case == "manifest-header":
+        assert main(["synth", "--kind", "blobs", "--classes", "10", "--train", "20",
+                     "--test", "10", "--size", "16", "--out", str(d)]) == 0
+        for suffix in (".csv", ".json"):  # the manifest is metrics.csv, its header metrics.json
+            (d / f"manifest{suffix}").rename(d / f"metrics{suffix}")
+        cfg["dataset"] = {"manifest": str(d / "metrics.csv")}
+        written, read = d / "metrics.json", d / "metrics.json"
+    elif case == "csv-source":
+        cfg["ingested_source"] = {
+            "kind": "csv", "train": write_feature_csv(d / "accuracy_curve.csv", BUNDLED_CLASSES),
+            "test": write_feature_csv(tmp_path / "test.csv", BUNDLED_CLASSES)}
+        written, read = d / "accuracy_curve.csv", d / "accuracy_curve.csv"
+    else:
+        written, read = d / "timings.json", config
+    config.write_text(json.dumps(cfg))
+    if case == "symlink":
+        written.symlink_to(config)
+    elif case == "hard-link":
+        os.link(config, written)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def no_reading(config):
+        raise AssertionError("dataset read before the report files were checked")
+
+    monkeypatch.setattr(harness, "_resolve_dataset", no_reading)
+    assert main(["run", "--config", str(config), "--out", str(d)]) == 1
+    assert f"--out would write {written} over the input {read}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_run_csv_source_with_portion_flag_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -58,6 +59,16 @@ def test_pgm_comment_after_maxval_ends_at_the_raster_delimiter(tmp_path, magic, 
     """A comment right after maxval runs to the CR or LF that then delimits
     the raster, as netpbm reads it."""
     (tmp_path / "a.pgm").write_bytes(magic + b" 2 2 255#comment" + eol + raster)
+    assert np.array_equal(read_pgm(tmp_path / "a.pgm") * 255, [[10, 20], [30, 40]])
+
+
+@pytest.mark.parametrize("text", ["P2 2 2 255 # max\n10 20 30 40",
+                                  "P2\n2 2\n255\n10 20 # row\n30 40\n"],
+                         ids=["after-maxval", "on-a-raster-line"])
+def test_pgm_ascii_raster_skips_comments(tmp_path, text):
+    """A '#' comment inside a P2 raster is skipped, as in the header and as
+    netpbm's plain-format reader skips it."""
+    (tmp_path / "a.pgm").write_text(text)
     assert np.array_equal(read_pgm(tmp_path / "a.pgm") * 255, [[10, 20], [30, 40]])
 
 
@@ -131,8 +142,12 @@ def edit_rows(d, edit):
      "manifest.csv: class 'c01' has no test images"),
     (lambda d: edit_rows(d, lambda lines: lines + ["./c00_train_0001.pgm,c00,test"]),
      "manifest.csv:11: {d}/c00_train_0001.pgm is already listed at line 2"),
+    (lambda d: (os.link(d / "c00_train_0001.pgm", d / "hard.pgm"),
+                edit_rows(d, lambda lines: lines + ["hard.pgm,c00,test"])),
+     "manifest.csv:11: {d}/hard.pgm is already listed at line 2"),
 ], ids=["no-header", "header-not-json", "wrong-first-row", "two-fields", "val-split",
-        "label-not-a-header-class", "class-without-test-rows", "image-listed-twice"])
+        "label-not-a-header-class", "class-without-test-rows", "image-listed-twice",
+        "image-hard-linked-twice"])
 def test_manifest_rejections(tmp_path, edit, message):
     manifest = save_dataset(tiny_dataset(), tmp_path)
     edit(tmp_path)

@@ -285,6 +285,26 @@ def test_no_function_defaults_a_run_default():
     assert defaulted == []
 
 
+IDENTITY_CALLS = {"resolve", "samefile", "realpath"}
+
+
+def test_one_file_identity_rule():
+    """Whether two paths name one file is decided by `datahub.file_identity`
+    alone: no other code in the package calls `resolve`, `samefile` or
+    `os.path.realpath`."""
+    stray = []
+    for path, tree in _program():
+        if path.parent != PACKAGE:
+            continue
+        helper = {id(node) for stmt in tree.body if path.stem == "datahub"
+                  and getattr(stmt, "name", None) == "file_identity" for node in ast.walk(stmt)}
+        stray += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in helper
+                  and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+                  in IDENTITY_CALLS]
+    assert stray == []
+
+
 ERROR_CLASSES = {"InputError", "Divergence", "StageFailure"}
 
 
