@@ -19,7 +19,7 @@ from . import rpca as rpca_mod
 from .datahub import SYNTH_KINDS, file_identity, load_dataset, save_dataset, synth_dataset
 from .features import FeatureMatrix, softmax_cross_entropy, write_features
 from .errors import InputError
-from .harness import (DEFAULTS, REPORT_FILES, RunConfig, check_key, check_output, load_report,
+from .harness import (REPORT_FILES, RunConfig, check_key, check_output, defaults, load_report,
                       prepare_images, run_scenario, train_backbone, train_denoiser)
 from .pgm import read_pgm
 
@@ -58,32 +58,30 @@ def _build_parser() -> _Parser:
     s.add_argument("--train", type=int, required=True, help="train samples per class")
     s.add_argument("--test", type=int, required=True, help="test samples per class")
     s.add_argument("--size", type=int, required=True, help="image side length")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int)
     s.add_argument("--out", required=True, help="output directory")
 
     s = sub.add_parser("denoise",
                        help="train the low-rank denoiser and write sparse components")
     s.add_argument("--train-glob", required=True, help="PGM files to train on")
     s.add_argument("--apply-glob", required=True, help="PGM files to filter")
-    s.set_defaults(**DEFAULTS["rpca"])  # the run config's rpca defaults
     s.add_argument("--rank", type=int)
     s.add_argument("--epochs", type=int)
     s.add_argument("--lr", type=float)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int)
     s.add_argument("--out", required=True, help="output directory")
 
     s = sub.add_parser("train-backbone",
                        help="train the convnet on a dataset's train split")
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True, help="checkpoint path")
-    s.set_defaults(**DEFAULTS["cnn_train"])  # the run config's cnn_train defaults
     s.add_argument("--epochs", type=int)
     s.add_argument("--lr", type=float)
     s.add_argument("--momentum", type=float)
     s.add_argument("--weight-decay", type=float)
     s.add_argument("--d-cnn", type=int)
     s.add_argument("--dropout", type=float)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int)
 
     s = sub.add_parser("extract",
                        help="extract features with a trained checkpoint into a CSV "
@@ -103,6 +101,10 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("eval",
                        help="print metric tables for one or more report directories")
     s.add_argument("dirs", nargs="+", help="report directories with metrics.json")
+    for command, flags in FLAG_KEYS.items():  # a flag defaults to its config key's default
+        for dest, path in flags.items():
+            section, _, key = path.rpartition(".")
+            sub.choices[command].set_defaults(**{dest: defaults(section).get(key)})
     return p
 
 
@@ -195,14 +197,9 @@ def cmd_run(args) -> int:
     if type(raw) is dict:  # anything else is rejected by from_dict
         raw.update((key, value) for key, value in overrides.items() if value is not None)
     config = RunConfig.from_dict(raw)
-    # no report file may be the config or a file it names: the manifest, its header or a CSV
-    manifest, source = config.dataset.get("manifest"), config.ingested_source
-    named = (cfg_path, manifest, manifest and Path(manifest).with_suffix(".json"),
-             source.get("train"), source.get("test"))
-    read = {file_identity(p): p for p in named if p}
-    if config.output_dir and Path(config.output_dir).is_dir():  # a missing one holds no report
-        for name in REPORT_FILES:
-            check_output(Path(config.output_dir) / name, inputs=read)
+    out = config.output_dir and Path(config.output_dir)  # run_scenario checks the files it reads
+    for name in REPORT_FILES if out and out.is_dir() else ():  # none may be the config
+        check_output(out / name, inputs={file_identity(cfg_path): cfg_path})
     metrics = run_scenario(config)
     print(f"tasks: {len(metrics['task_accuracies'])}  "
           f"avg accuracy: {metrics['avg_accuracy']:.2f}  perf drop: {metrics['perf_drop']:.2f}")

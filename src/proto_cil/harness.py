@@ -8,13 +8,14 @@ task that introduces its class; its projected row is kept for later tasks'
 scoring. No training row is kept.
 """
 
+import copy
 import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,58 +45,72 @@ _PATH = ("a nonempty string", lambda v: type(v) is str and v != "")
 _POSITIVE = ("a finite number > 0", lambda v: _number(v) and v > 0)
 _NON_NEGATIVE = ("a finite number >= 0", lambda v: _number(v) and v >= 0)
 
-# section -> key -> (what its value must be, test); "" is the top level, and a
-# dotted key names a nested section. A section accepts exactly its own keys.
+REQUIRED = object()  # the default of a key that a config must set
+
+# section -> key -> (what its value must be, test, default); the default is the
+# value a run uses where the config leaves the key out, or REQUIRED. "" is the
+# top level, and a dotted key names a nested section. A section accepts exactly
+# its own keys; it is kept as written and filled from its defaults on read.
 # Bools are not numbers here, and 2.0 is not an integer.
 RULES = {
     "": {
         "dataset": ("an object with exactly one of 'synth' and 'manifest'",
-                    lambda v: type(v) is dict and len(v) == 1 and set(v) <= {"synth", "manifest"}),
+                    lambda v: type(v) is dict and len(v) == 1 and set(v) <= {"synth", "manifest"},
+                    REQUIRED),
         "schedule": ("a nonempty list of integers >= 1", lambda v: type(v) is list and v != []
-                     and all(type(k) is int and k >= 1 for k in v)),
-        "class_order": ("null or a list of strings", lambda v: v is None
-                        or (type(v) is list and all(type(c) is str for c in v))),
-        "portion": ("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1),
-        "cnn_branch": _BOOL, "ingested_branch": _BOOL, "freeze_lambda": _BOOL,
-        "ingested_source": _OBJECT, "rpca": _OBJECT, "ssf": _OBJECT, "cnn_train": _OBJECT,
-        "fusion": ("null, 'late' or 'single'", lambda v: v in (None, "late", "single")),
-        "projection_dim": _POSITIVE_INT,
-        "lambda_grid": ("null or a nonempty list of finite positive numbers",
+                     and all(type(k) is int and k >= 1 for k in v), REQUIRED),
+        "class_order": ("null or a list of strings", lambda v: v is None  # null: the dataset's
+                        or (type(v) is list and all(type(c) is str for c in v)), None),
+        "portion": ("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1, 1.0),
+        "cnn_branch": (*_BOOL, False), "ingested_branch": (*_BOOL, True),
+        "freeze_lambda": (*_BOOL, False), "cnn_train": (*_OBJECT, {}),
+        "ingested_source": (*_OBJECT, {"kind": "raw_pixels"}),
+        "rpca": (*_OBJECT, {"enabled": False}), "ssf": (*_OBJECT, {"enabled": False}),
+        "fusion": ("null, 'late' or 'single'",  # derived: "late" with both branches, else "single"
+                   lambda v: v in (None, "late", "single"), None),
+        "projection_dim": (*_POSITIVE_INT, 1000), "seed": (*_COUNT, 0),
+        "lambda_grid": ("null or a nonempty list of finite positive numbers",  # null: the default
                         lambda v: v is None or (type(v) is list and v != []
-                                                and all(_number(g) and g > 0 for g in v))),
-        "output_dir": ("null or a nonempty string",
-                       lambda v: v is None or (type(v) is str and v != "")),
-        "seed": _COUNT,
-        "threads": ("anything (it is ignored)", lambda v: True),
+                                                and all(_number(g) and g > 0 for g in v)), None),
+        "output_dir": ("null or a nonempty string",  # null: no report
+                       lambda v: v is None or (type(v) is str and v != ""), None),
+        "threads": ("anything (it is ignored)", lambda v: True, 1),
     },
-    "dataset": {"synth": _OBJECT, "manifest": _PATH},
+    "dataset": {"synth": (*_OBJECT, REQUIRED), "manifest": (*_PATH, REQUIRED)},  # one of them
     "dataset.synth": {
-        "kind": (" or ".join(map(repr, SYNTH_KINDS)), lambda v: v in SYNTH_KINDS),
-        "num_classes": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
-        "per_class_train": _POSITIVE_INT, "per_class_test": _POSITIVE_INT,
-        "image_size": _POSITIVE_INT, "seed": _COUNT,
+        "kind": (" or ".join(map(repr, SYNTH_KINDS)), lambda v: v in SYNTH_KINDS, REQUIRED),
+        "num_classes": ("an integer >= 2", lambda v: type(v) is int and v >= 2, REQUIRED),
+        "per_class_train": (*_POSITIVE_INT, REQUIRED),
+        "per_class_test": (*_POSITIVE_INT, REQUIRED), "image_size": (*_POSITIVE_INT, REQUIRED),
+        "seed": (*_COUNT, REQUIRED),  # the run's seed where left out
     },
-    "ingested_source": {"kind": ("'raw_pixels' or 'csv'", lambda v: v in ("raw_pixels", "csv")),
-                        "train": _PATH, "test": _PATH},
-    "rpca": {"enabled": _BOOL, "rank": _POSITIVE_INT, "epochs": _COUNT, "lr": _POSITIVE},
-    "ssf": {"enabled": _BOOL, "epochs": _COUNT, "lr": _POSITIVE},
-    "cnn_train": {"d_cnn": _POSITIVE_INT, "epochs": _COUNT, "lr": _POSITIVE,
-                  "dropout": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
-                  "momentum": _NON_NEGATIVE, "weight_decay": _NON_NEGATIVE},
+    "ingested_source": {"kind": ("'raw_pixels' or 'csv'", lambda v: v in ("raw_pixels", "csv"),
+                                 "raw_pixels"),
+                        "train": (*_PATH, REQUIRED), "test": (*_PATH, REQUIRED)},  # for csv
+    "rpca": {"enabled": (*_BOOL, False), "rank": (*_POSITIVE_INT, 2), "epochs": (*_COUNT, 100),
+             "lr": (*_POSITIVE, 0.5)},
+    "ssf": {"enabled": (*_BOOL, False), "epochs": (*_COUNT, 50), "lr": (*_POSITIVE, 0.1)},
+    "cnn_train": {"d_cnn": (*_POSITIVE_INT, 256), "epochs": (*_COUNT, 30),
+                  "lr": (*_POSITIVE, 0.01),
+                  "dropout": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1, 0.5),
+                  "momentum": (*_NON_NEGATIVE, 0.9), "weight_decay": (*_NON_NEGATIVE, 0.0005)},
 }
 
-# section -> key -> the value a run uses where the config leaves the key out
-DEFAULTS = {
-    "rpca": {"rank": 2, "epochs": 100, "lr": 0.5},
-    "ssf": {"epochs": 50, "lr": 0.1},
-    "cnn_train": {"d_cnn": 256, "dropout": 0.5, "epochs": 30, "lr": 0.01, "momentum": 0.9,
-                  "weight_decay": 0.0005},
-}
+
+def defaults(section) -> dict:
+    """A fresh copy of the defaults of `section`'s keys that a config may leave out."""
+    return {k: copy.deepcopy(r[2]) for k, r in RULES[section].items() if r[2] is not REQUIRED}
 
 
 def _section(config, name) -> dict:
-    """Config section `name` with DEFAULTS filling the keys it leaves out."""
-    return {**DEFAULTS[name], **getattr(config, name)}
+    """Config section `name` with its defaults filling the keys it leaves out."""
+    return {**defaults(name), **getattr(config, name)}
+
+
+def _require(section, given, name) -> None:
+    """Raise InputError naming `name` unless `given` sets every REQUIRED key of `section`."""
+    if missing := {k for k, r in RULES[section].items() if r[2] is REQUIRED} - given.keys():
+        raise InputError(f"{name} is missing {sorted(missing)}")
 
 
 def check_key(path, value, name=None) -> None:
@@ -103,7 +118,7 @@ def check_key(path, value, name=None) -> None:
     ("" is the whole config); a section must hold only its own keys, each
     obeying its rule. Errors name `name` (a CLI flag, say), else `path`."""
     section, _, key = path.rpartition(".")
-    what, ok = RULES[section][key] if path else _OBJECT
+    what, ok = RULES[section][key][:2] if path else _OBJECT
     if not ok(value):
         raise InputError(f"{name or path or 'the config'} must be {what}, got {value!r}")
     if path in RULES:
@@ -115,55 +130,31 @@ def check_key(path, value, name=None) -> None:
             check_key(f"{path}.{key}" if path else key, item)
 
 
-@dataclass
-class RunConfig:
-    dataset: dict                 # {"synth": {...}} or {"manifest": path}
-    schedule: list
-    class_order: list = None      # default: dataset class order
-    portion: float = 1.0
-    cnn_branch: bool = False
-    ingested_branch: bool = True
-    ingested_source: dict = field(default_factory=lambda: {"kind": "raw_pixels"})
-    rpca: dict = field(default_factory=lambda: {"enabled": False})
-    ssf: dict = field(default_factory=lambda: {"enabled": False})
-    fusion: str = None            # derived: "late" with both branches, else "single"
-    projection_dim: int = 1000
-    lambda_grid: list = None
-    freeze_lambda: bool = False
-    cnn_train: dict = field(default_factory=dict)
-    output_dir: str = None
-    seed: int = 0
-    threads: int = 1  # ignored; kept so configs that set it still load
-
-    def __post_init__(self):
-        if not (self.cnn_branch or self.ingested_branch):
-            raise InputError("at least one branch must be enabled")
-        derived = "late" if self.cnn_branch and self.ingested_branch else "single"
-        if self.fusion not in (None, derived):
-            raise InputError(f"fusion is {derived!r} for these branches (it may be omitted), "
-                             f"got {self.fusion!r}")
-        self.fusion = derived
-        csv = self.ingested_branch and self.ingested_source.get("kind") == "csv"
-        if csv and self.fusion == "late":
-            raise InputError("fusion=late requires ingested_source raw_pixels "
-                             "(csv rows do not align with image test samples)")
-        if csv and self.portion < 1:
-            raise InputError(f"portion {self.portion} < 1 requires ingested_source raw_pixels "
-                             "(csv rows are not subsampled)")
+class RunConfig(SimpleNamespace):
+    """A checked config: top-level keys as attributes, defaults filled, sections as written."""
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        check_key("", d)  # an unknown key would be a TypeError in cls(**d)
-        missing = {f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING} - d.keys()
-        if missing:
-            raise InputError(f"config is missing {sorted(missing)}")
-        return cls(**d)
+        check_key("", d)
+        _require("", d, "config")
+        config = {**defaults(""), **d}
+        if not (config["cnn_branch"] or config["ingested_branch"]):
+            raise InputError("at least one branch must be enabled")
+        derived = "late" if config["cnn_branch"] and config["ingested_branch"] else "single"
+        if config["fusion"] not in (None, derived):
+            raise InputError(f"fusion is {derived!r} for these branches (it may be omitted), "
+                             f"got {config['fusion']!r}")
+        csv = config["ingested_branch"] and config["ingested_source"].get("kind") == "csv"
+        if csv and derived == "late":
+            raise InputError("fusion=late requires ingested_source raw_pixels "
+                             "(csv rows do not align with image test samples)")
+        if csv and config["portion"] < 1:
+            raise InputError(f"portion {config['portion']} < 1 requires ingested_source "
+                             "raw_pixels (csv rows are not subsampled)")
+        return cls(**{**config, "fusion": derived})
 
     def fingerprint(self) -> str:
-        d = asdict(self)
-        d.pop("output_dir")
-        d.pop("threads")
+        d = {k: v for k, v in vars(self).items() if k not in ("output_dir", "threads")}
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -294,9 +285,7 @@ def _resolve_dataset(config: RunConfig) -> Dataset:
     if "manifest" in config.dataset:
         return load_dataset(config.dataset["manifest"])
     synth = {"seed": config.seed, **config.dataset["synth"]}
-    missing = RULES["dataset.synth"].keys() - set(synth)
-    if missing:
-        raise InputError(f"dataset.synth is missing {sorted(missing)}")
+    _require("dataset.synth", synth, "dataset.synth")
     return synth_dataset(**synth)
 
 
@@ -307,9 +296,7 @@ def _ingest_csv(config: RunConfig, classes):
     source = config.ingested_source
     if not config.ingested_branch or source.get("kind") != "csv":
         return None
-    missing = {"train", "test"} - set(source)
-    if missing:
-        raise InputError(f"ingested_source csv is missing {sorted(missing)}")
+    _require("ingested_source", source, "ingested_source csv")
     try:
         csv = {split: ingest_features(source[split]) for split in ("train", "test")}
     except (OSError, InputError) as exc:
@@ -374,14 +361,21 @@ def _check_projection_size(config: RunConfig, base, csv) -> None:
 
 def run_scenario(config: RunConfig) -> dict:
     """Execute the configured CIL run and return its metrics.json body. Setup
-    checks the output directory, reads the dataset, builds the scenario and
-    checks the inputs, raising InputError before any training. A failure in a
-    later stage raises StageFailure naming it; metrics for completed tasks are
-    flushed to the output directory first."""
+    checks the output directory and its report files, reads the dataset, builds
+    the scenario and checks the inputs, raising InputError before any training.
+    A failure in a later stage raises StageFailure naming it; metrics for
+    completed tasks are flushed to the output directory first."""
     metrics = {"task_accuracies": [], "balanced_accuracies": [], "eval_sizes": [],
                "lambdas": {}, "config_fingerprint": config.fingerprint()}
-    if config.output_dir:
-        check_output(config.output_dir, directory=True)
+    out = config.output_dir and Path(config.output_dir)
+    if out:
+        check_output(out, directory=True)
+    manifest, source = config.dataset.get("manifest"), config.ingested_source
+    named = (manifest, manifest and Path(manifest).with_suffix(".json"),
+             source.get("train"), source.get("test"))
+    read = {file_identity(p): p for p in named if p}
+    for name in REPORT_FILES if out and out.is_dir() else ():  # none may be a file read here
+        check_output(out / name, inputs=read)
     dataset = _resolve_dataset(config)
     order = config.class_order or list(dataset.classes)
     seq = make_scenario(dataset, ScenarioSpec(
@@ -504,7 +498,7 @@ def report(metrics: dict, out_dir, config: RunConfig, per_task_seconds: list) ->
              for t, (a, pd) in enumerate(zip(metrics["task_accuracies"], metrics["perf_drops"]))]
     texts = (json.dumps(metrics, sort_keys=True, indent=2),  # in REPORT_FILES order
              "\n".join(["task,accuracy,perf_drop", *curve]),
-             json.dumps(asdict(config), sort_keys=True, indent=2),
+             json.dumps(vars(config), sort_keys=True, indent=2),
              json.dumps({"per_task_seconds": per_task_seconds}, indent=2))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

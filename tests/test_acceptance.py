@@ -16,7 +16,7 @@ from proto_cil.cnn import INPUT_SIZE, cnn_init
 from proto_cil.datahub import ScenarioSpec, make_scenario, synth_dataset
 from proto_cil.features import FeatureMatrix, softmax
 from proto_cil.fusion import late_fuse
-from proto_cil.harness import DEFAULTS, RunConfig, avg_acc, perf_drop, run_scenario, train_denoiser
+from proto_cil.harness import RunConfig, avg_acc, defaults, perf_drop, run_scenario, train_denoiser
 from proto_cil.projector import accumulate, empty_state, solve_prototypes
 from proto_cil.rpca import bilinear_loss_and_grad, rpca_train
 
@@ -155,8 +155,8 @@ def test_criterion_5_holds_for_the_run_denoiser_defaults():
     S0 = np.zeros((64, 64))
     mask = rng.random((64, 64)) < 0.05
     S0[mask] = rng.choice([-5.0, 5.0], size=mask.sum())
-    init, model = (train_denoiser(L0 + S0, {**DEFAULTS["rpca"], "epochs": epochs}, seed=0)
-                   for epochs in (0, DEFAULTS["rpca"]["epochs"]))
+    init, model = (train_denoiser(L0 + S0, {**defaults("rpca"), "epochs": epochs}, seed=0)
+                   for epochs in (0, defaults("rpca")["epochs"]))
     assert denoiser_loss(model, L0 + S0) <= 0.5 * denoiser_loss(init, L0 + S0)
 
 

@@ -430,19 +430,27 @@ def test_train_backbone_trains_the_run_cnn_branch(tmp_path, monkeypatch):
         assert np.array_equal(saved[k], run[k]), k
 
 
-@pytest.mark.parametrize("command, section, argv", [
-    ("train-backbone", "cnn_train", ["--manifest", "m.csv", "--out", "cnn.bin"]),
-    ("denoise", "rpca", ["--train-glob", "*.pgm", "--apply-glob", "*.pgm", "--out", "out"]),
-], ids=["train-backbone", "denoise"])
-def test_flag_defaults_are_the_run_defaults(monkeypatch, command, section, argv):
+@pytest.mark.parametrize("command, flags, argv", [
+    ("train-backbone", {**dict.fromkeys(["d_cnn", "dropout", "epochs", "lr", "momentum",
+                                         "weight_decay"], "cnn_train"), "seed": ""},
+     ["--manifest", "m.csv", "--out", "cnn.bin"]),
+    ("denoise", {"rank": "rpca", "epochs": "rpca", "lr": "rpca", "seed": ""},
+     ["--train-glob", "*.pgm", "--apply-glob", "*.pgm", "--out", "out"]),
+    ("synth", {"seed": ""}, ["--kind", "blobs", "--classes", "2", "--train", "1", "--test", "1",
+                             "--size", "8", "--out", "out"]),
+], ids=["train-backbone", "denoise", "synth"])
+def test_flag_defaults_are_the_run_defaults(monkeypatch, command, flags, argv):
+    """Each flag left out takes the run config's default of the key it sets
+    (`flags` maps a flag to that key's section; "" is the top level)."""
     import proto_cil.cli as cli
-    from proto_cil.harness import DEFAULTS
+    from proto_cil.harness import defaults
 
     seen = {}
     handler = "cmd_" + command.replace("-", "_")
     monkeypatch.setattr(cli, handler, lambda args: seen.update(vars(args)) or 0)
     assert main([command] + argv) == 0
-    assert {key: seen[key] for key in DEFAULTS[section]} == DEFAULTS[section]
+    assert {flag: seen[flag] for flag in flags} == {
+        flag: defaults(section)[flag] for flag, section in flags.items()}
 
 
 def test_train_backbone_prints_fit_of_saved_checkpoint(tmp_path, capsys):

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from proto_cil.datahub import Dataset, LabeledImage, save_dataset, synth_dataset
 from proto_cil.errors import InputError
-from proto_cil.harness import (RULES, RunConfig, StageFailure,
+from proto_cil.harness import (RULES, RunConfig, StageFailure, check_key, defaults,
                                accuracy, avg_acc, balanced_accuracy, load_report,
                                perf_drop, report, run_scenario, summary)
 
@@ -99,7 +98,7 @@ def test_fusion_is_derived_from_branches():
     for cfg in (base, {**base, "cnn_branch": True}):
         omitted = RunConfig.from_dict(cfg)
         given = RunConfig.from_dict({**cfg, "fusion": omitted.fusion})
-        assert asdict(given) == asdict(omitted)
+        assert vars(given) == vars(omitted)
         assert given.fingerprint() == omitted.fingerprint()
 
 
@@ -245,6 +244,32 @@ def test_config_rejects_bad_schedule(schedule):
 def test_config_rejects_bad_portion(portion):
     with pytest.raises(InputError, match="portion"):
         RunConfig.from_dict({"dataset": {"synth": {}}, "schedule": [2], "portion": portion})
+
+
+def test_every_default_obeys_its_own_rule():
+    """Each key a config may leave out defaults to a value its rule accepts,
+    in every section; a section's default is checked key by key."""
+    checked = set()
+    for section in RULES:
+        for key, value in defaults(section).items():
+            checked.add(f"{section}.{key}" if section else key)
+            check_key(f"{section}.{key}" if section else key, value)
+    assert {"portion", "rpca", "ingested_source.kind", "rpca.lr", "cnn_train.dropout"} <= checked
+
+
+def test_defaults_are_not_shared_between_configs():
+    """Mutating one resolved config's default-filled sections, or a copy of the
+    defaults, changes neither the next resolved config nor the defaults."""
+    base = {"dataset": {"synth": {}}, "schedule": [2]}
+    resolved = json.dumps(vars(RunConfig.from_dict(base)), sort_keys=True)
+    table = {section: defaults(section) for section in RULES}
+    first = RunConfig.from_dict(base)
+    for name in ("rpca", "ssf", "cnn_train", "ingested_source"):
+        getattr(first, name)["enabled"] = "mutated"
+        getattr(first, name).pop("kind", None)
+        defaults(name)["epochs"] = "mutated"
+    assert json.dumps(vars(RunConfig.from_dict(base)), sort_keys=True) == resolved
+    assert {section: defaults(section) for section in RULES} == table
 
 
 def test_config_names_missing_required_keys():
@@ -479,6 +504,31 @@ def test_report_files_and_roundtrip(tmp_path):
     curve = (tmp_path / "accuracy_curve.csv").read_text().splitlines()
     assert curve[0] == "task,accuracy,perf_drop"
     assert len(curve) == 6
+
+
+def test_run_scenario_refuses_to_write_its_report_over_the_manifest_header(tmp_path,
+                                                                          monkeypatch):
+    """A library caller is held to the rule `run` keeps: a manifest renamed
+    metrics.csv has its header at <output_dir>/metrics.json, so setup raises
+    InputError before the dataset is read, and the header keeps its bytes."""
+    import proto_cil.harness as harness
+
+    d = tmp_path / "d"
+    save_dataset(synth_dataset("blobs", 4, 5, 2, 8, seed=0), d)
+    for suffix in (".csv", ".json"):
+        (d / f"manifest{suffix}").rename(d / f"metrics{suffix}")
+    header = (d / "metrics.json").read_bytes()
+
+    def no_reading(config):
+        raise AssertionError("dataset read before the report files were checked")
+
+    monkeypatch.setattr(harness, "_resolve_dataset", no_reading)
+    cfg = RunConfig.from_dict({"dataset": {"manifest": str(d / "metrics.csv")},
+                               "schedule": [2, 2], "output_dir": str(d)})
+    with pytest.raises(InputError, match=re.escape(
+            f"would write {d / 'metrics.json'} over the input {d / 'metrics.json'}")):
+        run_scenario(cfg)
+    assert (d / "metrics.json").read_bytes() == header
 
 
 def test_report_overwrite_is_atomic_replace(tmp_path):

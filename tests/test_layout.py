@@ -264,12 +264,12 @@ def test_package_root_binds_only_its_version():
 
 
 def test_no_function_defaults_a_run_default():
-    """A value a run uses where its config leaves a key out is written once, in
-    harness.DEFAULTS: no function in `src/` gives a parameter of such a name a
-    default of its own."""
-    from proto_cil.harness import DEFAULTS
+    """A value a run uses where its config leaves a key out is written once, as
+    that key's default in harness.RULES: no function in `src/` gives a
+    parameter of such a name a default of its own."""
+    from proto_cil.harness import defaults
 
-    keys = {key for section in DEFAULTS.values() for key in section}
+    keys = {key for section in ("rpca", "ssf", "cnn_train") for key in defaults(section)}
     defaulted = []
     for path, tree in _program():
         if ROOT / "src" not in path.parents:
