@@ -7,6 +7,9 @@ name -> float64 array. Backprop is hand-written so parameter gradients can
 be verified against finite differences.
 """
 
+import os
+import zipfile
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -209,7 +212,7 @@ def _float32_convs(params):
 
 
 def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
-              momentum: float, weight_decay: float, seed: int = 0) -> dict:
+              momentum: float, weight_decay: float, seed: int) -> dict:
     """SGD with momentum, weight decay and `dropout` on base-task classes;
     returns trained copies of `params`. Mixed precision: each step runs the
     conv stack, forward and backward, on float32 copies of the conv weights,
@@ -262,33 +265,36 @@ def cnn_extract(params, images) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# checkpoints: an .npz archive of the parameters, one float64 array per name
 
 def save_cnn(params, path) -> None:
-    from .binio import save_blocks
-
-    save_blocks(path, {"kind": "cnn"}, params)
+    with open(path, "wb") as f:  # np.savez would add .npz to a path without it
+        np.savez(f, **params)
 
 
 def load_cnn(path) -> dict:
-    from .binio import load_blocks
-
-    meta, arrays = load_blocks(path)
-    if meta.get("kind") != "cnn":
-        raise InputError(f"{path}: not a cnn checkpoint")
-    missing = [k for k in PARAM_NAMES if k not in arrays]
-    if missing:
+    """The parameters in the checkpoint at `path`, read without unpickling;
+    members beside them are ignored. InputError naming the file unless every
+    parameter is a finite float64 array of its shape in the conv stack."""
+    if not os.path.isfile(path):
+        raise InputError(f"checkpoint not found: {path}")
+    try:
+        with np.load(path, allow_pickle=False) as archive:  # a lone .npy has no `with`
+            arrays = {k: archive[k] for k in PARAM_NAMES if k in archive.files}
+    except (OSError, ValueError, TypeError, EOFError, MemoryError, NotImplementedError,
+            zipfile.BadZipFile) as exc:  # NotImplementedError: an unknown zip compression
+        raise InputError(f"{path}: not a cnn checkpoint: expected an .npz archive") from exc
+    if missing := [k for k in PARAM_NAMES if k not in arrays]:
         raise InputError(f"{path}: cnn checkpoint is missing {missing}")
-    # the widths come from the weights; header keys beside kind, which older
-    # checkpoints carry, are ignored
+    if other := [k for k in PARAM_NAMES if getattr(arrays[k], "dtype", None) != np.float64]:
+        raise InputError(f"{path}: cnn checkpoint has parameters that are not float64 arrays: "
+                         + ", ".join(other))  # a member that is not .npy data reads as bytes
     widths = [arrays[k].shape[1] if arrays[k].ndim == 2 else 0 for k in ("dense_w", "head_w")]
-    wrong = [f"{k} {arrays[k].shape} (expected {shape})"
-             for k, shape in _param_shapes(*widths).items() if arrays[k].shape != shape]
-    if wrong:
+    if wrong := [f"{k} {arrays[k].shape} (expected {shape})"
+                 for k, shape in _param_shapes(*widths).items() if arrays[k].shape != shape]:
         raise InputError(f"{path}: cnn checkpoint has parameters of the wrong shape: "
                          + ", ".join(wrong))
-    nonfinite = [k for k in PARAM_NAMES if not np.isfinite(arrays[k]).all()]
-    if nonfinite:
+    if nonfinite := [k for k in PARAM_NAMES if not np.isfinite(arrays[k]).all()]:
         raise InputError(f"{path}: cnn checkpoint has non-finite parameters: "
                          + ", ".join(nonfinite))
     return arrays

@@ -115,8 +115,8 @@ def score(P: np.ndarray, H_test: np.ndarray) -> np.ndarray:
     return H_test @ P
 
 
-def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAMBDA_GRID,
-                  seed: int = 0) -> float:
+def select_lambda(state: PrototypeState, task_H: FeatureMatrix, grid=DEFAULT_LAMBDA_GRID, *,
+                  seed: int) -> float:
     """Pick lambda by an 80:20 split of the current task's samples: build
     prototypes from (prior state + 80% portion) and minimize one-hot MSE on
     the held-out 20%. Ties go to the smaller lambda.

@@ -21,21 +21,27 @@ LR_DECAY = 0.01    # step size lr / (1 + LR_DECAY * epoch)
 GRAD_CLIP = 1.0    # largest norm of a batch gradient
 
 
+def _residuals(A, B, batch):
+    """Z = batch B^T, the residuals E = batch - Z A^T and S, the smoothed |E|."""
+    Z = batch @ B.T            # (n, r)
+    E = batch - Z @ A.T        # residuals (n, m)
+    S = E * E + SMOOTH_EPS * SMOOTH_EPS
+    return Z, E, np.sqrt(S, out=S)
+
+
 def bilinear_loss_and_grad(A, B, batch):
     """Smoothed-L1 reconstruction loss sum_i |x_i - A B x_i| and its gradients.
 
     batch: (n, m) array of flattened images.
     """
-    Z = batch @ B.T            # (n, r)
-    E = batch - Z @ A.T        # residuals (n, m)
-    S = np.sqrt(E * E + SMOOTH_EPS * SMOOTH_EPS)
+    Z, E, S = _residuals(A, B, batch)
     W = E / S                  # d|e|/de
     gA = -(W.T @ Z)            # (m, r)
     gB = -(A.T @ W.T) @ batch  # (r, m)
     return float(S.sum()), gA, gB
 
 
-def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> dict:
+def rpca_train(images, r: int, epochs: int, lr: float, seed: int) -> dict:
     """Fit the bilinear denoiser by mini-batch subgradient descent on the
     smoothed-L1 objective.
 
@@ -73,8 +79,7 @@ def rpca_train(images, r: int, epochs: int, lr: float, seed: int = 0) -> dict:
             s = np.sqrt(nb / na)
             A *= s
             B /= s
-        loss = bilinear_loss_and_grad(A, B, X)[0]
-        if not np.isfinite(loss):
+        if not np.isfinite(_residuals(A, B, X)[2].sum()):  # the loss, without gradients
             raise Divergence(f"non-finite denoiser loss at epoch {epoch}")
     return {"A": A, "B": B}
 

@@ -33,7 +33,7 @@ def probe_loss_and_grad(gamma, delta, w, b, X, y_idx):
     return loss, ggamma, gdelta, gw, gb
 
 
-def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int = 0) -> dict:
+def ssf_train(base_features: FeatureMatrix, epochs: int, lr: float, seed: int) -> dict:
     """Train gamma/delta with a throwaway linear probe on base-task features."""
     classes = sorted(set(base_features.labels))
     X = base_features.rows

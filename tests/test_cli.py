@@ -15,6 +15,7 @@ from proto_cil.pgm import read_pgm, write_pgm
 from proto_cil.seeding import derive_seed
 
 from pgm16 import write_pgm16
+from test_cnn import MALFORMED_CHECKPOINTS, assert_archive_of_parameters
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "b2inc2_blobs.json"
 
@@ -312,16 +313,15 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, monkeypatch, small_mani
 # train-backbone + extract
 
 def test_backbone_and_extract_roundtrip(tmp_path):
-    """The checkpoint's header holds only its kind; extract reads it back."""
-    from proto_cil.binio import load_blocks
-
+    """The checkpoint is an .npz of exactly the parameters; extract reads it back."""
     ds = tmp_path / "ds"
     assert main(["synth", "--kind", "blobs", "--classes", "2", "--train", "3",
                  "--test", "2", "--size", "32", "--out", str(ds)]) == 0
     ckpt = tmp_path / "cnn.bin"
     rc = main(["train-backbone", "--manifest", str(ds / "manifest.csv"),
                "--out", str(ckpt), "--epochs", "1", "--d-cnn", "8"])
-    assert rc == 0 and load_blocks(ckpt)[0] == {"kind": "cnn"}
+    assert rc == 0
+    assert_archive_of_parameters(ckpt)
     feats = tmp_path / "feats.csv"
     rc = main(["extract", "--manifest", str(ds / "manifest.csv"), "--model", str(ckpt),
                "--split", "test", "--out", str(feats)])
@@ -363,6 +363,26 @@ def test_extract_and_train_backbone_refuse_to_write_over_their_inputs(tmp_path, 
     named = tmp_path / ("manifest.json" if target == "link" else target)
     assert f"--out would write {out} over the input {named}" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_extract_refuses_a_malformed_checkpoint(tmp_path, capsys, monkeypatch, small_manifest,
+                                                case):
+    """Exit 1 naming the file, before any feature is extracted or written."""
+    import proto_cil.cnn as cnn_mod
+
+    def no_extraction(*args):
+        raise AssertionError("features extracted before the checkpoint was checked")
+
+    write, message = MALFORMED_CHECKPOINTS[case]
+    ckpt, out = tmp_path / "cnn.bin", tmp_path / "feats.csv"
+    write(ckpt)
+    monkeypatch.setattr(cnn_mod, "cnn_extract", no_extraction)
+    capsys.readouterr()
+    assert main(["extract", "--manifest", small_manifest, "--model", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert f"{ckpt}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extract_of_overflowing_weights_exits_2(tmp_path, capsys, small_manifest):
@@ -892,7 +912,7 @@ def rejection(case, tmp_path, manifest):
         ckpt = tmp_path / "cnn.bin"
         ckpt.write_bytes(b'{"meta": {"kind": "cnn"}, "blocks": [["w"]]}\n')
         return (["extract", "--manifest", manifest, "--model", str(ckpt), "--out", out],
-                "bad block entry ['w']")
+                f"{ckpt}: not a cnn checkpoint: expected an .npz archive")
     if case == "non-finite-checkpoint":
         from proto_cil.cnn import cnn_init, save_cnn
 

@@ -1,6 +1,8 @@
+import io
 import json
 import re
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -256,7 +258,7 @@ def test_gradients_match_reference_layout(train_mode):
 def trained_blobs_model():
     imgs, labels = augmented_blobs(per_class=3)
     model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=1,
-                      **SGD)
+                      **SGD, seed=0)
     return model, imgs, labels
 
 
@@ -297,7 +299,7 @@ def test_extract_and_train_columns_are_float32(monkeypatch):
     cnn_extract(model, imgs[:2])
     assert seen == [np.float32] * 2 * len(KERNELS)
     seen.clear()
-    out = cnn_train(model, imgs, labels, dropout=0.5, epochs=1, **SGD)  # one batch
+    out = cnn_train(model, imgs, labels, dropout=0.5, epochs=1, **SGD, seed=0)  # one batch
     # forward and backprop of each image, then the overflow check's forward of one
     assert seen == [np.float32] * (2 * len(imgs) + 1) * len(KERNELS)
     assert all(v.dtype == np.float64 for v in out.values())
@@ -387,7 +389,8 @@ def test_train_step_as_cnn_train_runs_it_fits_two_column_copies(monkeypatch):
 
     monkeypatch.setattr(cnn, "cnn_loss_and_grad", traced_step)
     imgs = np.random.default_rng(6).random((n, INPUT_SIZE, INPUT_SIZE))
-    cnn_train(cnn_init(256, seed=0), imgs, ["a", "b"] * (n // 2), dropout=0.5, epochs=1, **SGD)
+    cnn_train(cnn_init(256, seed=0), imgs, ["a", "b"] * (n // 2), dropout=0.5, epochs=1, **SGD,
+              seed=0)
     assert len(peaks) == 1
     assert peaks[0] <= bound, f"peak {peaks[0] / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
@@ -410,7 +413,7 @@ def test_train_step_2_starts_no_higher_than_step_1(monkeypatch):
     imgs = np.random.default_rng(6).random((n, INPUT_SIZE, INPUT_SIZE))
     tracemalloc.start()
     try:
-        cnn_train(model, imgs, ["a", "b"] * (n // 2), dropout=0.5, epochs=1, **SGD)
+        cnn_train(model, imgs, ["a", "b"] * (n // 2), dropout=0.5, epochs=1, **SGD, seed=0)
     finally:
         tracemalloc.stop()
     assert len(entering) == 2
@@ -464,7 +467,7 @@ def test_loss_is_cross_entropy_at_init_scale():
 def test_train_zero_epochs_is_bitwise_noop():
     imgs, labels = augmented_blobs(per_class=2)
     model = cnn_init(8, seed=0, num_classes=2)
-    out = cnn_train(model, imgs, labels, dropout=0.5, epochs=0, **SGD)
+    out = cnn_train(model, imgs, labels, dropout=0.5, epochs=0, **SGD, seed=0)
     assert out.keys() == model.keys()
     for k in model:
         assert out[k] is not model[k]  # trained copies
@@ -497,7 +500,8 @@ def test_train_divergence_is_reported_with_epoch(lr, epoch):
 def test_train_requires_two_classes():
     imgs, _ = augmented_blobs(per_class=2)
     with pytest.raises(InputError, match="at least 2 classes"):
-        cnn_train(cnn_init(8, seed=0), imgs, ["a"] * len(imgs), dropout=0.0, epochs=1, **SGD)
+        cnn_train(cnn_init(8, seed=0), imgs, ["a"] * len(imgs), dropout=0.0, epochs=1, **SGD,
+                  seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +510,7 @@ def test_train_requires_two_classes():
 def test_extract_shapes_and_batching(monkeypatch):
     imgs, labels = augmented_blobs(per_class=3)
     model = cnn_init(16, seed=0, num_classes=2)
-    model = cnn_train(model, imgs, labels, dropout=0.5, epochs=0, **SGD)
+    model = cnn_train(model, imgs, labels, dropout=0.5, epochs=0, **SGD, seed=0)
     whole = cnn_extract(model, imgs)
     monkeypatch.setattr(cnn, "EXTRACT_BATCH", 2)
     small = cnn_extract(model, imgs)
@@ -521,7 +525,7 @@ def test_extract_rows_do_not_depend_on_batch_composition():
     run's eval cache needs only that each task extracts a fixed slice."""
     imgs, labels = augmented_blobs(per_class=30)
     model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=0,
-                      **SGD)
+                      **SGD, seed=0)
     whole = cnn_extract(model, imgs)
     part = cnn_extract(model, imgs[7:47])
     assert 7 % cnn.EXTRACT_BATCH and len(imgs) == 60
@@ -537,7 +541,7 @@ def test_extract_tail_batch_agrees_to_rounding(tail):
     the same in any batch. The rows agree to rounding, not always bit for bit."""
     imgs, labels = augmented_blobs(per_class=8)
     model = cnn_train(cnn_init(16, seed=0, num_classes=2), imgs, labels, dropout=0.5, epochs=0,
-                      **SGD)
+                      **SGD, seed=0)
     whole = cnn_extract(model, imgs)
     part = cnn_extract(model, imgs[:tail])
     assert len(imgs) == cnn.EXTRACT_BATCH
@@ -554,14 +558,33 @@ def test_extract_rejects_rows_that_overflow_float32():
         cnn_extract(model, imgs)
 
 
-def test_checkpoint_roundtrip_bitwise(tmp_path):
-    from proto_cil.binio import load_blocks
+@pytest.fixture
+def unpickled(monkeypatch):
+    """The calls of pickle.load and pickle.loads, which numpy uses to read an
+    object array when its loader allows it; recorded, not refused, since a
+    refusal inside the loader could read as a rejected file."""
+    import pickle
 
+    calls = []
+    for name in ("load", "loads"):
+        real = getattr(pickle, name)
+        monkeypatch.setattr(pickle, name,
+                            lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def assert_archive_of_parameters(path):
+    """`path` is an .npz archive holding exactly cnn.PARAM_NAMES."""
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive.files == list(cnn.PARAM_NAMES)
+
+
+def test_checkpoint_roundtrip_bitwise(tmp_path, unpickled):
     imgs, labels = augmented_blobs(per_class=2)
     model = cnn_train(cnn_init(8, seed=3, num_classes=2), imgs, labels, dropout=0.25, epochs=1,
-                      **SGD)
+                      **SGD, seed=0)
     save_cnn(model, tmp_path / "cnn.bin")
-    assert load_blocks(tmp_path / "cnn.bin")[0] == {"kind": "cnn"}
+    assert_archive_of_parameters(tmp_path / "cnn.bin")
     back = load_cnn(tmp_path / "cnn.bin")
     assert back.keys() == model.keys()
     for k in model:
@@ -569,62 +592,123 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     a = cnn_extract(model, imgs[:2])
     b = cnn_extract(back, imgs[:2])
     assert np.array_equal(a, b)
+    assert unpickled == []
 
 
-def test_checkpoint_with_widths_in_header_loads(tmp_path):
-    """Checkpoint headers that also carry d_cnn, num_classes, dropout and
-    frozen, as they once did, still load, even one that says the model is not
-    frozen: the header's keys beyond kind are ignored, and the widths come
-    from the weights."""
-    from proto_cil.binio import save_blocks
-
-    imgs, labels = augmented_blobs(per_class=2)
-    model = cnn_train(cnn_init(8, seed=3, num_classes=2), imgs, labels, dropout=0.25, epochs=0,
-                      **SGD)
-    rows = cnn_extract(model, imgs)
-    for old in ({"d_cnn": 8, "num_classes": 2}, {"dropout": 0.25, "frozen": True},
-                {"d_cnn": 8, "dropout": 0.25, "num_classes": 2, "frozen": True},
-                {"dropout": 0.5, "frozen": False}):
-        save_blocks(tmp_path / "old.bin", {"kind": "cnn", **old}, model)
-        back = load_cnn(tmp_path / "old.bin")
-        assert back.keys() == model.keys(), old
-        for k in model:
-            assert np.array_equal(back[k], model[k])
-        assert np.array_equal(cnn_extract(back, imgs), rows)
+def test_checkpoint_ignores_other_members(tmp_path, unpickled):
+    """Members beside the parameters, an object array among them, are never
+    read: the parameters load as they were saved, and nothing is unpickled."""
+    model = cnn_init(8, seed=0, num_classes=3)
+    with open(tmp_path / "cnn.bin", "wb") as f:
+        np.savez(f, rpca_A=np.ones((4, 2)), notes=np.array([None, "x"], dtype=object), **model)
+    back = load_cnn(tmp_path / "cnn.bin")
+    assert back.keys() == model.keys()
+    for k in model:
+        assert np.array_equal(back[k], model[k])
+    assert unpickled == []
 
 
-def _checkpoint(header, payload=b""):
+def _legacy(header, payload=b""):
+    """Bytes in the JSON-header-plus-blocks format checkpoints had before .npz."""
     return json.dumps(header).encode("utf-8") + b"\n" + payload
 
 
-HEADER_RULE = "checkpoint header must be an object with a 'meta' object and a 'blocks' list"
+def _npy(array):
+    """The bytes of `array`'s .npy file (pickled for an object array)."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
 
 
-@pytest.mark.parametrize("contents, message", [
-    (b"\xff\n", "bad checkpoint header"),
-    (b"{\n", "bad checkpoint header"),
-    (b"[]\n", HEADER_RULE),
-    (_checkpoint({"meta": {"kind": "cnn"}}), HEADER_RULE),
-    (_checkpoint({"meta": [], "blocks": []}), HEADER_RULE),
-    (_checkpoint({"meta": {}, "blocks": [["w", [2]]]}, bytes(8)), "truncated block 'w'"),
-    (_checkpoint({"meta": {}, "blocks": [["w", [1]]]}, bytes(9)),
-     "trailing bytes after last block"),
-    (_checkpoint({"meta": {}, "blocks": [["w", [10**12]]]}, bytes(8)), "truncated block 'w'"),
-    (_checkpoint({"meta": {}, "blocks": [["w"]]}), "bad block entry ['w']"),
-    (_checkpoint({"meta": {}, "blocks": [["w", [-1]]]}), "bad block entry ['w', [-1]]"),
-    (_checkpoint({"meta": {}, "blocks": [["w", [1.5]]]}), "bad block entry ['w', [1.5]]"),
-    (_checkpoint({"meta": {}, "blocks": [["w", [True]]]}), "bad block entry ['w', [True]]"),
-    (_checkpoint({"meta": {}, "blocks": [["w", 1]]}, bytes(8)), "bad block entry ['w', 1]"),
-    (_checkpoint({"meta": {}, "blocks": [[1, [1]]]}, bytes(8)), "bad block entry [1, [1]]"),
-    (_checkpoint({"meta": {}, "blocks": ["w"]}), "bad block entry 'w'"),
-], ids=["not-utf8", "not-json", "list", "no-blocks", "meta-list", "truncated", "trailing",
-        "huge-shape", "no-shape", "negative-dim", "float-dim", "bool-dim", "shape-not-list",
-        "name-not-string", "entry-not-list"])
-def test_checkpoint_rejects_malformed_file(tmp_path, contents, message):
+def _npy_header(shape):
+    """The .npy header of a float64 array of `shape`, without its data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
+                                               "shape": shape})
+    return buf.getvalue()
+
+
+def _archive(**members):
+    """A writer of an .npz of cnn_init's parameters with `members` (name ->
+    the bytes of its .npy file) in their place."""
+    def write(path):
+        files = {k: _npy(v) for k, v in cnn_init(8, seed=0).items()}
+        with zipfile.ZipFile(path, "w") as z:
+            for name, data in {**files, **members}.items():
+                z.writestr(name + ".npy", data)
+    return write
+
+
+def _truncated_archive(path):
+    save_cnn(cnn_init(8, seed=0), path)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _unknown_compression(path):
+    """A checkpoint whose members name zip compression method 99, which no reader knows."""
+    save_cnn(cnn_init(8, seed=0), path)
+    data = bytearray(path.read_bytes())
+    # the method field of each local and central zip header
+    for signature, offset in ((b"PK\x03\x04", 8), (b"PK\x01\x02", 10)):
+        i = -1
+        while (i := data.find(signature, i + 1)) >= 0:
+            data[i + offset] = 99
+    path.write_bytes(bytes(data))
+
+
+def _old_checkpoint(path):
+    params = cnn_init(8, seed=0)
+    path.write_bytes(_legacy({"meta": {"kind": "cnn"},
+                              "blocks": [[k, list(v.shape)] for k, v in params.items()]},
+                             b"".join(v.astype("<f8").tobytes() for v in params.values())))
+
+
+NOT_NPZ = "not a cnn checkpoint: expected an .npz archive"
+NOT_FLOAT64 = "cnn checkpoint has parameters that are not float64 arrays: head_b"
+
+# id -> (writer of the file at a path, message); load_cnn and extract refuse each.
+# The first fifteen are the malformed files of the JSON-header format, refused
+# like a well-formed file of that format (`old-checkpoint`).
+MALFORMED_CHECKPOINTS = {
+    name: ((lambda path, contents=contents: path.write_bytes(contents)), NOT_NPZ)
+    for name, contents in {
+        "not-utf8": b"\xff\n",
+        "not-json": b"{\n",
+        "list": b"[]\n",
+        "no-blocks": _legacy({"meta": {"kind": "cnn"}}),
+        "meta-list": _legacy({"meta": [], "blocks": []}),
+        "truncated": _legacy({"meta": {}, "blocks": [["w", [2]]]}, bytes(8)),
+        "trailing": _legacy({"meta": {}, "blocks": [["w", [1]]]}, bytes(9)),
+        "huge-shape": _legacy({"meta": {}, "blocks": [["w", [10**12]]]}, bytes(8)),
+        "no-shape": _legacy({"meta": {}, "blocks": [["w"]]}),
+        "negative-dim": _legacy({"meta": {}, "blocks": [["w", [-1]]]}),
+        "float-dim": _legacy({"meta": {}, "blocks": [["w", [1.5]]]}),
+        "bool-dim": _legacy({"meta": {}, "blocks": [["w", [True]]]}),
+        "shape-not-list": _legacy({"meta": {}, "blocks": [["w", 1]]}, bytes(8)),
+        "name-not-string": _legacy({"meta": {}, "blocks": [[1, [1]]]}, bytes(8)),
+        "entry-not-list": _legacy({"meta": {}, "blocks": ["w"]}),
+        "lone-npy": _npy(np.zeros(3)),
+    }.items()}
+MALFORMED_CHECKPOINTS.update({
+    "old-checkpoint": (_old_checkpoint, NOT_NPZ),
+    "object-member": (_archive(head_b=_npy(np.array([None, 1.0], dtype=object))), NOT_NPZ),
+    "truncated-archive": (_truncated_archive, NOT_NPZ),
+    "unknown-compression": (_unknown_compression, NOT_NPZ),
+    "short-member": (_archive(head_b=_npy_header((2,)) + bytes(8)), NOT_NPZ),
+    "huge-member": (_archive(dense_w=_npy_header((10**12,)) + bytes(8)), NOT_NPZ),
+    "float32-parameter": (_archive(head_b=_npy(np.zeros(2, dtype=np.float32))), NOT_FLOAT64),
+    "raw-member": (_archive(head_b=b"not .npy data"), NOT_FLOAT64),
+})
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_checkpoint_rejects_malformed_file(tmp_path, unpickled, case):
+    write, message = MALFORMED_CHECKPOINTS[case]
     path = tmp_path / "x.bin"
-    path.write_bytes(contents)
+    write(path)
     with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
         load_cnn(path)
+    assert unpickled == []
 
 
 @pytest.mark.parametrize("param_drop, missing", [
@@ -632,23 +716,22 @@ def test_checkpoint_rejects_malformed_file(tmp_path, contents, message):
     ("all", list(cnn.PARAM_NAMES)),
 ])
 def test_checkpoint_rejects_missing_fields(tmp_path, param_drop, missing):
-    from proto_cil.binio import save_blocks
-
     params = cnn_init(4, seed=0)
     assert set(params) == set(cnn.PARAM_NAMES)
     params = {k: v for k, v in params.items() if param_drop not in (k, "all")}
-    path = tmp_path / "x.bin"
-    save_blocks(path, {"kind": "cnn"}, params)
+    path = tmp_path / "x.npz"  # np.savez adds .npz to a name without it
+    np.savez(path, **params)
     with pytest.raises(InputError, match=re.escape(f"{path}: cnn checkpoint is missing {missing}")):
         load_cnn(path)
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path):
-    from proto_cil.binio import save_blocks
-
-    save_blocks(tmp_path / "x.bin", {"kind": "other"}, {"w": np.zeros(2)})
-    with pytest.raises(InputError, match="not a cnn checkpoint"):
-        load_cnn(tmp_path / "x.bin")
+    """An archive of other arrays is refused as missing every parameter."""
+    path = tmp_path / "x.npz"
+    np.savez(path, w=np.zeros(2))
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: cnn checkpoint is missing {list(cnn.PARAM_NAMES)}")):
+        load_cnn(path)
 
 
 @pytest.mark.parametrize("name, shape", [
@@ -664,11 +747,9 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
 def test_checkpoint_rejects_wrong_parameter_shape(tmp_path, name, shape):
     """Each parameter is checked against the conv stack and the widths of
     dense_w and head_w before any extraction uses it."""
-    from proto_cil.binio import save_blocks
-
     params = {**cnn_init(8, seed=0), name: np.zeros(shape)}
-    path = tmp_path / "x.bin"
-    save_blocks(path, {"kind": "cnn"}, params)
+    path = tmp_path / "x.npz"
+    np.savez(path, **params)
     with pytest.raises(InputError, match=re.escape(f"{path}: cnn checkpoint has parameters of "
                                                    f"the wrong shape: ")) as exc:
         load_cnn(path)
@@ -681,12 +762,10 @@ def test_checkpoint_rejects_wrong_parameter_shape(tmp_path, name, shape):
     ("head_b", -np.inf),
 ])
 def test_checkpoint_rejects_non_finite_parameter(tmp_path, name, value):
-    from proto_cil.binio import save_blocks
-
     params = cnn_init(8, seed=0)
     params[name].flat[0] = value
-    path = tmp_path / "x.bin"
-    save_blocks(path, {"kind": "cnn"}, params)
+    path = tmp_path / "x.npz"
+    np.savez(path, **params)
     with pytest.raises(InputError, match=re.escape(
             f"{path}: cnn checkpoint has non-finite parameters: {name}")):
         load_cnn(path)

@@ -267,9 +267,9 @@ def test_no_function_defaults_a_run_default():
     """A value a run uses where its config leaves a key out is written once, as
     that key's default in harness.RULES: no function in `src/` gives a
     parameter of such a name a default of its own."""
-    from proto_cil.harness import defaults
+    from proto_cil.harness import RULES, defaults
 
-    keys = {key for section in ("rpca", "ssf", "cnn_train") for key in defaults(section)}
+    keys = {key for section in RULES for key in defaults(section)}
     defaulted = []
     for path, tree in _program():
         if ROOT / "src" not in path.parents:

@@ -126,9 +126,24 @@ def test_train_subspace_matches_pcp_oracle():
 def test_train_validates_inputs():
     X = rank1_images(n=4, m=9)
     with pytest.raises(InputError, match="rank must satisfy 0 < r < m, got r=9, m=9"):
-        rpca_train(X, r=9, epochs=1, lr=0.5)
+        rpca_train(X, r=9, epochs=1, lr=0.5, seed=0)
     with pytest.raises(InputError, match="got r=0"):
-        rpca_train(X, r=0, epochs=1, lr=0.5)
+        rpca_train(X, r=0, epochs=1, lr=0.5, seed=0)
+
+
+def test_train_computes_gradients_once_per_batch(monkeypatch):
+    """The per-epoch divergence check computes the loss on all images without
+    their gradients: each epoch calls the gradient function once per batch."""
+    X = rank1_images(n=2 * rpca.BATCH_SIZE + 3, m=16)
+    real, sizes = rpca.bilinear_loss_and_grad, []
+
+    def counting(A, B, batch):
+        sizes.append(len(batch))
+        return real(A, B, batch)
+
+    monkeypatch.setattr(rpca, "bilinear_loss_and_grad", counting)
+    rpca_train(X, r=1, epochs=4, lr=0.5, seed=0)
+    assert sizes == [rpca.BATCH_SIZE, rpca.BATCH_SIZE, 3] * 4
 
 
 def test_train_divergence_is_reported_with_epoch(monkeypatch):

@@ -100,7 +100,7 @@ def test_probe_loss_is_cross_entropy():
 
 
 def test_ssf_train_zero_epochs_is_identity():
-    adapter = ssf_train(make_fm(), epochs=0, lr=0.1)
+    adapter = ssf_train(make_fm(), epochs=0, lr=0.1, seed=0)
     assert adapter.keys() == {"gamma", "delta"}
     assert np.array_equal(adapter["gamma"], np.ones(6))
     assert np.array_equal(adapter["delta"], np.zeros(6))
