@@ -174,8 +174,10 @@ def cmd_train_backbone(args) -> int:
 def cmd_extract(args) -> int:
     inputs = (args.manifest, Path(args.manifest).with_suffix(".json"), args.model)
     check_output(args.out, inputs={file_identity(p): p for p in inputs})
+    if not Path(args.manifest).is_file():  # a missing manifest is named before the checkpoint
+        raise InputError(f"manifest not found: {args.manifest}")
+    model = cnn_mod.load_cnn(args.model)  # before load_dataset reads every image
     ds = load_dataset(args.manifest)
-    model = cnn_mod.load_cnn(args.model)
     samples = [im for im in ds.samples if im.split == args.split]
     imgs = prepare_images(samples, None)
     fm = FeatureMatrix(rows=cnn_mod.cnn_extract(model, imgs),

@@ -40,7 +40,7 @@ def _param_shapes(d_cnn, num_classes):
 PARAM_NAMES = tuple(_param_shapes(1, 2))  # the parameters cnn_init creates
 
 
-def cnn_init(d_cnn: int, seed: int, num_classes: int = 2) -> dict:
+def cnn_init(d_cnn: int, seed: int, num_classes: int) -> dict:
     """He fan-in Gaussian init for conv/dense weights, zero biases."""
     rng = derive_rng(seed, "cnn")
     return {name: rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)  # shape[0] is fan-in
@@ -232,8 +232,9 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
         order = rng.permutation(len(x))
         for start in range(0, len(x), TRAIN_BATCH):
             sel = order[start : start + TRAIN_BATCH]
-            loss, grads = cnn_loss_and_grad(_float32_convs(params), x[sel], y[sel],
-                                            (dropout, rng))
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises
+                loss, grads = cnn_loss_and_grad(_float32_convs(params), x[sel], y[sel],
+                                                (dropout, rng))
             if not np.isfinite(loss):
                 raise Divergence(f"non-finite training loss or weights at epoch {epoch}")
             for k, g in grads.items():
@@ -245,7 +246,9 @@ def cnn_train(params, images, labels, dropout: float, epochs: int, lr: float,
             del grads  # not held through the next step
         if not all(np.isfinite(v).all() for v in params.values()):
             raise Divergence(f"non-finite training loss or weights at epoch {epoch}")
-    if not np.isfinite(_forward_batch(_float32_convs(params), x[:1], None)[0]).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite features raise
+        feats = _forward_batch(_float32_convs(params), x[:1], None)[0]
+    if not np.isfinite(feats).all():
         raise Divergence("the trained weights give non-finite float32 features")
     return params
 
@@ -255,10 +258,11 @@ def cnn_extract(params, images) -> np.ndarray:
     on float32 copies of the conv weights, the dense layer in float64, so rows
     differ from a float64 forward at about 1e-6 relative; Divergence if the
     float32 stack overflows, which finite weights can make it do."""
-    params = _float32_convs(params)
     x = np.asarray(images, dtype=np.float64)
-    rows = np.concatenate([_forward_batch(params, x[start : start + EXTRACT_BATCH], None)[0]
-                           for start in range(0, len(x), EXTRACT_BATCH)], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise
+        params = _float32_convs(params)
+        rows = np.concatenate([_forward_batch(params, x[start : start + EXTRACT_BATCH], None)[0]
+                               for start in range(0, len(x), EXTRACT_BATCH)], axis=0)
     if not np.isfinite(rows).all():
         raise Divergence("feature entries must be finite")
     return rows

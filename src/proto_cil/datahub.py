@@ -28,7 +28,6 @@ class LabeledImage:
 
 @dataclass
 class Dataset:
-    name: str
     classes: list  # ordered class identifiers
     samples: list  # of LabeledImage; every class has train and test images
 
@@ -44,8 +43,8 @@ class Dataset:
 class ScenarioSpec:
     schedule: list  # per-task class counts
     class_order: list  # permutation of class identifiers
-    portion: float = 1.0
-    seed: int = 0
+    portion: float
+    seed: int
 
     def __post_init__(self):
         if sum(self.schedule) != len(self.class_order):
@@ -100,7 +99,6 @@ def load_dataset(manifest_path) -> Dataset:
         raise InputError(f"manifest header not found: {header_path}")
     try:
         header = json.loads(header_path.read_text())
-        name = header["name"]
         classes = header["classes"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed manifest header {header_path}: {exc}") from exc
@@ -154,7 +152,7 @@ def load_dataset(manifest_path) -> Dataset:
         for split in ("train", "test"):
             if (c, split) not in covered:
                 raise InputError(f"{manifest_path}: class {c!r} has no {split} images")
-    return Dataset(name=name, classes=classes, samples=samples)
+    return Dataset(classes=classes, samples=samples)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
@@ -175,7 +173,7 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         writer.writerow(["path", "label", "split"])
         writer.writerows(rows)
     (out_dir / "manifest.json").write_text(
-        json.dumps({"name": dataset.name, "classes": dataset.classes}, indent=2) + "\n"
+        json.dumps({"classes": dataset.classes}, indent=2) + "\n"
     )
     return manifest
 
@@ -224,7 +222,7 @@ def synth_dataset(kind: str, num_classes: int, per_class_train: int,
                     px = np.where(mask, rng.random((image_size, image_size)), px)
                     px = np.clip(px, 0.0, 1.0)
                 samples.append(LabeledImage(pixels=px, label=label, split=split))
-    return Dataset(name=f"synth-{kind}", classes=classes, samples=samples)
+    return Dataset(classes=classes, samples=samples)
 
 
 # ---------------------------------------------------------------------------

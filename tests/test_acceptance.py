@@ -184,7 +184,8 @@ def test_criterion_6_end_to_end_cil():
         assert (pred == truth).mean() >= 0.99
 
         seq = make_scenario(ds, ScenarioSpec(schedule=[4, 1, 1, 1, 1, 1, 1],
-                                             class_order=list(ds.classes), seed=0))
+                                             class_order=list(ds.classes), portion=1.0,
+                                             seed=0))
         assert len(seq.tasks) == 7
 
 

@@ -385,6 +385,24 @@ def test_extract_refuses_a_malformed_checkpoint(tmp_path, capsys, monkeypatch, s
     assert not out.exists()
 
 
+def test_extract_checks_the_checkpoint_before_reading_images(tmp_path, capsys, monkeypatch,
+                                                             small_manifest):
+    """A malformed checkpoint beside a valid manifest exits 1 naming the
+    checkpoint, and no image of the manifest is read."""
+    import proto_cil.datahub as datahub
+
+    def no_reading(path):
+        raise AssertionError(f"{path} read before the checkpoint was checked")
+
+    ckpt = tmp_path / "cnn.bin"
+    ckpt.write_bytes(b"not an archive")
+    monkeypatch.setattr(datahub, "read_pgm", no_reading)
+    capsys.readouterr()
+    assert main(["extract", "--manifest", small_manifest, "--model", str(ckpt),
+                 "--out", str(tmp_path / "feats.csv")]) == 1
+    assert f"{ckpt}: not a cnn checkpoint" in capsys.readouterr().err
+
+
 def test_extract_of_overflowing_weights_exits_2(tmp_path, capsys, small_manifest):
     """Finite weights that overflow the float32 conv stack pass the checkpoint
     check; extraction then fails at run time and writes no CSV."""

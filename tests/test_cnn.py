@@ -65,14 +65,14 @@ def test_init_shapes_and_determinism():
 
 
 def test_zero_image_gives_zero_features():
-    model = cnn_init(16, seed=0)
+    model = cnn_init(16, seed=0, num_classes=2)
     feats, logits, _ = _forward_batch(model, np.zeros((1, INPUT_SIZE, INPUT_SIZE)), None)
     assert np.allclose(feats, 0.0)  # zero activations, zero biases
     assert np.allclose(logits, 0.0)
 
 
 def test_eval_forward_deterministic():
-    model = cnn_init(16, seed=0)
+    model = cnn_init(16, seed=0, num_classes=2)
     img = np.random.default_rng(1).random((1, INPUT_SIZE, INPUT_SIZE))
     f1, l1, _ = _forward_batch(model, img, None)
     f2, l2, _ = _forward_batch(model, img, None)
@@ -157,7 +157,7 @@ def test_eval_pooling_equals_argmax_pooling_bitwise(monkeypatch):
     train forward's pool output is the ReLU of the four-member max to the bit
     and its uint8 argmax names a member holding that max; the eval forward
     hands every layer the same input bits and gives the same features."""
-    model = cnn_init(8, seed=0)
+    model = cnn_init(8, seed=0, num_classes=2)
     imgs = np.random.default_rng(3).standard_normal((2, INPUT_SIZE, INPUT_SIZE))
     sides = []
     for z, idx, out in pooled_layers(model, imgs):
@@ -193,7 +193,7 @@ def test_pooling_ties_pick_the_first_view(side):
     (di, dj) order wins a tie, and the argmax is the reference's."""
     imgs = np.zeros((2, INPUT_SIZE, INPUT_SIZE))
     imgs[:, :20, :20] = np.random.default_rng(side).standard_normal((2, 20, 20))
-    model = cnn_init(8, seed=side)
+    model = cnn_init(8, seed=side, num_classes=2)
     layers = [layer for layer in pooled_layers(model, imgs) if layer[0].shape[-1] == side]
     assert len(layers) == len(imgs)
     for z, idx, out in layers:
@@ -214,7 +214,7 @@ def test_eval_forward_keeps_no_layer_cache():
     im2col columns or ReLU mask. The padding stays zero, and the ReLU mask
     backprop reads off the next layer's input (or the flat row) is the pool
     output > 0."""
-    model = cnn_init(8, seed=0)
+    model = cnn_init(8, seed=0, num_classes=2)
     n = 3
     imgs = np.random.default_rng(4).random((n, INPUT_SIZE, INPUT_SIZE))
     _, _, cache = _forward_batch(model, imgs, None)
@@ -368,7 +368,7 @@ def test_train_step_releases_columns_during_backprop():
     copies of one image's columns (22.7 MB) bound the lot. Columns built for
     four images at a time (29.5 MB) break it."""
     n, bound = cnn.TRAIN_BATCH, memory_bound(3)
-    model = cnn_init(256, seed=0)
+    model = cnn_init(256, seed=0, num_classes=2)
     rng = np.random.default_rng(6)
     imgs = rng.random((n, INPUT_SIZE, INPUT_SIZE))
     peak = traced_peak(lambda: cnn_loss_and_grad(model, imgs, np.arange(n) % 2, (0.5, rng)))
@@ -389,8 +389,8 @@ def test_train_step_as_cnn_train_runs_it_fits_two_column_copies(monkeypatch):
 
     monkeypatch.setattr(cnn, "cnn_loss_and_grad", traced_step)
     imgs = np.random.default_rng(6).random((n, INPUT_SIZE, INPUT_SIZE))
-    cnn_train(cnn_init(256, seed=0), imgs, ["a", "b"] * (n // 2), dropout=0.5, epochs=1, **SGD,
-              seed=0)
+    cnn_train(cnn_init(256, seed=0, num_classes=2), imgs, ["a", "b"] * (n // 2), dropout=0.5,
+              epochs=1, **SGD, seed=0)
     assert len(peaks) == 1
     assert peaks[0] <= bound, f"peak {peaks[0] / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
 
@@ -409,7 +409,7 @@ def test_train_step_2_starts_no_higher_than_step_1(monkeypatch):
         return cnn_loss_and_grad(*args, **kwargs)
 
     monkeypatch.setattr(cnn, "cnn_loss_and_grad", traced_step)
-    model = cnn_init(256, seed=0)
+    model = cnn_init(256, seed=0, num_classes=2)
     imgs = np.random.default_rng(6).random((n, INPUT_SIZE, INPUT_SIZE))
     tracemalloc.start()
     try:
@@ -426,7 +426,7 @@ def test_extract_builds_columns_one_image_at_a_time():
     of all four layers (5.7 MB). Float64 columns (6.0 MB) break it, and so do
     columns built for four images at a time."""
     n, bound = cnn.EXTRACT_BATCH, memory_bound(0.75)
-    model = cnn_init(256, seed=0)
+    model = cnn_init(256, seed=0, num_classes=2)
     imgs = np.random.default_rng(7).random((n, INPUT_SIZE, INPUT_SIZE))
     peak = traced_peak(lambda: cnn_extract(model, imgs))
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > bound {bound / 1e6:.1f} MB"
@@ -500,8 +500,8 @@ def test_train_divergence_is_reported_with_epoch(lr, epoch):
 def test_train_requires_two_classes():
     imgs, _ = augmented_blobs(per_class=2)
     with pytest.raises(InputError, match="at least 2 classes"):
-        cnn_train(cnn_init(8, seed=0), imgs, ["a"] * len(imgs), dropout=0.0, epochs=1, **SGD,
-                  seed=0)
+        cnn_train(cnn_init(8, seed=0, num_classes=2), imgs, ["a"] * len(imgs), dropout=0.0,
+                  epochs=1, **SGD, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +632,7 @@ def _archive(**members):
     """A writer of an .npz of cnn_init's parameters with `members` (name ->
     the bytes of its .npy file) in their place."""
     def write(path):
-        files = {k: _npy(v) for k, v in cnn_init(8, seed=0).items()}
+        files = {k: _npy(v) for k, v in cnn_init(8, seed=0, num_classes=2).items()}
         with zipfile.ZipFile(path, "w") as z:
             for name, data in {**files, **members}.items():
                 z.writestr(name + ".npy", data)
@@ -640,13 +640,13 @@ def _archive(**members):
 
 
 def _truncated_archive(path):
-    save_cnn(cnn_init(8, seed=0), path)
+    save_cnn(cnn_init(8, seed=0, num_classes=2), path)
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
 def _unknown_compression(path):
     """A checkpoint whose members name zip compression method 99, which no reader knows."""
-    save_cnn(cnn_init(8, seed=0), path)
+    save_cnn(cnn_init(8, seed=0, num_classes=2), path)
     data = bytearray(path.read_bytes())
     # the method field of each local and central zip header
     for signature, offset in ((b"PK\x03\x04", 8), (b"PK\x01\x02", 10)):
@@ -657,7 +657,7 @@ def _unknown_compression(path):
 
 
 def _old_checkpoint(path):
-    params = cnn_init(8, seed=0)
+    params = cnn_init(8, seed=0, num_classes=2)
     path.write_bytes(_legacy({"meta": {"kind": "cnn"},
                               "blocks": [[k, list(v.shape)] for k, v in params.items()]},
                              b"".join(v.astype("<f8").tobytes() for v in params.values())))
@@ -716,7 +716,7 @@ def test_checkpoint_rejects_malformed_file(tmp_path, unpickled, case):
     ("all", list(cnn.PARAM_NAMES)),
 ])
 def test_checkpoint_rejects_missing_fields(tmp_path, param_drop, missing):
-    params = cnn_init(4, seed=0)
+    params = cnn_init(4, seed=0, num_classes=2)
     assert set(params) == set(cnn.PARAM_NAMES)
     params = {k: v for k, v in params.items() if param_drop not in (k, "all")}
     path = tmp_path / "x.npz"  # np.savez adds .npz to a name without it
@@ -747,7 +747,7 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
 def test_checkpoint_rejects_wrong_parameter_shape(tmp_path, name, shape):
     """Each parameter is checked against the conv stack and the widths of
     dense_w and head_w before any extraction uses it."""
-    params = {**cnn_init(8, seed=0), name: np.zeros(shape)}
+    params = {**cnn_init(8, seed=0, num_classes=2), name: np.zeros(shape)}
     path = tmp_path / "x.npz"
     np.savez(path, **params)
     with pytest.raises(InputError, match=re.escape(f"{path}: cnn checkpoint has parameters of "
@@ -762,7 +762,7 @@ def test_checkpoint_rejects_wrong_parameter_shape(tmp_path, name, shape):
     ("head_b", -np.inf),
 ])
 def test_checkpoint_rejects_non_finite_parameter(tmp_path, name, value):
-    params = cnn_init(8, seed=0)
+    params = cnn_init(8, seed=0, num_classes=2)
     params[name].flat[0] = value
     path = tmp_path / "x.npz"
     np.savez(path, **params)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -88,9 +89,29 @@ def test_manifest_roundtrip(tmp_path):
     ds = tiny_dataset(num_classes=10, train=1, test=1)
     manifest = save_dataset(ds, tmp_path)
     loaded = load_dataset(manifest)
-    assert loaded.name == ds.name
     assert loaded.classes == ds.classes
     assert len(loaded.samples) == 20
+
+
+def test_manifest_roundtrip_keeps_classes_and_pixels_bitwise(tmp_path):
+    """save_dataset writes the header as the class list alone; 8-bit pixels
+    come back with their exact bits."""
+    ds = tiny_dataset()
+    ds = Dataset(classes=ds.classes, samples=[
+        LabeledImage(np.rint(im.pixels * 255) / 255, im.label, im.split) for im in ds.samples])
+    loaded = load_dataset(save_dataset(ds, tmp_path))
+    assert json.loads((tmp_path / "manifest.json").read_text()) == {"classes": ds.classes}
+    assert loaded.classes == ds.classes
+    assert [(im.label, im.split, im.pixels.tobytes()) for im in loaded.samples] == \
+        [(im.label, im.split, im.pixels.tobytes()) for im in ds.samples]
+
+
+@pytest.mark.parametrize("extra", [{}, {"name": "synth-blobs"}], ids=["no-name", "name"])
+def test_manifest_header_needs_no_name(tmp_path, extra):
+    """A header's `name`, which older headers carry, is ignored like any other extra key."""
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps({**extra, "classes": ["c00", "c01", "c02"]}))
+    assert load_dataset(manifest).classes == ["c00", "c01", "c02"]
 
 
 def test_manifest_missing_image_names_path(tmp_path):
@@ -108,8 +129,6 @@ def test_manifest_missing_file():
 
 
 def test_manifest_dimension_mismatch(tmp_path):
-    import json
-
     ds = tiny_dataset(size=8)
     manifest = save_dataset(ds, tmp_path)
     header = json.loads((tmp_path / "manifest.json").read_text())
@@ -157,8 +176,6 @@ def test_manifest_rejections(tmp_path, edit, message):
 
 @pytest.mark.parametrize("size", [None, [8, 8]])
 def test_manifest_header_image_size_null_or_matching_loads(tmp_path, size):
-    import json
-
     manifest = save_dataset(tiny_dataset(size=8), tmp_path)
     header = json.loads((tmp_path / "manifest.json").read_text())
     (tmp_path / "manifest.json").write_text(json.dumps({**header, "image_size": size}))
@@ -212,7 +229,7 @@ def test_lowrank_speckle_dataset_valid(kind):
 def test_b4inc1_schedule():
     ds = tiny_dataset(num_classes=10, train=3, test=2)
     seq = make_scenario(ds, ScenarioSpec(schedule=[4, 1, 1, 1, 1, 1, 1],
-                                         class_order=list(ds.classes), seed=0))
+                                         class_order=list(ds.classes), portion=1.0, seed=0))
     assert len(seq.tasks) == 7
     assert [len(t.classes) for t in seq.tasks] == [4, 1, 1, 1, 1, 1, 1]
 
@@ -220,7 +237,7 @@ def test_b4inc1_schedule():
 def test_b2inc2_schedule():
     ds = tiny_dataset(num_classes=10, train=3, test=2)
     seq = make_scenario(ds, ScenarioSpec(schedule=[2] * 5,
-                                         class_order=list(ds.classes), seed=0))
+                                         class_order=list(ds.classes), portion=1.0, seed=0))
     assert len(seq.tasks) == 5
     assert all(len(t.classes) == 2 for t in seq.tasks)
 
@@ -232,7 +249,7 @@ def test_portion_ceil_count():
     samples += [LabeledImage(pixels=px, label="a", split="test")]
     samples += [LabeledImage(pixels=px, label="b", split="train"),
                 LabeledImage(pixels=px, label="b", split="test")]
-    ds = Dataset(name="d", classes=["a", "b"], samples=samples)
+    ds = Dataset(classes=["a", "b"], samples=samples)
     seq = make_scenario(ds, ScenarioSpec(schedule=[2], class_order=["a", "b"],
                                          portion=0.5, seed=1))
     a_train = [im for im in seq.tasks[0].train if im.label == "a"]
@@ -252,13 +269,14 @@ def test_portion_monotone_subset():
 def test_unknown_class_rejected():
     ds = tiny_dataset()
     with pytest.raises(InputError, match="ghost"):
-        make_scenario(ds, ScenarioSpec(schedule=[3], class_order=["ghost", *ds.classes[:2]]))
+        make_scenario(ds, ScenarioSpec(schedule=[3], class_order=["ghost", *ds.classes[:2]],
+                                       portion=1.0, seed=0))
 
 
 def test_schedule_length_mismatch_rejected():
     ds = tiny_dataset()
     with pytest.raises(InputError):
-        ScenarioSpec(schedule=[2], class_order=list(ds.classes))
+        ScenarioSpec(schedule=[2], class_order=list(ds.classes), portion=1.0, seed=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -270,7 +288,8 @@ def test_task_disjointness_and_coverage(seed, schedule):
     order = list(ds.classes[:n]) if n >= 2 else list(ds.classes[:1])
     if len(order) != n:
         return
-    seq = make_scenario(ds, ScenarioSpec(schedule=schedule, class_order=order, seed=seed))
+    seq = make_scenario(ds, ScenarioSpec(schedule=schedule, class_order=order, portion=1.0,
+                                         seed=seed))
     sets = [set(t.classes) for t in seq.tasks]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
@@ -282,7 +301,8 @@ def test_task_disjointness_and_coverage(seed, schedule):
 
 def test_eval_set_is_union_of_seen_test_samples():
     ds = tiny_dataset(num_classes=4, train=2, test=3)
-    seq = make_scenario(ds, ScenarioSpec(schedule=[2, 1, 1], class_order=list(ds.classes)))
+    seq = make_scenario(ds, ScenarioSpec(schedule=[2, 1, 1], class_order=list(ds.classes),
+                                         portion=1.0, seed=0))
     for t in range(len(seq.tasks)):
         seen = [c for task in seq.tasks[: t + 1] for c in task.classes]
         labels = {im.label for im in seq.eval_set(t)}
@@ -294,7 +314,8 @@ def test_eval_set_is_a_prefix_of_the_next():
     """eval_set(t) is the head of eval_set(t + 1), the same objects in the same
     order; the run scores cached rows of earlier tasks on that basis."""
     ds = tiny_dataset(num_classes=5, train=2, test=3)
-    seq = make_scenario(ds, ScenarioSpec(schedule=[2, 1, 2], class_order=list(ds.classes)[::-1]))
+    seq = make_scenario(ds, ScenarioSpec(schedule=[2, 1, 2], class_order=list(ds.classes)[::-1],
+                                         portion=1.0, seed=0))
     for t in range(len(seq.tasks) - 1):
         now, then = seq.eval_set(t), seq.eval_set(t + 1)
         assert len(then) == len(now) + len(seq.tasks[t + 1].test)

@@ -708,7 +708,7 @@ def test_renaming_classes_changes_no_raw_pixel_result(tmp_path):
     runs = []
     for name, rename in (("same", dict(zip(ds.classes, ds.classes))),
                          ("reversed", dict(zip(ds.classes, ds.classes[::-1])))):
-        renamed = Dataset(name=ds.name, classes=[rename[c] for c in ds.classes],
+        renamed = Dataset(classes=[rename[c] for c in ds.classes],
                           samples=[LabeledImage(im.pixels, rename[im.label], im.split)
                                    for im in ds.samples])
         manifest = save_dataset(renamed, tmp_path / name)

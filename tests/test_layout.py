@@ -1,12 +1,13 @@
 """Layout guard: every module-level function and class in `src/proto_cil`, and
 every method, property, field and `self.name = ...` attribute of those
 classes, has a reader in the program itself (`src/` or `perfbench/`), with no
-exemption, and every parameter default is overridden by some call there, so
-code and cases that only tests use do not linger in the package. An object's
-attributes are set only by its own methods (`self.name = ...`), and the
-package root binds only `__version__`: callers import each name from its own
-module. The parameter defaults and attribute writes kept anyway are listed
-below, each with its reason."""
+exemption, and every default of a parameter or dataclass field is overridden
+by some call there and taken by another, so code, cases and values that only
+tests use do not linger in the package. An object's attributes are set only
+by its own methods (`self.name = ...`), and the package root binds only
+`__version__`: callers import each name from its own module. The parameter
+defaults and attribute writes kept anyway are listed below, each with its
+reason."""
 
 import ast
 import importlib
@@ -197,6 +198,40 @@ def _defaulted_parameters(func):
                   if d is not None]
 
 
+def _defaulted_fields(cls: ast.ClassDef):
+    """(name, index of its slot in a call's positional arguments) of each field
+    with a default of `cls` if it is a dataclass; none otherwise."""
+    if not any(ast.unparse(getattr(d, "func", d)) == "dataclass" for d in cls.decorator_list):
+        return []
+    fields = [stmt for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return [(stmt.target.id, i) for i, stmt in enumerate(fields) if stmt.value is not None]
+
+
+def _defaults(program):
+    """(`module.callee(parameter)`, callee name, parameter, positional slot) of
+    each parameter default of a function and field default of a dataclass in
+    `src/proto_cil`."""
+    for path, func in _package_functions(program):
+        for name, slot in _defaulted_parameters(func):
+            yield f"{path.stem}.{func.name}({name})", func.name, name, slot
+    for path, cls in _package_classes(program):
+        for name, slot in _defaulted_fields(cls):
+            yield f"{path.stem}.{cls.name}({name})", cls.name, name, slot
+
+
+def _calls(program) -> dict:
+    """Callee name (`f(...)` or `x.f(...)`) -> every call of that name in the program."""
+    calls = {}
+    for _, tree in program:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
 def _overrides(call: ast.Call, name: str, slot) -> bool:
     """Whether `call` passes parameter `name` (positional `slot`) by position,
     by keyword or through an unpacked sequence or mapping."""
@@ -206,28 +241,35 @@ def _overrides(call: ast.Call, name: str, slot) -> bool:
 
 
 def unoverridden_defaults() -> list:
-    """`module.function(parameter)` of each parameter default in `src/proto_cil`
-    that no call in the program overrides; calls are matched by the callee's
-    name (`f(...)` or `x.f(...)`)."""
+    """`module.callee(parameter)` of each default in `src/proto_cil` that no
+    call in the program overrides; calls are matched by the callee's name."""
     program = _program()
-    calls = {}
-    for _, tree in program:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
-    return [f"{path.stem}.{func.name}({name})"
-            for path, func in _package_functions(program)
-            for name, slot in _defaulted_parameters(func)
-            if f"{path.stem}.{func.name}({name})" not in DEFAULT_EXEMPTIONS
-            and not any(_overrides(call, name, slot) for call in calls.get(func.name, []))]
+    calls = _calls(program)
+    return [label for label, callee, name, slot in _defaults(program)
+            if label not in DEFAULT_EXEMPTIONS
+            and not any(_overrides(call, name, slot) for call in calls.get(callee, []))]
+
+
+def untaken_defaults() -> list:
+    """`module.callee(parameter)` of each default in `src/proto_cil` that every
+    call in the program overrides, or may override by unpacking its arguments
+    (or that it never calls)."""
+    program = _program()
+    calls = _calls(program)
+    return [label for label, callee, name, slot in _defaults(program)
+            if all(_overrides(call, name, slot) for call in calls.get(callee, []))]
 
 
 def test_every_parameter_default_is_overridden_in_the_program():
     """A default that no call in `src/` or `perfbench/` overrides is a case only
     tests take: drop the parameter, or list it with its reason."""
     assert unoverridden_defaults() == []
+
+
+def test_every_default_is_taken_by_the_program():
+    """A default that every call in `src/` and `perfbench/` overrides is a value
+    only tests take: drop the default and pass the value at the test's call."""
+    assert untaken_defaults() == []
 
 
 def test_default_exemptions_name_existing_parameters():

@@ -346,7 +346,7 @@ def test_select_lambda_matches_brute_force():
     for seed in range(5):
         st = accumulate(empty_state(10), random_fm(25, 10, seed=seed))
         task_H = random_fm(20, 10, seed=seed + 100, classes=("d", "e"))
-        lam = select_lambda(st, task_H, seed=seed)
+        lam = select_lambda(st, task_H, DEFAULT_LAMBDA_GRID, seed=seed)
         assert lam == brute_force_lambda(st, task_H, DEFAULT_LAMBDA_GRID, seed)
 
 
@@ -357,7 +357,7 @@ def test_select_lambda_does_not_mutate_state():
     s0, Vt0 = st.s.copy(), st.Vt.copy()
     arrays = (st.s, st.Vt, st.C)
     assert not st.s.flags.writeable and not st.Vt.flags.writeable
-    select_lambda(st, random_fm(10, 6, seed=1, classes=("x", "y")), seed=0)
+    select_lambda(st, random_fm(10, 6, seed=1, classes=("x", "y")), DEFAULT_LAMBDA_GRID, seed=0)
     assert all(a is b for a, b in zip((st.s, st.Vt, st.C), arrays))
     assert np.array_equal(root(st), R0) and np.array_equal(st.C, C0)
     assert st.registry == reg0 == ("a", "b", "c")
@@ -389,7 +389,7 @@ def test_select_lambda_skips_grid_below_rank_tolerance():
     assert 1e8 < w_max < 1e9
     with pytest.raises(np.linalg.LinAlgError):
         cho_factor(gram(full) + 1e-8 * np.eye(full.M))
-    lam = select_lambda(prior, task, seed=0)
+    lam = select_lambda(prior, task, DEFAULT_LAMBDA_GRID, seed=0)
     assert lam in DEFAULT_LAMBDA_GRID
     assert lam > full.M * np.finfo(float).eps * w_max
     solve_prototypes(full, lam)
